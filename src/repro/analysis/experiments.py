@@ -222,17 +222,14 @@ def _redundant_fraction(
     """Fraction of fetched bytes that were redundant re-loads."""
     if not load_forward:
         return 0.0
-    from repro.engine import TraceView, resolve_engine
+    from repro.engine import CellSpec, prepare_trace, run_cell
 
+    spec = CellSpec(geometry, engine=engine_name, fetch="load-forward")
     total_fetched = total_redundant = 0
     for trace in traces:
         # The interned view shares one read-filtered copy (and the
         # decode arrays) with the sweep that just ran over this trace.
-        filtered = TraceView.of(trace).reads_only()
-        stats = resolve_engine(engine_name, filtered).run(
-            geometry, filtered, fetch=LoadForwardFetch(), word_size=2,
-            warmup="fill",
-        )
+        stats = run_cell(prepare_trace(trace), spec)
         total_fetched += stats.bytes_fetched
         total_redundant += stats.redundant_bytes_fetched
     return total_redundant / total_fetched if total_fetched else 0.0

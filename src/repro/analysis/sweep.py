@@ -10,12 +10,13 @@ and traffic ratios of individual runs", Section 3.3).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import CacheGeometry
-from repro.core.fetch import FetchPolicy
-from repro.memory.nibble import NIBBLE_MODE_BUS, BusCostModel
 from repro.trace.record import Trace
+
+if TYPE_CHECKING:
+    from repro.runner.runner import RunnerConfig
 
 __all__ = ["SweepPoint", "sweep", "geometry_grid"]
 
@@ -57,44 +58,17 @@ class SweepPoint:
 def sweep(
     traces: Sequence[Trace],
     geometries: Sequence[CacheGeometry],
-    word_size: int = 2,
-    fetch: Union[str, FetchPolicy, None] = None,
-    replacement: str = "lru",
-    warmup: Union[int, str] = "fill",
-    bus_model: BusCostModel = NIBBLE_MODE_BUS,
-    filter_writes: bool = True,
     runner_config: Optional["RunnerConfig"] = None,
-    miss_path=None,
-    sample=None,
+    **options: Any,
 ) -> List[SweepPoint]:
     """Simulate each geometry over each trace and average the ratios.
 
-    Execution goes through the resilient runner
-    (:func:`repro.runner.run_sweep`); with the default ``runner_config``
-    that layer is inert — strict, no retries, no checkpoint — and the
-    results are identical to a monolithic loop.
-
-    Args:
-        traces: Suite traces (already generated).
-        geometries: Cache shapes to evaluate.
-        word_size: Data-path width of the traced architecture.
-        fetch: Fetch policy (name or instance); demand when None.
-        replacement: Replacement policy name (fresh instance per run).
-        warmup: Warm-start mode forwarded to the simulator.
-        bus_model: Cost model used for the scaled traffic ratio.
-        filter_writes: Apply the paper's read-only filtering first.
-        runner_config: Resilience knobs (checkpointing, retries,
-            timeouts, lenient degradation, fault injection).
-        miss_path: Optional miss-path chain
-            (:class:`~repro.core.misspath.MissPathConfig` or its dict
-            form) applied to every cell; ratios then reflect the chain
-            (traffic charged only for fetches no structure serviced).
-        sample: Optional sampling config
-            (:class:`~repro.staticcheck.phases.SamplingConfig`, its
-            ``INTERVAL[,K]`` string form, or a dict); cells then run
-            representative-interval sampled simulation and the ratios
-            are estimates with error bounds in the checkpoint records
-            (docs/sampling.md).
+    :func:`repro.runner.run_sweep` without its report: ``options`` are
+    its keyword arguments (``word_size``, ``fetch``, ``replacement``,
+    ``warmup``, ``bus_model``, ``filter_writes``, ``miss_path``,
+    ``sample``) and ``runner_config`` its ``config``.  With the default
+    config the resilience layer is inert — strict, no retries, no
+    checkpoint — and the results are those of a monolithic loop.
 
     Returns:
         One :class:`SweepPoint` per geometry, in input order.  Under a
@@ -106,17 +80,7 @@ def sweep(
     from repro.runner.runner import run_sweep
 
     points, _report = run_sweep(
-        traces,
-        geometries,
-        word_size=word_size,
-        fetch=fetch,
-        replacement=replacement,
-        warmup=warmup,
-        bus_model=bus_model,
-        filter_writes=filter_writes,
-        config=runner_config,
-        miss_path=miss_path,
-        sample=sample,
+        traces, geometries, config=runner_config, **options
     )
     return points
 

@@ -63,7 +63,7 @@ from repro.analysis.figures import figure_series, series_to_csv
 from repro.analysis.plotting import ascii_figure
 from repro.analysis.tables import format_table6, format_table7, format_table8
 from repro.engine.base import ENGINE_NAMES
-from repro.stackdist.planner import GRID_ENGINE_NAMES
+from repro.engine.route import GRID_ENGINE_NAMES
 from repro.runner.retry import RetryPolicy
 from repro.runner.runner import RunnerConfig
 from repro.trace.writer import write_din
@@ -687,30 +687,29 @@ def _cmd_lint(args) -> int:
     coverage_diagnostics = None
     if args.sweep_coverage is not None:
         from repro.analysis.sweep import geometry_grid
+        from repro.engine import CellSpec
         from repro.errors import ReproError
-        from repro.staticcheck.configlint import lint_stackdist_coverage
+        from repro.staticcheck.configlint import (
+            lint_sample_coverage,
+            lint_stackdist_coverage,
+        )
 
         try:
             grid = geometry_grid(args.sweep_coverage, min_sub=args.word)
         except ReproError as exc:
             raise SystemExit(f"repro: --sweep-coverage: {exc}")
+        try:
+            spec = CellSpec.of(None, sample=args.sample)
+        except ReproError as exc:
+            raise SystemExit(f"repro: --sample: {exc}")
         # Info-severity planning report: never counted as warnings, so
         # --strict stays about real findings.
         coverage_diagnostics = lint_stackdist_coverage(
-            grid, source="paper-grid"
+            grid, spec=spec, source="paper-grid"
         )
-        if args.sample is not None:
-            from repro.staticcheck.configlint import lint_sample_coverage
-            from repro.staticcheck.phases import SamplingConfig
-
-            try:
-                SamplingConfig.coerce(args.sample)
-            except ReproError as exc:
-                raise SystemExit(f"repro: --sample: {exc}")
-            coverage_diagnostics = list(coverage_diagnostics)
-            coverage_diagnostics += lint_sample_coverage(
-                grid, args.sample, source="paper-grid"
-            )
+        coverage_diagnostics += lint_sample_coverage(
+            grid, spec.sample, source="paper-grid"
+        )
     elif args.sample is not None:
         raise SystemExit("repro: --sample requires --sweep-coverage")
     for name in names:
@@ -997,10 +996,8 @@ def _cmd_classify(args) -> int:
 
 def _cmd_simulate(args) -> None:
     from repro.core.config import CacheGeometry
-    from repro.core.fetch import make_fetch
     from repro.core.misspath import MissPathConfig
-    from repro.core.replacement import make_replacement
-    from repro.core.sim import run_config
+    from repro.engine import CellSpec, run_cell
     from repro.memory.nibble import NIBBLE_MODE_BUS
     from repro.trace.filters import reads_only
     from repro.trace.reader import read_din
@@ -1024,15 +1021,14 @@ def _cmd_simulate(args) -> None:
         l2_sub_block_size=args.l2_sub,
         l2_associativity=args.l2_assoc,
     )
-    stats = run_config(
+    stats = run_cell(trace, CellSpec.of(
         geometry,
-        trace,
-        replacement=make_replacement(args.replacement),
-        fetch=make_fetch(args.fetch),
+        replacement=args.replacement,
+        fetch=args.fetch,
         word_size=args.word,
         warmup=0 if args.cold else "fill",
-        miss_path=miss_path if miss_path.enabled else None,
-    )
+        miss_path=miss_path,
+    ))
     print(f"trace:        {args.din} ({len(trace)} accesses after filtering)")
     print(f"cache:        {geometry}")
     print(f"policies:     {args.replacement} replacement, {args.fetch} fetch")

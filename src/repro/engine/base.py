@@ -19,7 +19,7 @@ Both engines are bound by the **equivalence contract**: identical
 inputs must produce *identical* stats, counter for counter.  The
 differential suite in ``tests/engine`` enforces it; anything that
 cannot honor it (per-access fault proxies, cooperative timeouts)
-resolves to ``reference`` — see :func:`resolve_engine` and
+routes to ``reference`` — see :func:`repro.engine.route.plan` and
 ``docs/engines.md``.
 """
 
@@ -35,16 +35,13 @@ from repro.core.misspath import MissPathConfig
 from repro.core.replacement import ReplacementPolicy
 from repro.core.stats import CacheStats
 from repro.core.write import WritePolicy
-from repro.engine.traceview import TraceView
 from repro.errors import ConfigurationError, DeadlineExceededError
-from repro.trace.record import Trace
 
 __all__ = [
     "Engine",
     "ENGINE_NAMES",
     "deadline_guard",
     "make_engine",
-    "resolve_engine",
 ]
 
 #: Accesses between deadline checks in the per-access engines.  Small
@@ -81,7 +78,7 @@ def deadline_guard(
                 )
         yield record
 
-#: Accepted ``--engine`` values; ``auto`` resolves per run.  ``checked``
+#: Accepted ``--engine`` values; ``auto`` is planned per run.  ``checked``
 #: is the sanitizing wrapper (reference semantics + per-access
 #: invariant assertions; see :mod:`repro.engine.checked`) and is never
 #: chosen by ``auto`` — it must be requested explicitly.
@@ -133,9 +130,9 @@ class Engine(ABC):
                 (:class:`~repro.core.misspath.MissPathConfig` or its
                 mapping form).  A configured chain requires per-access
                 execution: the vectorized engine rejects it, and
-                :func:`resolve_engine` degrades to ``reference``
-                exactly as it does for per-access trace proxies.  An
-                empty configuration is equivalent to None.
+                :func:`repro.engine.route.plan` routes the cell to
+                ``reference`` exactly as it does for per-access trace
+                proxies.  An empty configuration is equivalent to None.
         """
 
     def __repr__(self) -> str:
@@ -146,7 +143,7 @@ def make_engine(name: str) -> Engine:
     """Build an engine by name (``reference``, ``vectorized``, ``checked``).
 
     ``auto`` is not a constructible engine — it is a per-run choice;
-    use :func:`resolve_engine`.
+    :func:`repro.engine.route.plan` makes it.
 
     Raises:
         ConfigurationError: For an unknown name (including ``auto``).
@@ -167,44 +164,3 @@ def make_engine(name: str) -> Engine:
         f"unknown engine {name!r}; choose from "
         "['reference', 'vectorized', 'checked']"
     )
-
-
-def resolve_engine(
-    name: str,
-    trace,
-    miss_path: "Union[MissPathConfig, Dict[str, Any], None]" = None,
-) -> Engine:
-    """Pick the engine that will actually execute one cell.
-
-    ``auto`` selects ``vectorized`` whenever the input is a plain
-    :class:`~repro.trace.record.Trace` / ``TraceView`` and ``reference``
-    otherwise.  An explicit ``vectorized`` request also degrades to
-    ``reference`` when the trace is a per-access proxy (guarded or
-    fault-injected cells), because only per-access iteration can honor
-    those wrappers — the equivalence contract makes the substitution
-    invisible in the results.  A configured miss-path chain degrades
-    the same way: the chain's structures mutate per miss, which only
-    the per-access loop can drive, and the L1 counters are identical
-    either way.
-
-    Raises:
-        ConfigurationError: For a name outside :data:`ENGINE_NAMES` or
-            a malformed ``miss_path`` mapping.
-    """
-    from repro.engine.reference import ReferenceEngine
-
-    key = name.lower()
-    if key not in ENGINE_NAMES:
-        raise ConfigurationError(
-            f"unknown engine {name!r}; choose from {list(ENGINE_NAMES)}"
-        )
-    if key == "checked":
-        # The sanitizer wrapper shares the reference engine's per-access
-        # loop, so it can execute any trace proxy directly.
-        return make_engine("checked")
-    config = MissPathConfig.coerce(miss_path)
-    chained = config is not None and config.enabled
-    batchable = isinstance(trace, (Trace, TraceView))
-    if key == "reference" or not batchable or chained:
-        return ReferenceEngine()
-    return make_engine("vectorized")

@@ -18,49 +18,129 @@ concurrently because they only hit warm cache entries.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Union
+from typing import TYPE_CHECKING, Any, Dict, Iterable, Optional, Tuple, Union
 
 from repro.core.config import CacheGeometry
 from repro.core.fetch import FetchPolicy, make_fetch
 from repro.core.misspath import MissPathConfig
 from repro.core.replacement import make_replacement
 from repro.core.stats import CacheStats
-from repro.engine.base import resolve_engine
+from repro.engine.base import make_engine
+from repro.engine.route import Route, plan
 from repro.engine.traceview import TraceView
 from repro.trace.filters import reads_only
 from repro.trace.record import Trace
 
-__all__ = ["CellSpec", "prepare_trace", "predecode", "run_cell", "run_batch"]
+if TYPE_CHECKING:
+    from repro.staticcheck.phases import SamplingConfig
+
+__all__ = [
+    "CellSpec",
+    "execute_cell",
+    "prepare_trace",
+    "predecode",
+    "run_cell",
+    "run_route",
+]
 
 
 @dataclass(frozen=True)
 class CellSpec:
-    """One simulation cell of a batch: shape plus execution options.
+    """One simulation cell: its shape plus every execution axis, once.
 
     The fields mirror :meth:`repro.engine.base.Engine.run`; ``fetch``
     and ``replacement`` are names so a spec stays hashable and
     process-safe, with fresh policy objects built per run (``random``
     replacement must not share RNG state across cells).  ``miss_path``
-    is the frozen (hashable) chain configuration; fresh structures are
-    built per run like the policies.
+    is the frozen chain configuration (``None`` when no structure is
+    enabled) and ``sample`` the optional
+    :class:`~repro.staticcheck.phases.SamplingConfig`.  A sweep-level
+    template, whose cells differ only in shape, has ``geometry=None``.
+
+    :func:`repro.engine.route.plan` reads a spec to choose the cell's
+    path; :meth:`fingerprint_params` is the identity a checkpoint or a
+    service cache entry is addressed by.
     """
 
-    geometry: CacheGeometry
+    geometry: Optional[CacheGeometry]
     engine: str = "auto"
     fetch: str = "demand"
     replacement: str = "lru"
     warmup: Union[int, str] = "fill"
     word_size: int = 2
     miss_path: Optional[MissPathConfig] = None
+    sample: Optional["SamplingConfig"] = None
+
+    @classmethod
+    def of(
+        cls,
+        geometry: Optional[CacheGeometry] = None,
+        *,
+        engine: str = "auto",
+        fetch: Union[str, FetchPolicy, None] = None,
+        replacement: str = "lru",
+        warmup: Union[int, str] = "fill",
+        word_size: int = 2,
+        miss_path: "Union[MissPathConfig, Dict[str, Any], None]" = None,
+        sample: Any = None,
+    ) -> "CellSpec":
+        """Build a spec from loose user values.
+
+        ``fetch`` may be a policy object or ``None`` (demand); the chain
+        may be a mapping, and an empty one becomes ``None``; ``sample``
+        is anything ``SamplingConfig.coerce`` accepts.
+
+        Raises:
+            ConfigurationError: For a malformed chain or sample.
+        """
+        from repro.staticcheck.phases import SamplingConfig
+
+        chain = MissPathConfig.coerce(miss_path)
+        return cls(
+            geometry,
+            engine=engine.lower(),
+            fetch=(
+                fetch if isinstance(fetch, str)
+                else fetch.name if fetch is not None
+                else "demand"
+            ),
+            replacement=replacement,
+            warmup=warmup,
+            word_size=word_size,
+            miss_path=chain if chain is not None and chain.enabled else None,
+            sample=SamplingConfig.coerce(sample),
+        )
+
+    def fingerprint_params(
+        self, bus_model: Any, filter_writes: bool
+    ) -> Dict[str, Any]:
+        """The :func:`~repro.runner.checkpoint.sweep_fingerprint` params.
+
+        Shared by the sweep runner and the service cache, so a served
+        result and a checkpointed cell of the same configuration carry
+        the same address.
+        """
+        return dict(
+            word_size=self.word_size,
+            fetch=self.fetch,
+            replacement=self.replacement,
+            warmup=self.warmup,
+            bus_model=bus_model,
+            filter_writes=filter_writes,
+            engine=self.engine,
+            miss_path=(
+                self.miss_path.key() if self.miss_path is not None else "none"
+            ),
+            sample=self.sample.key() if self.sample is not None else "none",
+        )
 
 
 def prepare_trace(trace: Trace, filter_writes: bool = True) -> Trace:
-    """The trace a batch actually simulates (paper-style read filtering).
+    """The trace a cell actually simulates (paper-style read filtering).
 
-    Mirrors the runner's preparation exactly — including going through
-    the interned :class:`TraceView` — so a batch cell and a sweep cell
-    over the same trace object share one materialized filtered copy and
-    produce byte-identical statistics.
+    Filtering goes through the trace's interned :class:`TraceView`, so
+    every sweep, batch and service cell over one trace object shares a
+    single materialized read-only copy.
     """
     if not filter_writes:
         return trace
@@ -98,28 +178,33 @@ def predecode(prepared: Trace, specs: Iterable[CellSpec]) -> None:
         view.demand(spec.geometry, spec.word_size)
 
 
-def run_cell(
-    prepared: Trace,
+def run_route(
+    prepared: Any,
     spec: CellSpec,
+    route: Route,
     deadline: Optional[float] = None,
-) -> CacheStats:
-    """Execute one cell of a batch and return its full statistics.
+    phase_plan: Any = None,
+) -> Any:
+    """Execute one cell on the per-cell path ``route`` names.
 
-    Engine resolution and policy construction match the resilient
-    runner's cell execution, so the result is interchangeable with a
-    sweep cell for the same configuration.
-
-    Args:
-        deadline: Optional :func:`time.monotonic` instant propagated
-            into the engine for cooperative cancellation
-            (:class:`~repro.errors.DeadlineExceededError`); the
-            service's ``X-Repro-Deadline-Ms`` budget ends here.
+    ``sampled`` returns a :class:`~repro.engine.sampled.SampledStats`
+    (the :class:`CacheStats` surface, serialized with ``exact: false``)
+    from ``phase_plan``, or from a plan built here when ``None``; every
+    other path returns the engine's :class:`CacheStats`.
     """
-    engine = resolve_engine(spec.engine, prepared, miss_path=spec.miss_path)
+    assert spec.geometry is not None, "a template spec has no cell to run"
+    if route.path == "sampled":
+        from repro.engine.sampled import sample_trace
+
+        return sample_trace(
+            spec.geometry, prepared, spec.sample,
+            replacement=spec.replacement, fetch=spec.fetch,
+            word_size=spec.word_size, plan=phase_plan, deadline=deadline,
+        )
     fetch: Optional[FetchPolicy] = (
         make_fetch(spec.fetch) if spec.fetch != "demand" else None
     )
-    return engine.run(
+    return make_engine(route.path).run(
         spec.geometry,
         prepared,
         replacement=make_replacement(spec.replacement),
@@ -131,18 +216,36 @@ def run_cell(
     )
 
 
-def run_batch(
-    trace: Trace,
-    specs: Iterable[CellSpec],
-    filter_writes: bool = True,
-) -> List[CacheStats]:
-    """Prepare ``trace`` once, then run every spec against it in order.
+def execute_cell(
+    prepared: Any,
+    spec: CellSpec,
+    deadline: Optional[float] = None,
+) -> Tuple[Any, str]:
+    """Plan and run one lone cell; returns ``(stats, path)``.
 
-    The sequential convenience driver; the service performs the same
-    three phases (prepare, predecode, per-cell run) with the per-cell
-    phase spread over its worker pool.
+    The one execution entry point of the service, in-process and in
+    supervised workers alike, so both report the path that ran.
+
+    Args:
+        deadline: Optional :func:`time.monotonic` instant propagated
+            into the engine for cooperative cancellation
+            (:class:`~repro.errors.DeadlineExceededError`); the
+            service's ``X-Repro-Deadline-Ms`` budget ends here.
     """
-    specs = list(specs)
-    prepared = prepare_trace(trace, filter_writes)
-    predecode(prepared, specs)
-    return [run_cell(prepared, spec) for spec in specs]
+    route = plan(spec, prepared)
+    return run_route(prepared, spec, route, deadline), route.path
+
+
+def run_cell(
+    prepared: Trace,
+    spec: CellSpec,
+    deadline: Optional[float] = None,
+) -> CacheStats:
+    """Execute one cell of a batch and return its statistics.
+
+    The route and policies match the resilient runner's per-cell
+    execution, so the result is interchangeable with a sweep cell for
+    the same configuration.
+    """
+    stats, _ = execute_cell(prepared, spec, deadline)
+    return stats

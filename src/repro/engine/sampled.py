@@ -52,11 +52,13 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.config import CacheGeometry
-from repro.core.fetch import FetchPolicy, make_fetch
+from repro.core.fetch import make_fetch
 from repro.core.replacement import make_replacement
 from repro.core.stats import CacheStats
 from repro.engine.base import make_engine
-from repro.errors import ConfigurationError, EngineError
+from repro.engine.batch import CellSpec
+from repro.engine.route import plan
+from repro.errors import ConfigurationError
 from repro.staticcheck.phases import PhasePlan, SamplingConfig, analyze_trace
 
 __all__ = [
@@ -235,29 +237,21 @@ def _run_interval(
     """Simulate one priming+measurement window, returning (stats, engine).
 
     Fresh policy objects per run (``random`` replacement must not share
-    RNG state across intervals), and a reference-engine fallback when
-    the fast engine cannot take the configuration — the equivalence
+    RNG state across intervals); the route planner sends a window the
+    fast engine cannot take to the reference loop — the equivalence
     contract makes the substitution invisible.
     """
-    fetch_policy: Optional[FetchPolicy] = (
-        make_fetch(fetch) if fetch != "demand" else None
+    path = plan(CellSpec(None, engine=engine_name), window).path
+    stats = make_engine(path).run(
+        geometry,
+        window,
+        replacement=make_replacement(replacement),
+        fetch=make_fetch(fetch) if fetch != "demand" else None,
+        word_size=word_size,
+        warmup=warmup,
+        deadline=deadline,
     )
-    for candidate in (engine_name, "reference"):
-        try:
-            stats = make_engine(candidate).run(
-                geometry,
-                window,
-                replacement=make_replacement(replacement),
-                fetch=fetch_policy,
-                word_size=word_size,
-                warmup=warmup,
-                deadline=deadline,
-            )
-            return stats, candidate
-        except EngineError:
-            if candidate == "reference":
-                raise
-    raise EngineError("unreachable")  # pragma: no cover
+    return stats, path
 
 
 def _cold_suspects(
@@ -333,7 +327,7 @@ def _scale(value: float, cluster_total: int, interval_length: int) -> Any:
     """
     if cluster_total == interval_length:
         return value
-    return value * (cluster_total / interval_length)
+    return value * cluster_total / interval_length
 
 
 def run_sampled(

@@ -84,7 +84,7 @@ class VectorizedEngine(Engine):
                 "the vectorized engine cannot drive a miss-path chain "
                 f"({config.key()}): structure state mutates per miss, which "
                 "requires the reference engine's per-access loop "
-                "(resolve_engine degrades automatically)"
+                "(the route planner sends such cells there)"
             )
         if isinstance(trace, Trace):
             view = TraceView.of(trace)

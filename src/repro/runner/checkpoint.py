@@ -21,7 +21,7 @@ import json
 import logging
 import zlib
 from pathlib import Path
-from typing import Any, Dict, Iterable, Optional, Union
+from typing import Any, Dict, Iterable, Optional, Sequence, Tuple, Union
 
 from repro.errors import ChecksumError, ConfigurationError
 
@@ -29,6 +29,8 @@ __all__ = [
     "CHECKPOINT_VERSION",
     "FINGERPRINT_PARAMS",
     "CheckpointWriter",
+    "LEGACY_FORMATS",
+    "legacy_fingerprints",
     "line_crc",
     "load_checkpoint",
     "repair_tail",
@@ -49,14 +51,20 @@ logger = logging.getLogger("repro.runner")
 #:   never collide in resume or the service cache.
 #:
 #: Older checkpoints still resume when their fingerprint matches the
-#: sweep's *legacy* fingerprint for that version (computed without the
-#: params that version lacked) — sound for v1 because the engines are
-#: equivalence-pinned, for v2 only when the sweep has no miss-path
-#: chain (a chainless v3 sweep records exactly what a v2 run recorded),
-#: and for v3 only when the sweep is *exact* (an unsampled v4 sweep
-#: records exactly what a v3 run recorded; sampled sweeps offer no
-#: legacy fingerprints at all).
+#: sweep's *legacy* fingerprint for that version (:data:`LEGACY_FORMATS`).
 CHECKPOINT_VERSION = 4
+
+#: version -> (the fingerprint params that version lacked, the params
+#: that must be ``"none"`` for resuming it to be sound).  A v3 file
+#: resumes only an exact sweep (an unsampled v4 sweep records exactly
+#: what a v3 run recorded); v2 and v1 files additionally only a
+#: chainless one.  Dropping the engine (v1) is sound because the
+#: engines are equivalence-pinned.
+LEGACY_FORMATS: Dict[int, Tuple[Tuple[str, ...], Tuple[str, ...]]] = {
+    3: (("sample",), ("sample",)),
+    2: (("sample", "miss_path"), ("sample", "miss_path")),
+    1: (("sample", "miss_path", "engine"), ("sample", "miss_path")),
+}
 
 #: The params a sweep fingerprint may carry.  Closed set by design: a
 #: typo'd param (``victim_entires=...``) must fail immediately, not
@@ -107,6 +115,26 @@ def sweep_fingerprint(
         sort_keys=True,
     )
     return f"{zlib.crc32(payload.encode('ascii')) & 0xFFFFFFFF:08x}"
+
+
+def legacy_fingerprints(
+    cell_keys: Sequence[str],
+    trace_lengths: Sequence[int],
+    params: Dict[str, Any],
+) -> Dict[int, str]:
+    """The fingerprints the sweep ``params`` had under older formats.
+
+    Only versions whose soundness condition holds (their listed params
+    are ``"none"``) are offered; see :data:`LEGACY_FORMATS`.
+    """
+    return {
+        version: sweep_fingerprint(
+            cell_keys, trace_lengths,
+            **{k: v for k, v in params.items() if k not in lacked},
+        )
+        for version, (lacked, must_be_none) in LEGACY_FORMATS.items()
+        if all(params.get(name) == "none" for name in must_be_none)
+    }
 
 
 def line_crc(record: Dict[str, Any]) -> str:
@@ -278,7 +306,6 @@ class CheckpointWriter:
 def load_checkpoint(
     path: Union[str, Path],
     fingerprint: str,
-    legacy_fingerprint: Optional[str] = None,
     legacy_fingerprints: Optional[Dict[int, str]] = None,
 ) -> Dict[str, Dict[str, Any]]:
     """Read completed cells from a checkpoint for resumption.
@@ -286,18 +313,10 @@ def load_checkpoint(
     Args:
         path: Checkpoint file; a missing file yields no completed cells.
         fingerprint: Expected sweep fingerprint.
-        legacy_fingerprint: Fingerprint the same sweep would have had
-            under checkpoint version 1 (before the engine param was
-            folded in).  A version-1 header matching it resumes
-            normally, so pre-existing checkpoints survive the format
-            bump.  Shorthand for ``legacy_fingerprints={1: ...}``.
         legacy_fingerprints: Per-version map of the fingerprints this
-            sweep would have had under older checkpoint formats (e.g.
-            ``{2: ..., 1: ...}``).  A header of such a version resumes
-            when its fingerprint matches the mapped value.  Callers
-            offer an older version only when the sweep records nothing
-            that format could not hold (a chained sweep must not resume
-            a chainless checkpoint).
+            sweep would have had under older checkpoint formats
+            (:func:`legacy_fingerprints`).  A header of such a version
+            resumes when its fingerprint matches the mapped value.
 
     Returns:
         ``{cell key: record}`` for every intact cell line.
@@ -346,9 +365,7 @@ def load_checkpoint(
         )
     header = records[0]
     version = header.get("version")
-    legacy = dict(legacy_fingerprints or {})
-    if legacy_fingerprint is not None:
-        legacy.setdefault(1, legacy_fingerprint)
+    legacy = legacy_fingerprints or {}
     if version == CHECKPOINT_VERSION:
         expected = fingerprint
     elif version in legacy:

@@ -17,10 +17,9 @@ independent *cell* executed under
   :class:`~repro.runner.health.RunReport`.
 
 Cells execute through the pluggable engine layer
-(:mod:`repro.engine`): :attr:`RunnerConfig.engine` selects
-``auto``/``reference``/``vectorized``, with ``auto`` taking the
-vectorized batch engine for plain traces and the reference loop for
-guarded or fault-injected ones.  :attr:`RunnerConfig.jobs` spreads
+(:mod:`repro.engine`): :func:`repro.engine.route.plan` routes every
+cell — a stack-distance pass, a sampled estimate, or a per-cell
+engine — with :attr:`RunnerConfig.engine` as one of its inputs.  :attr:`RunnerConfig.jobs` spreads
 independent cells over a process pool; workers only compute — the
 parent alone appends checkpoint records, so the JSONL file stays
 single-writer and resume-safe.
@@ -44,18 +43,18 @@ from typing import (
     Dict,
     Iterator,
     List,
+    NamedTuple,
     Optional,
     Sequence,
+    Tuple,
     Union,
 )
 
 from repro.core.config import CacheGeometry
-from repro.core.fetch import FetchPolicy, make_fetch
+from repro.core.fetch import FetchPolicy
 from repro.core.misspath import MissPathConfig
-from repro.core.replacement import make_replacement
-from repro.engine.base import ENGINE_NAMES, resolve_engine
-from repro.engine.reference import ReferenceEngine
-from repro.engine.traceview import TraceView
+from repro.engine.batch import CellSpec, prepare_trace, run_route
+from repro.engine.route import Route, plan
 from repro.errors import (
     CellTimeoutError,
     ConfigurationError,
@@ -65,6 +64,7 @@ from repro.errors import (
 from repro.memory.nibble import NIBBLE_MODE_BUS, BusCostModel
 from repro.runner.checkpoint import (
     CheckpointWriter,
+    legacy_fingerprints,
     load_checkpoint,
     sweep_fingerprint,
 )
@@ -72,8 +72,7 @@ from repro.runner.faults import FaultInjector
 from repro.runner.health import CellOutcome, CellStatus, HealthMonitor, RunReport
 from repro.runner.retry import RetryPolicy, call_with_retry
 from repro.stackdist.engine import run_group_pass
-from repro.stackdist.planner import plan_grid, trace_coverable
-from repro.trace.filters import reads_only
+from repro.stackdist.planner import plan_grid
 from repro.trace.record import Trace
 
 __all__ = ["RunnerConfig", "cell_key", "run_sweep"]
@@ -105,19 +104,13 @@ class RunnerConfig:
         injector: Deterministic fault plan, for chaos runs and tests.
         sleep: Injectable sleep used by retry backoff (jobs=1 only;
             workers always use the real ``time.sleep``).
-        engine: Simulation engine per cell — ``auto`` (default),
-            ``reference``, or ``vectorized``.  ``auto`` resolves per
-            cell; guarded and fault-injected cells always run on the
-            reference engine (see :func:`repro.engine.resolve_engine`).
-        grid_engine: Grid-level strategy — ``auto`` (default),
-            ``stackdist``, or ``percell``.  ``auto`` answers every
-            coverable pass group of >= 2 cells (LRU, demand fetch, no
-            chain/guard/injector) from one stack-distance pass per
-            trace (:mod:`repro.stackdist`) and runs the rest per cell;
-            ``stackdist`` forces passes onto every coverable group;
-            ``percell`` disables the one-pass path entirely.  Never
-            part of the sweep fingerprint: any grid engine produces
-            identical ratios, so checkpoints resume across the knob.
+        engine / grid_engine: Route planner inputs
+            (:func:`repro.engine.route.plan`, ``docs/engines.md``): the
+            per-cell engine (``auto``, ``reference``, ``vectorized``,
+            ``checked``) and the grid strategy (``auto``, ``stackdist``,
+            ``percell``).  The grid strategy is never part of the sweep
+            fingerprint: every path produces identical ratios, so
+            checkpoints resume across it.
         jobs: Worker processes for cell execution.  1 (default) runs
             in-process; N > 1 fans cells out over a process pool while
             the parent keeps sole ownership of the checkpoint file.
@@ -216,154 +209,125 @@ class _GuardedTrace:
             yield access
 
 
-def _prepare_trace(trace: Trace, filter_writes: bool) -> Trace:
-    """The trace a sweep actually simulates (paper-style read filtering).
+class _CellResult(NamedTuple):
+    """What one answered cell records: its ratio triple plus extras."""
 
-    Filtering goes through the trace's interned
-    :class:`~repro.engine.traceview.TraceView`, so repeated sweeps over
-    one trace object (Table 8's per-row sweeps, figure families) reuse
-    a single materialized read-only copy instead of rebuilding it per
-    sweep call.
-    """
-    if not filter_writes:
-        return trace
-    if isinstance(trace, Trace):
-        return TraceView.of(trace).reads_only()
-    return reads_only(trace)
+    ratios: Tuple[float, float, float]
+    misspath: Optional[Dict[str, int]]
+    stats: Optional[Dict[str, Any]]
+    engine: str
+
+
+def _ratios(stats: Any, bus_model: BusCostModel, word_size: int):
+    return (
+        stats.miss_ratio,
+        stats.traffic_ratio(),
+        stats.scaled_traffic_ratio(bus_model, word_size),
+    )
 
 
 def _execute_cell(
-    geometry: CacheGeometry,
+    spec: CellSpec,
     trace: Trace,
     key: str,
-    engine_name: str,
-    retry_policy: RetryPolicy,
-    cell_timeout: Optional[float],
-    max_cell_accesses: Optional[int],
-    lenient: bool,
-    injector: Optional[FaultInjector],
-    word_size: int,
-    fetch: Union[str, FetchPolicy, None],
-    replacement: str,
-    warmup: Union[int, str],
+    config: RunnerConfig,
     bus_model: BusCostModel,
     rng: random.Random,
-    sleep: Callable[[float], None],
-    miss_path: Optional[MissPathConfig] = None,
-) -> "tuple[tuple[float, float, float], Optional[Dict[str, int]], int, str]":
-    """Run one cell under retry.
+) -> "tuple[_CellResult, int]":
+    """Run one per-cell route under retry; returns ``(result, attempts)``.
 
-    Returns ``((miss, traffic, scaled), misspath_hits, attempts,
-    engine_used)``, where ``misspath_hits`` is the chain's
-    per-structure hit summary (None without a chain) and
-    ``engine_used`` the resolved engine that produced the accepted
-    result.  Shared verbatim by the in-process path and the pool
-    workers, so a sweep computes identical results regardless of
+    Each attempt arms the fault injector and the guard, then plans the
+    cell against the trace it actually iterates (a proxy routes to the
+    reference loop).  Shared verbatim by the in-process path and the
+    pool workers, so a sweep computes identical results regardless of
     ``jobs``.
     """
 
-    def attempt(_attempt_number: int):
-        run_trace: Trace = trace
-        if injector is not None:
-            run_trace = injector.arm(key, run_trace)
-        if cell_timeout is not None or max_cell_accesses is not None:
+    def attempt(_attempt_number: int) -> _CellResult:
+        run_trace: Any = trace
+        if config.injector is not None:
+            run_trace = config.injector.arm(key, run_trace)
+        if config.cell_timeout is not None or config.max_cell_accesses is not None:
             deadline = (
-                time.monotonic() + cell_timeout
-                if cell_timeout is not None
+                time.monotonic() + config.cell_timeout
+                if config.cell_timeout is not None
                 else None
             )
-            run_trace = _GuardedTrace(run_trace, key, deadline, max_cell_accesses)
-        fetch_policy = make_fetch(fetch) if isinstance(fetch, str) else fetch
-        engine = resolve_engine(engine_name, run_trace, miss_path=miss_path)
-        engine_used = engine.name
-        kwargs: Dict[str, Any] = dict(
-            fetch=fetch_policy, word_size=word_size, warmup=warmup,
-            miss_path=miss_path,
-        )
-        if engine.name == "vectorized":
-            try:
-                stats = engine.run(
-                    geometry, run_trace,
-                    replacement=make_replacement(replacement), **kwargs,
-                )
-            except ReproError:
-                raise
-            except Exception as exc:
-                if not lenient:
-                    raise EngineError(
-                        f"cell {key}: vectorized engine failed "
-                        f"({type(exc).__name__}: {exc}); re-run with "
-                        "--engine reference, or --lenient to fall back "
-                        "automatically"
-                    ) from exc
-                # Lenient degradation: the reference loop is the
-                # semantics baseline, so the fallback is invisible in
-                # the results.  Fresh policy objects — the failed
-                # attempt may have consumed replacement RNG state.
-                stats = ReferenceEngine().run(
-                    geometry, run_trace,
-                    replacement=make_replacement(replacement), **kwargs,
-                )
-                engine_used = "reference"
-        else:
-            stats = engine.run(
-                geometry, run_trace,
-                replacement=make_replacement(replacement), **kwargs,
+            run_trace = _GuardedTrace(
+                run_trace, key, deadline, config.max_cell_accesses
             )
-        ratios = (
-            stats.miss_ratio,
-            stats.traffic_ratio(),
-            stats.scaled_traffic_ratio(bus_model, word_size),
-        )
+        route = plan(spec, run_trace)
+        try:
+            stats = run_route(run_trace, spec, route)
+        except ReproError:
+            raise
+        except Exception as exc:
+            if route.path != "vectorized":
+                raise
+            if not config.lenient:
+                raise EngineError(
+                    f"cell {key}: vectorized engine failed "
+                    f"({type(exc).__name__}: {exc}); re-run with "
+                    "--engine reference, or --lenient to fall back "
+                    "automatically"
+                ) from exc
+            # Lenient degradation: the reference loop is the semantics
+            # baseline, so the fallback is invisible in the results.
+            # Fresh policy objects — the failed attempt may have
+            # consumed replacement RNG state.
+            route = Route("reference", route.reasons + ("vectorized engine failed",))
+            stats = run_route(run_trace, spec, route)
         misspath = (
             stats.misspath.hits_summary() if stats.misspath is not None else None
         )
-        return ratios, misspath, engine_used
+        return _CellResult(
+            _ratios(stats, bus_model, spec.word_size), misspath, None, route.path
+        )
 
-    (ratios, misspath, engine_used), attempts = call_with_retry(
-        attempt, retry_policy, rng, sleep=sleep
+    return call_with_retry(
+        attempt, config.effective_retry(), rng, sleep=config.sleep
     )
-    return ratios, misspath, attempts, engine_used
 
 
 def _execute_sampled_cell(
-    geometry: CacheGeometry,
+    spec: CellSpec,
     trace: Trace,
-    plan: Any,
-    sample_config: Any,
-    replacement: str,
-    fetch_name: str,
-    word_size: int,
-    cell_timeout: Optional[float],
-):
-    """Run one sampled cell (docs/sampling.md).
+    phase_plan: Any,
+    config: RunnerConfig,
+    bus_model: BusCostModel,
+) -> "tuple[_CellResult, int]":
+    """Run one sampled cell from its trace's shared phase plan.
 
-    The cell timeout becomes the engine deadline: interval simulations
-    are cancelled cooperatively mid-trace like any other cell.  Retry
-    is deliberately absent — the sampled path has no fault-injection
-    proxies, so a failure is deterministic and a retry would only
-    repeat it.
+    The cell timeout becomes the engine deadline.  Retry is absent: the
+    sampled path has no fault-injection proxies, so a failure is
+    deterministic and a retry would only repeat it.
     """
-    from repro.engine.sampled import run_sampled
-
     deadline = (
-        time.monotonic() + cell_timeout if cell_timeout is not None else None
+        time.monotonic() + config.cell_timeout
+        if config.cell_timeout is not None else None
     )
-    return run_sampled(
-        geometry, trace, plan, sample_config,
-        replacement=replacement,
-        fetch=fetch_name,
-        word_size=word_size,
-        deadline=deadline,
-    )
+    stats = run_route(trace, spec, Route("sampled"), deadline, phase_plan)
+    ratios = _ratios(stats, bus_model, spec.word_size)
+    return _CellResult(ratios, None, stats.to_dict(), "sampled"), 1
+
+
+def _attempt(run: Callable[[], "tuple[_CellResult, int]"]) -> tuple:
+    """``(status, result or error, attempts, elapsed)`` of one cell run."""
+    started = time.monotonic()
+    try:
+        result, attempts = run()
+    except ReproError as exc:
+        attempts = getattr(exc, "retry_attempts", 1)
+        return ("failed", exc, attempts, time.monotonic() - started)
+    return ("ok", result, attempts, time.monotonic() - started)
 
 
 # -- Process-pool plumbing -------------------------------------------------
 #
-# Workers are seeded once with the prepared traces and the sweep
-# parameters (initializer globals), then receive only (indices, key)
-# per cell and return plain result tuples.  All checkpoint I/O stays in
-# the parent.
+# Workers are seeded once with the prepared traces and the sweep's
+# template spec and config (initializer globals), then receive only
+# (indices, key) per cell and return the same tuples as _attempt.  All
+# checkpoint I/O stays in the parent.
 
 _POOL_STATE: Dict[str, Any] = {}
 
@@ -371,48 +335,28 @@ _POOL_STATE: Dict[str, Any] = {}
 def _pool_init(
     prepared: Sequence[Trace],
     geometries: Sequence[CacheGeometry],
-    params: Dict[str, Any],
+    spec: CellSpec,
+    config: RunnerConfig,
+    bus_model: BusCostModel,
 ) -> None:
-    _POOL_STATE["prepared"] = prepared
-    _POOL_STATE["geometries"] = geometries
-    _POOL_STATE["params"] = params
+    _POOL_STATE.update(
+        prepared=prepared, geometries=geometries, spec=spec,
+        config=config, bus_model=bus_model,
+    )
 
 
-def _pool_run_cell(
-    geometry_index: int, trace_index: int, key: str
-) -> "tuple[str, str, str, Any, int, float]":
-    geometry = _POOL_STATE["geometries"][geometry_index]
-    trace = _POOL_STATE["prepared"][trace_index]
-    params = _POOL_STATE["params"]
+def _pool_run_cell(geometry_index: int, trace_index: int, key: str) -> tuple:
+    state = _POOL_STATE
+    spec = replace(state["spec"], geometry=state["geometries"][geometry_index])
+    trace = state["prepared"][trace_index]
     # Per-cell jitter seed: stable across runs and independent of which
     # worker draws the cell (str hashing is not stable across
     # processes; CRC32 is).
-    rng = random.Random(zlib.crc32(key.encode("utf-8")) ^ params["seed"])
-    started = time.monotonic()
-    try:
-        ratios, misspath, attempts, engine_used = _execute_cell(
-            geometry, trace, key,
-            engine_name=params["engine"],
-            retry_policy=params["retry"],
-            cell_timeout=params["cell_timeout"],
-            max_cell_accesses=params["max_cell_accesses"],
-            lenient=params["lenient"],
-            injector=None,
-            word_size=params["word_size"],
-            fetch=params["fetch"],
-            replacement=params["replacement"],
-            warmup=params["warmup"],
-            bus_model=params["bus_model"],
-            rng=rng,
-            sleep=time.sleep,
-            miss_path=params["miss_path"],
+    rng = random.Random(zlib.crc32(key.encode("utf-8")) ^ state["config"].seed)
+    return _attempt(
+        lambda: _execute_cell(
+            spec, trace, key, state["config"], state["bus_model"], rng
         )
-    except ReproError as exc:
-        attempts = getattr(exc, "retry_attempts", 1)
-        return (key, trace.name, "failed", exc, attempts, time.monotonic() - started)
-    return (
-        key, trace.name, "ok", (ratios, misspath, engine_used), attempts,
-        time.monotonic() - started,
     )
 
 
@@ -431,31 +375,22 @@ def run_sweep(
 ) -> "tuple[list, RunReport]":
     """Run the paper's sweep cell by cell under the resilience layer.
 
-    Arguments mirror :func:`repro.analysis.sweep.sweep` (which
-    delegates here); ``config`` adds the resilience knobs and
-    ``miss_path`` an optional miss-path chain
-    (:class:`~repro.core.misspath.MissPathConfig` or its dict form)
-    applied to every cell.  Chained cells record their per-structure
-    hit summaries in the checkpoint, and the chain key is part of the
-    sweep fingerprint, so a chained sweep can never resume a chainless
-    checkpoint (or vice versa).
+    ``config`` adds the resilience knobs; ``miss_path`` (a
+    :class:`~repro.core.misspath.MissPathConfig` or its dict form)
+    applies a miss-path chain to every cell, whose per-structure hit
+    summaries the checkpoint records; ``sample`` (a
+    :class:`~repro.staticcheck.phases.SamplingConfig`, its
+    ``INTERVAL[,K]`` string, or a dict) asks for sampled estimates of
+    the *cold* full-trace run from one phase plan per trace (recorded
+    with engine ``"sampled"`` and the full :class:`SampledStats`
+    payload; ``warmup`` and ``jobs`` are ignored).  The chain and
+    sample keys join the sweep fingerprint, so checkpoints of
+    different chains or sampling never resume each other.
 
-    ``sample`` (a :class:`~repro.staticcheck.phases.SamplingConfig`,
-    its ``INTERVAL[,K]`` CLI string, or a dict) switches the sweep to
-    sampled simulation: each trace gets one
-    :class:`~repro.staticcheck.phases.PhasePlan`, every cell runs
-    :func:`repro.engine.sampled.run_sampled` (recorded with engine
-    ``"sampled"`` and the full :class:`SampledStats` payload, whose
-    ``stats["sampled"]["exact"]`` marker is ``False``), and the
-    sampling key joins the sweep fingerprint so sampled and exact
-    checkpoints can never resume each other.  Sampled estimates target
-    the *cold* full-trace run — the sweep ``warmup`` is ignored (the
-    preflight lint says so).  Incompatible axes fall back to exact
-    per-cell simulation with a named ``sample-fallback-*`` preflight
-    warning: fault injection, the checked engine, and miss-path
-    chains.  Sampled sweeps run in-process (``jobs`` is ignored) and
-    skip the stack-distance pass engine — the point of sampling is
-    that cells are already cheap.
+    :func:`repro.engine.route.plan` chooses every cell's path — sampled,
+    a stack-distance pass, or a per-cell engine; where it falls back
+    (e.g. a sample with a miss-path chain runs exact) the preflight
+    names the rule (``docs/engines.md``).
 
     Returns:
         ``(points, report)`` — one
@@ -468,17 +403,12 @@ def run_sweep(
         ReproError: In strict mode, the first unrecoverable cell
             failure; in lenient mode only the health breaker raises.
     """
-    from repro.staticcheck.phases import SamplingConfig
-
     config = config if config is not None else RunnerConfig()
-    miss_path_config = MissPathConfig.coerce(miss_path)
-    chained = miss_path_config is not None and miss_path_config.enabled
-    sample_config = SamplingConfig.coerce(sample)
-    engine_name = config.engine.lower()
-    if engine_name not in ENGINE_NAMES:
-        raise ConfigurationError(
-            f"unknown engine {config.engine!r}; choose from {list(ENGINE_NAMES)}"
-        )
+    spec = CellSpec.of(
+        None, engine=config.engine, fetch=fetch, replacement=replacement,
+        warmup=warmup, word_size=word_size, miss_path=miss_path,
+        sample=sample,
+    )
     if config.jobs < 1:
         raise ConfigurationError(f"jobs must be >= 1, got {config.jobs}")
     if config.jobs > 1 and config.injector is not None:
@@ -486,26 +416,16 @@ def run_sweep(
             "fault injection requires jobs=1: per-access fault proxies "
             "cannot cross process boundaries"
         )
-    # Sampling falls back to exact per-cell simulation on incompatible
-    # axes; each is a *named* preflight warning (sample-fallback-*) so
-    # the fallback is visible, never silent.
-    sampling_active = sample_config is not None and not (
-        config.injector is not None or engine_name == "checked" or chained
-    )
-    # Grid-level plan: which geometries share a stack-distance pass and
-    # which fall back to per-cell execution.  Computed up front so an
-    # invalid grid_engine fails before the checkpoint file is touched.
-    plan = plan_grid(
-        geometries,
-        grid_engine=config.grid_engine,
-        replacement=replacement,
-        fetch=fetch,
-        warmup=warmup,
-        miss_path=miss_path_config,
-        engine=engine_name,
+    guards: Dict[str, Any] = dict(
         cell_timeout=config.cell_timeout,
         max_cell_accesses=config.max_cell_accesses,
         injector_active=config.injector is not None,
+    )
+    # Grid-level plan: which geometries share a stack-distance pass and
+    # which run per cell.  Computed up front so an invalid engine or
+    # grid_engine fails before the checkpoint file is touched.
+    grid = plan_grid(
+        geometries, grid_engine=config.grid_engine, spec=spec, **guards
     )
     preflight_findings: List = []
     if config.preflight:
@@ -514,9 +434,7 @@ def run_sweep(
         from repro.staticcheck.preflight import preflight_sweep
 
         preflight_findings = preflight_sweep(
-            traces, geometries,
-            fetch=fetch, replacement=replacement, warmup=warmup,
-            miss_path=miss_path_config,
+            traces, geometries, spec=spec,
             # Coverage report only on an explicit grid-engine choice;
             # the default stays quiet so clean sweeps keep an empty
             # preflight (the summary line reports engines regardless).
@@ -524,57 +442,25 @@ def run_sweep(
                 config.grid_engine
                 if config.grid_engine != "auto" else None
             ),
-            sample=sample_config,
-            engine=engine_name,
-            injector_active=config.injector is not None,
+            **guards,
         )
-    prepared = [_prepare_trace(trace, filter_writes) for trace in traces]
-    fetch_name = (
-        fetch if isinstance(fetch, str)
-        else fetch.name if fetch is not None
-        else "demand"
-    )
+    if plan(spec, **guards).path != "sampled":
+        # A sample the route planner sends back to exact simulation is
+        # dropped: the cells, and the fingerprint, are exact.
+        spec = replace(spec, sample=None)
+    prepared = [prepare_trace(trace, filter_writes) for trace in traces]
+    routes = [
+        plan(spec, trace, grid_engine=config.grid_engine, **guards)
+        for trace in prepared
+    ]
     keys = [
         cell_key(geometry, trace.name)
         for geometry in geometries
         for trace in prepared
     ]
-    fingerprint_params = dict(
-        word_size=word_size,
-        fetch=fetch_name,
-        replacement=replacement,
-        warmup=warmup,
-        bus_model=bus_model,
-        filter_writes=filter_writes,
-    )
     trace_lengths = [len(trace) for trace in prepared]
-    miss_path_key = (
-        miss_path_config.key() if miss_path_config is not None else "none"
-    )
-    sample_key = sample_config.key() if sampling_active else "none"
-    fingerprint = sweep_fingerprint(
-        keys, trace_lengths, engine=engine_name, miss_path=miss_path_key,
-        sample=sample_key, **fingerprint_params,
-    )
-    # What the same sweep hashed to under older checkpoint formats:
-    # v3 lacked the sample key, v2 additionally the miss-path key, v1
-    # additionally the engine.  A *sampled* sweep offers no legacy
-    # fingerprints at all — its cells carry estimates an exact
-    # checkpoint of any age could never have recorded — and the v2/v1
-    # forms stay chainless-only for the same reason.
-    legacy_fingerprints: Dict[int, str] = {}
-    if not sampling_active:
-        legacy_fingerprints[3] = sweep_fingerprint(
-            keys, trace_lengths, engine=engine_name,
-            miss_path=miss_path_key, **fingerprint_params,
-        )
-        if not chained:
-            legacy_fingerprints[2] = sweep_fingerprint(
-                keys, trace_lengths, engine=engine_name, **fingerprint_params
-            )
-            legacy_fingerprints[1] = sweep_fingerprint(
-                keys, trace_lengths, **fingerprint_params
-            )
+    params = spec.fingerprint_params(bus_model, filter_writes)
+    fingerprint = sweep_fingerprint(keys, trace_lengths, **params)
 
     completed: Dict[str, dict] = {}
     writer: Optional[CheckpointWriter] = None
@@ -582,13 +468,14 @@ def run_sweep(
         if config.resume:
             completed = load_checkpoint(
                 config.checkpoint, fingerprint,
-                legacy_fingerprints=legacy_fingerprints,
+                legacy_fingerprints=legacy_fingerprints(
+                    keys, trace_lengths, params
+                ),
             )
         writer = CheckpointWriter(
             config.checkpoint, fingerprint, fresh=not config.resume
         )
 
-    retry_policy = config.effective_retry()
     rng = random.Random(config.seed)
     monitor = HealthMonitor(config.max_consecutive_failures)
     report = RunReport(preflight=preflight_findings)
@@ -599,17 +486,14 @@ def run_sweep(
     # answers every member cell at once; the per-cell loop below then
     # only *emits* those results, in the same canonical order as a
     # per-cell run, so checkpoint lines keep their ordering contract.
-    # A pass that cannot run (a trace still carrying writes under
-    # filter_writes=False, or an unexpected engine rejection) simply
+    # A pass that cannot run (an unexpected engine rejection) simply
     # leaves its cells to the per-cell path — fallback is transparent.
-    stack_results: Dict[str, "tuple[tuple[float, float, float], float]"] = {}
+    answered: Dict[str, tuple] = {}
     passes_run = 0
-    for trace in prepared:
-        if sampling_active or not plan.groups:
-            break
-        if not trace_coverable(trace):
+    for trace, route in zip(prepared, routes):
+        if route.path != "stackdist":
             continue
-        for group in plan.groups:
+        for group in grid.groups:
             group_keys = [
                 cell_key(geometries[i], trace.name)
                 for i in group.geometry_indices
@@ -628,62 +512,44 @@ def run_sweep(
             # Attribute the pass wall-clock evenly across its cells.
             share = (time.monotonic() - started) / len(group_keys)
             for key, stats in zip(group_keys, stats_list):
-                if key in completed:
-                    continue
-                stack_results[key] = (
-                    (
-                        stats.miss_ratio,
-                        stats.traffic_ratio(),
-                        stats.scaled_traffic_ratio(bus_model, word_size),
-                    ),
-                    share,
-                )
+                if key not in completed:
+                    result = _CellResult(
+                        _ratios(stats, bus_model, word_size), None, None,
+                        "stackdist",
+                    )
+                    answered[key] = ("ok", result, 1, share)
     report.pass_groups = passes_run
 
-    # Phase 1b: per-trace phase plans for sampled sweeps, computed once
-    # and shared by every geometry over that trace.  Empty traces get
-    # no plan and quietly take the exact path (their ratios are NaN
-    # either way).
-    plans: Dict[str, Any] = {}
-    if sampling_active:
-        from repro.staticcheck.phases import analyze_trace
+    # Phase 1b: per-trace phase plans for sampled cells, computed once
+    # and shared by every geometry over that trace.
+    phase_plans: Dict[str, Any] = {}
+    for trace, route in zip(prepared, routes):
+        if route.path == "sampled":
+            from repro.staticcheck.phases import analyze_trace
 
-        for trace in prepared:
-            if len(trace):
-                plans[trace.name] = analyze_trace(
-                    trace, sample_config.interval, sample_config.k,
-                    seed=sample_config.seed,
-                )
+            phase_plans[trace.name] = analyze_trace(
+                trace, spec.sample.interval, spec.sample.k,
+                seed=spec.sample.seed,
+            )
 
     executor: Optional[ProcessPoolExecutor] = None
     futures: Dict[str, Any] = {}
-    if config.jobs > 1 and not sampling_active:
+    if config.jobs > 1 and not phase_plans:
         pending = [
-            (gi, ti, cell_key(geometry, trace.name))
+            (gi, ti, key)
             for gi, geometry in enumerate(geometries)
             for ti, trace in enumerate(prepared)
-            if cell_key(geometry, trace.name) not in completed
-            and cell_key(geometry, trace.name) not in stack_results
+            for key in (cell_key(geometry, trace.name),)
+            if key not in completed and key not in answered
         ]
         if pending:
-            worker_params = dict(
-                engine=engine_name,
-                retry=retry_policy,
-                cell_timeout=config.cell_timeout,
-                max_cell_accesses=config.max_cell_accesses,
-                lenient=config.lenient,
-                seed=config.seed,
-                word_size=word_size,
-                fetch=fetch,
-                replacement=replacement,
-                warmup=warmup,
-                bus_model=bus_model,
-                miss_path=miss_path_config,
-            )
             executor = ProcessPoolExecutor(
                 max_workers=min(config.jobs, len(pending)),
                 initializer=_pool_init,
-                initargs=(prepared, list(geometries), worker_params),
+                initargs=(
+                    prepared, list(geometries), spec,
+                    replace(config, sleep=time.sleep), bus_model,
+                ),
             )
             # Submission order == canonical cell order; results are
             # consumed in the same order below, so checkpoint lines and
@@ -693,6 +559,7 @@ def run_sweep(
 
     try:
         for geometry in geometries:
+            cell_spec = replace(spec, geometry=geometry)
             for trace in prepared:
                 key = cell_key(geometry, trace.name)
                 record = completed.get(key)
@@ -711,144 +578,23 @@ def run_sweep(
                         attempts=record.get("attempts", 1),
                         reason=record.get("reason", ""),
                     )
-                elif key in stack_results:
-                    cell_ratios, elapsed = stack_results.pop(key)
-                    ratios[key] = cell_ratios
-                    outcome = CellOutcome(
-                        key, trace.name, CellStatus.OK,
-                        attempts=1, elapsed=elapsed, engine="stackdist",
-                    )
-                    if writer is not None:
-                        writer.record_cell(
-                            key, trace.name, "ok",
-                            ratios=cell_ratios, attempts=1,
-                            engine="stackdist",
-                        )
-                elif key in futures:
-                    _, _, status, payload, attempts, elapsed = futures.pop(key).result()
-                    if status == "failed":
-                        if not config.lenient:
-                            raise payload
-                        reason = f"{type(payload).__name__}: {payload}"
-                        outcome = CellOutcome(
-                            key, trace.name, CellStatus.SKIPPED,
-                            attempts=attempts, reason=reason, elapsed=elapsed,
-                        )
-                        if writer is not None:
-                            writer.record_cell(
-                                key, trace.name, "skipped",
-                                attempts=attempts, reason=reason,
-                            )
-                    else:
-                        cell_ratios, cell_misspath, cell_engine = payload
-                        ratios[key] = cell_ratios
-                        outcome = CellOutcome(
-                            key, trace.name, CellStatus.OK,
-                            attempts=attempts, elapsed=elapsed,
-                            engine=cell_engine,
-                        )
-                        if writer is not None:
-                            writer.record_cell(
-                                key, trace.name, "ok",
-                                ratios=cell_ratios, attempts=attempts,
-                                misspath=cell_misspath, engine=cell_engine,
-                            )
-                elif sampling_active and trace.name in plans:
-                    started = time.monotonic()
-                    try:
-                        sampled_stats = _execute_sampled_cell(
-                            geometry, trace, plans[trace.name],
-                            sample_config,
-                            replacement=replacement,
-                            fetch_name=fetch_name,
-                            word_size=word_size,
-                            cell_timeout=config.cell_timeout,
-                        )
-                    except ReproError as exc:
-                        if not config.lenient:
-                            raise
-                        reason = f"{type(exc).__name__}: {exc}"
-                        outcome = CellOutcome(
-                            key, trace.name, CellStatus.SKIPPED,
-                            attempts=1, reason=reason,
-                            elapsed=time.monotonic() - started,
-                        )
-                        if writer is not None:
-                            writer.record_cell(
-                                key, trace.name, "skipped",
-                                attempts=1, reason=reason,
-                            )
-                    else:
-                        cell_ratios = (
-                            sampled_stats.miss_ratio,
-                            sampled_stats.traffic_ratio(),
-                            sampled_stats.scaled_traffic_ratio(
-                                bus_model, word_size
-                            ),
-                        )
-                        ratios[key] = cell_ratios
-                        outcome = CellOutcome(
-                            key, trace.name, CellStatus.OK,
-                            attempts=1,
-                            elapsed=time.monotonic() - started,
-                            engine="sampled",
-                        )
-                        if writer is not None:
-                            writer.record_cell(
-                                key, trace.name, "ok",
-                                ratios=cell_ratios, attempts=1,
-                                stats=sampled_stats.to_dict(),
-                                engine="sampled",
-                            )
                 else:
-                    started = time.monotonic()
-                    try:
-                        cell_ratios, cell_misspath, attempts, cell_engine = _execute_cell(
-                            geometry, trace, key,
-                            engine_name=engine_name,
-                            retry_policy=retry_policy,
-                            cell_timeout=config.cell_timeout,
-                            max_cell_accesses=config.max_cell_accesses,
-                            lenient=config.lenient,
-                            injector=config.injector,
-                            word_size=word_size,
-                            fetch=fetch,
-                            replacement=replacement,
-                            warmup=warmup,
-                            bus_model=bus_model,
-                            rng=rng,
-                            sleep=config.sleep,
-                            miss_path=miss_path_config,
-                        )
-                    except ReproError as exc:
-                        if not config.lenient:
-                            raise
-                        reason = f"{type(exc).__name__}: {exc}"
-                        attempts = getattr(exc, "retry_attempts", 1)
-                        outcome = CellOutcome(
-                            key, trace.name, CellStatus.SKIPPED,
-                            attempts=attempts, reason=reason,
-                            elapsed=time.monotonic() - started,
-                        )
-                        if writer is not None:
-                            writer.record_cell(
-                                key, trace.name, "skipped",
-                                attempts=attempts, reason=reason,
-                            )
+                    if key in answered:
+                        ran = answered.pop(key)
+                    elif key in futures:
+                        ran = futures.pop(key).result()
+                    elif trace.name in phase_plans:
+                        ran = _attempt(lambda: _execute_sampled_cell(
+                            cell_spec, trace, phase_plans[trace.name],
+                            config, bus_model,
+                        ))
                     else:
-                        ratios[key] = cell_ratios
-                        outcome = CellOutcome(
-                            key, trace.name, CellStatus.OK,
-                            attempts=attempts,
-                            elapsed=time.monotonic() - started,
-                            engine=cell_engine,
-                        )
-                        if writer is not None:
-                            writer.record_cell(
-                                key, trace.name, "ok",
-                                ratios=cell_ratios, attempts=attempts,
-                                misspath=cell_misspath, engine=cell_engine,
-                            )
+                        ran = _attempt(lambda: _execute_cell(
+                            cell_spec, trace, key, config, bus_model, rng,
+                        ))
+                    outcome = _record(key, trace.name, ran, config, writer)
+                    if outcome.status is CellStatus.OK:
+                        ratios[key] = ran[1].ratios
                 results[key] = outcome
                 report.add(outcome)
                 monitor.record(outcome)
@@ -860,7 +606,44 @@ def run_sweep(
         if writer is not None:
             writer.close()
 
-    return _aggregate(geometries, prepared, ratios, results, fetch_name), report
+    return _aggregate(geometries, prepared, ratios, results, spec.fetch), report
+
+
+def _record(
+    key: str,
+    trace_name: str,
+    ran: tuple,
+    config: RunnerConfig,
+    writer: Optional[CheckpointWriter],
+) -> CellOutcome:
+    """Turn one cell run into its outcome and checkpoint line.
+
+    A failure re-raises in strict mode and becomes a named skip in
+    lenient mode.
+    """
+    status, payload, attempts, elapsed = ran
+    if status == "failed":
+        if not config.lenient:
+            raise payload
+        reason = f"{type(payload).__name__}: {payload}"
+        if writer is not None:
+            writer.record_cell(
+                key, trace_name, "skipped", attempts=attempts, reason=reason
+            )
+        return CellOutcome(
+            key, trace_name, CellStatus.SKIPPED,
+            attempts=attempts, reason=reason, elapsed=elapsed,
+        )
+    if writer is not None:
+        writer.record_cell(
+            key, trace_name, "ok",
+            ratios=payload.ratios, attempts=attempts, stats=payload.stats,
+            misspath=payload.misspath, engine=payload.engine,
+        )
+    return CellOutcome(
+        key, trace_name, CellStatus.OK,
+        attempts=attempts, elapsed=elapsed, engine=payload.engine,
+    )
 
 
 def _aggregate(

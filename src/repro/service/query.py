@@ -28,17 +28,17 @@ from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple, Union
 
 from repro.core.config import CacheGeometry
-from repro.core.fetch import make_fetch
 from repro.core.misspath import MissPathConfig
-from repro.core.replacement import make_replacement
 from repro.engine.base import ENGINE_NAMES
 from repro.engine.batch import CellSpec
+from repro.engine.route import plan
 from repro.errors import ConfigurationError
 from repro.memory.nibble import NIBBLE_MODE_BUS
 from repro.runner.checkpoint import sweep_fingerprint
 from repro.runner.runner import cell_key
 from repro.staticcheck.configlint import (
     check_geometry,
+    lint_cell_options,
     lint_grid_axes,
     lint_miss_path,
 )
@@ -47,7 +47,12 @@ from repro.staticcheck.phases import SamplingConfig
 from repro.workloads.architectures import get_architecture
 from repro.workloads.suites import suite_specs
 
-__all__ = ["SimQuery", "MAX_SWEEP_CELLS", "expand_sweep"]
+__all__ = [
+    "SimQuery",
+    "MAX_SWEEP_CELLS",
+    "expand_sweep",
+    "refuse_sample_fallback",
+]
 
 #: Upper bound on the grid size one ``/sweep`` request may expand to.
 MAX_SWEEP_CELLS = 64
@@ -60,6 +65,33 @@ _QUERY_KEYS = frozenset(
         "filter_writes", "miss_path", "sample", "exact",
     }
 )
+
+
+#: What each ``sample-fallback-*`` rule names, for the 400 message.
+_SAMPLE_FALLBACK_AXES = {
+    "sample-fallback-injector": "fault injection",
+    "sample-fallback-checked": "the checked engine",
+    "sample-fallback-chain": "a miss-path chain",
+}
+
+
+def refuse_sample_fallback(spec: CellSpec) -> None:
+    """Refuse a sample the route planner sends back to exact simulation.
+
+    Where the sweep runner falls back with a named warning, the service
+    refuses (400) under the same rule id: a client asking for an
+    estimate must not get an exact result labeled as neither.
+
+    Raises:
+        ConfigurationError: Naming the ``sample-fallback-*`` rule.
+    """
+    fallbacks = plan(spec).sample_fallbacks
+    if fallbacks:
+        rule = fallbacks[0]
+        raise ConfigurationError(
+            f"sampling is incompatible with {_SAMPLE_FALLBACK_AXES[rule]} "
+            f"(rule {rule}); drop one"
+        )
 
 
 def _require_int(payload: Dict[str, Any], key: str, minimum: int = 1) -> int:
@@ -152,27 +184,18 @@ class SimQuery:
                 f"unknown engine {engine!r}; choose from {list(ENGINE_NAMES)}"
             )
         fetch = str(payload.get("fetch", "demand")).lower().replace("_", "-")
-        make_fetch(fetch)  # validates the name
         replacement = str(payload.get("replacement", "lru")).lower()
-        make_replacement(replacement)  # validates the name
-
-        # One structured pass over the shape: every problem at once,
-        # each with a rule id, raised as StaticCheckError (-> 400 with
-        # a ``diagnostics`` array) before any engine work happens.
-        check_geometry(net, block, sub, assoc=assoc, fetch=fetch, source="query")
-
         warmup: Union[int, str] = payload.get("warmup", "fill")
-        if isinstance(warmup, bool) or not isinstance(warmup, (int, str)):
-            raise ConfigurationError(
-                f"warmup must be 'fill' or an access count, got {warmup!r}"
-            )
-        if isinstance(warmup, str):
-            if warmup != "fill":
-                raise ConfigurationError(
-                    f"warmup must be 'fill' or an access count, got {warmup!r}"
-                )
-        elif warmup < 0:
-            raise ConfigurationError(f"warmup must be >= 0, got {warmup}")
+
+        # One structured pass over the options and the shape: every
+        # problem at once, each with a rule id, raised as
+        # StaticCheckError (-> 400 with a ``diagnostics`` array) before
+        # any engine work happens.
+        raise_on_errors(
+            lint_cell_options(fetch, replacement, warmup, source="query"),
+            "invalid query",
+        )
+        check_geometry(net, block, sub, assoc=assoc, fetch=fetch, source="query")
 
         filter_writes = payload.get("filter_writes", True)
         if not isinstance(filter_writes, bool):
@@ -198,35 +221,20 @@ class SimQuery:
         if miss_path is not None and not miss_path.enabled:
             miss_path = None
 
-        # Sampling: parse eagerly (400 on a malformed spec), then
-        # refuse the combinations the sweep runner would silently fall
-        # back from — a service client asking for sampled *and* checked
-        # or chained results would otherwise get exact results labeled
-        # by neither, and ``exact: true`` is the client's way of
-        # pinning down that estimates are unacceptable.
+        # Sampling: parse eagerly (400 on a malformed spec); ``exact:
+        # true`` is the client's way of pinning down that estimates are
+        # unacceptable.
         sample = SamplingConfig.coerce(payload.get("sample"))
         exact = payload.get("exact", None)
         if exact is not None and not isinstance(exact, bool):
             raise ConfigurationError(
                 f"exact must be a boolean, got {exact!r}"
             )
-        if sample is not None:
-            if exact:
-                raise ConfigurationError(
-                    "query asks for exact results (exact: true) and "
-                    "sampled simulation at once; drop one"
-                )
-            if engine == "checked":
-                raise ConfigurationError(
-                    "sampling is incompatible with the checked engine "
-                    "(rule sample-fallback-checked); use engine 'auto' "
-                    "or drop the sample"
-                )
-            if miss_path is not None:
-                raise ConfigurationError(
-                    "sampling is incompatible with a miss-path chain "
-                    "(rule sample-fallback-chain); drop one"
-                )
+        if sample is not None and exact:
+            raise ConfigurationError(
+                "query asks for exact results (exact: true) and "
+                "sampled simulation at once; drop one"
+            )
 
         query = cls(
             suite=suite, trace=trace, length=length,
@@ -236,6 +244,8 @@ class SimQuery:
             miss_path=miss_path, sample=sample,
         )
         query.geometry()  # validates the shape eagerly (400, not 500)
+        if sample is not None:
+            refuse_sample_fallback(query.spec())
         return query
 
     # -- Derived identities ----------------------------------------------
@@ -259,6 +269,7 @@ class SimQuery:
             warmup=self.warmup,
             word_size=self.word_size,
             miss_path=self.miss_path,
+            sample=self.sample,
         )
 
     def coalesce_key(self) -> "SimQuery":
@@ -277,9 +288,10 @@ class SimQuery:
         """Content address of this query's result.
 
         Computed as the checkpoint fingerprint of the single-cell sweep
-        this query denotes — same function, same parameters, same
-        engine folding as :func:`repro.runner.runner.run_sweep` — so a
-        service cache entry can seed a ``--resume`` run and vice versa.
+        this query denotes — same function, same
+        :meth:`~repro.engine.batch.CellSpec.fingerprint_params` as
+        :func:`repro.runner.runner.run_sweep` — so a service cache
+        entry can seed a ``--resume`` run and vice versa.
 
         Args:
             prepared_length: Length of the prepared (read-filtered)
@@ -288,17 +300,7 @@ class SimQuery:
         return sweep_fingerprint(
             [self.cell()],
             [prepared_length],
-            engine=self.engine,
-            miss_path=(
-                self.miss_path.key() if self.miss_path is not None else "none"
-            ),
-            sample=self.sample.key() if self.sample is not None else "none",
-            word_size=self.word_size,
-            fetch=self.fetch,
-            replacement=self.replacement,
-            warmup=self.warmup,
-            bus_model=NIBBLE_MODE_BUS,
-            filter_writes=self.filter_writes,
+            **self.spec().fingerprint_params(NIBBLE_MODE_BUS, self.filter_writes),
         )
 
     def to_dict(self) -> Dict[str, Any]:

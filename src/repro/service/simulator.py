@@ -39,18 +39,18 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.analysis.experiments import default_trace_length
-from repro.engine.base import resolve_engine
-from repro.engine.batch import predecode, prepare_trace, run_cell
+from repro.engine.batch import execute_cell, predecode, prepare_trace
+from repro.engine.route import GRID_ENGINE_NAMES, plan
 from repro.errors import ConfigurationError, DeadlineExceededError, ReproError
 from repro.memory.nibble import NIBBLE_MODE_BUS
 from repro.runner.health import CellOutcome, CellStatus, RunReport
 from repro.service.admission import AdmissionController, Breaker, RejectedError
 from repro.service.cache import CacheEntry, ResultCache
 from repro.service.metrics import MetricsRegistry
-from repro.service.query import SimQuery
+from repro.service.query import SimQuery, refuse_sample_fallback
 from repro.service.supervisor import Supervisor, SupervisorConfig
-from repro.stackdist.engine import MemberSpec, run_group_pass
-from repro.stackdist.planner import GRID_ENGINE_NAMES, trace_coverable
+from repro.stackdist.engine import run_group_pass
+from repro.stackdist.planner import plan_grid
 from repro.trace.record import Trace
 from repro.workloads.suites import suite_specs, suite_trace
 
@@ -81,15 +81,12 @@ class ServiceConfig:
         engine: Default engine for queries that don't specify one is
             always ``auto``; this forces a specific engine for *all*
             queries instead (operational escape hatch).
-        grid_engine: Grid-level strategy for batched queries —
-            ``auto`` (default), ``stackdist``, or ``percell``.  In
-            in-process mode, cells of one batch that share a
-            ``(block, num_sets, word_size, warmup)`` pass group under
-            LRU/demand-fetch/no-chain are answered by one
-            stack-distance pass (:mod:`repro.stackdist`) instead of
-            per-cell runs; ``percell`` disables this.  Supervised mode
-            always runs per cell (workers are the isolation unit).
-            Cache entries and fingerprints are identical either way.
+        grid_engine: Grid strategy for batched queries — ``auto``
+            (default), ``stackdist``, or ``percell``; the route planner
+            weighs it exactly as a sweep does (``docs/engines.md``).
+            Supervised mode always runs per cell (workers are the
+            isolation unit).  Cache entries and fingerprints are
+            identical either way.
         default_length: Trace length when a query omits ``length``
             (None: :func:`~repro.analysis.experiments
             .default_trace_length`).
@@ -123,9 +120,8 @@ class ServiceConfig:
             docs/sampling.md).  Off by default: estimates are clearly
             marked (``stats.sampled.exact == false``) but a fleet
             should not serve them unless its operator opted in.
-            Refused (at construction) in supervised mode — workers
-            answer queries through :class:`~repro.engine.batch
-            .CellSpec`, which is exact by design.
+            Refused (at construction) in supervised mode — worker
+            replay assumes exact results.
     """
 
     workers: int = 2
@@ -408,9 +404,11 @@ class SimulationService:
 
     def _normalize(self, query: SimQuery) -> SimQuery:
         if self.config.engine is not None and query.engine != self.config.engine:
-            return SimQuery(
+            query = SimQuery(
                 **{**query.__dict__, "engine": self.config.engine}
             )
+            # The forced engine may rule out the query's sample.
+            refuse_sample_fallback(query.spec())
         return query
 
     def _static_floor_ms(self, query: SimQuery) -> Optional[float]:
@@ -511,20 +509,12 @@ class SimulationService:
                 retry_after=self.config.retry_after,
             )
         query = self._normalize(query)
-        if query.sample is not None:
-            if not self.config.allow_sampling:
-                raise ConfigurationError(
-                    "this service does not serve sampled estimates; "
-                    "start it with --allow-sampling (or drop the "
-                    "query's 'sample' axis for an exact result)"
-                )
-            if query.engine == "checked":
-                # Only reachable via a forced config.engine: the query
-                # layer already refuses the combination at parse time.
-                raise ConfigurationError(
-                    "sampling is incompatible with the checked engine "
-                    "(rule sample-fallback-checked)"
-                )
+        if query.sample is not None and not self.config.allow_sampling:
+            raise ConfigurationError(
+                "this service does not serve sampled estimates; "
+                "start it with --allow-sampling (or drop the "
+                "query's 'sample' axis for an exact result)"
+            )
 
         # 1. Fast path: known fingerprint + cached result.
         fingerprint = self._fingerprints.get(query)
@@ -637,8 +627,7 @@ class SimulationService:
             loop.time() - prepare_started, labels={"stage": "prepare"}
         )
         precomputed: "Dict[SimQuery, Any]" = {}
-        if self.config.grid_engine != "percell":
-            await self._stackdist_passes(group, prepared, precomputed)
+        await self._stackdist_passes(group, prepared, precomputed)
         await asyncio.gather(
             *(
                 self._run_cell(
@@ -657,70 +646,61 @@ class SimulationService:
     ) -> None:
         """Answer coverable cells of one batch from stack-distance passes.
 
-        The service-side mirror of the runner's sweep planner: cells of
-        the batch that share a ``(block, num_sets, word_size, warmup)``
-        pass group under LRU, demand fetch, no miss-path chain, and the
-        ``auto`` engine are computed together by one
+        Cells the route planner sends to ``stackdist`` under the
+        service's ``grid_engine`` (a request deadline counts as a
+        per-cell timeout) are grouped per ``(word_size, warmup)`` by
+        :func:`~repro.stackdist.planner.plan_grid`, exactly as a sweep
+        grid is, and each pass group is computed by one
         :func:`repro.stackdist.engine.run_group_pass` over the already
-        prepared trace.  Under ``grid_engine="auto"`` only groups of
-        >= 2 cells run as passes (a singleton gains nothing);
-        ``"stackdist"`` forces singletons too.  Cells with a deadline,
-        already-cached cells, and anything non-coverable stay on the
-        per-cell path — fallback is transparent because both paths
-        produce identical stats and fingerprints.
+        prepared trace.  Already-cached cells and everything else stay
+        on the per-cell path — fallback is transparent because both
+        paths produce identical stats and fingerprints.
         """
-        if not trace_coverable(prepared):
-            return
-        passes: "OrderedDict[tuple, List[_Pending]]" = OrderedDict()
+        eligible: "OrderedDict[tuple, List[_Pending]]" = OrderedDict()
         for pending in group:
             query = pending.query
-            if (
-                pending.deadline is not None
-                or query.replacement != "lru"
-                or query.fetch != "demand"
-                or query.miss_path is not None
-                or query.engine != "auto"
-                or query.sample is not None
-            ):
-                continue
-            fingerprint = query.fingerprint(len(prepared))
-            if self.cache.get(fingerprint) is not None:
-                continue  # the cell's own cache lookup will serve it
-            key = (
-                query.block, query.geometry().num_sets,
-                query.word_size, query.warmup,
+            route = plan(
+                query.spec(), prepared,
+                grid_engine=self.config.grid_engine,
+                cell_timeout=(
+                    pending.deadline - time.monotonic()
+                    if pending.deadline is not None else None
+                ),
             )
-            passes.setdefault(key, []).append(pending)
-        minimum = 1 if self.config.grid_engine == "stackdist" else 2
+            if route.path != "stackdist":
+                continue
+            if self.cache.get(query.fingerprint(len(prepared))) is not None:
+                continue  # the cell's own cache lookup will serve it
+            eligible.setdefault((query.word_size, query.warmup), []).append(
+                pending
+            )
         assert self._slots is not None and self._executor is not None
         loop = asyncio.get_event_loop()
-        for (block, num_sets, word_size, warmup), pendings in passes.items():
-            if len(pendings) < minimum:
-                continue
-            members = [
-                MemberSpec(
-                    ways=pending.query.assoc,
-                    sub_block_size=pending.query.sub,
-                    warmup=warmup,
-                )
-                for pending in pendings
-            ]
-            async with self._slots:
-                simulate_started = loop.time()
-                try:
-                    stats_list = await loop.run_in_executor(
-                        self._executor, run_group_pass,
-                        prepared, block, num_sets, members, word_size,
-                    )
-                except ReproError:
-                    continue  # transparent fallback to per-cell runs
-                finally:
-                    self.metrics.stage_seconds.observe(
-                        loop.time() - simulate_started,
-                        labels={"stage": "simulate"},
-                    )
-            for pending, stats in zip(pendings, stats_list):
-                out[pending.query] = stats
+        for pendings in eligible.values():
+            template = pendings[0].query
+            grid = plan_grid(
+                [pending.query.geometry() for pending in pendings],
+                self.config.grid_engine, spec=template.spec(),
+            )
+            for pass_group in grid.groups:
+                async with self._slots:
+                    simulate_started = loop.time()
+                    try:
+                        stats_list = await loop.run_in_executor(
+                            self._executor, run_group_pass,
+                            prepared, pass_group.block_size,
+                            pass_group.num_sets, pass_group.members,
+                            template.word_size,
+                        )
+                    except ReproError:
+                        continue  # transparent fallback to per-cell runs
+                    finally:
+                        self.metrics.stage_seconds.observe(
+                            loop.time() - simulate_started,
+                            labels={"stage": "simulate"},
+                        )
+                for index, stats in zip(pass_group.geometry_indices, stats_list):
+                    out[pendings[index].query] = stats
 
     def _prepare_group(self, sample: SimQuery, specs: list) -> Trace:
         """Worker-side batch prepare: generate, filter, predecode."""
@@ -728,6 +708,19 @@ class SimulationService:
         prepared = prepare_trace(trace, sample.filter_writes)
         predecode(prepared, specs)
         return prepared
+
+    def _serve_cached(self, pending: _Pending, fingerprint: str) -> bool:
+        """Memoize ``fingerprint`` and answer from the cache if it can;
+        records the lookup outcome either way."""
+        self._memoize(pending.query, fingerprint)
+        found = self.cache.get(fingerprint)
+        if found is None:
+            self.metrics.record_lookup("miss")
+            return False
+        entry, tier = found
+        self.metrics.record_lookup(tier)
+        self._complete_ok(pending, entry, tier)
+        return True
 
     async def _run_cell_supervised(self, pending: _Pending) -> None:
         """One cell through the worker fleet instead of the thread pool."""
@@ -739,17 +732,10 @@ class SimulationService:
         # once any cell of this trace group has come back; until then
         # the cache check happens after execution (put is idempotent).
         known_length = self._prepared_lengths.get(query.trace_group())
-        fingerprint: Optional[str] = None
-        if known_length is not None:
-            fingerprint = query.fingerprint(known_length)
-            self._memoize(query, fingerprint)
-            found = self.cache.get(fingerprint)
-            if found is not None:
-                entry, tier = found
-                self.metrics.record_lookup(tier)
-                self._complete_ok(pending, entry, tier)
-                return
-        self.metrics.record_lookup("miss")
+        if known_length is None:
+            self.metrics.record_lookup("miss")
+        elif self._serve_cached(pending, query.fingerprint(known_length)):
+            return
 
         async with self._slots:
             self.metrics.stage_seconds.observe(
@@ -775,7 +761,7 @@ class SimulationService:
             self._persist_prepared_length(query.trace_group(), prepared_length)
         fingerprint = query.fingerprint(prepared_length)
         self._memoize(query, fingerprint)
-        entry = CacheEntry(
+        self._complete_computed(pending, CacheEntry(
             fingerprint=fingerprint,
             key=response["key"],
             trace=response["trace"],
@@ -784,10 +770,7 @@ class SimulationService:
             scaled=response["scaled"],
             stats=response["stats"],
             engine=response["engine"],
-        )
-        self.cache.put(entry)
-        self._record_misspath(entry.stats)
-        self._complete_ok(pending, entry, "computed")
+        ))
 
     async def _run_cell(
         self,
@@ -795,43 +778,41 @@ class SimulationService:
         prepared: Trace,
         precomputed: Any = None,
     ) -> None:
-        assert self._slots is not None and self._executor is not None
-        loop = asyncio.get_event_loop()
         query = pending.query
         fingerprint = query.fingerprint(len(prepared))
-        self._memoize(query, fingerprint)
-
         # Late cache check: the fingerprint may have been computed for
         # the first time here, and an earlier batch (or a seeded disk
         # tier) may already hold the answer.
-        found = self.cache.get(fingerprint)
-        if found is not None:
-            entry, tier = found
-            self.metrics.record_lookup(tier)
-            self._complete_ok(pending, entry, tier)
+        if self._serve_cached(pending, fingerprint):
             return
-        self.metrics.record_lookup("miss")
 
         if precomputed is not None:
             # A stack-distance pass already answered this cell; its
             # slot and simulate-stage time were accounted by the pass.
-            entry = CacheEntry(
-                fingerprint=fingerprint,
-                key=query.cell(),
-                trace=query.trace,
-                miss=precomputed.miss_ratio,
-                traffic=precomputed.traffic_ratio(),
-                scaled=precomputed.scaled_traffic_ratio(
-                    NIBBLE_MODE_BUS, query.word_size
-                ),
-                stats=precomputed.to_dict(),
-                engine="stackdist",
-            )
-            self.cache.put(entry)
-            self._record_misspath(entry.stats)
-            self._complete_ok(pending, entry, "computed")
-            return
+            ran = (precomputed, "stackdist")
+        else:
+            ran = await self._simulate(pending, prepared)
+            if ran is None:
+                return
+        stats, engine_name = ran
+        self._complete_computed(pending, CacheEntry(
+            fingerprint=fingerprint,
+            key=query.cell(),
+            trace=query.trace,
+            miss=stats.miss_ratio,
+            traffic=stats.traffic_ratio(),
+            scaled=stats.scaled_traffic_ratio(NIBBLE_MODE_BUS, query.word_size),
+            stats=stats.to_dict(),
+            engine=engine_name,
+        ))
 
+    async def _simulate(
+        self, pending: _Pending, prepared: Trace
+    ) -> "Optional[Tuple[Any, str]]":
+        """Run one cell on the pool: ``(stats, path)``, or ``None`` once
+        the failure has been delivered to the waiters."""
+        assert self._slots is not None and self._executor is not None
+        loop = asyncio.get_event_loop()
         async with self._slots:
             self.metrics.stage_seconds.observe(
                 loop.time() - pending.enqueued_at, labels={"stage": "queue"}
@@ -846,67 +827,29 @@ class SimulationService:
                         "deadline expired while queued", stage="queue"
                     ),
                 )
-                return
+                return None
             self.metrics.inflight.inc()
             simulate_started = loop.time()
             try:
-                stats, engine_name = await loop.run_in_executor(
-                    self._executor,
-                    self._execute,
-                    prepared,
-                    query,
-                    pending.deadline,
+                return await loop.run_in_executor(
+                    self._executor, self._execute,
+                    prepared, pending.query, pending.deadline,
                 )
             except Exception as exc:  # noqa: BLE001 - surface per query
                 self._complete_error(pending, exc)
-                return
+                return None
             finally:
                 self.metrics.inflight.dec()
                 self.metrics.stage_seconds.observe(
                     loop.time() - simulate_started, labels={"stage": "simulate"}
                 )
-        entry = CacheEntry(
-            fingerprint=fingerprint,
-            key=query.cell(),
-            trace=query.trace,
-            miss=stats.miss_ratio,
-            traffic=stats.traffic_ratio(),
-            scaled=stats.scaled_traffic_ratio(NIBBLE_MODE_BUS, query.word_size),
-            stats=stats.to_dict(),
-            engine=engine_name,
-        )
-        self.cache.put(entry)
-        self._record_misspath(entry.stats)
-        self._complete_ok(pending, entry, "computed")
 
     @staticmethod
     def _execute(
         prepared: Trace, query: SimQuery, deadline: Optional[float] = None
-    ):
-        """Worker-side cell execution; returns (stats, engine name)."""
-        if query.sample is not None:
-            # Representative-interval sampled simulation: plan on the
-            # prepared trace (address-based fingerprints) and estimate
-            # every counter with error bounds.  The returned stats
-            # object mirrors the CacheStats surface the caller uses
-            # (miss_ratio, traffic_ratio, scaled_traffic_ratio,
-            # to_dict) but serializes with ``sampled.exact = false``.
-            from repro.engine.sampled import sample_trace
-
-            sampled = sample_trace(
-                query.geometry(),
-                prepared,
-                query.sample,
-                replacement=query.replacement,
-                fetch=query.fetch,
-                word_size=query.word_size,
-                deadline=deadline,
-            )
-            return sampled, "sampled"
-        engine_name = resolve_engine(
-            query.engine, prepared, miss_path=query.miss_path
-        ).name
-        return run_cell(prepared, query.spec(), deadline=deadline), engine_name
+    ) -> Tuple[Any, str]:
+        """Pool-side cell execution; returns ``(stats, path)``."""
+        return execute_cell(prepared, query.spec(), deadline)
 
     def _record_misspath(self, stats_payload: Any) -> None:
         """Export a computed cell's miss-path services to ``/metrics``.
@@ -941,6 +884,11 @@ class SimulationService:
         self._fingerprints.move_to_end(query)
         while len(self._fingerprints) > _FINGERPRINT_MEMO:
             self._fingerprints.popitem(last=False)
+
+    def _complete_computed(self, pending: _Pending, entry: CacheEntry) -> None:
+        self.cache.put(entry)
+        self._record_misspath(entry.stats)
+        self._complete_ok(pending, entry, "computed")
 
     def _complete_ok(
         self, pending: _Pending, entry: CacheEntry, source: str

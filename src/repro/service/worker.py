@@ -45,8 +45,7 @@ import time
 from collections import OrderedDict
 from typing import Any, Dict, Optional, Tuple
 
-from repro.engine.base import resolve_engine
-from repro.engine.batch import predecode, prepare_trace, run_cell
+from repro.engine.batch import execute_cell, predecode, prepare_trace
 from repro.errors import ReproError
 from repro.memory.nibble import NIBBLE_MODE_BUS
 from repro.service.query import SimQuery
@@ -146,8 +145,7 @@ class WorkerLoop:
             prepared = self._prepared(query)
             spec = query.spec()
             predecode(prepared, [spec])
-            engine_name = resolve_engine(query.engine, prepared).name
-            stats = run_cell(prepared, spec, deadline=deadline)
+            stats, engine_name = execute_cell(prepared, spec, deadline=deadline)
         except ReproError as exc:
             return {
                 "kind": "res",

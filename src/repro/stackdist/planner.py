@@ -2,33 +2,33 @@
 
 The stack-distance engine (:mod:`repro.stackdist.engine`) answers every
 geometry sharing a ``(block_size, num_sets)`` pair from a single trace
-pass, but only where LRU inclusion actually holds and nothing needs the
-per-cell machinery: Random/FIFO replacement, load-forward fetch, an
-enabled miss-path chain, the checked (sanitizing) engine, per-cell
-timeouts/budgets, and fault injection all force a cell back onto the
-per-cell reference/vectorized path.  :func:`plan_grid` applies those
-rules once per sweep and splits the geometry list into
-:class:`PassGroup` batches versus fallback indices, recording *why*
-whichever side lost — the runner consumes the split, ``repro lint``
-and the :class:`~repro.runner.health.RunReport` surface the reasons.
+pass, but only where :func:`repro.engine.route.plan` routes the sweep's
+cells to ``stackdist`` (LRU, demand fetch, no chain, no checked engine,
+no per-cell guard or fault injector — ``docs/engines.md`` has the
+table).  :func:`plan_grid` asks the route planner once per sweep, then
+groups the geometry list into :class:`PassGroup` batches versus
+fallback indices, recording *why* whichever side lost — the runner
+consumes the split, ``repro lint`` and the preflight surface the
+reasons.
 
 Coverage is decided per *sweep* (the knobs are sweep-global) plus per
-*trace* (a trace containing writes breaks inclusion — write misses do
-not allocate — so the runner additionally checks each prepared trace
-with :func:`trace_coverable` before reusing a pass group for it).
+*trace*: the runner re-plans each prepared trace, because a trace
+containing writes breaks inclusion (write misses do not allocate).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
-
-import numpy as np
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import CacheGeometry
-from repro.core.fetch import FetchPolicy
-from repro.core.misspath import MissPathConfig
-from repro.errors import ConfigurationError
+from repro.engine.batch import CellSpec
+from repro.engine.route import (
+    GRID_ENGINE_NAMES,
+    SAMPLE_FALLBACKS,
+    plan,
+    trace_coverable,
+)
 from repro.stackdist.engine import MemberSpec
 
 __all__ = [
@@ -38,14 +38,6 @@ __all__ = [
     "plan_grid",
     "trace_coverable",
 ]
-
-#: Valid values of the runner's ``grid_engine`` knob: ``auto`` uses
-#: stackdist for every pass group covering >= 2 cells (a single-cell
-#: "group" gains nothing over the vectorized engine), ``stackdist``
-#: forces it onto every coverable group, ``percell`` disables it.
-GRID_ENGINE_NAMES = ("auto", "stackdist", "percell")
-
-_WRITE = 1  # AccessType.WRITE — kinds array code for stores
 
 
 @dataclass(frozen=True)
@@ -97,119 +89,53 @@ class GridPlan:
         return sum(len(group) for group in self.groups)
 
 
-def _sweep_blockers(
-    replacement: str,
-    fetch: Union[str, FetchPolicy, None],
-    miss_path: Optional[MissPathConfig],
-    engine: str,
-    cell_timeout: Optional[float],
-    max_cell_accesses: Optional[int],
-    injector_active: bool,
-    mode: str,
-) -> List[str]:
-    """Sweep-global conditions that rule out stack-distance passes."""
-    blockers: List[str] = []
-    if replacement.lower() != "lru":
-        blockers.append(f"replacement policy {replacement!r} (inclusion needs LRU)")
-    fetch_name = (
-        fetch if isinstance(fetch, str)
-        else fetch.name if fetch is not None
-        else "demand"
-    )
-    if fetch_name.lower().replace("_", "-") != "demand":
-        blockers.append(f"fetch policy {fetch_name!r} (only demand fetch)")
-    if miss_path is not None and miss_path.enabled:
-        blockers.append("enabled miss-path chain (per-miss structure state)")
-    engine_key = engine.lower()
-    if engine_key == "checked":
-        blockers.append("checked engine (sanitizer must observe every access)")
-    elif engine_key != "auto" and mode == "auto":
-        # An explicitly requested per-cell engine wins over the default
-        # grid mode; grid_engine="stackdist" is the more explicit ask
-        # and overrides it (the results are identical either way).
-        blockers.append(
-            f"explicit per-cell engine {engine!r} (auto grid defers to it)"
-        )
-    if cell_timeout is not None:
-        blockers.append("cell_timeout (per-cell deadline needs per-cell runs)")
-    if max_cell_accesses is not None:
-        blockers.append("max_cell_accesses (per-cell budget needs per-cell runs)")
-    if injector_active:
-        blockers.append("fault injector (per-access proxies are per cell)")
-    return blockers
-
-
-def trace_coverable(trace: Any) -> bool:
-    """Whether a prepared trace can feed a stack-distance pass.
-
-    Write misses do not allocate, which breaks Mattson inclusion, so
-    only read/ifetch traces qualify.  Sweeps run with the paper-style
-    ``filter_writes=True`` always pass; an unfiltered trace is scanned.
-    """
-    kinds = getattr(trace, "kinds", None)
-    if kinds is None:
-        return False  # guarded/proxy traces never reach the planner
-    return not bool(np.any(np.asarray(kinds) == _WRITE))
-
-
 def plan_grid(
     geometries: Sequence[CacheGeometry],
     grid_engine: str = "auto",
-    replacement: str = "lru",
-    fetch: Union[str, FetchPolicy, None] = None,
-    warmup: Union[int, str] = "fill",
-    miss_path: Optional[MissPathConfig] = None,
-    engine: str = "auto",
+    spec: Optional[CellSpec] = None,
     cell_timeout: Optional[float] = None,
     max_cell_accesses: Optional[int] = None,
     injector_active: bool = False,
+    **axes: Any,
 ) -> GridPlan:
     """Split a geometry grid into pass groups and fallback cells.
 
     Args:
         geometries: The sweep's geometry axis, in input order.
         grid_engine: ``auto`` | ``stackdist`` | ``percell``.
-        replacement / fetch / warmup / miss_path / engine /
-        cell_timeout / max_cell_accesses: The sweep-global knobs the
-            coverage rules inspect (warmup — ``"fill"`` or an access
-            count — is natively supported by the pass engine and never
-            forces fallback).
-        injector_active: Whether a fault injector is attached.
+        spec: The sweep's cell template (its geometry is ignored); when
+            omitted, built from ``axes`` (``replacement``, ``fetch``,
+            ``warmup``, ``miss_path``, ``engine``, ``sample`` — the
+            keywords of :meth:`~repro.engine.batch.CellSpec.of`).
+        cell_timeout / max_cell_accesses / injector_active: The
+            per-cell guards the route planner weighs.
 
     Returns:
-        A :class:`GridPlan`.  Under ``percell`` (or any sweep-level
-        blocker) every index lands in ``fallback_indices``; under
-        ``auto`` only groups of >= 2 geometries become passes; under
-        ``stackdist`` every coverable group does, singletons included.
+        A :class:`GridPlan`.  When the route is not ``stackdist`` every
+        index lands in ``fallback_indices``; under ``auto`` only groups
+        of >= 2 geometries become passes; under ``stackdist`` every
+        group does, singletons included.
 
     Raises:
         ConfigurationError: For a ``grid_engine`` outside
             :data:`GRID_ENGINE_NAMES`.
     """
-    mode = grid_engine.lower()
-    if mode not in GRID_ENGINE_NAMES:
-        raise ConfigurationError(
-            f"unknown grid engine {grid_engine!r}; choose from "
-            f"{list(GRID_ENGINE_NAMES)}"
-        )
-    all_indices = tuple(range(len(geometries)))
-    if mode == "percell":
-        return GridPlan(
-            groups=(), fallback_indices=all_indices,
-            blockers=("grid engine forced to percell",),
-            fallback_reasons={
-                i: "grid engine forced to percell" for i in all_indices
-            },
-        )
-    blockers = _sweep_blockers(
-        replacement, fetch, miss_path, engine,
-        cell_timeout, max_cell_accesses, injector_active, mode,
+    if spec is None:
+        spec = CellSpec.of(None, **axes)
+    route = plan(
+        spec, grid_engine=grid_engine, cell_timeout=cell_timeout,
+        max_cell_accesses=max_cell_accesses, injector_active=injector_active,
     )
-    if blockers:
+    all_indices = tuple(range(len(geometries)))
+    if route.path != "stackdist":
+        blockers = (
+            ("sampled simulation (cells are already cheap)",)
+            if route.path == "sampled"
+            else tuple(r for r in route.reasons if r not in SAMPLE_FALLBACKS)
+        )
         reason = "; ".join(blockers)
         return GridPlan(
-            groups=(), fallback_indices=all_indices,
-            blockers=tuple(blockers),
+            groups=(), fallback_indices=all_indices, blockers=blockers,
             fallback_reasons={i: reason for i in all_indices},
         )
 
@@ -223,7 +149,7 @@ def plan_grid(
     fallback: List[int] = []
     fallback_reasons: Dict[int, str] = {}
     for (block_size, num_sets), indices in grouped.items():
-        if mode == "auto" and len(indices) < 2:
+        if grid_engine.lower() == "auto" and len(indices) < 2:
             fallback.extend(indices)
             for i in indices:
                 fallback_reasons[i] = "pass group of 1 (auto keeps per-cell)"
@@ -237,7 +163,7 @@ def plan_grid(
                     MemberSpec(
                         ways=geometries[i].associativity,
                         sub_block_size=geometries[i].sub_block_size,
-                        warmup=warmup,
+                        warmup=spec.warmup,
                     )
                     for i in indices
                 ),

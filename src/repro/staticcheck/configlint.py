@@ -98,12 +98,14 @@ degenerate non-powers-of-two.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Sequence, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.config import is_power_of_two
 from repro.core.fetch import FetchPolicy, make_fetch
 from repro.core.misspath import MISS_PATH_KEYS, MissPathConfig
 from repro.core.replacement import make_replacement
+from repro.engine.batch import CellSpec
+from repro.engine.route import plan
 from repro.errors import ConfigurationError
 from repro.staticcheck.diagnostics import Diagnostic, Severity, raise_on_errors
 
@@ -576,15 +578,11 @@ def check_geometry(
 
 
 def lint_stackdist_coverage(
-    geometries: Sequence,
+    geometries: Sequence[Any],
+    spec: Optional[CellSpec] = None,
     grid_engine: str = "auto",
-    replacement: str = "lru",
-    fetch: Union[str, FetchPolicy, None] = None,
-    warmup: Union[int, str] = "fill",
-    miss_path: Union[MissPathConfig, Dict[str, Any], None] = None,
-    engine: str = "auto",
-    cell_timeout: Any = None,
-    max_cell_accesses: Any = None,
+    cell_timeout: Optional[float] = None,
+    max_cell_accesses: Optional[int] = None,
     injector_active: bool = False,
     source: str = "sweep",
 ) -> List[Diagnostic]:
@@ -593,25 +591,20 @@ def lint_stackdist_coverage(
     Info-severity only — this is a planning report, not a judgement:
     ``sweep-stackdist-coverage`` carries how many cells of the grid the
     :mod:`repro.stackdist` engine answers and in how many pass groups,
-    ``sweep-stackdist-fallback`` names each axis (replacement policy,
+    ``sweep-stackdist-fallback`` names each reason (replacement policy,
     fetch policy, miss-path chain, engine, per-cell guard) that forces
     cells onto the per-cell path, with the affected cell count.
 
-    Mirrors :func:`repro.stackdist.planner.plan_grid` exactly — the
-    runner plans with the same function, so the lint never disagrees
-    with what a sweep actually does.
+    A rendering of :func:`repro.stackdist.planner.plan_grid`, the plan
+    the runner executes, for the sweep template ``spec`` (default
+    axes when omitted) under the same guards.
     """
     from repro.stackdist.planner import plan_grid
 
-    miss_path_config = MissPathConfig.coerce(miss_path)
     plan = plan_grid(
         geometries,
         grid_engine=grid_engine,
-        replacement=replacement if replacement is not None else "lru",
-        fetch=fetch,
-        warmup=warmup,
-        miss_path=miss_path_config,
-        engine=engine,
+        spec=spec if spec is not None else CellSpec(None),
         cell_timeout=cell_timeout,
         max_cell_accesses=max_cell_accesses,
         injector_active=injector_active,
@@ -654,58 +647,58 @@ def lint_stackdist_coverage(
     return out
 
 
-def _sample_fallback_reasons(
+#: rule id -> (message, ``data["axis"]``) for the sample fallbacks
+#: :func:`repro.engine.route.plan` names; ``{chain}`` is the chain key.
+_SAMPLE_FALLBACK_TEXT: Dict[str, Tuple[str, str]] = {
+    "sample-fallback-injector": (
+        "sampling is combined with fault injection; the injector wraps "
+        "the whole trace, so every cell falls back to exact per-cell "
+        "simulation",
+        "injector",
+    ),
+    "sample-fallback-checked": (
+        "sampling is combined with the checked (sanitizer) engine; "
+        "invariants are asserted over full runs only, so every cell "
+        "falls back to exact per-cell simulation",
+        "engine",
+    ),
+    "sample-fallback-chain": (
+        "sampling is combined with a miss-path chain ({chain}); chain "
+        "state spans interval boundaries, so every cell falls back to "
+        "exact per-cell simulation",
+        "miss_path",
+    ),
+}
+
+
+def _sample_fallbacks(
+    config: Any,
     engine: str,
     injector_active: bool,
     miss_path: Union[MissPathConfig, Dict[str, Any], None],
 ) -> List[Diagnostic]:
-    """The named axes that force sampled cells back to exact runs."""
-    out: List[Diagnostic] = []
-    if injector_active:
-        out.append(
-            Diagnostic(
-                rule="sample-fallback-injector",
-                severity=Severity.WARNING,
-                message=(
-                    "sampling is combined with fault injection; the "
-                    "injector wraps the whole trace, so every cell falls "
-                    "back to exact per-cell simulation"
-                ),
-                source="sample",
-                data={"axis": "injector"},
-            )
-        )
-    if engine == "checked":
-        out.append(
-            Diagnostic(
-                rule="sample-fallback-checked",
-                severity=Severity.WARNING,
-                message=(
-                    "sampling is combined with the checked (sanitizer) "
-                    "engine; invariants are asserted over full runs only, "
-                    "so every cell falls back to exact per-cell simulation"
-                ),
-                source="sample",
-                data={"axis": "engine", "engine": engine},
-            )
-        )
+    """Render the ``sample-fallback-*`` reasons of the sample's route."""
     try:
-        chain = MissPathConfig.coerce(miss_path)
+        spec = CellSpec.of(None, engine=engine, miss_path=miss_path, sample=config)
     except ConfigurationError:
-        chain = None  # lint_miss_path owns reporting malformed chains
-    if chain is not None and chain.enabled:
+        # lint_miss_path owns reporting malformed chains.
+        spec = CellSpec.of(None, engine=engine, sample=config)
+    route = plan(spec, injector_active=injector_active)
+    out: List[Diagnostic] = []
+    for rule in route.sample_fallbacks:
+        text, axis = _SAMPLE_FALLBACK_TEXT[rule]
+        data: Dict[str, Any] = {"axis": axis}
+        if axis == "engine":
+            data["engine"] = engine
+        elif axis == "miss_path" and spec.miss_path is not None:
+            data["chain"] = spec.miss_path.key()
         out.append(
             Diagnostic(
-                rule="sample-fallback-chain",
+                rule=rule,
                 severity=Severity.WARNING,
-                message=(
-                    f"sampling is combined with a miss-path chain "
-                    f"({chain.key()}); chain state spans interval "
-                    "boundaries, so every cell falls back to exact "
-                    "per-cell simulation"
-                ),
+                message=text.format(chain=data.get("chain")),
                 source="sample",
-                data={"axis": "miss_path", "chain": chain.key()},
+                data=data,
             )
         )
     return out
@@ -789,7 +782,7 @@ def lint_sample(
                     data={"k": k, "intervals": intervals},
                 )
             )
-    fallbacks = _sample_fallback_reasons(engine, injector_active, miss_path)
+    fallbacks = _sample_fallbacks(config, engine, injector_active, miss_path)
     out.extend(fallbacks)
     # With a fallback the sweep runs exactly and honours its warmup, so
     # the "ignored" reminder would be wrong.
@@ -824,9 +817,8 @@ def lint_sample_coverage(
     The sampled path is sweep-global: either every cell of the sweep
     runs from per-trace PhasePlans, or an incompatible axis (fault
     injection, checked engine, miss-path chain) sends *every* cell to
-    the exact per-cell fallback.  This mirrors
-    :func:`repro.runner.runner.run_sweep` exactly, the same way the
-    stack-distance coverage lint mirrors its planner.
+    the exact per-cell fallback — the route
+    :func:`repro.engine.route.plan` gives the sweep's cells.
     """
     from repro.staticcheck.phases import SamplingConfig
 
@@ -837,7 +829,7 @@ def lint_sample_coverage(
     if config is None:
         return []
     total = len(geometries) * max(trace_count, 1)
-    fallbacks = _sample_fallback_reasons(engine, injector_active, miss_path)
+    fallbacks = _sample_fallbacks(config, engine, injector_active, miss_path)
     covered = 0 if fallbacks else total
     out = [
         Diagnostic(

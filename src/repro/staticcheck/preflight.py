@@ -30,15 +30,17 @@ rule                      severity  meaning
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.core.config import CacheGeometry
-from repro.core.fetch import FetchPolicy
-from repro.core.misspath import MissPathConfig
+from repro.engine.batch import CellSpec
+from repro.errors import ConfigurationError
 from repro.staticcheck.configlint import (
     lint_cell_options,
     lint_geometry,
     lint_miss_path,
+    lint_sample,
+    lint_stackdist_coverage,
 )
 from repro.staticcheck.diagnostics import Diagnostic, Severity, raise_on_errors
 
@@ -46,17 +48,15 @@ __all__ = ["preflight_sweep"]
 
 
 def preflight_sweep(
-    traces: Sequence,
+    traces: Sequence[Any],
     geometries: Sequence[CacheGeometry],
-    fetch: Union[str, FetchPolicy, None] = None,
-    replacement: Optional[str] = None,
-    warmup: Union[int, str, None] = None,
+    spec: Optional[CellSpec] = None,
     strict: bool = True,
-    miss_path: Union["MissPathConfig", Dict[str, Any], None] = None,
     grid_engine: Optional[str] = None,
-    sample: Any = None,
-    engine: str = "auto",
+    cell_timeout: Optional[float] = None,
+    max_cell_accesses: Optional[int] = None,
     injector_active: bool = False,
+    **axes: Any,
 ) -> List[Diagnostic]:
     """Validate a sweep's inputs before any cell executes.
 
@@ -66,26 +66,29 @@ def preflight_sweep(
         geometries: Already-validated cache shapes (their constructor
             enforces the hard geometry rules; the lint adds the
             compatibility warnings on top).
-        fetch / replacement / warmup: The per-cell execution options.
+        spec: The sweep's cell template (geometry ignored) — the
+            runner's form.  Without one, ``axes`` carries the raw
+            values (``fetch``, ``replacement``, ``warmup``,
+            ``miss_path``, ``sample``, ``engine``), linted before they
+            are coerced, so a malformed chain or sample is reported
+            rather than raised.
         strict: Raise on error-severity findings (the runner's mode);
             False returns everything for reporting instead.
-        miss_path: Optional miss-path chain config (dict form or
-            :class:`~repro.core.misspath.MissPathConfig`), linted
-            through :func:`~repro.staticcheck.configlint.lint_miss_path`
-            against every L1 block size in the grid — the L2's resolved
-            geometry is otherwise only constructed at cell-run time,
-            deep inside the campaign.
         grid_engine: When given (an explicit ``--grid-engine`` value),
             append the info-severity ``sweep-stackdist-*`` coverage
             report (:func:`~repro.staticcheck.configlint
             .lint_stackdist_coverage`) for this grid; ``None`` (the
             runner's ``auto`` default) keeps preflight quiet.
-        sample: Optional sampling config (anything
-            ``SamplingConfig.coerce`` accepts); linted per trace length
-            via :func:`~repro.staticcheck.configlint.lint_sample`, so a
-            malformed spec, a degenerate interval, or a named fallback
-            axis (``engine``/``injector_active``/``miss_path``) is
-            reported before any cell runs.
+        cell_timeout / max_cell_accesses / injector_active: The
+            per-cell guards, which the route planner weighs for the
+            coverage report and the sample fallbacks.
+
+    The miss-path chain is linted against every L1 block size in the
+    grid (the L2's resolved geometry is otherwise only constructed at
+    cell-run time, deep inside the campaign), and a sample per trace
+    length (:func:`~repro.staticcheck.configlint.lint_sample`), so a
+    degenerate interval or a named fallback axis is reported before any
+    cell runs.
 
     Raises:
         StaticCheckError: With the full diagnostic list, when ``strict``
@@ -94,8 +97,14 @@ def preflight_sweep(
     Returns:
         All findings (warnings only, under ``strict``).
     """
+    raw: Dict[str, Any] = vars(spec) if spec is not None else axes
+    fetch = raw.get("fetch")
+    miss_path = raw.get("miss_path")
+    warmup = raw.get("warmup")
     diagnostics: List[Diagnostic] = []
-    diagnostics += lint_cell_options(fetch, replacement, warmup, source="sweep")
+    diagnostics += lint_cell_options(
+        fetch, raw.get("replacement"), warmup, source="sweep"
+    )
     if miss_path is not None:
         # One lint per distinct L1 shape: the L2 block default follows
         # the L1 block (so each distinct shape can resolve to a
@@ -119,7 +128,6 @@ def preflight_sweep(
                 if marker not in seen_findings:
                     seen_findings.add(marker)
                     diagnostics.append(finding)
-
 
     seen = {}
     for index, trace in enumerate(traces):
@@ -167,16 +175,15 @@ def preflight_sweep(
             source=f"geometry {geometry.label}@{geometry.net_size}",
         )
 
+    sample = raw.get("sample")
     if sample is not None:
-        from repro.staticcheck.configlint import lint_sample
-
         lengths = sorted({len(trace) for trace in traces}) or [None]
         seen_sample = set()
         for trace_length in lengths:
             for finding in lint_sample(
                 sample,
                 trace_length=trace_length,
-                engine=engine,
+                engine=raw.get("engine", "auto"),
                 injector_active=injector_active,
                 miss_path=miss_path,
                 warmup=warmup,
@@ -188,16 +195,21 @@ def preflight_sweep(
                     diagnostics.append(finding)
 
     if grid_engine is not None:
-        from repro.staticcheck.configlint import lint_stackdist_coverage
-
-        diagnostics += lint_stackdist_coverage(
-            geometries,
-            grid_engine=grid_engine,
-            replacement=replacement if replacement is not None else "lru",
-            fetch=fetch,
-            warmup=warmup if warmup is not None else "fill",
-            miss_path=miss_path,
-        )
+        template: Optional[CellSpec] = spec
+        try:
+            if template is None:
+                template = CellSpec.of(None, **axes)
+        except ConfigurationError:
+            template = None  # the chain or sample lint reported why
+        if template is not None:
+            diagnostics += lint_stackdist_coverage(
+                geometries,
+                spec=template,
+                grid_engine=grid_engine,
+                cell_timeout=cell_timeout,
+                max_cell_accesses=max_cell_accesses,
+                injector_active=injector_active,
+            )
 
     if strict:
         return raise_on_errors(diagnostics, "sweep preflight")

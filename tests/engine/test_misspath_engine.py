@@ -6,7 +6,7 @@ Pins the three contracts the refactor added to the engines:
   that accepts one (the always-on edition of the ``REPRO_MISSPATH_EMPTY``
   tripwire in ``test_equivalence.py``);
 * the vectorized engine refuses an *enabled* chain loudly, and
-  :func:`resolve_engine` degrades both ``auto`` and explicit
+  :func:`~repro.engine.route.plan` routes both ``auto`` and explicit
   ``vectorized`` requests to ``reference`` instead;
 * a chained run still matches the bare run counter-for-counter — the
   chain only adds the ``misspath`` block.
@@ -19,11 +19,12 @@ import pytest
 from repro.core.config import CacheGeometry
 from repro.core.misspath import MissPathConfig
 from repro.engine import (
+    CellSpec,
     CheckedEngine,
     ReferenceEngine,
     TraceView,
     VectorizedEngine,
-    resolve_engine,
+    plan,
 )
 from repro.errors import ConfigurationError, EngineError
 
@@ -65,44 +66,30 @@ class TestVectorizedRejection:
             )
 
 
+def path_for(engine, trace, miss_path=None):
+    return plan(CellSpec.of(None, engine=engine, miss_path=miss_path), trace).path
+
+
 class TestResolveEngineDegradation:
     def test_auto_degrades_to_reference_when_chained(self, tiny_trace):
-        assert isinstance(resolve_engine("auto", tiny_trace), VectorizedEngine)
-        assert isinstance(
-            resolve_engine("auto", tiny_trace, miss_path=CHAIN),
-            ReferenceEngine,
-        )
-        assert isinstance(
-            resolve_engine("auto", TraceView.of(tiny_trace), miss_path=CHAIN),
-            ReferenceEngine,
-        )
+        assert path_for("auto", tiny_trace) == "vectorized"
+        assert path_for("auto", tiny_trace, CHAIN) == "reference"
+        assert path_for("auto", TraceView.of(tiny_trace), CHAIN) == "reference"
 
     def test_explicit_vectorized_degrades_too(self, tiny_trace):
-        assert isinstance(
-            resolve_engine("vectorized", tiny_trace, miss_path=CHAIN),
-            ReferenceEngine,
-        )
+        assert path_for("vectorized", tiny_trace, CHAIN) == "reference"
 
     def test_empty_chain_keeps_vectorized(self, tiny_trace):
         for miss_path in (None, EMPTY, {}):
-            assert isinstance(
-                resolve_engine("auto", tiny_trace, miss_path=miss_path),
-                VectorizedEngine,
-            )
-            assert isinstance(
-                resolve_engine("vectorized", tiny_trace, miss_path=miss_path),
-                VectorizedEngine,
-            )
+            assert path_for("auto", tiny_trace, miss_path) == "vectorized"
+            assert path_for("vectorized", tiny_trace, miss_path) == "vectorized"
 
     def test_checked_accepts_chains_directly(self, tiny_trace):
-        assert isinstance(
-            resolve_engine("checked", tiny_trace, miss_path=CHAIN),
-            CheckedEngine,
-        )
+        assert path_for("checked", tiny_trace, CHAIN) == "checked"
 
     def test_malformed_mapping_rejected_at_resolution(self, tiny_trace):
         with pytest.raises(ConfigurationError, match="unknown miss-path"):
-            resolve_engine("auto", tiny_trace, miss_path={"victim_entires": 4})
+            path_for("auto", tiny_trace, {"victim_entires": 4})
 
 
 class TestChainedRunContracts:

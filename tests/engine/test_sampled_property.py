@@ -17,7 +17,7 @@ Two guarantees are strong enough to randomize:
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import CacheGeometry
@@ -75,8 +75,19 @@ def test_degenerate_plan_is_bit_identical(trace):
     assert all(half == 0.0 for half in sampled.half_widths.values())
 
 
+#: An all-miss trace whose estimate, scaled as ``value * (total /
+#: length)``, rounded one ulp above the true 47 misses.
+_ROUNDING_TRACE = Trace(
+    [0, 8, 16, 24, 64, 96, 128, 144, 160, 0, 8, 32, 56, 64, 176, 256,
+     0, 64, 72, 80, 88, 96, 128, 168, 0, 8, 32, 64, 256, 0, 8, 40, 128,
+     320, 0, 64, 128, 152, 0, 8, 16, 24, 64, 128, 384, 0, 450],
+    [0] * 47, 2, name="prop",
+)
+
+
 @settings(max_examples=40, deadline=None)
 @given(trace=traces(), k=st.sampled_from([1, 2]))
+@example(trace=_ROUNDING_TRACE, k=1)
 def test_two_interval_plan_covers_the_truth(trace, k):
     interval = (len(trace) + 1) // 2
     sampled = sampled_for(trace, interval, k)

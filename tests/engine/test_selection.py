@@ -6,13 +6,15 @@ import pytest
 
 from repro.engine import (
     ENGINE_NAMES,
+    CellSpec,
     CheckedEngine,
     ReferenceEngine,
     TraceView,
     VectorizedEngine,
     make_engine,
-    resolve_engine,
+    plan,
 )
+import repro.engine.batch as batch_module
 from repro.errors import ConfigurationError, EngineError
 from repro.runner.runner import RunnerConfig, _GuardedTrace, run_sweep
 
@@ -34,28 +36,32 @@ def test_make_engine_rejects_unknown_and_auto():
         make_engine("auto")  # auto is a per-run choice, not an engine
 
 
+def path_for(engine, trace):
+    return plan(CellSpec(None, engine=engine), trace).path
+
+
 def test_resolve_auto_prefers_vectorized_for_plain_traces(tiny_trace):
-    assert isinstance(resolve_engine("auto", tiny_trace), VectorizedEngine)
-    assert isinstance(
-        resolve_engine("auto", TraceView.of(tiny_trace)), VectorizedEngine
-    )
+    assert path_for("auto", tiny_trace) == "vectorized"
+    assert path_for("auto", TraceView.of(tiny_trace)) == "vectorized"
 
 
 def test_resolve_degrades_proxies_to_reference(tiny_trace):
     guarded = _GuardedTrace(tiny_trace, "key", max_accesses=5)
     # Proxies are iteration-only: even an explicit vectorized request
     # runs the reference loop (the documented known-unsupported combo).
-    assert isinstance(resolve_engine("auto", guarded), ReferenceEngine)
-    assert isinstance(resolve_engine("vectorized", guarded), ReferenceEngine)
+    assert path_for("auto", guarded) == "reference"
+    assert path_for("vectorized", guarded) == "reference"
+    assert "per-access trace proxy" in plan(CellSpec(None), guarded).reasons
 
 
 def test_resolve_respects_explicit_reference(tiny_trace):
-    assert isinstance(resolve_engine("reference", tiny_trace), ReferenceEngine)
+    assert path_for("reference", tiny_trace) == "reference"
+    assert path_for("Reference", tiny_trace) == "reference"
 
 
 def test_resolve_rejects_unknown_name(tiny_trace):
     with pytest.raises(ConfigurationError):
-        resolve_engine("warp", tiny_trace)
+        path_for("warp", tiny_trace)
 
 
 def test_vectorized_rejects_non_trace_input(small_geometry, tiny_trace):
@@ -90,18 +96,14 @@ class _ExplodingVectorized(VectorizedEngine):
         raise RuntimeError("kaboom")
 
 
+def _broken_make_engine(name):
+    return _ExplodingVectorized() if name == "vectorized" else make_engine(name)
+
+
 def test_strict_mode_surfaces_engine_error(
     monkeypatch, tiny_trace, small_geometry
 ):
-    import repro.runner.runner as runner_module
-
-    def broken_resolve(name, trace, **kwargs):
-        engine = resolve_engine(name, trace, **kwargs)
-        if isinstance(engine, VectorizedEngine):
-            return _ExplodingVectorized()
-        return engine
-
-    monkeypatch.setattr(runner_module, "resolve_engine", broken_resolve)
+    monkeypatch.setattr(batch_module, "make_engine", _broken_make_engine)
     with pytest.raises(EngineError):
         run_sweep(
             [tiny_trace], [small_geometry],
@@ -112,15 +114,7 @@ def test_strict_mode_surfaces_engine_error(
 def test_lenient_mode_falls_back_to_reference(
     monkeypatch, tiny_trace, small_geometry
 ):
-    import repro.runner.runner as runner_module
-
-    def broken_resolve(name, trace, **kwargs):
-        engine = resolve_engine(name, trace, **kwargs)
-        if isinstance(engine, VectorizedEngine):
-            return _ExplodingVectorized()
-        return engine
-
-    monkeypatch.setattr(runner_module, "resolve_engine", broken_resolve)
+    monkeypatch.setattr(batch_module, "make_engine", _broken_make_engine)
     healthy, _ = run_sweep(
         [tiny_trace], [small_geometry],
         config=RunnerConfig(engine="reference"),

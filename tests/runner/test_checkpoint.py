@@ -9,6 +9,7 @@ from repro.errors import ChecksumError, ConfigurationError
 from repro.runner.checkpoint import (
     CHECKPOINT_VERSION,
     CheckpointWriter,
+    legacy_fingerprints,
     load_checkpoint,
     sweep_fingerprint,
 )
@@ -142,7 +143,7 @@ class TestLegacyVersion:
             ["a", "b"], [100], engine="auto", word_size=2
         )
         path = self._write_v1(tmp_path, FP)
-        cells = load_checkpoint(path, new_fp, legacy_fingerprint=FP)
+        cells = load_checkpoint(path, new_fp, legacy_fingerprints={1: FP})
         assert cells["a"]["miss"] == 0.25
 
     def test_v1_header_without_legacy_fingerprint_rejected(self, tmp_path):
@@ -154,4 +155,26 @@ class TestLegacyVersion:
         path = self._write_v1(tmp_path, FP)
         other = sweep_fingerprint(["x"], [1], word_size=4)
         with pytest.raises(ConfigurationError, match="different sweep"):
-            load_checkpoint(path, FP, legacy_fingerprint=other)
+            load_checkpoint(path, FP, legacy_fingerprints={1: other})
+
+
+class TestLegacyFormats:
+    BASE = dict(word_size=2, engine="auto", miss_path="none", sample="none")
+
+    def test_offered_only_where_sound(self):
+        def versions(**params):
+            return set(legacy_fingerprints(["a"], [1], dict(self.BASE, **params)))
+
+        assert versions() == {1, 2, 3}
+        assert versions(miss_path="vc4") == {3}
+        assert versions(sample="i100,k2,s0") == set()
+
+    def test_each_version_drops_the_params_it_lacked(self):
+        offered = legacy_fingerprints(["a"], [1], self.BASE)
+        assert offered[3] == sweep_fingerprint(
+            ["a"], [1], word_size=2, engine="auto", miss_path="none"
+        )
+        assert offered[2] == sweep_fingerprint(
+            ["a"], [1], word_size=2, engine="auto"
+        )
+        assert offered[1] == sweep_fingerprint(["a"], [1], word_size=2)

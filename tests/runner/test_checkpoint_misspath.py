@@ -103,14 +103,14 @@ class TestLegacyResume:
     def test_v1_still_resumes_via_the_back_compat_kwarg(self, tmp_path):
         v1_fp = sweep_fingerprint(["a"], [10], word_size=2)
         path = self._write_legacy(tmp_path, 1, v1_fp)
-        cells = load_checkpoint(path, FP, legacy_fingerprint=v1_fp)
+        cells = load_checkpoint(path, FP, legacy_fingerprints={1: v1_fp})
         assert cells["a"]["miss"] == 0.25
 
     def test_version_without_a_mapped_fingerprint_rejected(self, tmp_path):
         v2_fp = sweep_fingerprint(["a"], [10], engine="auto", word_size=2)
         path = self._write_legacy(tmp_path, 2, v2_fp)
         with pytest.raises(ConfigurationError, match="version"):
-            load_checkpoint(path, FP, legacy_fingerprint=v2_fp)  # maps to v1
+            load_checkpoint(path, FP, legacy_fingerprints={1: v2_fp})
 
     def test_mismatched_legacy_fingerprint_rejected(self, tmp_path):
         path = self._write_legacy(tmp_path, 2, "feedc0de")

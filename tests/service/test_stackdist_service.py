@@ -63,6 +63,30 @@ def test_batched_grid_answers_from_passes_and_matches_percell():
         assert lhs.entry.fingerprint == rhs.entry.fingerprint
 
 
+def test_forced_grid_overrides_an_explicit_engine_like_the_runner():
+    """``grid_engine="stackdist"`` answers an explicit ``vectorized``
+    query from a pass, exactly as the sweep runner plans it; the
+    ``auto`` grid defers to the explicit engine, again like the runner.
+    """
+    from repro.stackdist.planner import plan_grid
+
+    queries = grid_queries(engine="vectorized")
+    forced, _ = simulate_batch(
+        queries, ServiceConfig(batch_window=0.05, grid_engine="stackdist")
+    )
+    deferred, _ = simulate_batch(
+        queries, ServiceConfig(batch_window=0.05, grid_engine="auto")
+    )
+    assert [r.entry.engine for r in forced] == ["stackdist"] * 4
+    assert [r.entry.engine for r in deferred] == ["vectorized"] * 4
+    for lhs, rhs in zip(forced, deferred):
+        assert lhs.entry.stats == rhs.entry.stats
+        assert lhs.entry.fingerprint == rhs.entry.fingerprint
+    geometries = [query.geometry() for query in queries]
+    assert plan_grid(geometries, "stackdist", engine="vectorized").covered == 4
+    assert plan_grid(geometries, "auto", engine="vectorized").covered == 0
+
+
 def test_noncoverable_queries_stay_percell():
     queries = grid_queries(replacement="fifo")
     results, _ = simulate_batch(

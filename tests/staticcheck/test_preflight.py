@@ -90,3 +90,38 @@ class TestRunnerIntegration:
         )
         assert checkpoint.exists()
         assert report.completed == 1 and report.preflight == []
+
+
+#: Three shapes sharing (block 16, 32 sets): one pass group.
+SHARED_SETS = [
+    CacheGeometry(512, 16, 8, associativity=1),
+    CacheGeometry(1024, 16, 8, associativity=2),
+    CacheGeometry(2048, 16, 8, associativity=4),
+]
+
+
+class TestCoverageMatchesTheRun:
+    """The coverage lint's ``covered`` equals the cells a pass answered."""
+
+    @pytest.mark.parametrize(
+        "blocker",
+        [
+            {},
+            {"engine": "checked"},
+            {"cell_timeout": 30},
+            {"max_cell_accesses": 10**9},
+        ],
+        ids=["none", "checked", "cell_timeout", "max_cell_accesses"],
+    )
+    def test_covered_equals_stackdist_cells(self, trace, blocker):
+        _, report = run_sweep(
+            [trace], SHARED_SETS,
+            config=RunnerConfig(grid_engine="stackdist", **blocker),
+        )
+        (coverage,) = [
+            d for d in report.preflight if d.rule == "sweep-stackdist-coverage"
+        ]
+        ran = sum(1 for o in report.outcomes if o.engine == "stackdist")
+        assert coverage.data["covered"] == ran
+        assert ran == (3 if not blocker else 0)
+        assert report.pass_groups == (1 if not blocker else 0)

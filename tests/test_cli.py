@@ -425,6 +425,8 @@ class TestSampleFlag:
         out = capsys.readouterr().out
         assert "[sweep-sample-coverage]" in out
         assert "i2000,k4,s0" in out
+        # Sampled cells never ride a stack-distance pass.
+        assert "fall back to per-cell: sampled simulation" in out
 
     def test_malformed_sample_rejected(self):
         with pytest.raises(SystemExit, match="--sample"):
