@@ -259,13 +259,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="result-cache memory entries (default 1024)",
     )
     serve.add_argument(
-        "--disk-cache", default=None, metavar="FILE",
-        help="JSONL disk tier for the result cache (survives restarts)",
-    )
-    serve.add_argument(
         "--store-dir", default=None, metavar="DIR",
         help="crash-safe WAL result store (fsync'd commits, torn-tail "
-             "recovery, quarantine); alternative to --disk-cache",
+             "recovery, quarantine); the result cache's disk tier",
     )
     serve.add_argument(
         "--supervised", action="store_true",
@@ -632,7 +628,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             config=ServiceConfig(
                 workers=args.workers,
                 cache_size=args.cache_size,
-                disk_cache=args.disk_cache,
                 store_dir=args.store_dir,
                 max_inflight=args.max_inflight,
                 max_queue=args.max_queue,
@@ -657,11 +652,10 @@ def _cmd_lint(args) -> int:
     Error-severity findings always fail the command (this is the CI
     gate); ``--strict`` extends that to warnings.
     """
-    import inspect
     import json
 
     from repro.staticcheck import check_program, footprint
-    from repro.workloads.assembler import assemble
+    from repro.workloads.generator import assemble_program
     from repro.workloads.programs import PROGRAMS
 
     names = args.programs if args.programs else sorted(PROGRAMS)
@@ -713,14 +707,7 @@ def _cmd_lint(args) -> int:
     elif args.sample is not None:
         raise SystemExit("repro: --sample requires --sweep-coverage")
     for name in names:
-        builder = PROGRAMS[name]
-        params = (
-            {"seed": 0}
-            if "seed" in inspect.signature(builder).parameters
-            else {}
-        )
-        spec = builder(**params)
-        program = assemble(spec.source, word_size=args.word)
+        program = assemble_program(name, args.word)
         diagnostics = check_program(program, name=name)
         errors += sum(1 for d in diagnostics if d.is_error)
         warnings += sum(1 for d in diagnostics if not d.is_error)
@@ -786,13 +773,11 @@ def _cmd_phases(args, length: int) -> int:
     :class:`~repro.staticcheck.phases.PhasePlan` — the same plan a
     ``--sample`` sweep would simulate from (see docs/sampling.md).
     """
-    import inspect
     import json
 
     from repro.errors import ReproError
     from repro.staticcheck.phases import analyze_trace
-    from repro.workloads.assembler import assemble
-    from repro.workloads.generator import program_trace
+    from repro.workloads.generator import assemble_program, program_trace
     from repro.workloads.programs import PROGRAMS
 
     if args.program not in PROGRAMS:
@@ -800,13 +785,7 @@ def _cmd_phases(args, length: int) -> int:
             f"repro: unknown program {args.program!r}; "
             f"choose from {sorted(PROGRAMS)}"
         )
-    builder = PROGRAMS[args.program]
-    params = (
-        {"seed": args.seed}
-        if "seed" in inspect.signature(builder).parameters
-        else {}
-    )
-    program = assemble(builder(**params).source, word_size=args.word)
+    program = assemble_program(args.program, args.word, seed=args.seed)
     trace = program_trace(args.program, length, args.word, seed=args.seed)
     try:
         plan = analyze_trace(
@@ -859,7 +838,6 @@ def _cmd_classify(args) -> int:
     geometry is invalid, or verification found a violated proof or an
     out-of-bounds counter.
     """
-    import inspect
     import json
 
     from repro.core.config import CacheGeometry
@@ -869,7 +847,7 @@ def _cmd_classify(args) -> int:
         lint_chain_report,
         verify_chain_classification,
     )
-    from repro.workloads.assembler import assemble
+    from repro.workloads.generator import assemble_program
     from repro.workloads.programs import PROGRAMS
 
     if args.program not in PROGRAMS:
@@ -877,13 +855,7 @@ def _cmd_classify(args) -> int:
             f"repro: unknown program {args.program!r}; "
             f"choose from {sorted(PROGRAMS)}"
         )
-    builder = PROGRAMS[args.program]
-    params = (
-        {"seed": 0}
-        if "seed" in inspect.signature(builder).parameters
-        else {}
-    )
-    program = assemble(builder(**params).source, word_size=args.word)
+    program = assemble_program(args.program, args.word)
     miss_path = {
         "victim_entries": args.victim_entries,
         "miss_entries": args.miss_entries,

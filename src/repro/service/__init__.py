@@ -7,7 +7,7 @@ repeat-heavy query mixes cache studies produce.  Pieces:
 
 * :mod:`~repro.service.query` — query normalization and the
   content-address shared with sweep checkpoints.
-* :mod:`~repro.service.cache` — memory-LRU + JSONL-disk result cache,
+* :mod:`~repro.service.cache` — memory-LRU + WAL-store result cache,
   checkpoint-interoperable.
 * :mod:`~repro.service.simulator` — coalescing, per-trace batching,
   admission, worker dispatch.

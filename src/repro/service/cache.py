@@ -1,4 +1,4 @@
-"""Content-addressed result cache: memory LRU plus a JSONL disk tier.
+"""Content-addressed result cache: memory LRU plus a WAL-store disk tier.
 
 An entry is one finished simulation cell, addressed by the checkpoint
 fingerprint of the single-cell sweep it denotes
@@ -13,25 +13,17 @@ buys two properties at once:
   geometry, or an execution option changes the address.
 
 Tiering: the memory LRU serves the hot set; the optional disk tier is
-one of two interchangeable backends, selected at construction:
-
-* the legacy append-only JSONL file (``disk_path``), indexed by byte
-  offset at startup, whose records carry the same per-line CRC as
-  checkpoints (:func:`repro.runner.checkpoint.line_crc`);
-* the crash-safe WAL segment store (``store_dir``,
-  :class:`repro.service.store.WalStore`) — fsync'd atomic commits,
-  torn-tail truncation, and quarantine of corrupt segments — which the
-  supervised service uses so that a SIGKILL can never lose or corrupt
-  a committed result.
-
-Either way a cache may lose entries, never serve bad ones, and the
-checkpoint interop surface (:meth:`ResultCache.export_checkpoint`,
-:meth:`ResultCache.seed_from_checkpoint`) is backend-independent.
+the crash-safe WAL segment store (``store_dir``,
+:class:`repro.service.store.WalStore`) — fsync'd atomic commits,
+torn-tail truncation, and quarantine of corrupt segments — so that a
+SIGKILL can never lose or corrupt a committed result.  The cache may
+lose entries, never serve bad ones, and the checkpoint interop surface
+(:meth:`ResultCache.export_checkpoint`,
+:meth:`ResultCache.seed_from_checkpoint`) works with or without it.
 """
 
 from __future__ import annotations
 
-import json
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -39,7 +31,7 @@ from pathlib import Path
 from typing import Any, Dict, Optional, Union
 
 from repro.errors import ConfigurationError
-from repro.runner.checkpoint import CheckpointWriter, line_crc, load_checkpoint
+from repro.runner.checkpoint import CheckpointWriter, load_checkpoint
 from repro.service.store import WalStore
 
 __all__ = ["CacheEntry", "ResultCache"]
@@ -69,7 +61,7 @@ class CacheEntry:
     engine: str = "auto"
 
     def to_record(self) -> Dict[str, Any]:
-        """The disk-tier JSONL record (CRC added at write time)."""
+        """The disk-tier record (the WAL store frames it with a CRC)."""
         return {
             "kind": "result",
             "fingerprint": self.fingerprint,
@@ -97,98 +89,32 @@ class CacheEntry:
 
 
 class ResultCache:
-    """Two-tier (memory LRU + JSONL disk) cache of simulation results.
+    """Two-tier (memory LRU + WAL store) cache of simulation results.
 
     Thread-safe: the service's worker pool completes cells off the
     event-loop thread, so every public method takes the internal lock.
 
     Args:
         maxsize: Memory-tier capacity in entries.
-        disk_path: Legacy JSONL persistence file; None keeps the cache
-            memory-only.  The file is created lazily on first put and
-            scanned (for its fingerprint -> offset index) on startup.
         store_dir: Crash-safe WAL store directory
-            (:class:`repro.service.store.WalStore`); mutually exclusive
-            with ``disk_path``.  Recovery (tail truncation, quarantine)
+            (:class:`repro.service.store.WalStore`); None keeps the
+            cache memory-only.  Recovery (tail truncation, quarantine)
             runs during construction.
     """
 
     def __init__(
         self,
         maxsize: int = 1024,
-        disk_path: Optional[Union[str, Path]] = None,
         store_dir: Optional[Union[str, Path]] = None,
     ) -> None:
         if maxsize < 1:
             raise ConfigurationError(f"cache maxsize must be >= 1, got {maxsize}")
-        if disk_path is not None and store_dir is not None:
-            raise ConfigurationError(
-                "disk_path and store_dir are alternative disk tiers; "
-                "configure at most one"
-            )
         self.maxsize = maxsize
         self._lock = threading.Lock()
         self._memory: "OrderedDict[str, CacheEntry]" = OrderedDict()
-        self._disk_path = Path(disk_path) if disk_path is not None else None
-        self._disk_index: Dict[str, int] = {}
         self.store: Optional[WalStore] = (
             WalStore(store_dir) if store_dir is not None else None
         )
-        if self._disk_path is not None and self._disk_path.exists():
-            self._scan_disk()
-
-    # -- Disk tier --------------------------------------------------------
-
-    def _scan_disk(self) -> None:
-        """Build the offset index; tolerate a torn final line."""
-        assert self._disk_path is not None
-        offset = 0
-        with self._disk_path.open("rb") as handle:
-            for raw in handle:
-                line_offset = offset
-                offset += len(raw)
-                record = self._parse_line(raw)
-                if record is not None:
-                    self._disk_index[record["fingerprint"]] = line_offset
-
-    @staticmethod
-    def _parse_line(raw: bytes) -> Optional[Dict[str, Any]]:
-        """One verified disk record, or None for a damaged line."""
-        try:
-            record = json.loads(raw.decode("utf-8"))
-            crc = record.pop("crc", None)
-            if crc != line_crc(record):
-                return None
-        except (ValueError, UnicodeDecodeError):
-            return None
-        if record.get("kind") != "result" or "fingerprint" not in record:
-            return None
-        return record
-
-    def _disk_read(self, fingerprint: str) -> Optional[CacheEntry]:
-        assert self._disk_path is not None
-        offset = self._disk_index[fingerprint]
-        with self._disk_path.open("rb") as handle:
-            handle.seek(offset)
-            record = self._parse_line(handle.readline())
-        if record is None or record["fingerprint"] != fingerprint:
-            # The file changed under us (truncated, rewritten); drop
-            # the stale index entry rather than serve a wrong result.
-            del self._disk_index[fingerprint]
-            return None
-        return CacheEntry.from_record(record)
-
-    def _disk_append(self, entry: CacheEntry) -> None:
-        assert self._disk_path is not None
-        record = entry.to_record()
-        record["crc"] = line_crc(record)
-        line = (json.dumps(record, sort_keys=True) + "\n").encode("utf-8")
-        self._disk_path.parent.mkdir(parents=True, exist_ok=True)
-        with self._disk_path.open("ab") as handle:
-            offset = handle.tell()
-            handle.write(line)
-            handle.flush()
-        self._disk_index[entry.fingerprint] = offset
 
     # -- Cache protocol ---------------------------------------------------
 
@@ -209,11 +135,6 @@ class ResultCache:
                     entry = CacheEntry.from_record(record)
                     self._insert_memory(entry)
                     return entry, "disk"
-            if self._disk_path is not None and fingerprint in self._disk_index:
-                entry = self._disk_read(fingerprint)
-                if entry is not None:
-                    self._insert_memory(entry)
-                    return entry, "disk"
             return None
 
     def put(self, entry: CacheEntry) -> None:
@@ -224,15 +145,9 @@ class ResultCache:
         nothing.
         """
         with self._lock:
-            fresh_on_disk = (
-                self._disk_path is not None
-                and entry.fingerprint not in self._disk_index
-            )
             self._insert_memory(entry)
             if self.store is not None:
                 self.store.put(entry.to_record())
-            if fresh_on_disk:
-                self._disk_append(entry)
 
     def _insert_memory(self, entry: CacheEntry) -> None:
         self._memory[entry.fingerprint] = entry
@@ -246,17 +161,14 @@ class ResultCache:
 
     @property
     def disk_entries(self) -> int:
-        """Entries reachable through the disk tier (either backend)."""
+        """Entries reachable through the disk tier."""
         with self._lock:
-            if self.store is not None:
-                return len(self.store)
-            return len(self._disk_index)
+            return len(self.store) if self.store is not None else 0
 
     def flush(self) -> None:
         """Durability barrier: fsync the WAL tier (drain path).
 
-        The legacy JSONL tier flushes per append already; this is a
-        no-op for it and for memory-only caches.
+        A no-op for memory-only caches.
         """
         with self._lock:
             if self.store is not None:

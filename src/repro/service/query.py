@@ -4,9 +4,8 @@ A :class:`SimQuery` is one fully-normalized "what is the performance of
 geometry G on trace T under options O?" question.  Normalization at the
 edge is what makes the rest of the service honest:
 
-* the **coalescing key** (:meth:`SimQuery.coalesce_key`) is the frozen
-  query itself, so two requests that differ only in JSON spelling share
-  one in-flight computation;
+* the **coalescing key** is the frozen query itself, so two requests
+  that differ only in JSON spelling share one in-flight computation;
 * the **cache fingerprint** (:meth:`SimQuery.fingerprint`) is computed
   by the *same* function the sweep checkpoints use
   (:func:`repro.runner.checkpoint.sweep_fingerprint` over the
@@ -28,7 +27,6 @@ from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple, Union
 
 from repro.core.config import CacheGeometry
-from repro.core.misspath import MissPathConfig
 from repro.engine.base import ENGINE_NAMES
 from repro.engine.batch import CellSpec
 from repro.engine.route import plan
@@ -43,7 +41,6 @@ from repro.staticcheck.configlint import (
     lint_miss_path,
 )
 from repro.staticcheck.diagnostics import raise_on_errors
-from repro.staticcheck.phases import SamplingConfig
 from repro.workloads.architectures import get_architecture
 from repro.workloads.suites import suite_specs
 
@@ -107,26 +104,17 @@ def _require_int(payload: Dict[str, Any], key: str, minimum: int = 1) -> int:
 class SimQuery:
     """One normalized simulation query (hashable, order-insensitive).
 
-    Attributes mirror the knobs of a single sweep cell: the trace
-    coordinates (``suite``, ``trace``, ``length``), the cache shape,
-    and the execution options the checkpoint fingerprint folds in.
+    A query is the trace coordinates (``suite``, ``trace``, ``length``,
+    ``filter_writes``) plus the :class:`~repro.engine.batch.CellSpec`
+    of the cell to run on it: the cache shape and every execution axis
+    the checkpoint fingerprint folds in.
     """
 
     suite: str
     trace: str
     length: int
-    net: int
-    block: int
-    sub: int
-    assoc: int = 4
-    engine: str = "auto"
-    fetch: str = "demand"
-    replacement: str = "lru"
-    warmup: Union[int, str] = "fill"
-    word_size: int = 2
-    filter_writes: bool = True
-    miss_path: Optional[MissPathConfig] = None
-    sample: Optional["SamplingConfig"] = None
+    filter_writes: bool
+    spec: CellSpec
 
     @classmethod
     def from_payload(
@@ -204,8 +192,8 @@ class SimQuery:
             )
 
         # Miss-path chain: lint first (every problem at once, each with
-        # a rule id -> structured 400), then parse; a config with no
-        # enabled structure normalizes to None so spellings like
+        # a rule id -> structured 400); the spec then drops a chain
+        # with no enabled structure, so spellings like
         # ``"miss_path": {}`` coalesce with chainless queries.
         raw_miss_path = payload.get("miss_path")
         raise_on_errors(
@@ -217,64 +205,39 @@ class SimQuery:
             ),
             "invalid miss_path",
         )
-        miss_path = MissPathConfig.coerce(raw_miss_path)
-        if miss_path is not None and not miss_path.enabled:
-            miss_path = None
+        spec = CellSpec.of(
+            CacheGeometry(
+                net_size=net,
+                block_size=block,
+                sub_block_size=sub,
+                associativity=assoc,
+            ),
+            engine=engine,
+            fetch=fetch,
+            replacement=replacement,
+            warmup=warmup,
+            word_size=word_size,
+            miss_path=raw_miss_path,
+            sample=payload.get("sample"),
+        )
 
-        # Sampling: parse eagerly (400 on a malformed spec); ``exact:
-        # true`` is the client's way of pinning down that estimates are
-        # unacceptable.
-        sample = SamplingConfig.coerce(payload.get("sample"))
+        # ``exact: true`` is the client's way of pinning down that
+        # estimates are unacceptable.
         exact = payload.get("exact", None)
         if exact is not None and not isinstance(exact, bool):
             raise ConfigurationError(
                 f"exact must be a boolean, got {exact!r}"
             )
-        if sample is not None and exact:
+        if spec.sample is not None and exact:
             raise ConfigurationError(
                 "query asks for exact results (exact: true) and "
                 "sampled simulation at once; drop one"
             )
-
-        query = cls(
-            suite=suite, trace=trace, length=length,
-            net=net, block=block, sub=sub, assoc=assoc,
-            engine=engine, fetch=fetch, replacement=replacement,
-            warmup=warmup, word_size=word_size, filter_writes=filter_writes,
-            miss_path=miss_path, sample=sample,
-        )
-        query.geometry()  # validates the shape eagerly (400, not 500)
-        if sample is not None:
-            refuse_sample_fallback(query.spec())
-        return query
+        if spec.sample is not None:
+            refuse_sample_fallback(spec)
+        return cls(suite, trace, length, filter_writes, spec)
 
     # -- Derived identities ----------------------------------------------
-
-    def geometry(self) -> CacheGeometry:
-        """The validated cache shape this query simulates."""
-        return CacheGeometry(
-            net_size=self.net,
-            block_size=self.block,
-            sub_block_size=self.sub,
-            associativity=self.assoc,
-        )
-
-    def spec(self) -> CellSpec:
-        """The batch-layer cell spec equivalent to this query."""
-        return CellSpec(
-            geometry=self.geometry(),
-            engine=self.engine,
-            fetch=self.fetch,
-            replacement=self.replacement,
-            warmup=self.warmup,
-            word_size=self.word_size,
-            miss_path=self.miss_path,
-            sample=self.sample,
-        )
-
-    def coalesce_key(self) -> "SimQuery":
-        """Key under which identical concurrent queries share one run."""
-        return self
 
     def trace_group(self) -> Tuple[str, str, int, bool]:
         """Batching key: queries in one group decode one trace."""
@@ -282,7 +245,7 @@ class SimQuery:
 
     def cell(self) -> str:
         """The runner's cell key for this query's (geometry, trace)."""
-        return cell_key(self.geometry(), self.trace)
+        return cell_key(self.spec.geometry, self.trace)
 
     def fingerprint(self, prepared_length: int) -> str:
         """Content address of this query's result.
@@ -300,30 +263,52 @@ class SimQuery:
         return sweep_fingerprint(
             [self.cell()],
             [prepared_length],
-            **self.spec().fingerprint_params(NIBBLE_MODE_BUS, self.filter_writes),
+            **self.spec.fingerprint_params(NIBBLE_MODE_BUS, self.filter_writes),
         )
+
+    def result_record(self, stats: Any, path: str) -> Dict[str, Any]:
+        """The result fields of this query's answer, from its stats.
+
+        ``path`` is the route that produced ``stats``.  The supervised
+        worker sends these fields over the pipe and the in-process path
+        builds its cache entry from them, so both record one answer
+        the same way.
+        """
+        return {
+            "key": self.cell(),
+            "trace": self.trace,
+            "engine": path,
+            "miss": stats.miss_ratio,
+            "traffic": stats.traffic_ratio(),
+            "scaled": stats.scaled_traffic_ratio(
+                NIBBLE_MODE_BUS, self.spec.word_size
+            ),
+            "stats": stats.to_dict(),
+        }
 
     def to_dict(self) -> Dict[str, Any]:
         """Canonical JSON echo of the query (response ``query`` field)."""
+        spec = self.spec
+        geometry = spec.geometry
         return {
             "suite": self.suite,
             "trace": self.trace,
             "length": self.length,
             "geometry": {
-                "net": self.net, "block": self.block,
-                "sub": self.sub, "assoc": self.assoc,
+                "net": geometry.net_size, "block": geometry.block_size,
+                "sub": geometry.sub_block_size, "assoc": geometry.associativity,
             },
-            "engine": self.engine,
-            "fetch": self.fetch,
-            "replacement": self.replacement,
-            "warmup": self.warmup,
-            "word_size": self.word_size,
+            "engine": spec.engine,
+            "fetch": spec.fetch,
+            "replacement": spec.replacement,
+            "warmup": spec.warmup,
+            "word_size": spec.word_size,
             "filter_writes": self.filter_writes,
             "miss_path": (
-                self.miss_path.to_dict() if self.miss_path is not None else None
+                spec.miss_path.to_dict() if spec.miss_path is not None else None
             ),
             "sample": (
-                self.sample.to_dict() if self.sample is not None else None
+                spec.sample.to_dict() if spec.sample is not None else None
             ),
         }
 

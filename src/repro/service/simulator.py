@@ -32,6 +32,7 @@ update them from pool threads.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import time
 from collections import OrderedDict, deque
 from concurrent.futures import ThreadPoolExecutor
@@ -42,7 +43,6 @@ from repro.analysis.experiments import default_trace_length
 from repro.engine.batch import execute_cell, predecode, prepare_trace
 from repro.engine.route import GRID_ENGINE_NAMES, plan
 from repro.errors import ConfigurationError, DeadlineExceededError, ReproError
-from repro.memory.nibble import NIBBLE_MODE_BUS
 from repro.runner.health import CellOutcome, CellStatus, RunReport
 from repro.service.admission import AdmissionController, Breaker, RejectedError
 from repro.service.cache import CacheEntry, ResultCache
@@ -67,8 +67,6 @@ class ServiceConfig:
     Attributes:
         workers: Thread-pool size for simulation cells.
         cache_size: Memory-tier capacity of the result cache.
-        disk_cache: JSONL persistence path for the disk tier (None
-            disables it).
         max_inflight: Cells allowed to execute concurrently.
         max_queue: Queries allowed to wait for a slot before new ones
             are refused with 429 semantics.
@@ -96,8 +94,8 @@ class ServiceConfig:
         worker_processes: Child-process count in supervised mode.
         heartbeat_timeout: Worker silence treated as a hang.
         store_dir: Crash-safe WAL store directory for the disk tier
-            (:class:`repro.service.store.WalStore`); mutually exclusive
-            with ``disk_cache``.
+            (:class:`repro.service.store.WalStore`); None keeps the
+            result cache memory-only.
         drain_timeout: Seconds a graceful drain waits for in-flight
             work before forcing shutdown.
         worker_env: Extra environment for supervised workers (the
@@ -126,7 +124,6 @@ class ServiceConfig:
 
     workers: int = 2
     cache_size: int = 1024
-    disk_cache: Optional[str] = None
     max_inflight: int = 8
     max_queue: int = 64
     batch_window: float = 0.005
@@ -214,7 +211,6 @@ class SimulationService:
             if cache is not None
             else ResultCache(
                 maxsize=self.config.cache_size,
-                disk_path=self.config.disk_cache,
                 store_dir=self.config.store_dir,
             )
         )
@@ -403,12 +399,13 @@ class SimulationService:
     # -- Request path -----------------------------------------------------
 
     def _normalize(self, query: SimQuery) -> SimQuery:
-        if self.config.engine is not None and query.engine != self.config.engine:
-            query = SimQuery(
-                **{**query.__dict__, "engine": self.config.engine}
+        engine = self.config.engine
+        if engine is not None and query.spec.engine != engine:
+            query = dataclasses.replace(
+                query, spec=dataclasses.replace(query.spec, engine=engine)
             )
             # The forced engine may rule out the query's sample.
-            refuse_sample_fallback(query.spec())
+            refuse_sample_fallback(query.spec)
         return query
 
     def _static_floor_ms(self, query: SimQuery) -> Optional[float]:
@@ -423,44 +420,38 @@ class SimulationService:
         tenths of a second, the answer never changes for a key.
         """
         rate = self.config.static_budget_bytes_per_ms
-        if not rate or query.miss_path is None:
+        spec = query.spec
+        if not rate or spec.miss_path is None:
             return None
         key = (
-            query.suite, query.trace, query.word_size, query.net,
-            query.block, query.sub, query.assoc, query.fetch,
-            query.miss_path.key(),
+            query.suite, query.trace, spec.word_size, spec.geometry,
+            spec.fetch, spec.miss_path,
         )
         if key in self._static_floors:
             self._static_floors.move_to_end(key)
             return self._static_floors[key]
         floor: Optional[float] = None
         try:
-            spec = next(
+            trace_spec = next(
                 s
                 for s in suite_specs(query.suite)
                 if s.name == query.trace
             )
-            if spec.program:
-                import inspect
-
+            if trace_spec.program:
                 from repro.staticcheck.abschain import (
                     classify_chain_program,
                 )
-                from repro.workloads.assembler import assemble
-                from repro.workloads.programs import PROGRAMS
+                from repro.workloads.generator import assemble_program
 
-                builder = PROGRAMS[spec.program]
-                params = dict(spec.params)
-                if "seed" in inspect.signature(builder).parameters:
-                    params.setdefault("seed", spec.seed)
-                program = assemble(
-                    builder(**params).source, word_size=query.word_size
+                program = assemble_program(
+                    trace_spec.program, spec.word_size, trace_spec.seed,
+                    **trace_spec.params,
                 )
                 report = classify_chain_program(
                     program,
-                    query.geometry(),
-                    miss_path=query.miss_path,
-                    fetch=query.fetch,
+                    spec.geometry,
+                    miss_path=spec.miss_path,
+                    fetch=spec.fetch,
                     name=query.trace,
                     check=False,
                 )
@@ -509,7 +500,7 @@ class SimulationService:
                 retry_after=self.config.retry_after,
             )
         query = self._normalize(query)
-        if query.sample is not None and not self.config.allow_sampling:
+        if query.spec.sample is not None and not self.config.allow_sampling:
             raise ConfigurationError(
                 "this service does not serve sampled estimates; "
                 "start it with --allow-sampling (or drop the "
@@ -544,7 +535,7 @@ class SimulationService:
                         labels={"stage": "static-budget"}
                     )
                     raise DeadlineExceededError(
-                        f"chain {query.miss_path.key()} provably needs "
+                        f"chain {query.spec.miss_path.key()} provably needs "
                         f">= {floor_ms:.1f} ms of this budget class's "
                         f"memory bandwidth; {remaining_ms:.1f} ms remain",
                         stage="static-budget",
@@ -614,7 +605,7 @@ class SimulationService:
                     self._executor,
                     self._prepare_group,
                     sample,
-                    [pending.query.spec() for pending in group],
+                    [pending.query.spec for pending in group],
                 )
         except Exception as exc:  # noqa: BLE001 - fail the whole group
             self.metrics.stage_seconds.observe(
@@ -660,7 +651,7 @@ class SimulationService:
         for pending in group:
             query = pending.query
             route = plan(
-                query.spec(), prepared,
+                query.spec, prepared,
                 grid_engine=self.config.grid_engine,
                 cell_timeout=(
                     pending.deadline - time.monotonic()
@@ -671,16 +662,16 @@ class SimulationService:
                 continue
             if self.cache.get(query.fingerprint(len(prepared))) is not None:
                 continue  # the cell's own cache lookup will serve it
-            eligible.setdefault((query.word_size, query.warmup), []).append(
-                pending
-            )
+            eligible.setdefault(
+                (query.spec.word_size, query.spec.warmup), []
+            ).append(pending)
         assert self._slots is not None and self._executor is not None
         loop = asyncio.get_event_loop()
         for pendings in eligible.values():
-            template = pendings[0].query
+            template = pendings[0].query.spec
             grid = plan_grid(
-                [pending.query.geometry() for pending in pendings],
-                self.config.grid_engine, spec=template.spec(),
+                [pending.query.spec.geometry for pending in pendings],
+                self.config.grid_engine, spec=template,
             )
             for pass_group in grid.groups:
                 async with self._slots:
@@ -761,16 +752,9 @@ class SimulationService:
             self._persist_prepared_length(query.trace_group(), prepared_length)
         fingerprint = query.fingerprint(prepared_length)
         self._memoize(query, fingerprint)
-        self._complete_computed(pending, CacheEntry(
-            fingerprint=fingerprint,
-            key=response["key"],
-            trace=response["trace"],
-            miss=response["miss"],
-            traffic=response["traffic"],
-            scaled=response["scaled"],
-            stats=response["stats"],
-            engine=response["engine"],
-        ))
+        self._complete_computed(
+            pending, CacheEntry.from_record(dict(response, fingerprint=fingerprint))
+        )
 
     async def _run_cell(
         self,
@@ -794,17 +778,11 @@ class SimulationService:
             ran = await self._simulate(pending, prepared)
             if ran is None:
                 return
-        stats, engine_name = ran
-        self._complete_computed(pending, CacheEntry(
-            fingerprint=fingerprint,
-            key=query.cell(),
-            trace=query.trace,
-            miss=stats.miss_ratio,
-            traffic=stats.traffic_ratio(),
-            scaled=stats.scaled_traffic_ratio(NIBBLE_MODE_BUS, query.word_size),
-            stats=stats.to_dict(),
-            engine=engine_name,
-        ))
+        stats, path = ran
+        record = query.result_record(stats, path)
+        self._complete_computed(
+            pending, CacheEntry.from_record(dict(record, fingerprint=fingerprint))
+        )
 
     async def _simulate(
         self, pending: _Pending, prepared: Trace
@@ -849,7 +827,7 @@ class SimulationService:
         prepared: Trace, query: SimQuery, deadline: Optional[float] = None
     ) -> Tuple[Any, str]:
         """Pool-side cell execution; returns ``(stats, path)``."""
-        return execute_cell(prepared, query.spec(), deadline)
+        return execute_cell(prepared, query.spec, deadline)
 
     def _record_misspath(self, stats_payload: Any) -> None:
         """Export a computed cell's miss-path services to ``/metrics``.

@@ -26,10 +26,10 @@ module is the durability contract the supervised service is built on:
 
 Segments are named ``wal-<8-digit>.seg`` and begin with an 8-byte
 header (magic + version), so a truncated-to-zero file and a foreign
-file are both detected.  The record payloads are the same JSON objects
-the legacy JSONL tier stored, which keeps the store interchangeable
-with runner checkpoints through :class:`~repro.service.cache
-.ResultCache` exactly as before.
+file are both detected.  The record payloads are the JSON objects of
+:meth:`~repro.service.cache.CacheEntry.to_record`, which keeps the
+store interchangeable with runner checkpoints through
+:class:`~repro.service.cache.ResultCache`.
 """
 
 from __future__ import annotations

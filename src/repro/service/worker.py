@@ -47,7 +47,6 @@ from typing import Any, Dict, Optional, Tuple
 
 from repro.engine.batch import execute_cell, predecode, prepare_trace
 from repro.errors import ReproError
-from repro.memory.nibble import NIBBLE_MODE_BUS
 from repro.service.query import SimQuery
 from repro.workloads.suites import suite_trace
 
@@ -143,9 +142,8 @@ class WorkerLoop:
                 default_length=int(request.get("default_length") or 0),
             )
             prepared = self._prepared(query)
-            spec = query.spec()
-            predecode(prepared, [spec])
-            stats, engine_name = execute_cell(prepared, spec, deadline=deadline)
+            predecode(prepared, [query.spec])
+            stats, path = execute_cell(prepared, query.spec, deadline=deadline)
         except ReproError as exc:
             return {
                 "kind": "res",
@@ -160,15 +158,7 @@ class WorkerLoop:
             "id": request_id,
             "ok": True,
             "prepared_length": len(prepared),
-            "key": query.cell(),
-            "trace": query.trace,
-            "engine": engine_name,
-            "miss": stats.miss_ratio,
-            "traffic": stats.traffic_ratio(),
-            "scaled": stats.scaled_traffic_ratio(
-                NIBBLE_MODE_BUS, query.word_size
-            ),
-            "stats": stats.to_dict(),
+            **query.result_record(stats, path),
         }
 
     # -- Lifecycle --------------------------------------------------------

@@ -16,7 +16,7 @@ Tables 2–5 to one of these generators.
 
 from repro.workloads.architectures import ARCHITECTURES, ArchProfile, get_architecture
 from repro.workloads.assembler import AssembledProgram, assemble
-from repro.workloads.generator import program_trace, synthetic_trace
+from repro.workloads.generator import assemble_program, program_trace, synthetic_trace
 from repro.workloads.machine import Machine, MachineResult
 from repro.workloads.programs import PROGRAMS, ProgramSpec
 from repro.workloads.suites import (
@@ -38,6 +38,7 @@ __all__ = [
     "get_architecture",
     "AssembledProgram",
     "assemble",
+    "assemble_program",
     "program_trace",
     "synthetic_trace",
     "Machine",

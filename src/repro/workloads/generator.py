@@ -14,14 +14,35 @@ from typing import Optional
 
 from repro.errors import ConfigurationError, MachineError
 from repro.trace.record import Trace
-from repro.workloads.assembler import assemble
+from repro.workloads.assembler import AssembledProgram, assemble
 from repro.workloads.machine import Machine
 from repro.workloads.programs import PROGRAMS
 from repro.workloads.synthetic import SyntheticProfile, generate_synthetic
 
-__all__ = ["program_trace", "synthetic_trace"]
+__all__ = ["assemble_program", "program_trace", "synthetic_trace"]
 
 _MAX_RESTARTS = 200
+
+
+def assemble_program(
+    name: str, word_size: int, seed: int = 0, **params
+) -> AssembledProgram:
+    """Build and assemble one bundled program.
+
+    ``seed`` reaches the program's builder only when the builder takes
+    one; ``params`` are forwarded to it unchanged.
+
+    Raises:
+        ConfigurationError: For an unknown program.
+    """
+    if name not in PROGRAMS:
+        raise ConfigurationError(
+            f"unknown program {name!r}; choose from {sorted(PROGRAMS)}"
+        )
+    builder = PROGRAMS[name]
+    if "seed" in inspect.signature(builder).parameters:
+        params["seed"] = seed
+    return assemble(builder(**params).source, word_size=word_size)
 
 
 def program_trace(
@@ -51,23 +72,13 @@ def program_trace(
         ConfigurationError: For an unknown program or an unproductive
             one (a run that emits no references).
     """
-    if program not in PROGRAMS:
-        raise ConfigurationError(
-            f"unknown program {program!r}; choose from {sorted(PROGRAMS)}"
-        )
-    builder = PROGRAMS[program]
-    takes_seed = "seed" in inspect.signature(builder).parameters
     pieces = []
     total = 0
     for restart in range(_MAX_RESTARTS):
         if total >= length:
             break
-        run_params = dict(params)
-        if takes_seed:
-            run_params["seed"] = seed + restart
-        spec = builder(**run_params)
         machine = Machine(
-            assemble(spec.source, word_size=word_size),
+            assemble_program(program, word_size, seed + restart, **params),
             trace_name=name or program,
         )
         try:
@@ -77,7 +88,7 @@ def program_trace(
             # program, which invocation, which seed.
             raise MachineError(
                 f"program {program!r} (trace {name or program!r}, "
-                f"restart {restart}, seed {run_params.get('seed', seed)}): "
+                f"restart {restart}, seed {seed + restart}): "
                 f"{exc}",
                 steps=exc.steps,
             ) from exc

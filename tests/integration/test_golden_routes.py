@@ -4,9 +4,11 @@ Each case runs one small sweep or service query that lands on one
 route — a stack-distance pass, a vectorized cell, a reference cell with
 a miss-path chain, a checked cell, a sampled cell — or resumes a
 version 1, 2 or 3 checkpoint.  The checkpoint JSONL files, the
-service's disk-cache records and its checkpoint export must equal the
+service's WAL-store records and its checkpoint export must equal the
 bytes in ``golden_routes.json``, so no change to how a route is chosen
-or recorded can alter what lands on disk.
+or recorded can alter what lands on disk.  A ``*_cache`` case holds
+each stored record as one JSONL line, with the per-line CRC that
+checkpoints carry.
 
 Regenerate the data (only when a format change is intended) with::
 
@@ -25,8 +27,10 @@ from typing import Dict
 import pytest
 
 from repro.core.config import CacheGeometry
+from repro.runner.checkpoint import line_crc
 from repro.runner.runner import RunnerConfig, run_sweep
 from repro.service import ServiceConfig, SimQuery, SimulationService
+from repro.service.store import WalStore
 from repro.workloads.suites import suite_trace
 
 GOLDEN = Path(__file__).with_name("golden_routes.json")
@@ -86,12 +90,12 @@ def _sweep(name: str, path: Path, resume: bool = False) -> str:
 
 def _serve(name: str, directory: Path) -> Dict[str, str]:
     service_kwargs, extra = QUERIES[name]
-    disk = directory / f"{name}.cache.jsonl"
+    store_dir = directory / f"{name}.store"
     export = directory / f"{name}.export.jsonl"
 
     async def main():
         service = SimulationService(
-            ServiceConfig(batch_window=0.0, disk_cache=str(disk), **service_kwargs)
+            ServiceConfig(batch_window=0.0, store_dir=str(store_dir), **service_kwargs)
         )
         await service.start()
         try:
@@ -102,8 +106,14 @@ def _serve(name: str, directory: Path) -> Dict[str, str]:
             await service.stop()
 
     asyncio.run(main())
+    store = WalStore(store_dir)
+    lines = []
+    for record in store.records():
+        record["crc"] = line_crc(record)
+        lines.append(json.dumps(record, sort_keys=True) + "\n")
+    store.close()
     return {
-        "cache": disk.read_text(encoding="utf-8"),
+        "cache": "".join(lines),
         "export": export.read_text(encoding="utf-8"),
     }
 
@@ -154,7 +164,7 @@ def _write_golden() -> None:  # pragma: no cover - maintenance entry point
     from repro.core.misspath import MissPathConfig
     from repro.engine.batch import prepare_trace
     from repro.memory.nibble import NIBBLE_MODE_BUS
-    from repro.runner.checkpoint import line_crc, sweep_fingerprint
+    from repro.runner.checkpoint import sweep_fingerprint
     from repro.runner.runner import cell_key
 
     # The params each older format's fingerprint lacked, spelled out

@@ -1,13 +1,14 @@
-"""Result-cache tests: LRU, disk tier, corruption tolerance."""
+"""Result-cache tests: LRU, WAL-store disk tier, corruption tolerance."""
 
 from __future__ import annotations
 
-import json
+import struct
 
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.service.cache import CacheEntry, ResultCache
+from repro.service.store import SEGMENT_MAGIC
 
 
 def entry(n: int) -> CacheEntry:
@@ -59,10 +60,10 @@ class TestMemoryTier:
 
 class TestDiskTier:
     def test_persists_across_instances(self, tmp_path):
-        path = tmp_path / "cache.jsonl"
-        first = ResultCache(maxsize=4, disk_path=path)
+        first = ResultCache(maxsize=4, store_dir=tmp_path / "wal")
         first.put(entry(1))
-        second = ResultCache(maxsize=4, disk_path=path)
+        first.close()
+        second = ResultCache(maxsize=4, store_dir=tmp_path / "wal")
         got, tier = second.get("00000001")
         assert tier == "disk"
         original = entry(1)
@@ -72,7 +73,7 @@ class TestDiskTier:
         assert got.stats == {"accesses": 1}
 
     def test_eviction_falls_back_to_disk_and_promotes(self, tmp_path):
-        cache = ResultCache(maxsize=1, disk_path=tmp_path / "cache.jsonl")
+        cache = ResultCache(maxsize=1, store_dir=tmp_path / "wal")
         cache.put(entry(1))
         cache.put(entry(2))  # evicts 1 from memory; disk keeps it
         got, tier = cache.get("00000001")
@@ -82,35 +83,36 @@ class TestDiskTier:
         assert tier == "memory"
 
     def test_put_is_idempotent_on_disk(self, tmp_path):
-        path = tmp_path / "cache.jsonl"
-        cache = ResultCache(maxsize=4, disk_path=path)
+        cache = ResultCache(maxsize=4, store_dir=tmp_path / "wal")
         cache.put(entry(1))
         cache.put(entry(1))
-        assert len(path.read_text().splitlines()) == 1
+        assert len(cache.store) == 1
 
     def test_torn_final_line_is_dropped(self, tmp_path):
-        path = tmp_path / "cache.jsonl"
-        cache = ResultCache(maxsize=4, disk_path=path)
+        cache = ResultCache(maxsize=4, store_dir=tmp_path / "wal")
         cache.put(entry(1))
         cache.put(entry(2))
-        with path.open("rb+") as handle:
+        cache.close()
+        segment = tmp_path / "wal" / "wal-00000001.seg"
+        with segment.open("rb+") as handle:
             handle.seek(-10, 2)
-            handle.truncate()  # tear the last record mid-line
-        reopened = ResultCache(maxsize=4, disk_path=path)
+            handle.truncate()  # tear the last record mid-frame
+        reopened = ResultCache(maxsize=4, store_dir=tmp_path / "wal")
         assert reopened.get("00000001") is not None
         assert reopened.get("00000002") is None
         assert reopened.disk_entries == 1
 
     def test_interior_corruption_skips_one_record(self, tmp_path):
-        path = tmp_path / "cache.jsonl"
-        cache = ResultCache(maxsize=4, disk_path=path)
+        cache = ResultCache(maxsize=4, store_dir=tmp_path / "wal")
         cache.put(entry(1))
         cache.put(entry(2))
-        lines = path.read_text().splitlines()
-        record = json.loads(lines[0])
-        record["miss"] = 0.99  # flip a value; CRC no longer matches
-        lines[0] = json.dumps(record, sort_keys=True)
-        path.write_text("\n".join(lines) + "\n")
-        reopened = ResultCache(maxsize=4, disk_path=path)
+        cache.close()
+        segment = tmp_path / "wal" / "wal-00000001.seg"
+        data = bytearray(segment.read_bytes())
+        length, _ = struct.unpack_from("<II", data, len(SEGMENT_MAGIC))
+        # Flip a byte inside the first record; its CRC no longer matches.
+        data[len(SEGMENT_MAGIC) + 8 + length // 2] ^= 0xFF
+        segment.write_bytes(bytes(data))
+        reopened = ResultCache(maxsize=4, store_dir=tmp_path / "wal")
         assert reopened.get("00000001") is None  # never serve bad data
         assert reopened.get("00000002") is not None

@@ -15,7 +15,7 @@ import json
 import pytest
 
 from repro.core.config import CacheGeometry
-from repro.engine.batch import prepare_trace
+from repro.engine.batch import CellSpec, prepare_trace
 from repro.errors import ConfigurationError
 from repro.memory.nibble import NIBBLE_MODE_BUS
 from repro.runner.checkpoint import sweep_fingerprint
@@ -27,7 +27,8 @@ from repro.workloads.suites import suite_trace
 
 GEOMETRY = CacheGeometry(1024, 16, 8)
 QUERY = SimQuery(
-    suite="pdp11", trace="ED", length=4000, net=1024, block=16, sub=8
+    suite="pdp11", trace="ED", length=4000, filter_writes=True,
+    spec=CellSpec(GEOMETRY),
 )
 
 
@@ -59,9 +60,11 @@ class TestFingerprintIdentity:
             ("vectorized", "random", 4),
         ):
             query = SimQuery(
-                suite="pdp11", trace="ED", length=4000,
-                net=1024, block=16, sub=8,
-                engine=engine, replacement=replacement, word_size=word_size,
+                suite="pdp11", trace="ED", length=4000, filter_writes=True,
+                spec=CellSpec(
+                    GEOMETRY, engine=engine, replacement=replacement,
+                    word_size=word_size,
+                ),
             )
             prepared_length = len(prepare_trace(trace))
             expected = sweep_fingerprint(

@@ -92,7 +92,7 @@ class TestEngineCancellation:
             suite_trace(query.suite, query.trace, length=query.length),
             query.filter_writes,
         )
-        spec = query.spec()
+        spec = query.spec
         predecode(prepared, [spec])
         with pytest.raises(DeadlineExceededError) as excinfo:
             run_cell(prepared, spec, deadline=time.monotonic() - 1.0)
@@ -107,7 +107,7 @@ class TestEngineCancellation:
             suite_trace(query.suite, query.trace, length=query.length),
             query.filter_writes,
         )
-        spec = query.spec()
+        spec = query.spec
         predecode(prepared, [spec])
         unbounded = run_cell(prepared, spec)
         bounded = run_cell(prepared, spec, deadline=time.monotonic() + 600.0)

@@ -41,14 +41,14 @@ def simulate_queries(*queries):
 class TestQueryAxis:
     def test_mapping_parses_to_config(self):
         query = SimQuery.from_payload(dict(BASE, miss_path=CHAIN), 4000)
-        assert query.miss_path == MissPathConfig(**CHAIN)
+        assert query.spec.miss_path == MissPathConfig(**CHAIN)
 
     @pytest.mark.parametrize("disabled", [None, {}, {"victim_entries": 0}])
     def test_disabled_chain_coalesces_with_chainless(self, disabled):
         bare = SimQuery.from_payload(dict(BASE), 4000)
         routed = SimQuery.from_payload(dict(BASE, miss_path=disabled), 4000)
         assert routed == bare
-        assert routed.miss_path is None
+        assert routed.spec.miss_path is None
         assert routed.fingerprint(4000) == bare.fingerprint(4000)
 
     def test_unknown_key_rejected(self):

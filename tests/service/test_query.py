@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -14,12 +16,12 @@ class TestFromPayload:
     def test_defaults_applied(self):
         query = SimQuery.from_payload(dict(BASE), default_length=5000)
         assert query.length == 5000
-        assert query.assoc == 4
-        assert query.engine == "auto"
-        assert query.fetch == "demand"
-        assert query.replacement == "lru"
-        assert query.warmup == "fill"
-        assert query.word_size == 2  # the PDP-11's word size
+        assert query.spec.geometry.associativity == 4
+        assert query.spec.engine == "auto"
+        assert query.spec.fetch == "demand"
+        assert query.spec.replacement == "lru"
+        assert query.spec.warmup == "fill"
+        assert query.spec.word_size == 2  # the PDP-11's word size
         assert query.filter_writes is True
 
     def test_nested_and_flat_geometry_are_equivalent(self):
@@ -39,7 +41,7 @@ class TestFromPayload:
         query = SimQuery.from_payload(
             dict(BASE, fetch="LOAD_FORWARD"), 5000
         )
-        assert query.fetch == "load-forward"
+        assert query.spec.fetch == "load-forward"
 
     @pytest.mark.parametrize(
         "bad",
@@ -81,7 +83,10 @@ class TestExpandSweep:
             default_length=5000,
         )
         assert len(queries) == 4
-        assert {(q.net, q.sub) for q in queries} == {
+        assert {
+            (q.spec.geometry.net_size, q.spec.geometry.sub_block_size)
+            for q in queries
+        } == {
             (256, 4), (256, 8), (512, 4), (512, 8)
         }
 
@@ -89,7 +94,7 @@ class TestExpandSweep:
         (query,) = expand_sweep(
             {"base": dict(BASE), "grid": {"net": [256]}}, 5000
         )
-        assert query.net == 256
+        assert query.spec.geometry.net_size == 256
 
     def test_oversized_grid_rejected(self):
         grid = {"net": [2 ** i for i in range(8, 8 + MAX_SWEEP_CELLS // 8)],
@@ -108,3 +113,54 @@ class TestExpandSweep:
             expand_sweep(
                 {"base": dict(BASE), "grid": {"warp": [1]}}, 5000
             )
+
+
+#: Exact echo and fingerprint(1234) of each payload, captured before
+#: ``SimQuery`` was folded onto ``CellSpec``: the HTTP ``query`` echo
+#: and the content addresses of stored results must not move.
+_ECHO_DEFAULTS = {
+    "engine": "auto", "fetch": "demand", "filter_writes": True,
+    "geometry": {"assoc": 4, "block": 16, "net": 1024, "sub": 8},
+    "length": 5000, "miss_path": None, "replacement": "lru",
+    "sample": None, "suite": "pdp11", "trace": "ED", "warmup": "fill",
+    "word_size": 2,
+}
+_CHAIN = {"victim_entries": 4, "stream_buffers": 2, "stream_depth": 4}
+PINNED = {
+    "flat": (dict(BASE), {}, "eba60a7a"),
+    "nested": (
+        {"suite": "pdp11", "trace": "ED",
+         "geometry": {"net": 1024, "block": 16, "sub": 8, "assoc": 2}},
+        {"geometry": {"assoc": 2, "block": 16, "net": 1024, "sub": 8}},
+        "570bad52",
+    ),
+    "chain": (
+        dict(BASE, miss_path=_CHAIN),
+        {"miss_path": {
+            "l2_associativity": 4, "l2_block_size": 0, "l2_net_size": 0,
+            "l2_sub_block_size": 0, "miss_entries": 0, "stream_buffers": 2,
+            "stream_depth": 4, "victim_entries": 4,
+        }},
+        "a869cf58",
+    ),
+    "empty-chain": (dict(BASE, miss_path={}), {}, "eba60a7a"),
+    "sample": (
+        dict(BASE, sample={"interval": 500, "k": 2}),
+        {"sample": {"interval": 500, "k": 2, "seed": 0}},
+        "600e7203",
+    ),
+    "load-forward": (
+        dict(BASE, fetch="load_forward"), {"fetch": "load-forward"}, "92e02f7f"
+    ),
+    "engine": (dict(BASE, engine="reference"), {"engine": "reference"}, "65dd31c4"),
+    "word-size": (dict(BASE, word_size=4), {"word_size": 4}, "7ac7dae3"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED))
+def test_echo_and_fingerprint_are_pinned(case):
+    payload, echo_changes, fingerprint = PINNED[case]
+    query = SimQuery.from_payload(payload, 5000)
+    expected = json.dumps(dict(_ECHO_DEFAULTS, **echo_changes), sort_keys=True)
+    assert json.dumps(query.to_dict(), sort_keys=True) == expected
+    assert query.fingerprint(1234) == fingerprint

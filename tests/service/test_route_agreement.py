@@ -1,4 +1,4 @@
-"""Supervised workers and in-process cells report the same path.
+"""Supervised workers and in-process cells report the same record.
 
 Both execute through :func:`repro.engine.batch.execute_cell`, which
 plans the route once and labels the result with it; a chained query
@@ -52,4 +52,5 @@ def test_worker_and_in_process_agree_on_engine(case):
     entry = serve_in_process(query)
     assert response["ok"] is True
     assert response["engine"] == entry.engine == expected
-    assert response["stats"] == entry.stats
+    for field in ("key", "trace", "miss", "traffic", "scaled", "stats"):
+        assert response[field] == getattr(entry, field), field

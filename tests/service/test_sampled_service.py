@@ -44,14 +44,14 @@ def simulate_queries(*queries, allow_sampling=True):
 class TestQueryAxis:
     def test_mapping_parses_to_config(self):
         query = SimQuery.from_payload(dict(BASE, sample=SAMPLE), 4000)
-        assert query.sample == SamplingConfig(interval=500, k=2)
+        assert query.spec.sample == SamplingConfig(interval=500, k=2)
 
     def test_cli_string_form_parses_too(self):
         query = SimQuery.from_payload(dict(BASE, sample="500,2"), 4000)
-        assert query.sample == SamplingConfig(interval=500, k=2)
+        assert query.spec.sample == SamplingConfig(interval=500, k=2)
 
     def test_absent_sample_means_exact(self):
-        assert SimQuery.from_payload(dict(BASE), 4000).sample is None
+        assert SimQuery.from_payload(dict(BASE), 4000).spec.sample is None
 
     @pytest.mark.parametrize(
         "bad", ["abc", {"interval": 0}, {"interval": 500, "stride": 2}]
@@ -70,7 +70,7 @@ class TestQueryAxis:
         query = SimQuery.from_payload(
             dict(BASE, sample=SAMPLE, exact=False), 4000
         )
-        assert query.sample is not None
+        assert query.spec.sample is not None
 
     def test_exact_must_be_boolean(self):
         with pytest.raises(ConfigurationError, match="exact"):

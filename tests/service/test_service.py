@@ -11,6 +11,7 @@ import asyncio
 import pytest
 
 from repro.core.config import CacheGeometry
+from repro.engine.batch import CellSpec
 from repro.errors import ReproError
 from repro.runner.runner import run_sweep
 from repro.service import (
@@ -21,9 +22,16 @@ from repro.service import (
 )
 from repro.workloads.suites import suite_trace
 
-QUERY = SimQuery(
-    suite="pdp11", trace="ED", length=4000, net=1024, block=16, sub=8
-)
+
+
+def ed_query(net: int) -> SimQuery:
+    return SimQuery(
+        suite="pdp11", trace="ED", length=4000, filter_writes=True,
+        spec=CellSpec(CacheGeometry(net, 16, 8)),
+    )
+
+
+QUERY = ed_query(1024)
 
 
 def run(coroutine):
@@ -102,13 +110,7 @@ class TestCachingAndCoalescing:
         assert service.metrics.cells_total.value(labels={"status": "ok"}) == 1
 
     def test_distinct_queries_in_one_batch_share_the_prepared_trace(self):
-        queries = [
-            SimQuery(
-                suite="pdp11", trace="ED", length=4000,
-                net=net, block=16, sub=8,
-            )
-            for net in (256, 512, 1024)
-        ]
+        queries = [ed_query(net) for net in (256, 512, 1024)]
 
         async def body(service):
             results = await asyncio.gather(
@@ -144,9 +146,7 @@ class TestOverloadAndFailure:
 
     def test_bounded_queue_rejects_the_overflow_query(self):
         slow = ServiceConfig(batch_window=5.0, max_queue=1)
-        other = SimQuery(
-            suite="pdp11", trace="ED", length=4000, net=512, block=16, sub=8
-        )
+        other = ed_query(512)
 
         async def body(service):
             first = asyncio.ensure_future(service.simulate(QUERY))
@@ -165,9 +165,7 @@ class TestOverloadAndFailure:
         config = ServiceConfig(
             batch_window=0.0, breaker_failures=1, breaker_reset=60.0
         )
-        other = SimQuery(
-            suite="pdp11", trace="ED", length=4000, net=512, block=16, sub=8
-        )
+        other = ed_query(512)
 
         async def body(service):
             cached = await service.simulate(QUERY)  # populate the cache
@@ -184,12 +182,7 @@ class TestOverloadAndFailure:
 
             # New work is shed...
             with pytest.raises(RejectedError) as excinfo:
-                await service.simulate(
-                    SimQuery(
-                        suite="pdp11", trace="ED", length=4000,
-                        net=256, block=16, sub=8,
-                    )
-                )
+                await service.simulate(ed_query(256))
             assert excinfo.value.reason == "breaker_open"
             # ...but cached answers are still served.
             hit = await service.simulate(QUERY)

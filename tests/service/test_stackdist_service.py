@@ -7,6 +7,8 @@ import json
 
 import pytest
 
+from repro.core.config import CacheGeometry
+from repro.engine.batch import CellSpec
 from repro.errors import ConfigurationError
 from repro.service import ServiceConfig, SimQuery, SimulationService
 
@@ -15,9 +17,11 @@ def grid_queries(**overrides):
     """Constant-sets quartet sharing one (block, sets) pass group."""
     return [
         SimQuery(
-            suite="pdp11", trace="ED", length=4000,
-            net=256 * assoc, block=16, sub=8, assoc=assoc,
-            **overrides,
+            suite="pdp11", trace="ED", length=4000, filter_writes=True,
+            spec=CellSpec(
+                CacheGeometry(256 * assoc, 16, 8, associativity=assoc),
+                **overrides,
+            ),
         )
         for assoc in (1, 2, 4, 8)
     ]
@@ -82,7 +86,7 @@ def test_forced_grid_overrides_an_explicit_engine_like_the_runner():
     for lhs, rhs in zip(forced, deferred):
         assert lhs.entry.stats == rhs.entry.stats
         assert lhs.entry.fingerprint == rhs.entry.fingerprint
-    geometries = [query.geometry() for query in queries]
+    geometries = [query.spec.geometry for query in queries]
     assert plan_grid(geometries, "stackdist", engine="vectorized").covered == 4
     assert plan_grid(geometries, "auto", engine="vectorized").covered == 0
 

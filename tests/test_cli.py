@@ -33,7 +33,7 @@ class TestServeCommand:
         args = _build_parser().parse_args(
             [
                 "serve", "--port", "0", "--workers", "3",
-                "--cache-size", "99", "--disk-cache", "/tmp/c.jsonl",
+                "--cache-size", "99", "--store-dir", "/tmp/store",
                 "--max-inflight", "4", "--max-queue", "7",
                 "--breaker-failures", "0", "--engine", "reference",
             ]
@@ -42,8 +42,15 @@ class TestServeCommand:
         assert args.port == 0
         assert args.workers == 3
         assert args.cache_size == 99
+        assert args.store_dir == "/tmp/store"
         assert args.breaker_failures == 0
         assert args.engine == "reference"
+
+    def test_serve_has_one_disk_tier_flag(self):
+        from repro.cli import _build_parser
+
+        with pytest.raises(SystemExit):
+            _build_parser().parse_args(["serve", "--disk-cache", "c.jsonl"])
 
 
 class TestTableCommands:
