@@ -33,27 +33,17 @@ from repro.core.config import CacheGeometry
 from repro.engine import TraceView, make_engine
 from repro.staticcheck import classify_program
 from repro.trace.filters import reads_only
-from repro.workloads.assembler import assemble
+from repro.workloads import assemble_program
 from repro.workloads.programs import PROGRAMS
 from repro.workloads.suites import suite_trace
 
 GEOMETRY = CacheGeometry(1024, 16, 8)
 
 
-def _build(name):
-    import inspect
-
-    builder = PROGRAMS[name]
-    params = (
-        {"seed": 0} if "seed" in inspect.signature(builder).parameters else {}
-    )
-    return assemble(builder(**params).source, word_size=2)
-
-
 def _time_analysis():
     results = {}
     for name in sorted(PROGRAMS):
-        program = _build(name)
+        program = assemble_program(name, 2)
         start = time.perf_counter()
         report = classify_program(program, GEOMETRY, name=name)
         seconds = time.perf_counter() - start

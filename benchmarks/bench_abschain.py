@@ -1,11 +1,11 @@
-"""CI abschain smoke: hierarchical analysis runtime and bound tightness.
+"""CI abschain smoke: hierarchical analysis runtime and coverage.
 
 A small, dependency-free timing check (no pytest-benchmark) for the CI
 abschain-smoke step::
 
     PYTHONPATH=src python benchmarks/bench_abschain.py [--max-seconds X]
 
-Three measurements, one artifact (``BENCH_abschain.json``):
+Two measurements, one artifact (``BENCH_abschain.json``):
 
 * **Analysis runtime** — :func:`repro.staticcheck.classify_chain_program`
   over every bundled toy-ISA program on the regression geometry with
@@ -15,82 +15,36 @@ Three measurements, one artifact (``BENCH_abschain.json``):
 * **Classification coverage** — the fraction of sites the hierarchical
   analysis proves something about; a program dropping to zero fails
   the smoke.
-* **Bound tightness vs simulation** — each program is actually
-  executed, its trace replayed cold through the chained concrete
-  cache, and the observed ``memory_bytes_fetched`` compared against
-  the static ``[lo, hi]`` interval.  An observation outside the bounds
-  fails the smoke outright (the bounds are proofs); the recorded
-  ``hi / observed`` ratios track how tight the proofs are, alongside
-  the single-level bound so the chain-aware improvement is visible.
 """
 
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import sys
 import time
 from pathlib import Path
 
-from repro.core.cache import SubBlockCache
 from repro.core.config import CacheGeometry
-from repro.core.sim import simulate
 from repro.staticcheck import classify_chain_program
-from repro.workloads.assembler import assemble
-from repro.workloads.machine import Machine
+from repro.workloads import assemble_program
 from repro.workloads.programs import PROGRAMS
 
 GEOMETRY = CacheGeometry(256, 16, 16, associativity=2)
 CHAIN = {"victim_entries": 4, "stream_buffers": 2, "l2_net_size": 4096}
-MAX_REFS = 200_000
-
-
-def _build(name):
-    builder = PROGRAMS[name]
-    params = (
-        {"seed": 0} if "seed" in inspect.signature(builder).parameters else {}
-    )
-    return assemble(builder(**params).source, word_size=2)
-
-
-def _ratio(hi, observed):
-    if hi is None or not observed:
-        return None
-    return hi / observed
 
 
 def bench_program(name):
-    program = _build(name)
-
+    program = assemble_program(name, 2)
     start = time.perf_counter()
     chained = classify_chain_program(
         program, GEOMETRY, miss_path=CHAIN, name=name
     )
     seconds = time.perf_counter() - start
-    bare = classify_chain_program(program, GEOMETRY, name=name, check=False)
-
-    run = Machine(program, stack_words=4096).run(max_refs=MAX_REFS)
-    cache = SubBlockCache(GEOMETRY, word_size=2, miss_path=CHAIN)
-    stats = simulate(cache, run.trace)
-    observed = stats.misspath.memory_bytes_fetched
-
-    lo, hi = chained.bound("memory_bytes_fetched")
-    bare_hi = bare.bound("memory_bytes_fetched")[1]
-    in_bounds = (hi is None or observed <= hi) and (
-        not run.halted or observed >= lo
-    )
     return {
         "analysis_seconds": seconds,
         "sites": len(chained.sites),
         "classified_fraction": chained.classified_fraction,
-        "bytes_bound": [lo, hi],
-        "bytes_bound_single_level": list(bare.bound("memory_bytes_fetched")),
-        "bytes_observed": observed,
-        "run_complete": run.halted,
-        "in_bounds": in_bounds,
-        "tightness_chain": _ratio(hi, observed),
-        "tightness_single_level": _ratio(bare_hi, observed),
     }
 
 
@@ -106,17 +60,11 @@ def main(argv=None) -> int:
     failures = []
     for name in sorted(PROGRAMS):
         row = results[name] = bench_program(name)
-        tight = row["tightness_chain"]
         print(
             f"{name:>12s}: {row['analysis_seconds'] * 1e3:7.2f} ms, "
             f"{row['sites']:4d} sites, "
-            f"{row['classified_fraction']:.2f} classified, "
-            f"bytes {row['bytes_observed']:>8d} in "
-            f"[{row['bytes_bound'][0]}, {row['bytes_bound'][1]}]"
-            + (f" (hi/obs {tight:.2f}x)" if tight is not None else "")
+            f"{row['classified_fraction']:.2f} classified"
         )
-        if not row["in_bounds"]:
-            failures.append(f"{name}: observed traffic outside static bounds")
         if row["classified_fraction"] == 0:
             failures.append(f"{name}: analysis classified nothing")
         if row["analysis_seconds"] > args.max_seconds:
@@ -131,7 +79,6 @@ def main(argv=None) -> int:
             {
                 "geometry": "256:16,16@2",
                 "chain": chain_key,
-                "max_refs": MAX_REFS,
                 "programs": results,
             },
             indent=2,

@@ -406,8 +406,8 @@ def _build_parser() -> argparse.ArgumentParser:
     classify_chain = classify.add_argument_group(
         "miss path",
         "optional structures between an L1 miss and memory; the "
-        "analysis lifts its must/may proofs through the chain and "
-        "bounds each structure's counters (see docs/staticcheck.md)",
+        "analysis lifts its must/may proofs through the chain "
+        "(see docs/staticcheck.md)",
     )
     classify_chain.add_argument(
         "--victim-entries", type=int, default=0, metavar="N",
@@ -817,26 +817,17 @@ def _cmd_phases(args, length: int) -> int:
     return 0
 
 
-def _format_bound(bound) -> str:
-    if bound is None:
-        return "?"
-    lo, hi = bound
-    return f"[{lo}, {'∞' if hi is None else hi}]"
-
-
 def _cmd_classify(args) -> int:
     """Hierarchical abstract-interpretation classification of one program.
 
     Always runs the chain-aware analyzer
     (:func:`repro.staticcheck.abschain.classify_chain_program`): with no
     miss-path flags the chain is bare and the hierarchy degenerates to
-    the single-level proofs, but the static counter bounds are computed
-    either way.
+    the single-level proofs.
 
     Exit codes: 0 = analysis (and, with ``--verify``, the differential
     check) succeeded; 1 = the program has error-severity findings, the
-    geometry is invalid, or verification found a violated proof or an
-    out-of-bounds counter.
+    geometry is invalid, or verification found a violated proof.
     """
     import json
 
@@ -844,7 +835,6 @@ def _cmd_classify(args) -> int:
     from repro.errors import ConfigurationError
     from repro.staticcheck import (
         classify_chain_program,
-        lint_chain_report,
         verify_chain_classification,
     )
     from repro.workloads.generator import assemble_program
@@ -894,7 +884,6 @@ def _cmd_classify(args) -> int:
             payload["verification"] = verification.to_dict()
         print(json.dumps(payload, indent=2))
     else:
-        chained = report.miss_path.enabled
         print(
             f"{report.name}: {len(report.sites)} site(s) @ "
             f"net {report.net_size} B, block {report.block_size}, "
@@ -905,29 +894,13 @@ def _cmd_classify(args) -> int:
         for key, value in report.counts.items():
             print(f"  {key:20s} {value}")
         print(f"  classified fraction: {report.classified_fraction:.3f}")
-        print("  static counter bounds:")
-        for key in (
-            "demand_misses", "memory_fetches", "memory_bytes_fetched"
-        ):
-            print(f"    {key:22s} {_format_bound(report.bound(key))}")
-        if chained:
+        if report.miss_path.enabled:
             print("  per-structure proofs:")
-            header = (
-                f"    {'structure':9s} {'proven-hits':>11s} "
-                f"{'probes':>14s} {'hits':>14s} "
-                f"{'fills':>14s} {'evictions':>14s}"
-            )
-            print(header)
+            print(f"    {'structure':9s} {'proven-hits':>11s}")
             for row in report.proof_rows():
                 print(
-                    f"    {row['structure']:9s} {row['proven_hits']:>11d} "
-                    f"{_format_bound(row['probes']):>14s} "
-                    f"{_format_bound(row['hits']):>14s} "
-                    f"{_format_bound(row['fills']):>14s} "
-                    f"{_format_bound(row['evictions']):>14s}"
+                    f"    {row['structure']:9s} {row['proven_hits']:>11d}"
                 )
-        for finding in lint_chain_report(report):
-            print(f"  {finding.render()}")
         for site in report.sites:
             if site.classification.value in ("unclassified", "L1-hit"):
                 continue
@@ -953,13 +926,6 @@ def _cmd_classify(args) -> int:
                 print(
                     f"    VIOLATION {site} occurrence {occurrence}: "
                     f"expected {expected}, observed {observed}"
-                )
-            for counter, lo, hi, observed in (
-                verification.bound_violations[:10]
-            ):
-                print(
-                    f"    BOUND VIOLATION {counter}: observed {observed} "
-                    f"outside {_format_bound((lo, hi))}"
                 )
     if verification is not None and not verification.ok:
         return 1

@@ -9,18 +9,14 @@ order:
    result cache answer repeat queries without touching the queue.
 2. **Coalescing** — concurrent identical queries share one in-flight
    future; only the first does any work.
-3. **Static budget gate** — with ``static_budget_bytes_per_ms`` set, a
-   deadline-carrying chain query whose abschain lower bound on memory
-   traffic already proves the budget cannot be met is refused with a
-   504 (``stage="static-budget"``) before any engine work.
-4. **Admission** — the breaker and the bounded queue refuse work the
+3. **Admission** — the breaker and the bounded queue refuse work the
    service cannot take (:class:`~repro.service.admission.RejectedError`
    → HTTP 429/503).
-5. **Batching** — the scheduler drains the queue every batch window and
+4. **Batching** — the scheduler drains the queue every batch window and
    groups queries by trace, so each trace is generated, read-filtered,
    and predecoded exactly once per batch
    (:mod:`repro.engine.batch`) before its cells fan out.
-6. **Dispatch** — cells run on a thread pool, bounded by
+5. **Dispatch** — cells run on a thread pool, bounded by
    ``max_inflight`` slots; completions land in the result cache and
    resolve every coalesced waiter.
 
@@ -52,7 +48,7 @@ from repro.service.supervisor import Supervisor, SupervisorConfig
 from repro.stackdist.engine import run_group_pass
 from repro.stackdist.planner import plan_grid
 from repro.trace.record import Trace
-from repro.workloads.suites import suite_specs, suite_trace
+from repro.workloads.suites import suite_trace
 
 __all__ = ["ServiceConfig", "SimResult", "SimulationService"]
 
@@ -100,19 +96,6 @@ class ServiceConfig:
             work before forcing shutdown.
         worker_env: Extra environment for supervised workers (the
             chaos harness's fault-injection channel).
-        static_budget_bytes_per_ms: Arms the static admission gate:
-            the nominal backing-store bandwidth (bytes of chain memory
-            traffic per millisecond of deadline budget) of this
-            service's budget class.  When set, a deadline-carrying
-            query whose miss-path chain and program-backed trace let
-            :func:`repro.staticcheck.abschain.classify_chain_program`
-            prove a *lower* bound on ``memory_bytes_fetched``, and
-            whose remaining budget is below ``lo / rate`` milliseconds,
-            is refused up front with a 504 (``stage="static-budget"``)
-            — the bound proves one complete cold execution of the
-            trace's program already exceeds the budget, so no engine
-            work is spent discovering that dynamically.  ``None``
-            (default) disables the gate.
         allow_sampling: Opt-in for queries carrying a ``sample`` axis
             (representative-interval sampled simulation,
             docs/sampling.md).  Off by default: estimates are clearly
@@ -139,7 +122,6 @@ class ServiceConfig:
     store_dir: Optional[str] = None
     drain_timeout: float = 10.0
     worker_env: Optional[Dict[str, str]] = None
-    static_budget_bytes_per_ms: Optional[float] = None
     allow_sampling: bool = False
 
 
@@ -233,9 +215,6 @@ class SimulationService:
             else default_trace_length()
         )
         self._fingerprints: "OrderedDict[SimQuery, str]" = OrderedDict()
-        self._static_floors: "OrderedDict[tuple, Optional[float]]" = (
-            OrderedDict()
-        )
         self._prepared_lengths: "Dict[tuple, int]" = {}
         if self.cache.store is not None:
             self._load_prepared_lengths()
@@ -408,63 +387,6 @@ class SimulationService:
             refuse_sample_fallback(query.spec)
         return query
 
-    def _static_floor_ms(self, query: SimQuery) -> Optional[float]:
-        """Provable minimum service time of one query, in milliseconds.
-
-        The abschain static *lower* bound on the chain's
-        ``memory_bytes_fetched`` for the query's program-backed trace,
-        divided by the configured budget-class bandwidth.  ``None``
-        when the gate is off, the query has no chain, the trace is
-        synthetic (no program to analyze), or the analysis proves
-        nothing (lower bound 0).  Memoized: the analysis costs
-        tenths of a second, the answer never changes for a key.
-        """
-        rate = self.config.static_budget_bytes_per_ms
-        spec = query.spec
-        if not rate or spec.miss_path is None:
-            return None
-        key = (
-            query.suite, query.trace, spec.word_size, spec.geometry,
-            spec.fetch, spec.miss_path,
-        )
-        if key in self._static_floors:
-            self._static_floors.move_to_end(key)
-            return self._static_floors[key]
-        floor: Optional[float] = None
-        try:
-            trace_spec = next(
-                s
-                for s in suite_specs(query.suite)
-                if s.name == query.trace
-            )
-            if trace_spec.program:
-                from repro.staticcheck.abschain import (
-                    classify_chain_program,
-                )
-                from repro.workloads.generator import assemble_program
-
-                program = assemble_program(
-                    trace_spec.program, spec.word_size, trace_spec.seed,
-                    **trace_spec.params,
-                )
-                report = classify_chain_program(
-                    program,
-                    spec.geometry,
-                    miss_path=spec.miss_path,
-                    fetch=spec.fetch,
-                    name=query.trace,
-                    check=False,
-                )
-                bound = report.bound("memory_bytes_fetched")
-                if bound is not None and bound[0] > 0:
-                    floor = bound[0] / rate
-        except ReproError:
-            floor = None  # an unanalyzable query is simply not gated
-        self._static_floors[key] = floor
-        while len(self._static_floors) > 256:
-            self._static_floors.popitem(last=False)
-        return floor
-
     async def simulate(
         self, query: SimQuery, deadline: Optional[float] = None
     ) -> SimResult:
@@ -523,25 +445,7 @@ class SimulationService:
             entry, _ = await asyncio.shield(shared)
             return SimResult(query, entry, "coalesced", loop.time() - started)
 
-        # 3. Static budget gate: when the abschain lower bound on the
-        # chain's memory traffic already proves the remaining deadline
-        # budget cannot be met, refuse before any engine work.
-        if deadline is not None:
-            floor_ms = self._static_floor_ms(query)
-            if floor_ms is not None:
-                remaining_ms = (deadline - time.monotonic()) * 1000.0
-                if remaining_ms < floor_ms:
-                    self.metrics.deadline_exceeded_total.inc(
-                        labels={"stage": "static-budget"}
-                    )
-                    raise DeadlineExceededError(
-                        f"chain {query.spec.miss_path.key()} provably needs "
-                        f">= {floor_ms:.1f} ms of this budget class's "
-                        f"memory bandwidth; {remaining_ms:.1f} ms remain",
-                        stage="static-budget",
-                    )
-
-        # 4. Admission control.
+        # 3. Admission control.
         try:
             self.admission.admit(queued=len(self._queue))
         except ReproError as exc:
@@ -549,7 +453,7 @@ class SimulationService:
             self.metrics.rejected_total.inc(labels={"reason": reason})
             raise
 
-        # 5. Enqueue for the batch scheduler.
+        # 4. Enqueue for the batch scheduler.
         future: "asyncio.Future[Tuple[CacheEntry, str]]" = loop.create_future()
         self._inflight_futures[query] = future
         self._queue.append(_Pending(query, future, started, deadline))
@@ -660,7 +564,7 @@ class SimulationService:
             )
             if route.path != "stackdist":
                 continue
-            if self.cache.get(query.fingerprint(len(prepared))) is not None:
+            if query.fingerprint(len(prepared)) in self.cache:
                 continue  # the cell's own cache lookup will serve it
             eligible.setdefault(
                 (query.spec.word_size, query.spec.warmup), []

@@ -22,8 +22,7 @@ Three layers, all producing the same structured
 * **Hierarchical chain analysis** (:mod:`repro.staticcheck.abschain`) —
   the same fixpoint lifted through the miss-path chain (victim cache,
   miss cache, stream buffers, backing L2): per-site hierarchical
-  proofs (``chain-hit@<structure>``, ``memory-bound``) plus static
-  ``[lo, hi]`` bounds on the chain's traffic counters, differentially
+  proofs (``chain-hit@<structure>``, ``memory-bound``), differentially
   verified against a cold chained simulation.
 
 ``python -m repro lint`` runs the program analyzer over every bundled
@@ -47,8 +46,6 @@ from repro.staticcheck.abschain import (
     ChainSiteResult,
     ChainVerificationResult,
     classify_chain_program,
-    lint_chain_report,
-    predict_chain_knee,
     verify_chain_classification,
 )
 from repro.staticcheck.cfg import BasicBlock, ControlFlowGraph, Loop, build_cfg
@@ -99,8 +96,6 @@ __all__ = [
     "ChainSiteResult",
     "ChainVerificationResult",
     "classify_chain_program",
-    "lint_chain_report",
-    "predict_chain_knee",
     "verify_chain_classification",
     "BasicBlock",
     "ControlFlowGraph",

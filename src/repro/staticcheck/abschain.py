@@ -15,25 +15,19 @@ L1 can still be proven to cost nothing on the memory bus:
   domain: per recency rank, an interval of block addresses the buffer
   provably holds, plus a may-side union of intervals it can hold;
 * :class:`~repro.core.misspath.BackingL2` — a derived-geometry
-  must/may/persistence triple at the L2's own block/sub-block shape.
+  must/may pair at the L2's own block/sub-block shape.
 
 Composing the domains in chain order yields one *hierarchical*
 classification per site (:class:`ChainSiteClass`): ``L1-hit``,
 ``chain-hit@<structure>``, ``memory-bound``, ``first-miss``, or
-``unclassified``.  From the classification plus static execution-count
-bounds (trivial-SCC blocks run at most once; counted loops detected
-from the CFG contribute exact trip counts; dominators of every halt
-give lower bounds) the module derives closed-form ``[lo, hi]`` bounds
-on every :class:`~repro.core.misspath.MissPathStats` counter —
-including ``memory_bytes_fetched``, the paper's bus-traffic metric.
+``unclassified``.
 
 Soundness is pinned end to end by :func:`verify_classification`: the
 program runs on the machine, the trace replays cold through a concrete
 chained :class:`~repro.core.cache.SubBlockCache` (or the sanitizing
 :class:`~repro.engine.checked.CheckedCache` under ``REPRO_SANITIZE``),
-every access is attributed to its site, each proof is checked against
-the observed servicing structure, and every simulated counter is
-checked against its static bound.  See ``docs/staticcheck.md``.
+every access is attributed to its site, and each proof is checked
+against the observed servicing structure.  See ``docs/staticcheck.md``.
 """
 
 from __future__ import annotations
@@ -44,10 +38,8 @@ from dataclasses import dataclass
 from typing import (
     Any,
     Dict,
-    FrozenSet,
     List,
     Optional,
-    Sequence,
     Set,
     Tuple,
     Union,
@@ -67,10 +59,7 @@ from repro.staticcheck.abscache import (
     _analyze,
     _resolve_fetch,
     _site_sort_key,
-    _walk_instruction,
-    _REG_WRITERS,
 )
-from repro.staticcheck.cfg import ControlFlowGraph, Loop
 from repro.staticcheck.checks import check_program
 from repro.staticcheck.diagnostics import Diagnostic, Severity, raise_on_errors
 from repro.trace.record import AccessType
@@ -86,29 +75,11 @@ __all__ = [
     "classify_chain_program",
     "verify_classification",
     "verify_chain_classification",
-    "predict_chain_knee",
-    "lint_chain_report",
 ]
-
-#: A closed-form counter bound; ``None`` as the upper end means the
-#: analysis cannot bound the counter (an unbounded loop or recursion).
-Bound = Tuple[int, Optional[int]]
 
 #: Interval count past which the stream-buffer may-side collapses to
 #: TOP instead of tracking ever more windows.
 _SB_MAY_CAP = 32
-
-#: Counted-loop trip counts beyond this are treated as unbounded; the
-#: closed-form simulation below must terminate quickly.
-_TRIP_CAP = 1_000_000
-
-
-_BRANCH_OPS = (Op.BEQ, Op.BNE, Op.BLT, Op.BGE)
-
-
-def _popcount(value: int) -> int:
-    """Number of set bits (``int.bit_count`` needs Python >= 3.10)."""
-    return bin(value).count("1")
 
 
 class ChainSiteClass(enum.Enum):
@@ -139,18 +110,6 @@ _CHAIN_HIT_OF = {
     "stream": ChainSiteClass.CHAIN_HIT_STREAM,
     "l2": ChainSiteClass.CHAIN_HIT_L2,
 }
-
-#: Classes that stop costing memory traffic in steady state.
-_SETTLED_CLASSES = frozenset(
-    {
-        ChainSiteClass.L1_HIT,
-        ChainSiteClass.CHAIN_HIT_VICTIM,
-        ChainSiteClass.CHAIN_HIT_MISS,
-        ChainSiteClass.CHAIN_HIT_STREAM,
-        ChainSiteClass.CHAIN_HIT_L2,
-        ChainSiteClass.FIRST_MISS,
-    }
-)
 
 
 @dataclass(frozen=True)
@@ -204,7 +163,6 @@ class ChainClassificationReport:
     associativity: int
     miss_path: MissPathConfig
     sites: Tuple[ChainSiteResult, ...] = ()
-    bounds: Tuple[Tuple[str, Bound], ...] = ()
 
     @property
     def counts(self) -> Dict[str, int]:
@@ -235,17 +193,10 @@ class ChainClassificationReport:
             associativity=self.associativity,
         )
 
-    def bound(self, key: str) -> Optional[Bound]:
-        """The ``[lo, hi]`` bound for one counter key, if computed."""
-        for name, value in self.bounds:
-            if name == key:
-                return value
-        return None
-
     def to_dict(self) -> Dict[str, Any]:
         """JSON-ready form; key order and site order are deterministic."""
         return {
-            "schema_version": 1,
+            "schema_version": 2,
             "name": self.name,
             "word_size": self.word_size,
             "stack_words": self.stack_words,
@@ -263,15 +214,11 @@ class ChainClassificationReport:
             "counts": self.counts,
             "total_sites": len(self.sites),
             "classified_fraction": self.classified_fraction,
-            "bounds": {
-                key: [bound[0], bound[1]]
-                for key, bound in sorted(self.bounds)
-            },
             "sites": [site.to_dict() for site in self.sites],
         }
 
     def to_diagnostics(self) -> List[Diagnostic]:
-        """Per-site findings (site order) plus chain-level lint."""
+        """Per-site findings, in site order."""
         out: List[Diagnostic] = []
         for site in self.sites:
             data: Dict[str, Any] = {
@@ -295,7 +242,6 @@ class ChainClassificationReport:
                     data=data,
                 )
             )
-        out.extend(lint_chain_report(self))
         return out
 
     def proof_rows(self) -> List[Dict[str, Any]]:
@@ -311,10 +257,6 @@ class ChainClassificationReport:
                         for site in self.sites
                         if site.classification is hit_cls
                     ),
-                    "probes": self.bound(f"{name}.probes"),
-                    "hits": self.bound(f"{name}.hits"),
-                    "fills": self.bound(f"{name}.fills"),
-                    "evictions": self.bound(f"{name}.evictions"),
                 }
             )
         return rows
@@ -322,7 +264,7 @@ class ChainClassificationReport:
 
 @dataclass(frozen=True)
 class ChainVerificationResult:
-    """Outcome of differentially checking chain proofs and bounds.
+    """Outcome of differentially checking chain proofs.
 
     Attributes:
         ok: True when nothing was contradicted.
@@ -330,10 +272,6 @@ class ChainVerificationResult:
         checked: Accesses that landed on a site with a chain proof.
         unclassified_accesses: Accesses on ``unclassified`` sites.
         violations: ``(site, occurrence, expected, observed)`` tuples.
-        bound_violations: ``(counter, lo, hi, observed)`` tuples.
-        halted: True when the machine run halted (lower bounds are
-            only checked for halted runs; a truncated run checks a
-            prefix against the upper bounds, which stay sound).
         sanitized: True when the replay used the checked engine.
     """
 
@@ -342,8 +280,6 @@ class ChainVerificationResult:
     checked: int
     unclassified_accesses: int
     violations: Tuple[Tuple[str, int, str, str], ...] = ()
-    bound_violations: Tuple[Tuple[str, int, Optional[int], int], ...] = ()
-    halted: bool = True
     sanitized: bool = False
 
     def to_dict(self) -> Dict[str, Any]:
@@ -353,10 +289,6 @@ class ChainVerificationResult:
             "checked": self.checked,
             "unclassified_accesses": self.unclassified_accesses,
             "violations": [list(item) for item in self.violations],
-            "bound_violations": [
-                list(item) for item in self.bound_violations
-            ],
-            "halted": self.halted,
             "sanitized": self.sanitized,
         }
 
@@ -397,15 +329,14 @@ class _ChainExt(StateExtension):
       union of intervals any buffer can hold.
     * ``l2_must``: ``{L2 block: (age upper bound, guaranteed mask)}``
       at the L2's own geometry; ``l2_may`` the possible contents
-      (``None`` = TOP; no ages — the set only grows, which is sound);
-      ``l2_pers`` the L2 persistence markers (sticky at L2 ways).
+      (``None`` = TOP; no ages — the set only grows, which is sound).
     """
 
     __slots__ = (
         "vc_must", "vc_may", "vc_top",
         "mc_must", "mc_may", "mc_top",
         "windows", "sb_may", "sb_top",
-        "l2_must", "l2_may", "l2_pers",
+        "l2_must", "l2_may",
     )
 
     def __init__(self) -> None:
@@ -420,7 +351,6 @@ class _ChainExt(StateExtension):
         self.sb_top = False
         self.l2_must: Dict[int, Tuple[int, int]] = {}
         self.l2_may: Optional[Dict[int, int]] = {}
-        self.l2_pers: Dict[int, int] = {}
 
     def copy(self) -> "_ChainExt":
         out = _ChainExt()
@@ -435,7 +365,6 @@ class _ChainExt(StateExtension):
         out.sb_top = self.sb_top
         out.l2_must = dict(self.l2_must)
         out.l2_may = None if self.l2_may is None else dict(self.l2_may)
-        out.l2_pers = dict(self.l2_pers)
         return out
 
     def snapshot(self) -> Tuple[Any, ...]:
@@ -453,7 +382,6 @@ class _ChainExt(StateExtension):
             None
             if self.l2_may is None
             else tuple(sorted(self.l2_may.items())),
-            tuple(sorted(self.l2_pers.items())),
         )
 
     def join_into(self, source: "StateExtension") -> None:
@@ -515,10 +443,6 @@ class _ChainExt(StateExtension):
         else:
             for block, valid in source.l2_may.items():
                 self.l2_may[block] = self.l2_may.get(block, 0) | valid
-        for block, age in source.l2_pers.items():
-            mine_age = self.l2_pers.get(block)
-            if mine_age is None or age > mine_age:
-                self.l2_pers[block] = age
 
 
 # -- Event and walk facts ---------------------------------------------------
@@ -586,41 +510,6 @@ class _StructFact:
         self.miss_def = miss_def
 
 
-@dataclass(frozen=True)
-class _SiteChainInfo:
-    """Per-site raw material for the closed-form counter bounds.
-
-    Attributes:
-        events_hi: Chain events per site execution, at most.
-        definite: At least one event fires on every execution.
-        probe_pos: Structures possibly probed by an event.
-        probe_def: Structures definitely probed whenever one fires.
-        hit_pos: Structures that can service an event.
-        hit_def: Structures proven to service it whenever one fires.
-        memory_pos: An event can reach memory.
-        memory_def: Every event reaches memory.
-        event_bytes_hi: Most memory bytes one event can move.
-        persistent_bytes: With a backing L2, a cap on the *total*
-            memory bytes this site can ever move (its L2 blocks are
-            never evicted after loading), or None.
-        total_cap: Cap on the site's *total* event count across the
-            whole run (first-miss sites), or None for per-execution
-            accounting.
-    """
-
-    events_hi: int
-    definite: bool
-    probe_pos: Tuple[str, ...]
-    probe_def: Tuple[str, ...]
-    hit_pos: Tuple[str, ...]
-    hit_def: Tuple[str, ...]
-    memory_pos: bool
-    memory_def: bool
-    event_bytes_hi: int
-    persistent_bytes: Optional[int] = None
-    total_cap: Optional[int] = None
-
-
 # -- The chain-aware analyzer -----------------------------------------------
 
 
@@ -636,7 +525,6 @@ class _ChainAnalyzer(_Analyzer):
         miss_path: MissPathConfig,
     ) -> None:
         super().__init__(program, geometry, fetch, stack_words)
-        self.miss_path = miss_path
         self.chain_names: Tuple[str, ...] = miss_path.chain_names
         self.has_vc = miss_path.victim_entries > 0
         self.vc_entries = miss_path.victim_entries
@@ -648,12 +536,10 @@ class _ChainAnalyzer(_Analyzer):
         self.has_l2 = miss_path.l2_net_size > 0
         if self.has_l2:
             l2_geometry = miss_path.l2_geometry(geometry)
-            self.l2_geom = l2_geometry
             self.l2_ways = l2_geometry.ways
             self.l2_sets = l2_geometry.num_sets
             self.l2_block = l2_geometry.block_size
             self.l2_sub = l2_geometry.sub_block_size
-            self.l2_nsub = l2_geometry.sub_blocks_per_block
             # An unknown-address read touches at most two L1 blocks,
             # each spanning at most K L2 blocks; consecutive L2 blocks
             # rotate through sets, so one set sees at most ceil(K/sets)
@@ -662,9 +548,6 @@ class _ChainAnalyzer(_Analyzer):
             self.l2_unknown_incr = 2 * max(
                 1, -(-spread // self.l2_sets)
             )
-            self.event_bytes_cap = max(geometry.block_size, self.l2_sub)
-        else:
-            self.event_bytes_cap = geometry.block_size
 
     def make_entry_state(self) -> _AbsState:
         state = super().make_entry_state()
@@ -816,21 +699,15 @@ class _ChainAnalyzer(_Analyzer):
                 else:
                     ext.l2_must[other] = (age + 1, valid)
 
-    def _l2_pers_age(self, ext: _ChainExt, block: int) -> None:
-        set_index = block % self.l2_sets
-        for other, age in ext.l2_pers.items():
-            if other != block and other % self.l2_sets == set_index:
-                ext.l2_pers[other] = min(self.l2_ways, age + 1)
-
     # -- The chain walk ------------------------------------------------
 
     def _chain_walk_facts(
         self, ext: _ChainExt, ev: _Event
-    ) -> Tuple[Dict[str, _StructFact], bool, bool, bool]:
+    ) -> Tuple[Dict[str, _StructFact], bool, bool]:
         """Prove per-structure probe/hit/miss facts for one event.
 
         All facts are *conditional on the event firing*.  Returns
-        ``(facts, backing_def, memory_def, memory_pos)`` where
+        ``(facts, backing_def, memory_def)`` where
         ``backing_def`` means the walk provably reaches the backing
         level (the L2 if present, else memory) — the condition under
         which tag-side fills happen.
@@ -887,12 +764,11 @@ class _ChainAnalyzer(_Analyzer):
             reach_def = reach_def and miss_local
             reach_pos = reach_pos and not hit_local
         memory_def = reach_def
-        memory_pos = reach_pos
         if self.has_l2:
             backing_def = facts["l2"].probe_def
         else:
             backing_def = memory_def
-        return facts, backing_def, memory_def, memory_pos
+        return facts, backing_def, memory_def
 
     # -- Transfer: one chain event ------------------------------------
 
@@ -906,9 +782,7 @@ class _ChainAnalyzer(_Analyzer):
         must also over-approximate the no-op outcome.
         """
         self._apply_vc_fill(state, ext, ev)
-        facts, backing_def, _memory_def, _memory_pos = self._chain_walk_facts(
-            ext, ev
-        )
+        facts, backing_def, _memory_def = self._chain_walk_facts(ext, ev)
         if self.has_vc:
             fact = facts["victim"]
             if fact.probe_pos:
@@ -982,7 +856,6 @@ class _ChainAnalyzer(_Analyzer):
                     else:
                         boundary = self.l2_ways
                     self._l2_age_must(ext, block, boundary)
-                    self._l2_pers_age(ext, block)
                     if ext.l2_may is not None:
                         ext.l2_may[block] = (
                             ext.l2_may.get(block, 0) | needed
@@ -991,8 +864,6 @@ class _ChainAnalyzer(_Analyzer):
                     old_entry = ext.l2_must.get(block)
                     old_valid = old_entry[1] if old_entry is not None else 0
                     ext.l2_must[block] = (0, old_valid | needed)
-                    if ext.l2_pers.get(block) != self.l2_ways:
-                        ext.l2_pers[block] = 0
 
     # -- Overridden L1 transfer hooks ----------------------------------
 
@@ -1048,73 +919,37 @@ class _ChainAnalyzer(_Analyzer):
                     del ext.l2_must[block]
                 else:
                     ext.l2_must[block] = (age + incr, valid)
-            for block, age in ext.l2_pers.items():
-                ext.l2_pers[block] = min(self.l2_ways, age + incr)
 
     # -- Site classification -------------------------------------------
 
-    def _worst_info(
-        self, events_hi: int, definite: bool = False
-    ) -> _SiteChainInfo:
-        """No chain knowledge: everything possible, nothing proven."""
-        return _SiteChainInfo(
-            events_hi=events_hi,
-            definite=definite,
-            probe_pos=self.chain_names,
-            probe_def=(),
-            hit_pos=self.chain_names,
-            hit_def=(),
-            memory_pos=True,
-            memory_def=False,
-            event_bytes_hi=self.event_bytes_cap,
-        )
-
-    def _event_bytes_hi(self, ev: _Event) -> int:
-        """Most memory bytes one firing of this event can move."""
-        if self.has_l2:
-            return sum(
-                _popcount(needed) * self.l2_sub
-                for _block, needed in self._l2_span_pieces(
-                    ev.block, ev.mask_hi
-                )
-            )
-        return _popcount(ev.mask_hi) * self.geometry.sub_block_size
-
-    def _site_chain_info(
+    def _site_chain_class(
         self,
         state: _AbsState,
         addr: Optional[int],
         kind: AccessType,
         l1_cls: SiteClass,
-    ) -> Tuple[ChainSiteClass, str, Optional[_SiteChainInfo]]:
+    ) -> Tuple[ChainSiteClass, str]:
         """Hierarchically classify one site at its pre-reference state."""
         if l1_cls is SiteClass.ALWAYS_HIT:
             return (
                 ChainSiteClass.L1_HIT,
                 "proven L1 hit; the chain is never consulted",
-                None,
             )
         if kind is AccessType.WRITE:
             return (
                 ChainSiteClass.UNCLASSIFIED,
                 "write misses bypass the chain (no-allocate)",
-                None,
             )
         if addr is None:
             return (
                 ChainSiteClass.UNCLASSIFIED,
                 "address not statically known",
-                self._worst_info(events_hi=2),
             )
         pieces = self.pieces(addr, self.word)
         if len(pieces) > 1:
             return (
                 ChainSiteClass.UNCLASSIFIED,
                 "the access spans multiple L1 blocks",
-                self._worst_info(
-                    events_hi=len(pieces),
-                    definite=l1_cls is SiteClass.ALWAYS_MISS,
-                ),
             )
         block, needed, first_sub = pieces[0]
         ev = self._event_facts(state, block, needed, first_sub)
@@ -1122,89 +957,39 @@ class _ChainAnalyzer(_Analyzer):
             return (
                 ChainSiteClass.L1_HIT,
                 "proven L1 hit; the chain is never consulted",
-                None,
             )
-        ext = state.ext
-        assert isinstance(ext, _ChainExt)
-        scratch = ext.copy()
-        self._apply_vc_fill(state, scratch, ev)
-        facts, _backing_def, memory_def, memory_pos = self._chain_walk_facts(
-            scratch, ev
-        )
-        names = self.chain_names
-        hit_def_names = tuple(n for n in names if facts[n].hit_def)
-        info = _SiteChainInfo(
-            events_hi=1,
-            definite=ev.definite and l1_cls is not SiteClass.FIRST_MISS,
-            probe_pos=tuple(n for n in names if facts[n].probe_pos),
-            probe_def=tuple(
-                n for n in names if facts[n].probe_def and ev.definite
-            ),
-            hit_pos=tuple(
-                n
-                for n in names
-                if facts[n].probe_pos and not facts[n].miss_def
-            ),
-            hit_def=tuple(n for n in hit_def_names if ev.definite),
-            memory_pos=memory_pos,
-            memory_def=memory_def and ev.definite,
-            event_bytes_hi=self._event_bytes_hi(ev),
-            persistent_bytes=self._persistent_bytes(ext, ev, memory_pos),
-            total_cap=1 if l1_cls is SiteClass.FIRST_MISS else None,
-        )
         if l1_cls is SiteClass.FIRST_MISS:
             return (
                 ChainSiteClass.FIRST_MISS,
                 "at most the first execution consults the chain",
-                info,
             )
         if not ev.definite:
             return (
                 ChainSiteClass.UNCLASSIFIED,
                 "the L1 outcome is unproven",
-                info,
             )
+        ext = state.ext
+        assert isinstance(ext, _ChainExt)
+        scratch = ext.copy()
+        self._apply_vc_fill(state, scratch, ev)
+        facts, _backing_def, memory_def = self._chain_walk_facts(scratch, ev)
+        hit_def_names = tuple(n for n in self.chain_names if facts[n].hit_def)
         if hit_def_names:
             first = hit_def_names[0]
             return (
                 _CHAIN_HIT_OF[first],
                 f"proven L1 miss serviced by the {first} structure "
                 "on every execution",
-                info,
             )
         if memory_def:
             return (
                 ChainSiteClass.MEMORY_BOUND,
                 "proven L1 miss that no chain structure can service",
-                info,
             )
         return (
             ChainSiteClass.UNCLASSIFIED,
             "proven L1 miss with an unproven chain outcome",
-            info,
         )
-
-    def _persistent_bytes(
-        self, ext: _ChainExt, ev: _Event, memory_pos: bool
-    ) -> Optional[int]:
-        """Total-memory-bytes cap from L2 persistence, if provable."""
-        if not self.has_l2 or not memory_pos:
-            return None
-        hi_pieces = self._l2_span_pieces(ev.block, ev.mask_hi)
-        if not hi_pieces:
-            return None
-        if all(
-            ext.l2_pers.get(block, 0) < self.l2_ways
-            for block, _needed in hi_pieces
-        ):
-            # Every L2 block this site can touch is never evicted
-            # after loading: each sub-block is fetched at most once
-            # over the whole run, whatever the execution count.
-            return sum(
-                _popcount(needed) * self.l2_sub
-                for _block, needed in hi_pieces
-            )
-        return None
 
     def describe_site(
         self,
@@ -1214,486 +999,7 @@ class _ChainAnalyzer(_Analyzer):
         kind_label: str,
     ) -> Tuple[Any, ...]:
         base = super().describe_site(state, addr, kind, kind_label)
-        chain_cls, chain_reason, info = self._site_chain_info(
-            state, addr, kind, base[0]
-        )
-        return base + (chain_cls, chain_reason, info)
-
-
-# -- Static execution-count bounds ------------------------------------------
-
-
-def _branch_taken(op: Op, left: int, right: int) -> bool:
-    if op == Op.BEQ:
-        return left == right
-    if op == Op.BNE:
-        return left != right
-    if op == Op.BLT:
-        return left < right
-    return left >= right  # BGE
-
-
-def _supergraph(cfg: ControlFlowGraph) -> Dict[int, List[int]]:
-    """Interprocedural successor map used for execution-count bounds.
-
-    ``call`` edges enter the callee only; ``ret`` edges return to the
-    fall-through blocks of the call sites of every routine that can
-    *own* the returning block (ownership = intraprocedural reachability
-    from a routine entry, where calls step to their fall-through).
-    This keeps two unrelated call sites from fabricating a spurious
-    cycle through an unrelated routine's return.
-    """
-    program = cfg.program
-    count = len(cfg.blocks)
-    calls: Dict[int, Tuple[Optional[int], Optional[int]]] = {}
-    for block in cfg.blocks:
-        last = program.instructions[block.end - 1]
-        if last.op == Op.CALL:
-            target = program.addr_to_index.get(last.imm)
-            callee = cfg.block_of[target] if target is not None else None
-            fall = (
-                cfg.block_of[block.end]
-                if block.end < len(program.instructions)
-                else None
-            )
-            calls[block.index] = (callee, fall)
-
-    def intra_successors(index: int) -> List[int]:
-        block = cfg.blocks[index]
-        last = program.instructions[block.end - 1]
-        if last.op == Op.CALL:
-            fall = calls[index][1]
-            return [fall] if fall is not None else []
-        if last.op in (Op.RET, Op.HALT):
-            return []
-        return list(block.successors)
-
-    owners: Dict[int, Set[int]] = {index: set() for index in range(count)}
-    entries = [0] + [
-        entry for entry in cfg.subroutine_entries() if entry != 0
-    ]
-    for entry in entries:
-        seen = {entry}
-        stack = [entry]
-        while stack:
-            index = stack.pop()
-            owners[index].add(entry)
-            for successor in intra_successors(index):
-                if successor not in seen:
-                    seen.add(successor)
-                    stack.append(successor)
-
-    calls_to: Dict[int, Set[int]] = {}
-    for _call_block, (callee, fall) in calls.items():
-        if callee is not None and fall is not None:
-            calls_to.setdefault(callee, set()).add(fall)
-
-    successors: Dict[int, List[int]] = {}
-    for index in range(count):
-        block = cfg.blocks[index]
-        last = program.instructions[block.end - 1]
-        if last.op == Op.CALL:
-            callee = calls[index][0]
-            successors[index] = [callee] if callee is not None else []
-        elif last.op == Op.RET:
-            targets: Set[int] = set()
-            for entry in owners[index]:
-                targets |= calls_to.get(entry, set())
-            successors[index] = sorted(targets)
-        elif last.op == Op.HALT:
-            successors[index] = []
-        else:
-            successors[index] = list(block.successors)
-    return successors
-
-
-def _sccs(successors: Dict[int, List[int]]) -> Dict[int, int]:
-    """Iterative Tarjan: node -> strongly-connected-component id."""
-    index_of: Dict[int, int] = {}
-    low: Dict[int, int] = {}
-    on_stack: Set[int] = set()
-    stack: List[int] = []
-    component: Dict[int, int] = {}
-    counter = 0
-    component_id = 0
-    for root in successors:
-        if root in index_of:
-            continue
-        index_of[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack.add(root)
-        work = [(root, iter(successors[root]))]
-        while work:
-            node, children = work[-1]
-            advanced = False
-            for child in children:
-                if child not in index_of:
-                    index_of[child] = low[child] = counter
-                    counter += 1
-                    stack.append(child)
-                    on_stack.add(child)
-                    work.append((child, iter(successors[child])))
-                    advanced = True
-                    break
-                if child in on_stack:
-                    low[node] = min(low[node], index_of[child])
-            if advanced:
-                continue
-            work.pop()
-            if low[node] == index_of[node]:
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component[member] = component_id
-                    if member == node:
-                        break
-                component_id += 1
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-    return component
-
-
-def _is_acyclic(
-    successors: Dict[int, List[int]],
-    skip_edges: FrozenSet[Tuple[int, int]],
-) -> bool:
-    """Kahn's check, ignoring the given (back) edges."""
-    indegree = {node: 0 for node in successors}
-    for node, targets in successors.items():
-        for target in targets:
-            if (node, target) not in skip_edges:
-                indegree[target] += 1
-    ready = [node for node, degree in indegree.items() if degree == 0]
-    processed = 0
-    while ready:
-        node = ready.pop()
-        processed += 1
-        for target in successors[node]:
-            if (node, target) in skip_edges:
-                continue
-            indegree[target] -= 1
-            if indegree[target] == 0:
-                ready.append(target)
-    return processed == len(successors)
-
-
-def _loop_trip_counts(
-    analyzer: _Analyzer, in_states: Dict[int, _AbsState]
-) -> Dict[Loop, int]:
-    """Best-effort exact trip counts for counted natural loops.
-
-    Recognizes the bundled-workload idiom — a header ending in a
-    conditional branch over a counter register stepped by exactly one
-    ``addi`` per iteration against a bound that is a proven constant at
-    the test — and simulates the recurrence to an exact back-edge
-    count.  Every guard below protects the closed form; anything
-    unrecognized simply stays unbounded (the bounds degrade to
-    ``None``, never to an unsound number).
-    """
-    cfg = analyzer.cfg
-    program = cfg.program
-    loops = cfg.natural_loops()
-    by_header: Dict[int, List[Loop]] = {}
-    for loop in loops:
-        by_header.setdefault(loop.header, []).append(loop)
-    doms = cfg.dominators()
-    trips: Dict[Loop, int] = {}
-    for header, group in by_header.items():
-        if len(group) != 1 or header not in in_states:
-            continue
-        loop = group[0]
-        header_block = cfg.blocks[header]
-        last = program.instructions[header_block.end - 1]
-        if last.op not in _BRANCH_OPS:
-            continue
-        counter_reg, bound_reg = last.a, last.b
-        if counter_reg == 7 or bound_reg == 7 or counter_reg == bound_reg:
-            continue
-        body_instructions = [
-            (block_index, index, program.instructions[index])
-            for block_index in loop.body
-            for index in range(
-                cfg.blocks[block_index].start, cfg.blocks[block_index].end
-            )
-        ]
-        if any(
-            inst.op in (Op.CALL, Op.RET)
-            for _b, _i, inst in body_instructions
-        ):
-            continue
-        writers = [
-            (block_index, index, inst)
-            for block_index, index, inst in body_instructions
-            if inst.op in _REG_WRITERS and inst.a == counter_reg
-        ]
-        if len(writers) != 1:
-            continue
-        writer_block, writer_index, writer = writers[0]
-        if writer.op != Op.ADDI or writer.imm == 0:
-            continue
-        step = writer.imm
-        if writer_block not in doms[loop.back_edge_tail]:
-            continue
-        if any(
-            other is not loop
-            and other.body < loop.body
-            and writer_block in other.body
-            for other in loops
-        ):
-            continue  # the step could run more than once per iteration
-        taken_index = program.addr_to_index.get(last.imm)
-        if taken_index is None or header_block.end >= len(
-            program.instructions
-        ):
-            continue
-        taken_block = cfg.block_of[taken_index]
-        fall_block = cfg.block_of[header_block.end]
-        taken_out = taken_block not in loop.body
-        fall_out = fall_block not in loop.body
-        if taken_out == fall_out:
-            continue  # need exactly one exit successor at the test
-        exit_on_true = taken_out
-        # The bound register's value at the test, each iteration: walk
-        # the header prefix from the joined in-state; a proven constant
-        # there is the concrete value on every execution.
-        prefix_state = in_states[header].copy()
-        for index in range(header_block.start, header_block.end - 1):
-            _walk_instruction(
-                analyzer,
-                prefix_state,
-                index,
-                program.instructions[index],
-                None,
-            )
-        bound_value = prefix_state.regs[bound_reg]
-        if bound_value is None:
-            continue
-        pre_step = (
-            step
-            if writer_block == header and writer_index < header_block.end - 1
-            else 0
-        )
-        # The counter's entry value: every reachable non-body
-        # predecessor edge must deliver the same proven constant.
-        candidates: List[int] = []
-        bail = False
-        for pred in header_block.predecessors:
-            if pred in loop.body:
-                continue  # the back edge(s)
-            if pred not in in_states:
-                continue  # unreachable predecessor
-            pred_block = cfg.blocks[pred]
-            if program.instructions[pred_block.end - 1].op == Op.CALL:
-                bail = True  # the edge runs through a callee
-                break
-            pred_state = in_states[pred].copy()
-            for index in range(pred_block.start, pred_block.end):
-                _walk_instruction(
-                    analyzer,
-                    pred_state,
-                    index,
-                    program.instructions[index],
-                    None,
-                )
-            value = pred_state.regs[counter_reg]
-            if value is None:
-                bail = True
-                break
-            candidates.append(value)
-        if header == 0:
-            candidates.append(0)  # machine entry: registers are zero
-        if bail or not candidates or len(set(candidates)) != 1:
-            continue
-        value = candidates[0] + pre_step
-
-        def _exits(current: int) -> bool:
-            taken = _branch_taken(last.op, current, bound_value)
-            return taken if exit_on_true else not taken
-
-        count = 0
-        while count <= _TRIP_CAP and not _exits(value):
-            count += 1
-            value += step
-        if count > _TRIP_CAP or not _exits(value):
-            continue
-        trips[loop] = count
-    return trips
-
-
-def _exec_bounds(
-    analyzer: _Analyzer, in_states: Dict[int, _AbsState]
-) -> Tuple[Dict[int, int], Dict[int, Optional[int]]]:
-    """Per-block execution-count bounds ``(lo, hi)``.
-
-    ``hi`` is per full run: 0 for unreachable blocks, 1 for blocks on
-    no supergraph cycle, a product of enclosing counted-loop factors
-    when every cycle through the block is a counted natural loop (the
-    back-edge-free supergraph must be acyclic — a global reducibility
-    check that also rules out recursion), else ``None`` (unbounded).
-    ``lo`` is 1 for blocks dominating every reachable halt (valid only
-    for halted runs), else 0.
-    """
-    cfg = analyzer.cfg
-    program = cfg.program
-    count = len(cfg.blocks)
-    successors = _supergraph(cfg)
-    component = _sccs(successors)
-    sizes: Dict[int, int] = {}
-    for scc in component.values():
-        sizes[scc] = sizes.get(scc, 0) + 1
-    loops = cfg.natural_loops()
-    back_edges = frozenset(
-        (loop.back_edge_tail, loop.header) for loop in loops
-    )
-    reducible = _is_acyclic(successors, back_edges)
-    trips = (
-        _loop_trip_counts(analyzer, in_states) if reducible else {}
-    )
-    halts = [
-        block.index
-        for block in cfg.blocks
-        if block.index in in_states
-        and program.instructions[block.end - 1].op == Op.HALT
-    ]
-    doms = cfg.dominators() if halts else []
-    lo: Dict[int, int] = {}
-    hi: Dict[int, Optional[int]] = {}
-    for index in range(count):
-        if index not in in_states:
-            lo[index] = 0
-            hi[index] = 0
-            continue
-        lo[index] = (
-            1
-            if halts and all(index in doms[halt] for halt in halts)
-            else 0
-        )
-        if sizes[component[index]] == 1 and index not in successors[index]:
-            hi[index] = 1
-            continue
-        containing = [loop for loop in loops if index in loop.body]
-        if (
-            reducible
-            and containing
-            and all(loop in trips for loop in containing)
-        ):
-            bound = 1
-            for loop in containing:
-                bound *= trips[loop] + 1
-            hi[index] = bound
-        else:
-            hi[index] = None
-    return lo, hi
-
-
-# -- Closed-form counter bounds ---------------------------------------------
-
-
-def _none_add(left: Optional[int], right: Optional[int]) -> Optional[int]:
-    return None if left is None or right is None else left + right
-
-
-def _none_mul(left: Optional[int], right: Optional[int]) -> Optional[int]:
-    return None if left is None or right is None else left * right
-
-
-def _none_min(left: Optional[int], right: Optional[int]) -> Optional[int]:
-    if left is None:
-        return right
-    if right is None:
-        return left
-    return min(left, right)
-
-
-def _compute_bounds(
-    analyzer: _ChainAnalyzer,
-    record: Dict[str, Tuple[Any, ...]],
-    exec_lo: Dict[int, int],
-    exec_hi: Dict[int, Optional[int]],
-) -> Tuple[Tuple[str, Bound], ...]:
-    """Assemble ``[lo, hi]`` bounds for every MissPathStats counter."""
-    names = analyzer.chain_names
-    keys = ["demand_misses", "memory_fetches", "memory_bytes_fetched"]
-    for name in names:
-        keys.extend(
-            [f"{name}.probes", f"{name}.hits", f"{name}.fills",
-             f"{name}.evictions"]
-        )
-    lo_acc: Dict[str, int] = {key: 0 for key in keys}
-    hi_acc: Dict[str, Optional[int]] = {key: 0 for key in keys}
-    if analyzer.has_l2:
-        min_granule = analyzer.l2_sub
-    else:
-        min_granule = analyzer.geometry.sub_block_size
-    block_of = analyzer.cfg.block_of
-    for site, data in record.items():
-        info = data[6]
-        if info is None:
-            continue
-        block = block_of[int(site.split(":", 1)[0])]
-        run_hi = exec_hi[block]
-        run_lo = exec_lo[block]
-        events_hi = _none_mul(info.events_hi, run_hi)
-        if info.total_cap is not None:
-            events_hi = _none_min(events_hi, info.total_cap)
-        events_lo = run_lo if info.definite else 0
-        lo_acc["demand_misses"] += events_lo
-        hi_acc["demand_misses"] = _none_add(
-            hi_acc["demand_misses"], events_hi
-        )
-        for name in names:
-            if name in info.probe_pos:
-                hi_acc[f"{name}.probes"] = _none_add(
-                    hi_acc[f"{name}.probes"], events_hi
-                )
-            if name in info.probe_def:
-                lo_acc[f"{name}.probes"] += events_lo
-            if name in info.hit_pos:
-                hi_acc[f"{name}.hits"] = _none_add(
-                    hi_acc[f"{name}.hits"], events_hi
-                )
-            if name in info.hit_def:
-                lo_acc[f"{name}.hits"] += events_lo
-        if info.memory_pos:
-            fetches_hi = events_hi
-            bytes_hi = _none_mul(events_hi, info.event_bytes_hi)
-            if info.persistent_bytes is not None and min_granule:
-                fetches_hi = _none_min(
-                    fetches_hi, info.persistent_bytes // min_granule
-                )
-                bytes_hi = _none_min(bytes_hi, info.persistent_bytes)
-            hi_acc["memory_fetches"] = _none_add(
-                hi_acc["memory_fetches"], fetches_hi
-            )
-            hi_acc["memory_bytes_fetched"] = _none_add(
-                hi_acc["memory_bytes_fetched"], bytes_hi
-            )
-        if info.memory_def:
-            lo_acc["memory_fetches"] += events_lo
-            lo_acc["memory_bytes_fetched"] += events_lo * min_granule
-    # Structure-level fill/eviction counters are driven by upstream
-    # events, not per-site outcomes: derive them from the site totals.
-    demand_hi = hi_acc["demand_misses"]
-    if analyzer.has_vc:
-        # Every L1 block miss offers at most one eviction to the chain.
-        hi_acc["victim.fills"] = demand_hi
-        hi_acc["victim.evictions"] = demand_hi
-    if analyzer.has_mc:
-        probes_hi = hi_acc["miss.probes"]
-        hi_acc["miss.fills"] = probes_hi
-        hi_acc["miss.evictions"] = probes_hi
-    if analyzer.has_sb:
-        probes_hi = hi_acc["stream.probes"]
-        hi_acc["stream.fills"] = _none_mul(analyzer.sb_depth, probes_hi)
-        hi_acc["stream.evictions"] = probes_hi
-    if analyzer.has_l2:
-        # The concrete chain never routes fill/evict accounting to the
-        # backing L2 structure; both counters are exactly zero.
-        hi_acc["l2.fills"] = 0
-        hi_acc["l2.evictions"] = 0
-    return tuple((key, (lo_acc[key], hi_acc[key])) for key in keys)
+        return base + self._site_chain_class(state, addr, kind, base[0])
 
 
 # -- Public API -------------------------------------------------------------
@@ -1712,9 +1018,7 @@ def classify_chain_program(
     """Hierarchically classify every site of ``program`` through a chain.
 
     The empty/absent chain is allowed: the analysis then proves the
-    bare-L1 facts (every definite miss is ``memory-bound``) and bounds
-    the memory-side counters directly, which is what the chain-tighter
-    regression compares against.
+    bare-L1 facts (every definite miss is ``memory-bound``).
 
     Args:
         program: The assembled program (its word size is used).
@@ -1752,9 +1056,7 @@ def classify_chain_program(
         )
     policy = _resolve_fetch(fetch)
     analyzer = _ChainAnalyzer(program, geometry, policy, stack_words, config)
-    in_states, record = _analyze(analyzer)
-    exec_lo, exec_hi = _exec_bounds(analyzer, in_states)
-    bounds = _compute_bounds(analyzer, record, exec_lo, exec_hi)
+    _in_states, record = _analyze(analyzer)
 
     sites: List[ChainSiteResult] = []
     for index, inst in enumerate(program.instructions):
@@ -1769,7 +1071,7 @@ def classify_chain_program(
             data = record.get(site)
             if data is not None:
                 l1_cls, _reason, target, kind_label = data[:4]
-                chain_cls, chain_reason, _info = data[4:7]
+                chain_cls, chain_reason = data[4:6]
                 sites.append(
                     ChainSiteResult(
                         site=site,
@@ -1815,30 +1117,7 @@ def classify_chain_program(
         associativity=geometry.associativity,
         miss_path=config,
         sites=tuple(sites),
-        bounds=bounds,
     )
-
-
-def lint_chain_report(report: ChainClassificationReport) -> List[Diagnostic]:
-    """Chain-level lint over a finished report (``abschain-*`` rules)."""
-    out: List[Diagnostic] = []
-    for name in report.miss_path.chain_names:
-        hits = report.bound(f"{name}.hits")
-        if hits is not None and hits[1] == 0:
-            out.append(
-                Diagnostic(
-                    rule="abschain-chain-inert",
-                    severity=Severity.WARNING,
-                    message=(
-                        f"the {name} structure provably never services "
-                        "a miss for this program: it only adds latency"
-                    ),
-                    source=report.name,
-                    location=f"chain {report.miss_path.key()}",
-                    data={"structure": name, "hits": [hits[0], hits[1]]},
-                )
-            )
-    return out
 
 
 def _sanitize_enabled(override: Optional[bool]) -> bool:
@@ -1855,7 +1134,7 @@ def verify_classification(
     max_refs: Optional[int] = 200_000,
     sanitize: Optional[bool] = None,
 ) -> ChainVerificationResult:
-    """Differentially check chain proofs *and* counter bounds.
+    """Differentially check chain proofs against a concrete replay.
 
     Runs the program, replays its trace cold through a concrete
     chained cache, attributes every access to its site, and records a
@@ -1868,13 +1147,9 @@ def verify_classification(
     * a ``memory-bound`` access is serviced before memory;
     * a ``first-miss`` access misses after its first occurrence.
 
-    Afterwards every simulated :class:`MissPathStats` counter is
-    checked against its static bound: upper bounds always hold (a
-    truncated run checks a prefix, and the counters only grow); lower
-    bounds are checked only when the run halted.  When ``sanitize`` is
-    true (default: the ``REPRO_SANITIZE`` environment toggle), the
-    replay uses the checked engine, cross-asserting the cache/chain
-    invariants after every access.
+    When ``sanitize`` is true (default: the ``REPRO_SANITIZE``
+    environment toggle), the replay uses the checked engine,
+    cross-asserting the cache/chain invariants after every access.
     """
     config = report.miss_path
     chained = config.enabled
@@ -1966,43 +1241,12 @@ def verify_classification(
                          f"serviced by {expected_server}",
                          f"serviced by {server}")
                     )
-    observed_counters: Dict[str, int] = {}
-    if chained:
-        misspath = cache.stats.misspath
-        observed_counters["demand_misses"] = misspath.demand_misses
-        observed_counters["memory_fetches"] = misspath.memory_fetches
-        observed_counters["memory_bytes_fetched"] = (
-            misspath.memory_bytes_fetched
-        )
-        for name in config.chain_names:
-            structure = misspath.structures[name]
-            observed_counters[f"{name}.probes"] = structure.probes
-            observed_counters[f"{name}.hits"] = structure.hits
-            observed_counters[f"{name}.fills"] = structure.fills
-            observed_counters[f"{name}.evictions"] = structure.evictions
-    else:
-        stats = cache.stats
-        demand = stats.block_misses + stats.sub_block_misses
-        observed_counters["demand_misses"] = demand
-        observed_counters["memory_fetches"] = demand
-        observed_counters["memory_bytes_fetched"] = stats.bytes_fetched
-    bound_violations: List[Tuple[str, int, Optional[int], int]] = []
-    for key, (lo, hi) in report.bounds:
-        value = observed_counters.get(key)
-        if value is None:
-            continue
-        if hi is not None and value > hi:
-            bound_violations.append((key, lo, hi, value))
-        elif result.halted and value < lo:
-            bound_violations.append((key, lo, hi, value))
     return ChainVerificationResult(
-        ok=not violations and not bound_violations,
+        ok=not violations,
         accesses=len(trace),
         checked=checked,
         unclassified_accesses=unclassified,
         violations=tuple(violations),
-        bound_violations=tuple(bound_violations),
-        halted=bool(result.halted),
         sanitized=use_checked,
     )
 
@@ -2010,77 +1254,3 @@ def verify_classification(
 #: Unambiguous alias for callers that also import the single-level
 #: :func:`repro.staticcheck.abscache.verify_classification`.
 verify_chain_classification = verify_classification
-
-
-def predict_chain_knee(
-    program: AssembledProgram,
-    nets: Sequence[int],
-    *,
-    block_size: int,
-    sub_block_size: Optional[int] = None,
-    associativity: int = 4,
-    miss_path: Union[MissPathConfig, Dict[str, Any], None] = None,
-    fetch: Union[str, FetchPolicy] = "demand",
-    stack_words: int = 4096,
-    name: str = "",
-) -> Optional[int]:
-    """Chain-aware knee prediction (the :func:`predict_knee` shape).
-
-    Counts loop-body sites whose hierarchical class settles (L1 hit,
-    any chain hit, or first miss); the knee is the smallest net size
-    reaching the maximum coverage with no loop-body site proven
-    memory-bound.  With a chain, sites a bare L1 would leave
-    ``always-miss`` can settle as chain hits, moving the knee earlier
-    — the chain-aware knee feeds ``compare_with_sweep`` unchanged.
-    """
-    from repro.staticcheck.cfg import build_cfg
-
-    cfg = build_cfg(program)
-    loops = cfg.natural_loops()
-    if not loops:
-        return None
-    loop_instructions: Set[int] = set()
-    for loop in loops:
-        for block_index in loop.body:
-            block = cfg.blocks[block_index]
-            loop_instructions.update(range(block.start, block.end))
-
-    coverage: List[Tuple[int, int]] = []
-    for net in sorted(set(nets)):
-        try:
-            geometry = CacheGeometry(
-                net_size=net,
-                block_size=block_size,
-                sub_block_size=sub_block_size or block_size,
-                associativity=associativity,
-            )
-        except ConfigurationError:
-            continue
-        report = classify_chain_program(
-            program,
-            geometry,
-            miss_path=miss_path,
-            fetch=fetch,
-            stack_words=stack_words,
-            name=name,
-        )
-        settled = 0
-        any_memory_bound = False
-        for site in report.sites:
-            index = int(site.site.split(":", 1)[0])
-            if index not in loop_instructions:
-                continue
-            if site.classification is ChainSiteClass.MEMORY_BOUND:
-                any_memory_bound = True
-                break
-            if site.classification in _SETTLED_CLASSES:
-                settled += 1
-        if not any_memory_bound:
-            coverage.append((net, settled))
-    if not coverage:
-        return None
-    best = max(settled for _net, settled in coverage)
-    for net, settled in coverage:
-        if settled == best:
-            return net
-    return None  # pragma: no cover - the maximum always occurs

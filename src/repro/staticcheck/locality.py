@@ -223,14 +223,10 @@ def compare_with_sweep(
 
     Args:
         classified_knee: When given (the abstract-interpretation knee
-            from :func:`repro.staticcheck.abscache.predict_knee`, or
-            its chain-aware counterpart
-            :func:`repro.staticcheck.abschain.predict_chain_knee`), it
+            from :func:`repro.staticcheck.abscache.predict_knee`), it
             replaces the structural footprint estimate — the abstract
-            analysis accounts for mapping conflicts, replacement, and
-            (for the chain-aware knee) miss-path structures that
-            service would-be misses, so its prediction is the tighter
-            one.
+            analysis accounts for mapping conflicts and replacement, so
+            its prediction is the tighter one.
     """
     # Steady state sits in the hot loop: its code plus (a subset of) the
     # data segment it streams over.  Loop-free programs touch everything

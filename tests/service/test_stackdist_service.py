@@ -138,3 +138,21 @@ def test_exported_checkpoint_stays_byte_compatible(tmp_path):
     ]
     cells = [r for r in records if r.get("kind") == "cell"]
     assert cells and all("engine" not in record for record in cells)
+
+
+def test_disk_hit_after_restart_reports_disk(tmp_path):
+    """The batch's stack-distance pre-check must not promote a disk
+    entry: after a restart the cell is served, and counted, as a disk
+    hit."""
+    query = grid_queries()[0]
+    config = ServiceConfig(
+        batch_window=0.05, grid_engine="auto", store_dir=str(tmp_path)
+    )
+    (first,), _ = simulate_batch([query], config)
+    assert first.source == "computed"
+    (again,), service = simulate_batch([query], config)
+    assert again.source == "disk"
+    assert service.metrics.cache_lookups_total.value(
+        labels={"outcome": "disk"}
+    ) == 1
+    assert again.entry == first.entry

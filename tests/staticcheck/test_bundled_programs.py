@@ -5,27 +5,17 @@ in the test suite means a program edit that introduces dead code, an
 unbalanced frame, or a wild branch fails locally too.
 """
 
-import inspect
-
 import pytest
 
 from repro.staticcheck import check_program, footprint
-from repro.workloads.assembler import assemble
+from repro.workloads import assemble_program
 from repro.workloads.programs import PROGRAMS
-
-
-def build_program(name, word_size):
-    builder = PROGRAMS[name]
-    params = (
-        {"seed": 0} if "seed" in inspect.signature(builder).parameters else {}
-    )
-    return assemble(builder(**params).source, word_size=word_size)
 
 
 @pytest.mark.parametrize("name", sorted(PROGRAMS))
 @pytest.mark.parametrize("word_size", [2, 4])
 def test_program_lints_clean(name, word_size):
-    diagnostics = check_program(build_program(name, word_size), name=name)
+    diagnostics = check_program(assemble_program(name, word_size), name=name)
     assert diagnostics == [], "\n".join(d.render() for d in diagnostics)
 
 
@@ -33,7 +23,7 @@ def test_program_lints_clean(name, word_size):
 def test_program_has_a_loop_and_real_footprints(name):
     # Every bundled workload iterates; a loop-free "workload" would not
     # exercise the temporal locality the paper's traces depend on.
-    report = footprint(build_program(name, 2), name=name)
+    report = footprint(assemble_program(name, 2), name=name)
     assert report.code_bytes > 0
     assert report.data_bytes > 0
     assert report.hot_loop_bytes > 0

@@ -337,9 +337,8 @@ class TestClassifyCommand:
         ] + self.CHAIN) == 0
         out = capsys.readouterr().out
         assert "chain vc4+sb2x4+l2:4096/0/0@4" in out
-        assert "static counter bounds:" in out
-        assert "memory_bytes_fetched" in out
         assert "per-structure proofs:" in out
+        assert "proven-hits" in out
         # One proof row per configured structure, in chain order.
         proofs = out.split("per-structure proofs:", 1)[1]
         assert (
