@@ -1,13 +1,12 @@
-"""Engineering benchmarks: simulator throughput (both engines) and the
-Mattson stack-distance shortcut.
+"""Engineering benchmarks: simulator throughput (both engines).
 
 These time the library itself rather than reproducing a paper artifact:
 cache-access throughput bounds how long a full 1M-reference
-reproduction takes, the reference-versus-vectorized comparison measures
-the engine layer's speedup (and re-checks equivalence on the way), and
-the stack-distance benchmark demonstrates the "LRU permits more
-efficient simulation" point (one pass instead of one simulation per
-cache size).
+reproduction takes, and the reference-versus-vectorized comparison
+measures the engine layer's speedup (and re-checks equivalence on the
+way).  The "LRU permits more efficient simulation" point (one pass
+instead of one simulation per cache size) is gated by
+``bench_stackdist.py``.
 
 The engine comparison also writes a ``BENCH_engines.json`` artifact
 next to this file, with per-engine ``accesses_per_second`` and the
@@ -17,7 +16,6 @@ speedup — the machine-readable form the CI perf-smoke step checks.
 import json
 from pathlib import Path
 
-from repro.analysis.stackdist import miss_ratio_curve
 from repro.core.cache import SubBlockCache
 from repro.core.config import CacheGeometry
 from repro.core.sim import simulate
@@ -109,17 +107,3 @@ def test_engine_vectorized_throughput(benchmark, trace_length):
         )
         assert speedup > 1.0
 
-
-def test_stack_distance_all_sizes_single_pass(benchmark, trace_length):
-    trace = reads_only(suite_trace("pdp11", "ED", length=min(trace_length, 30_000)))
-    sizes = [64, 128, 256, 512, 1024, 2048]
-
-    curve = benchmark.pedantic(
-        miss_ratio_curve, args=(trace, 16, sizes), rounds=1, iterations=1
-    )
-    print()
-    print("Mattson one-pass miss-ratio curve (PDP-11 ED, 16B blocks):")
-    for size in sizes:
-        print(f"  {size:5d}B: {curve[size]:.4f}")
-    values = [curve[s] for s in sizes]
-    assert values == sorted(values, reverse=True)

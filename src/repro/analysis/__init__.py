@@ -28,11 +28,6 @@ from repro.analysis.stability import (
     length_sensitivity,
     max_relative_drift,
 )
-from repro.analysis.stackdist import (
-    miss_ratio_curve,
-    stack_distance_histogram,
-    success_function,
-)
 from repro.analysis.sweep import SweepPoint, geometry_grid, sweep
 from repro.analysis.tables import format_table6, format_table7, format_table8
 
@@ -64,9 +59,6 @@ __all__ = [
     "length_sensitivity",
     "max_relative_drift",
     "series_to_csv",
-    "miss_ratio_curve",
-    "stack_distance_histogram",
-    "success_function",
     "SweepPoint",
     "geometry_grid",
     "sweep",

@@ -26,12 +26,11 @@ interruption, ``--max-retries`` / ``--cell-timeout`` to bound flaky or
 runaway cells, and ``--lenient`` to degrade to partial suite averages
 instead of failing; see ``docs/resilience.md``.  They also accept
 execution flags — ``--engine {auto,reference,vectorized,checked}`` to
-pick the simulation engine, ``--sanitize`` as a shorthand for the
-``checked`` (per-access invariant-asserting) engine, ``--jobs N``
-to fan cells out over worker processes (see ``docs/engines.md``), and
-``--sample INTERVAL[,K]`` for representative-interval sampled
-simulation with error bounds (``phases`` previews the plan; see
-``docs/sampling.md``).
+pick the simulation engine (``checked`` asserts the cache invariants
+on every access), ``--jobs N`` to fan cells out over worker processes
+(see ``docs/engines.md``), and ``--sample INTERVAL[,K]`` for
+representative-interval sampled simulation with error bounds
+(``phases`` previews the plan; see ``docs/sampling.md``).
 ``chaos`` runs the fault-injection scenarios that prove the resilience
 guarantees, under any engine.  ``serve`` starts the interactive HTTP
 query service with its result cache, request coalescing, and admission
@@ -49,7 +48,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.analysis.experiments import (
     FIGURE_NETS,
@@ -62,6 +61,8 @@ from repro.analysis.experiments import (
 from repro.analysis.figures import figure_series, series_to_csv
 from repro.analysis.plotting import ascii_figure
 from repro.analysis.tables import format_table6, format_table7, format_table8
+from repro.core.config import CacheGeometry
+from repro.core.misspath import MissPathConfig
 from repro.engine.base import ENGINE_NAMES
 from repro.engine.route import GRID_ENGINE_NAMES
 from repro.runner.retry import RetryPolicy
@@ -114,11 +115,6 @@ def _add_resilience_flags(subparser: argparse.ArgumentParser) -> None:
              "plain traces; see docs/engines.md)",
     )
     execution.add_argument(
-        "--sanitize", action="store_true",
-        help="run every cell under the checked engine (per-access "
-             "cache-invariant and conservation-law assertions)",
-    )
-    execution.add_argument(
         "--grid-engine", default="auto", choices=list(GRID_ENGINE_NAMES),
         help="grid-level strategy: auto answers coverable LRU pass "
              "groups from one stack-distance pass per trace, stackdist "
@@ -138,17 +134,99 @@ def _add_resilience_flags(subparser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_cell_flags(
+    subparser: argparse.ArgumentParser,
+    word_choices: Optional[List[int]] = None,
+) -> None:
+    """One cache cell's flags: shape, word size, fetch policy and
+    miss-path chain (read back by :func:`_cell_from_args`)."""
+    subparser.add_argument("--net", type=int, default=1024, help="net size (bytes)")
+    subparser.add_argument("--block", type=int, default=16, help="block size")
+    subparser.add_argument("--sub", type=int, default=None, help="sub-block size")
+    subparser.add_argument("--assoc", type=int, default=4, help="associativity")
+    subparser.add_argument(
+        "--word", type=int, default=2, choices=word_choices,
+        help="data-path width (default 2)",
+    )
+    subparser.add_argument(
+        "--fetch",
+        default="demand",
+        choices=["demand", "load-forward", "load-forward-optimized"],
+    )
+    chain = subparser.add_argument_group(
+        "miss path",
+        "optional structures consulted between an L1 miss and memory "
+        "(see docs/misspath.md); all default to off",
+    )
+    chain.add_argument(
+        "--victim-entries", type=int, default=0, metavar="N",
+        help="fully-associative victim cache entries (holds L1 evictions)",
+    )
+    chain.add_argument(
+        "--miss-entries", type=int, default=0, metavar="N",
+        help="tag-only miss cache entries",
+    )
+    chain.add_argument(
+        "--stream-buffers", type=int, default=0, metavar="N",
+        help="sequential-prefetch stream buffers",
+    )
+    chain.add_argument(
+        "--stream-depth", type=int, default=4, metavar="N",
+        help="prefetch FIFO depth per stream buffer (default 4)",
+    )
+    chain.add_argument(
+        "--l2-net", type=int, default=0, metavar="BYTES",
+        help="backing L2 net size (0 = no L2)",
+    )
+    chain.add_argument(
+        "--l2-block", type=int, default=0, metavar="BYTES",
+        help="L2 block size (default: the L1 block size)",
+    )
+    chain.add_argument(
+        "--l2-sub", type=int, default=0, metavar="BYTES",
+        help="L2 sub-block size (default: the L2 block size)",
+    )
+    chain.add_argument(
+        "--l2-assoc", type=int, default=4, metavar="N",
+        help="L2 associativity (default 4)",
+    )
+
+
+def _cell_from_args(args: argparse.Namespace) -> Tuple[CacheGeometry, MissPathConfig]:
+    """The geometry and chain that :func:`_add_cell_flags` flags name.
+
+    Raises:
+        ConfigurationError: For an invalid geometry or chain.
+    """
+    geometry = CacheGeometry(
+        net_size=args.net,
+        block_size=args.block,
+        sub_block_size=args.sub if args.sub is not None else args.block,
+        associativity=args.assoc,
+    )
+    miss_path = MissPathConfig(
+        victim_entries=args.victim_entries,
+        miss_entries=args.miss_entries,
+        stream_buffers=args.stream_buffers,
+        stream_depth=args.stream_depth,
+        l2_net_size=args.l2_net,
+        l2_block_size=args.l2_block,
+        l2_sub_block_size=args.l2_sub,
+        l2_associativity=args.l2_assoc,
+    )
+    return geometry, miss_path
+
+
 def _runner_config(args: argparse.Namespace) -> Optional[RunnerConfig]:
     """Build the resilience config from CLI flags; None when inert."""
     if args.resume and args.checkpoint is None:
         raise SystemExit("repro: --resume requires --checkpoint")
-    engine = "checked" if args.sanitize else args.engine
     if (
         args.checkpoint is None
         and args.max_retries == 0
         and args.cell_timeout is None
         and not args.lenient
-        and engine == "auto"
+        and args.engine == "auto"
         and args.grid_engine == "auto"
         and args.jobs == 1
     ):
@@ -159,7 +237,7 @@ def _runner_config(args: argparse.Namespace) -> Optional[RunnerConfig]:
         checkpoint=args.checkpoint,
         resume=args.resume,
         lenient=args.lenient,
-        engine=engine,
+        engine=args.engine,
         grid_engine=args.grid_engine,
         jobs=args.jobs,
     )
@@ -239,10 +317,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--engine", default="auto",
         choices=list(ENGINE_NAMES),
         help="simulation engine for the scenario sweeps",
-    )
-    chaos.add_argument(
-        "--sanitize", action="store_true",
-        help="run the scenario sweeps under the checked engine",
     )
     serve = commands.add_parser(
         "serve",
@@ -379,17 +453,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="must/may abstract-interpretation cache analysis of one program",
     )
     classify.add_argument("program", help="bundled program name (see lint)")
-    classify.add_argument("--net", type=int, default=1024, help="net size (bytes)")
-    classify.add_argument("--block", type=int, default=16, help="block size")
-    classify.add_argument("--sub", type=int, default=None, help="sub-block size")
-    classify.add_argument("--assoc", type=int, default=4, help="associativity")
-    classify.add_argument("--word", type=int, default=2, choices=[2, 4],
-                          help="data-path width to assemble for (default 2)")
-    classify.add_argument(
-        "--fetch",
-        default="demand",
-        choices=["demand", "load-forward", "load-forward-optimized"],
-    )
+    _add_cell_flags(classify, word_choices=[2, 4])
     classify.add_argument(
         "--stack-words", type=int, default=4096, metavar="N",
         help="machine stack capacity the analysis assumes (default 4096)",
@@ -403,44 +467,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="differentially check the classification against an actual "
              "machine run through the simulator (exit 1 on any violation)",
     )
-    classify_chain = classify.add_argument_group(
-        "miss path",
-        "optional structures between an L1 miss and memory; the "
-        "analysis lifts its must/may proofs through the chain "
-        "(see docs/staticcheck.md)",
-    )
-    classify_chain.add_argument(
-        "--victim-entries", type=int, default=0, metavar="N",
-        help="fully-associative victim cache entries (holds L1 evictions)",
-    )
-    classify_chain.add_argument(
-        "--miss-entries", type=int, default=0, metavar="N",
-        help="tag-only miss cache entries",
-    )
-    classify_chain.add_argument(
-        "--stream-buffers", type=int, default=0, metavar="N",
-        help="sequential-prefetch stream buffers",
-    )
-    classify_chain.add_argument(
-        "--stream-depth", type=int, default=4, metavar="N",
-        help="prefetch FIFO depth per stream buffer (default 4)",
-    )
-    classify_chain.add_argument(
-        "--l2-net", type=int, default=0, metavar="BYTES",
-        help="backing L2 net size (0 = no L2)",
-    )
-    classify_chain.add_argument(
-        "--l2-block", type=int, default=0, metavar="BYTES",
-        help="L2 block size (default: the L1 block size)",
-    )
-    classify_chain.add_argument(
-        "--l2-sub", type=int, default=0, metavar="BYTES",
-        help="L2 sub-block size (default: the L2 block size)",
-    )
-    classify_chain.add_argument(
-        "--l2-assoc", type=int, default=4, metavar="N",
-        help="L2 associativity (default 4)",
-    )
     commands.add_parser("riscii", help="RISC II instruction-cache results")
     commands.add_parser("suites", help="list the workload suites and traces")
     trace = commands.add_parser("trace", help="generate one trace")
@@ -451,16 +477,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "simulate", help="simulate one cache over a din trace file"
     )
     simulate.add_argument("din", help="trace file in din format")
-    simulate.add_argument("--net", type=int, default=1024, help="net size (bytes)")
-    simulate.add_argument("--block", type=int, default=16, help="block size")
-    simulate.add_argument("--sub", type=int, default=None, help="sub-block size")
-    simulate.add_argument("--assoc", type=int, default=4, help="associativity")
-    simulate.add_argument("--word", type=int, default=2, help="data-path width")
-    simulate.add_argument(
-        "--fetch",
-        default="demand",
-        choices=["demand", "load-forward", "load-forward-optimized"],
-    )
+    _add_cell_flags(simulate)
     simulate.add_argument(
         "--replacement", default="lru", choices=["lru", "fifo", "random"]
     )
@@ -471,43 +488,6 @@ def _build_parser() -> argparse.ArgumentParser:
     simulate.add_argument(
         "--keep-writes", action="store_true",
         help="keep write accesses (default: the paper's read filtering)",
-    )
-    miss_path = simulate.add_argument_group(
-        "miss path",
-        "optional structures consulted between an L1 miss and memory "
-        "(see docs/misspath.md); all default to off",
-    )
-    miss_path.add_argument(
-        "--victim-entries", type=int, default=0, metavar="N",
-        help="fully-associative victim cache entries (holds L1 evictions)",
-    )
-    miss_path.add_argument(
-        "--miss-entries", type=int, default=0, metavar="N",
-        help="tag-only miss cache entries",
-    )
-    miss_path.add_argument(
-        "--stream-buffers", type=int, default=0, metavar="N",
-        help="sequential-prefetch stream buffers",
-    )
-    miss_path.add_argument(
-        "--stream-depth", type=int, default=4, metavar="N",
-        help="prefetch FIFO depth per stream buffer (default 4)",
-    )
-    miss_path.add_argument(
-        "--l2-net", type=int, default=0, metavar="BYTES",
-        help="backing L2 net size (0 = no L2)",
-    )
-    miss_path.add_argument(
-        "--l2-block", type=int, default=0, metavar="BYTES",
-        help="L2 block size (default: the L1 block size)",
-    )
-    miss_path.add_argument(
-        "--l2-sub", type=int, default=0, metavar="BYTES",
-        help="L2 sub-block size (default: the L2 block size)",
-    )
-    miss_path.add_argument(
-        "--l2-assoc", type=int, default=4, metavar="N",
-        help="L2 associativity (default 4)",
     )
     return parser
 
@@ -616,7 +596,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             quick=args.quick,
             seed=args.seed,
             checkpoint_dir=args.checkpoint_dir,
-            engine="checked" if args.sanitize else args.engine,
+            engine=args.engine,
         )
     elif args.command == "serve":
         from repro.service.app import run_server
@@ -831,7 +811,6 @@ def _cmd_classify(args) -> int:
     """
     import json
 
-    from repro.core.config import CacheGeometry
     from repro.errors import ConfigurationError
     from repro.staticcheck import (
         classify_chain_program,
@@ -846,23 +825,8 @@ def _cmd_classify(args) -> int:
             f"choose from {sorted(PROGRAMS)}"
         )
     program = assemble_program(args.program, args.word)
-    miss_path = {
-        "victim_entries": args.victim_entries,
-        "miss_entries": args.miss_entries,
-        "stream_buffers": args.stream_buffers,
-        "stream_depth": args.stream_depth,
-        "l2_net_size": args.l2_net,
-        "l2_block_size": args.l2_block,
-        "l2_sub_block_size": args.l2_sub,
-        "l2_associativity": args.l2_assoc,
-    }
     try:
-        geometry = CacheGeometry(
-            net_size=args.net,
-            block_size=args.block,
-            sub_block_size=args.sub if args.sub is not None else args.block,
-            associativity=args.assoc,
-        )
+        geometry, miss_path = _cell_from_args(args)
         report = classify_chain_program(
             program,
             geometry,
@@ -933,8 +897,6 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_simulate(args) -> None:
-    from repro.core.config import CacheGeometry
-    from repro.core.misspath import MissPathConfig
     from repro.engine import CellSpec, run_cell
     from repro.memory.nibble import NIBBLE_MODE_BUS
     from repro.trace.filters import reads_only
@@ -943,22 +905,7 @@ def _cmd_simulate(args) -> None:
     trace = read_din(args.din, size=args.word)
     if not args.keep_writes:
         trace = reads_only(trace)
-    geometry = CacheGeometry(
-        net_size=args.net,
-        block_size=args.block,
-        sub_block_size=args.sub if args.sub is not None else args.block,
-        associativity=args.assoc,
-    )
-    miss_path = MissPathConfig(
-        victim_entries=args.victim_entries,
-        miss_entries=args.miss_entries,
-        stream_buffers=args.stream_buffers,
-        stream_depth=args.stream_depth,
-        l2_net_size=args.l2_net,
-        l2_block_size=args.l2_block,
-        l2_sub_block_size=args.l2_sub,
-        l2_associativity=args.l2_assoc,
-    )
+    geometry, miss_path = _cell_from_args(args)
     stats = run_cell(trace, CellSpec.of(
         geometry,
         replacement=args.replacement,

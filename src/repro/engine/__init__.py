@@ -14,7 +14,7 @@ Public surface:
   engine, pinned to the reference by the equivalence suite.
 * :class:`~repro.engine.checked.CheckedEngine` — reference semantics
   plus per-access sanitizer assertions (cache-model invariants and
-  statistics conservation laws); the ``--sanitize`` engine.
+  statistics conservation laws); the ``--engine checked`` engine.
 * :class:`~repro.engine.traceview.TraceView` — shared cached decode of
   one trace, reused across every geometry of a sweep.
 * :mod:`repro.engine.batch` — :class:`~repro.engine.batch.CellSpec`

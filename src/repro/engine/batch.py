@@ -25,9 +25,10 @@ from repro.core.fetch import FetchPolicy, make_fetch
 from repro.core.misspath import MissPathConfig
 from repro.core.replacement import make_replacement
 from repro.core.stats import CacheStats
-from repro.engine.base import make_engine
+from repro.engine.base import ENGINE_NAMES, make_engine
 from repro.engine.route import Route, plan
 from repro.engine.traceview import TraceView
+from repro.errors import ConfigurationError
 from repro.trace.filters import reads_only
 from repro.trace.record import Trace
 
@@ -84,27 +85,36 @@ class CellSpec:
         miss_path: "Union[MissPathConfig, Dict[str, Any], None]" = None,
         sample: Any = None,
     ) -> "CellSpec":
-        """Build a spec from loose user values.
+        """Build a spec from loose user values: the one place a cell's
+        axes are coerced, spelled canonically and name-checked.
 
-        ``fetch`` may be a policy object or ``None`` (demand); the chain
-        may be a mapping, and an empty one becomes ``None``; ``sample``
-        is anything ``SamplingConfig.coerce`` accepts.
+        ``engine`` and ``replacement`` are lower-cased and ``fetch``
+        takes its policy's canonical name (``load_forward`` ->
+        ``load-forward``), so spellings of one cell share a
+        fingerprint.  ``fetch`` may be a policy object or ``None``
+        (demand); the chain may be a mapping, and an empty one becomes
+        ``None``; ``sample`` is anything ``SamplingConfig.coerce``
+        accepts.
 
         Raises:
-            ConfigurationError: For a malformed chain or sample.
+            ConfigurationError: For an unknown engine or policy name,
+                or a malformed chain or sample.
         """
         from repro.staticcheck.phases import SamplingConfig
 
+        engine = str(engine).lower()
+        if engine not in ENGINE_NAMES:
+            raise ConfigurationError(
+                f"unknown engine {engine!r}; choose from {list(ENGINE_NAMES)}"
+            )
+        if not isinstance(fetch, FetchPolicy):
+            fetch = make_fetch(str(fetch) if fetch is not None else "demand")
         chain = MissPathConfig.coerce(miss_path)
         return cls(
             geometry,
-            engine=engine.lower(),
-            fetch=(
-                fetch if isinstance(fetch, str)
-                else fetch.name if fetch is not None
-                else "demand"
-            ),
-            replacement=replacement,
+            engine=engine,
+            fetch=fetch.name,
+            replacement=make_replacement(str(replacement)).name,
             warmup=warmup,
             word_size=word_size,
             miss_path=chain if chain is not None and chain.enabled else None,

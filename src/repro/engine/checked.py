@@ -24,7 +24,7 @@ moment any is violated:
   chain is configured (``sanitizer-conservation``).
 
 Because both engines are bound by the equivalence contract, running a
-sweep under ``--sanitize`` changes nothing but speed: identical stats,
+sweep under ``--engine checked`` changes nothing but speed: identical stats,
 with a tripwire under every access.  The measured overhead is tracked
 by ``benchmarks/bench_abscache.py``.
 """
@@ -183,8 +183,9 @@ class CheckedCache(SubBlockCache):
 class CheckedEngine(Engine):
     """Reference-engine execution with per-access sanitizer assertions.
 
-    Never selected by ``auto``: request it with ``--sanitize`` (runner
-    CLI), ``--engine checked`` (service), or ``make_engine("checked")``.
+    Never selected by ``auto``: request it with ``--engine checked``
+    (sweep commands, ``chaos`` and ``serve``) or
+    ``make_engine("checked")``.
     Accepts any iterable of accesses, exactly like the reference
     engine, so guarded and fault-injected cells can run under it.
     """

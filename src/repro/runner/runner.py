@@ -51,8 +51,6 @@ from typing import (
 )
 
 from repro.core.config import CacheGeometry
-from repro.core.fetch import FetchPolicy
-from repro.core.misspath import MissPathConfig
 from repro.engine.batch import CellSpec, prepare_trace, run_route
 from repro.engine.route import Route, plan
 from repro.errors import (
@@ -363,29 +361,24 @@ def _pool_run_cell(geometry_index: int, trace_index: int, key: str) -> tuple:
 def run_sweep(
     traces: Sequence[Trace],
     geometries: Sequence[CacheGeometry],
-    word_size: int = 2,
-    fetch: Union[str, FetchPolicy, None] = None,
-    replacement: str = "lru",
-    warmup: Union[int, str] = "fill",
     bus_model: BusCostModel = NIBBLE_MODE_BUS,
     filter_writes: bool = True,
     config: Optional[RunnerConfig] = None,
-    miss_path: "Union[MissPathConfig, Dict[str, Any], None]" = None,
-    sample: Any = None,
+    **axes: Any,
 ) -> "tuple[list, RunReport]":
     """Run the paper's sweep cell by cell under the resilience layer.
 
-    ``config`` adds the resilience knobs; ``miss_path`` (a
-    :class:`~repro.core.misspath.MissPathConfig` or its dict form)
-    applies a miss-path chain to every cell, whose per-structure hit
-    summaries the checkpoint records; ``sample`` (a
-    :class:`~repro.staticcheck.phases.SamplingConfig`, its
-    ``INTERVAL[,K]`` string, or a dict) asks for sampled estimates of
-    the *cold* full-trace run from one phase plan per trace (recorded
-    with engine ``"sampled"`` and the full :class:`SampledStats`
-    payload; ``warmup`` and ``jobs`` are ignored).  The chain and
-    sample keys join the sweep fingerprint, so checkpoints of
-    different chains or sampling never resume each other.
+    ``axes`` are the cell axes every cell shares, the keywords of
+    :meth:`~repro.engine.batch.CellSpec.of` (``word_size``, ``fetch``,
+    ``replacement``, ``warmup``, ``miss_path``, ``sample``); the engine
+    comes from ``config``, which adds the resilience knobs.  A
+    ``miss_path`` chain's per-structure hit summaries land in the
+    checkpoint.  A ``sample`` asks for sampled estimates of the *cold*
+    full-trace run from one phase plan per trace (recorded with engine
+    ``"sampled"`` and the full :class:`SampledStats` payload;
+    ``warmup`` and ``jobs`` are ignored).  The chain and sample keys
+    join the sweep fingerprint, so checkpoints of different chains or
+    sampling never resume each other.
 
     :func:`repro.engine.route.plan` chooses every cell's path — sampled,
     a stack-distance pass, or a per-cell engine; where it falls back
@@ -400,15 +393,12 @@ def run_sweep(
         cells were all skipped carry NaN ratios.
 
     Raises:
+        StaticCheckError: When the preflight finds a malformed axis or
+            grid, before any cell runs.
         ReproError: In strict mode, the first unrecoverable cell
             failure; in lenient mode only the health breaker raises.
     """
     config = config if config is not None else RunnerConfig()
-    spec = CellSpec.of(
-        None, engine=config.engine, fetch=fetch, replacement=replacement,
-        warmup=warmup, word_size=word_size, miss_path=miss_path,
-        sample=sample,
-    )
     if config.jobs < 1:
         raise ConfigurationError(f"jobs must be >= 1, got {config.jobs}")
     if config.jobs > 1 and config.injector is not None:
@@ -421,20 +411,15 @@ def run_sweep(
         max_cell_accesses=config.max_cell_accesses,
         injector_active=config.injector is not None,
     )
-    # Grid-level plan: which geometries share a stack-distance pass and
-    # which run per cell.  Computed up front so an invalid engine or
-    # grid_engine fails before the checkpoint file is touched.
-    grid = plan_grid(
-        geometries, grid_engine=config.grid_engine, spec=spec, **guards
-    )
     preflight_findings: List = []
     if config.preflight:
-        # Fail-fast: error findings raise StaticCheckError here, before
-        # the checkpoint file is created or truncated below.
+        # Fail-fast: error findings raise StaticCheckError here, on the
+        # axes as given and before the checkpoint file is created or
+        # truncated below.
         from repro.staticcheck.preflight import preflight_sweep
 
         preflight_findings = preflight_sweep(
-            traces, geometries, spec=spec,
+            traces, geometries, engine=config.engine,
             # Coverage report only on an explicit grid-engine choice;
             # the default stays quiet so clean sweeps keep an empty
             # preflight (the summary line reports engines regardless).
@@ -442,8 +427,15 @@ def run_sweep(
                 config.grid_engine
                 if config.grid_engine != "auto" else None
             ),
-            **guards,
+            **axes, **guards,
         )
+    spec = CellSpec.of(None, engine=config.engine, **axes)
+    # Grid-level plan: which geometries share a stack-distance pass and
+    # which run per cell.  Computed up front so an invalid grid_engine
+    # fails before the checkpoint file is touched.
+    grid = plan_grid(
+        geometries, grid_engine=config.grid_engine, spec=spec, **guards
+    )
     if plan(spec, **guards).path != "sampled":
         # A sample the route planner sends back to exact simulation is
         # dropped: the cells, and the fingerprint, are exact.
@@ -504,7 +496,7 @@ def run_sweep(
             try:
                 stats_list = run_group_pass(
                     trace, group.block_size, group.num_sets,
-                    group.members, word_size=word_size,
+                    group.members, word_size=spec.word_size,
                 )
             except ReproError:
                 continue
@@ -514,7 +506,7 @@ def run_sweep(
             for key, stats in zip(group_keys, stats_list):
                 if key not in completed:
                     result = _CellResult(
-                        _ratios(stats, bus_model, word_size), None, None,
+                        _ratios(stats, bus_model, spec.word_size), None, None,
                         "stackdist",
                     )
                     answered[key] = ("ok", result, 1, share)

@@ -23,13 +23,11 @@ the engine is never invoked for a shape the lint rejects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple, Union
+from dataclasses import dataclass, fields, replace
+from typing import Any, Dict, Optional, Tuple
 
 from repro.core.config import CacheGeometry
-from repro.engine.base import ENGINE_NAMES
 from repro.engine.batch import CellSpec
-from repro.engine.route import plan
 from repro.errors import ConfigurationError
 from repro.memory.nibble import NIBBLE_MODE_BUS
 from repro.runner.checkpoint import sweep_fingerprint
@@ -39,8 +37,10 @@ from repro.staticcheck.configlint import (
     lint_cell_options,
     lint_grid_axes,
     lint_miss_path,
+    lint_sample,
+    sample_fallbacks,
 )
-from repro.staticcheck.diagnostics import raise_on_errors
+from repro.staticcheck.diagnostics import Severity, raise_on_errors
 from repro.workloads.architectures import get_architecture
 from repro.workloads.suites import suite_specs
 
@@ -54,22 +54,11 @@ __all__ = [
 #: Upper bound on the grid size one ``/sweep`` request may expand to.
 MAX_SWEEP_CELLS = 64
 
-#: Payload keys ``SimQuery.from_payload`` understands.
-_QUERY_KEYS = frozenset(
-    {
-        "suite", "trace", "length", "geometry", "net", "block", "sub",
-        "assoc", "engine", "fetch", "replacement", "warmup", "word_size",
-        "filter_writes", "miss_path", "sample", "exact",
-    }
-)
-
-
-#: What each ``sample-fallback-*`` rule names, for the 400 message.
-_SAMPLE_FALLBACK_AXES = {
-    "sample-fallback-injector": "fault injection",
-    "sample-fallback-checked": "the checked engine",
-    "sample-fallback-chain": "a miss-path chain",
-}
+_TRACE_KEYS = frozenset({"suite", "trace", "length", "filter_writes"})
+_GEOMETRY_KEYS = ("net", "block", "sub", "assoc")
+#: The cell axes a query may set: every :class:`CellSpec` field but the
+#: shape, which arrives as the geometry keys.
+_AXES = tuple(f.name for f in fields(CellSpec) if f.name != "geometry")
 
 
 def refuse_sample_fallback(spec: CellSpec) -> None:
@@ -80,15 +69,15 @@ def refuse_sample_fallback(spec: CellSpec) -> None:
     estimate must not get an exact result labeled as neither.
 
     Raises:
-        ConfigurationError: Naming the ``sample-fallback-*`` rule.
+        StaticCheckError: Carrying the ``sample-fallback-*`` findings.
     """
-    fallbacks = plan(spec).sample_fallbacks
-    if fallbacks:
-        rule = fallbacks[0]
-        raise ConfigurationError(
-            f"sampling is incompatible with {_SAMPLE_FALLBACK_AXES[rule]} "
-            f"(rule {rule}); drop one"
-        )
+    raise_on_errors(
+        [
+            replace(finding, severity=Severity.ERROR)
+            for finding in sample_fallbacks(spec)
+        ],
+        "sample refused (a sweep would run it exactly)",
+    )
 
 
 def _require_int(payload: Dict[str, Any], key: str, minimum: int = 1) -> int:
@@ -139,10 +128,13 @@ class SimQuery:
         if geometry is not None:
             if not isinstance(geometry, dict):
                 raise ConfigurationError("geometry must be a JSON object")
-            for key in ("net", "block", "sub", "assoc"):
+            for key in _GEOMETRY_KEYS:
                 if key in geometry:
                     payload.setdefault(key, geometry[key])
-        unknown = sorted(set(payload) - _QUERY_KEYS)
+        unknown = sorted(
+            set(payload) - _TRACE_KEYS - set(_GEOMETRY_KEYS) - set(_AXES)
+            - {"exact"}
+        )
         if unknown:
             raise ConfigurationError(f"unknown query keys: {unknown}")
         for key in ("suite", "trace", "net", "block", "sub"):
@@ -164,23 +156,19 @@ class SimQuery:
         sub = payload["sub"]
         assoc = payload.get("assoc", 4)
         payload.setdefault("word_size", get_architecture(suite).word_size)
-        word_size = _require_int(payload, "word_size")
-
-        engine = str(payload.get("engine", "auto")).lower()
-        if engine not in ENGINE_NAMES:
-            raise ConfigurationError(
-                f"unknown engine {engine!r}; choose from {list(ENGINE_NAMES)}"
-            )
-        fetch = str(payload.get("fetch", "demand")).lower().replace("_", "-")
-        replacement = str(payload.get("replacement", "lru")).lower()
-        warmup: Union[int, str] = payload.get("warmup", "fill")
+        _require_int(payload, "word_size")
+        axes = {name: payload[name] for name in _AXES if name in payload}
 
         # One structured pass over the options and the shape: every
         # problem at once, each with a rule id, raised as
         # StaticCheckError (-> 400 with a ``diagnostics`` array) before
         # any engine work happens.
+        fetch = axes.get("fetch")
         raise_on_errors(
-            lint_cell_options(fetch, replacement, warmup, source="query"),
+            lint_cell_options(
+                fetch, axes.get("replacement"), axes.get("warmup"),
+                source="query",
+            ),
             "invalid query",
         )
         check_geometry(net, block, sub, assoc=assoc, fetch=fetch, source="query")
@@ -191,19 +179,22 @@ class SimQuery:
                 f"filter_writes must be a boolean, got {filter_writes!r}"
             )
 
-        # Miss-path chain: lint first (every problem at once, each with
-        # a rule id -> structured 400); the spec then drops a chain
-        # with no enabled structure, so spellings like
-        # ``"miss_path": {}`` coalesce with chainless queries.
-        raw_miss_path = payload.get("miss_path")
+        # The chain and the sample are linted before the spec coerces
+        # them, so a malformed one is a structured 400 naming its rule.
+        # The spec then drops a chain with no enabled structure, so
+        # spellings like ``"miss_path": {}`` coalesce with chainless
+        # queries.
         raise_on_errors(
             lint_miss_path(
-                raw_miss_path,
+                axes.get("miss_path"),
                 l1_block_size=block,
                 source="query",
                 l1_net_size=net,
             ),
             "invalid miss_path",
+        )
+        raise_on_errors(
+            lint_sample(axes.get("sample"), source="query"), "invalid sample"
         )
         spec = CellSpec.of(
             CacheGeometry(
@@ -212,13 +203,7 @@ class SimQuery:
                 sub_block_size=sub,
                 associativity=assoc,
             ),
-            engine=engine,
-            fetch=fetch,
-            replacement=replacement,
-            warmup=warmup,
-            word_size=word_size,
-            miss_path=raw_miss_path,
-            sample=payload.get("sample"),
+            **axes,
         )
 
         # ``exact: true`` is the client's way of pinning down that
@@ -287,10 +272,14 @@ class SimQuery:
         }
 
     def to_dict(self) -> Dict[str, Any]:
-        """Canonical JSON echo of the query (response ``query`` field)."""
-        spec = self.spec
-        geometry = spec.geometry
-        return {
+        """Canonical JSON echo of the query (response ``query`` field).
+
+        Carries every :class:`CellSpec` axis, in field order; clients
+        and the response bytes rely on ``filter_writes`` sitting just
+        before ``miss_path``.
+        """
+        geometry = self.spec.geometry
+        echo: Dict[str, Any] = {
             "suite": self.suite,
             "trace": self.trace,
             "length": self.length,
@@ -298,19 +287,13 @@ class SimQuery:
                 "net": geometry.net_size, "block": geometry.block_size,
                 "sub": geometry.sub_block_size, "assoc": geometry.associativity,
             },
-            "engine": spec.engine,
-            "fetch": spec.fetch,
-            "replacement": spec.replacement,
-            "warmup": spec.warmup,
-            "word_size": spec.word_size,
-            "filter_writes": self.filter_writes,
-            "miss_path": (
-                spec.miss_path.to_dict() if spec.miss_path is not None else None
-            ),
-            "sample": (
-                spec.sample.to_dict() if spec.sample is not None else None
-            ),
         }
+        for name in _AXES:
+            if name == "miss_path":
+                echo["filter_writes"] = self.filter_writes
+            value = getattr(self.spec, name)
+            echo[name] = value.to_dict() if hasattr(value, "to_dict") else value
+        return echo
 
 
 def expand_sweep(
@@ -339,13 +322,11 @@ def expand_sweep(
     grid = payload.get("grid", {})
     if not isinstance(grid, dict):
         raise ConfigurationError("sweep 'grid' must be a JSON object")
-    unknown = sorted(set(grid) - {"net", "block", "sub", "assoc"})
+    unknown = sorted(set(grid) - set(_GEOMETRY_KEYS))
     if unknown:
         raise ConfigurationError(f"unknown sweep grid axes: {unknown}")
 
-    raw_axes = {
-        axis: grid.get(axis) for axis in ("net", "block", "sub", "assoc")
-    }
+    raw_axes = {axis: grid.get(axis) for axis in _GEOMETRY_KEYS}
     raise_on_errors(lint_grid_axes(raw_axes, source="sweep grid"), "invalid sweep grid")
     axes: Dict[str, "list[int]"] = {
         axis: values for axis, values in raw_axes.items() if values is not None

@@ -765,8 +765,7 @@ def distance_histogram(
     that mapped to the *same set* since the last touch of its block
     (1 = immediate reuse); cold first touches land in the ``-1``
     bucket.  With ``num_sets=1`` this is Mattson's classic
-    fully-associative histogram, the basis of
-    :func:`repro.analysis.stackdist.stack_distance_histogram`.
+    fully-associative histogram.
 
     Unlike :func:`run_group_pass`, every access kind is admitted: a
     stack distance is well defined for any address stream — the

@@ -119,6 +119,7 @@ __all__ = [
     "lint_sample_coverage",
     "lint_stackdist_coverage",
     "check_geometry",
+    "sample_fallbacks",
 ]
 
 #: Every rule this module can emit, for docs and tests.
@@ -281,9 +282,9 @@ def lint_cell_options(
 ) -> List[Diagnostic]:
     """Lint the execution options a sweep cell or query carries."""
     out: List[Diagnostic] = []
-    if isinstance(fetch, str):
+    if fetch is not None and not isinstance(fetch, FetchPolicy):
         try:
-            make_fetch(fetch)
+            make_fetch(str(fetch))
         except ConfigurationError as exc:
             out.append(
                 Diagnostic(
@@ -295,9 +296,9 @@ def lint_cell_options(
                     data={"value": fetch},
                 )
             )
-    if isinstance(replacement, str):
+    if replacement is not None:
         try:
-            make_replacement(replacement)
+            make_replacement(str(replacement))
         except ConfigurationError as exc:
             out.append(
                 Diagnostic(
@@ -671,25 +672,15 @@ _SAMPLE_FALLBACK_TEXT: Dict[str, Tuple[str, str]] = {
 }
 
 
-def _sample_fallbacks(
-    config: Any,
-    engine: str,
-    injector_active: bool,
-    miss_path: Union[MissPathConfig, Dict[str, Any], None],
-) -> List[Diagnostic]:
-    """Render the ``sample-fallback-*`` reasons of the sample's route."""
-    try:
-        spec = CellSpec.of(None, engine=engine, miss_path=miss_path, sample=config)
-    except ConfigurationError:
-        # lint_miss_path owns reporting malformed chains.
-        spec = CellSpec.of(None, engine=engine, sample=config)
+def sample_fallbacks(spec: CellSpec, injector_active: bool = False) -> List[Diagnostic]:
+    """Render the ``sample-fallback-*`` reasons of ``spec``'s route."""
     route = plan(spec, injector_active=injector_active)
     out: List[Diagnostic] = []
     for rule in route.sample_fallbacks:
         text, axis = _SAMPLE_FALLBACK_TEXT[rule]
         data: Dict[str, Any] = {"axis": axis}
         if axis == "engine":
-            data["engine"] = engine
+            data["engine"] = spec.engine
         elif axis == "miss_path" and spec.miss_path is not None:
             data["chain"] = spec.miss_path.key()
         out.append(
@@ -702,6 +693,21 @@ def _sample_fallbacks(
             )
         )
     return out
+
+
+def _axes_sample_fallbacks(
+    config: Any,
+    engine: str,
+    injector_active: bool,
+    miss_path: Union[MissPathConfig, Dict[str, Any], None],
+) -> List[Diagnostic]:
+    """:func:`sample_fallbacks` of a sweep's raw axes."""
+    try:
+        spec = CellSpec.of(None, engine=engine, miss_path=miss_path, sample=config)
+    except ConfigurationError:
+        # lint_miss_path owns reporting malformed chains.
+        spec = CellSpec.of(None, engine=engine, sample=config)
+    return sample_fallbacks(spec, injector_active)
 
 
 def lint_sample(
@@ -782,7 +788,7 @@ def lint_sample(
                     data={"k": k, "intervals": intervals},
                 )
             )
-    fallbacks = _sample_fallbacks(config, engine, injector_active, miss_path)
+    fallbacks = _axes_sample_fallbacks(config, engine, injector_active, miss_path)
     out.extend(fallbacks)
     # With a fallback the sweep runs exactly and honours its warmup, so
     # the "ignored" reminder would be wrong.
@@ -829,7 +835,7 @@ def lint_sample_coverage(
     if config is None:
         return []
     total = len(geometries) * max(trace_count, 1)
-    fallbacks = _sample_fallbacks(config, engine, injector_active, miss_path)
+    fallbacks = _axes_sample_fallbacks(config, engine, injector_active, miss_path)
     covered = 0 if fallbacks else total
     out = [
         Diagnostic(

@@ -30,7 +30,7 @@ rule                      severity  meaning
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, List, Optional, Sequence
 
 from repro.core.config import CacheGeometry
 from repro.engine.batch import CellSpec
@@ -50,7 +50,6 @@ __all__ = ["preflight_sweep"]
 def preflight_sweep(
     traces: Sequence[Any],
     geometries: Sequence[CacheGeometry],
-    spec: Optional[CellSpec] = None,
     strict: bool = True,
     grid_engine: Optional[str] = None,
     cell_timeout: Optional[float] = None,
@@ -66,12 +65,10 @@ def preflight_sweep(
         geometries: Already-validated cache shapes (their constructor
             enforces the hard geometry rules; the lint adds the
             compatibility warnings on top).
-        spec: The sweep's cell template (geometry ignored) — the
-            runner's form.  Without one, ``axes`` carries the raw
-            values (``fetch``, ``replacement``, ``warmup``,
-            ``miss_path``, ``sample``, ``engine``), linted before they
-            are coerced, so a malformed chain or sample is reported
-            rather than raised.
+        axes: The sweep's cell axes as given (the keywords of
+            :meth:`~repro.engine.batch.CellSpec.of`), linted before
+            they are coerced, so a malformed axis is reported under
+            its rule id rather than raised.
         strict: Raise on error-severity findings (the runner's mode);
             False returns everything for reporting instead.
         grid_engine: When given (an explicit ``--grid-engine`` value),
@@ -97,13 +94,12 @@ def preflight_sweep(
     Returns:
         All findings (warnings only, under ``strict``).
     """
-    raw: Dict[str, Any] = vars(spec) if spec is not None else axes
-    fetch = raw.get("fetch")
-    miss_path = raw.get("miss_path")
-    warmup = raw.get("warmup")
+    fetch = axes.get("fetch")
+    miss_path = axes.get("miss_path")
+    warmup = axes.get("warmup")
     diagnostics: List[Diagnostic] = []
     diagnostics += lint_cell_options(
-        fetch, raw.get("replacement"), warmup, source="sweep"
+        fetch, axes.get("replacement"), warmup, source="sweep"
     )
     if miss_path is not None:
         # One lint per distinct L1 shape: the L2 block default follows
@@ -175,7 +171,7 @@ def preflight_sweep(
             source=f"geometry {geometry.label}@{geometry.net_size}",
         )
 
-    sample = raw.get("sample")
+    sample = axes.get("sample")
     if sample is not None:
         lengths = sorted({len(trace) for trace in traces}) or [None]
         seen_sample = set()
@@ -183,7 +179,7 @@ def preflight_sweep(
             for finding in lint_sample(
                 sample,
                 trace_length=trace_length,
-                engine=raw.get("engine", "auto"),
+                engine=axes.get("engine", "auto"),
                 injector_active=injector_active,
                 miss_path=miss_path,
                 warmup=warmup,
@@ -195,13 +191,11 @@ def preflight_sweep(
                     diagnostics.append(finding)
 
     if grid_engine is not None:
-        template: Optional[CellSpec] = spec
         try:
-            if template is None:
-                template = CellSpec.of(None, **axes)
+            template = CellSpec.of(None, **axes)
         except ConfigurationError:
-            template = None  # the chain or sample lint reported why
-        if template is not None:
+            pass  # the chain or sample lint reported why
+        else:
             diagnostics += lint_stackdist_coverage(
                 geometries,
                 spec=template,

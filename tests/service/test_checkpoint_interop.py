@@ -10,6 +10,7 @@ service cache.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import json
 
 import pytest
@@ -94,6 +95,31 @@ class TestFingerprintIdentity:
         header = json.loads(checkpoint.read_text().splitlines()[0])
         result, _service = simulate_once()
         assert result.entry.fingerprint == header["fingerprint"]
+
+
+    def test_spellings_share_one_fingerprint(self, trace, tmp_path):
+        """``CellSpec.of`` spells the axes canonically for the runner and
+        the service alike, so ``load_forward``/``LRU`` address the same
+        entry as ``load-forward``/``lru``."""
+        spelled = CellSpec.of(None, fetch="load_forward", replacement="LRU")
+        canonical = CellSpec.of(None, fetch="load-forward", replacement="lru")
+        assert spelled.fingerprint_params(NIBBLE_MODE_BUS, True) == (
+            canonical.fingerprint_params(NIBBLE_MODE_BUS, True)
+        )
+        checkpoint = tmp_path / "cell.jsonl"
+        run_sweep(
+            [trace], [GEOMETRY], fetch="load_forward", replacement="LRU",
+            config=RunnerConfig(checkpoint=str(checkpoint)),
+        )
+        header = json.loads(checkpoint.read_text().splitlines()[0])
+        query = SimQuery.from_payload(
+            {"suite": "pdp11", "trace": "ED", "net": 1024, "block": 16,
+             "sub": 8, "fetch": "load_forward", "replacement": "LRU"},
+            4000,
+        )
+        assert query.spec == dataclasses.replace(canonical, geometry=GEOMETRY)
+        prepared_length = len(prepare_trace(trace))
+        assert query.fingerprint(prepared_length) == header["fingerprint"]
 
 
 class TestServiceSeedsRunner:

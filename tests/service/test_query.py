@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 
 import pytest
 
+from repro.engine.batch import CellSpec
 from repro.errors import ConfigurationError
 from repro.service.query import MAX_SWEEP_CELLS, SimQuery, expand_sweep
 
@@ -74,6 +76,26 @@ class TestFromPayload:
     def test_to_dict_round_trips_through_from_payload(self):
         query = SimQuery.from_payload(dict(BASE, assoc=2, engine="reference"), 5000)
         assert SimQuery.from_payload(query.to_dict(), 5000) == query
+
+
+    def test_payload_keys_and_echo_follow_cellspec(self):
+        axes = {f.name for f in fields(CellSpec)} - {"geometry"}
+        trace_keys = {"suite", "trace", "length", "filter_writes"}
+        accepted = trace_keys | {"net", "block", "sub", "assoc"} | axes | {"exact"}
+        # The unknown-key check runs before any value is read: every
+        # accepted key passes it and only the stray one is named.
+        probe = dict.fromkeys(accepted | {"bogus"})
+        with pytest.raises(ConfigurationError) as excinfo:
+            SimQuery.from_payload(probe, 5000)
+        assert str(excinfo.value) == "unknown query keys: ['bogus']"
+        echo = SimQuery.from_payload(dict(BASE), 5000).to_dict()
+        assert set(echo) == trace_keys | {"geometry"} | axes
+        # The response bytes pin the echo's key order.
+        assert list(echo) == [
+            "suite", "trace", "length", "geometry", "engine", "fetch",
+            "replacement", "warmup", "word_size", "filter_writes",
+            "miss_path", "sample",
+        ]
 
 
 class TestExpandSweep:

@@ -77,10 +77,13 @@ class TestQueryAxis:
             SimQuery.from_payload(dict(BASE, exact="yes"), 4000)
 
     def test_checked_engine_plus_sample_refused(self):
-        with pytest.raises(ConfigurationError, match="checked"):
+        with pytest.raises(ConfigurationError, match="checked") as excinfo:
             SimQuery.from_payload(
                 dict(BASE, sample=SAMPLE, engine="checked"), 4000
             )
+        assert [d.rule for d in excinfo.value.diagnostics] == [
+            "sample-fallback-checked"
+        ]
 
     def test_miss_path_plus_sample_refused(self):
         with pytest.raises(ConfigurationError, match="chain"):

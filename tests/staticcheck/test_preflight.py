@@ -70,6 +70,20 @@ class TestRunnerIntegration:
                 config=RunnerConfig(lenient=True),
             )
 
+    @pytest.mark.parametrize(
+        "axes, rule",
+        [
+            ({"miss_path": {"victim_entires": 4}}, "misspath-unknown-key"),
+            ({"sample": "0"}, "sample-interval-invalid"),
+        ],
+    )
+    def test_malformed_axis_names_its_rule(self, trace, axes, rule):
+        # Preflight lints the axes before CellSpec.of coerces them, so
+        # the sweep fails as the service does: with the rule id.
+        with pytest.raises(StaticCheckError) as excinfo:
+            run_sweep([trace], GEOMS, **axes)
+        assert rule in {d.rule for d in excinfo.value.diagnostics}
+
     def test_warnings_land_on_the_report(self, trace):
         points, report = run_sweep([trace], GEOMS, fetch="load-forward")
         assert [d.rule for d in report.preflight] == ["fetch-lf-single-sub"]
