@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Hashable
+from typing import Dict, Hashable, Sequence
 
-from scipy import stats as scipy_stats
+import numpy as np
 
 __all__ = ["ShapeReport", "compare_shapes"]
 
@@ -51,6 +51,27 @@ class ShapeReport:
             f"gm-ratio={self.geometric_mean_ratio:.2f} "
             f"[{self.min_ratio:.2f}, {self.max_ratio:.2f}]"
         )
+
+
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks, each tie group sharing the mean of its ranks."""
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    last = np.cumsum(counts)  # the rank of each tie group's last member
+    return (last - (counts - 1) / 2.0)[inverse]
+
+
+def _spearman_rho(x: Sequence[float], y: Sequence[float]) -> float:
+    """Spearman's rank correlation: the Pearson correlation of the two
+    series' average ranks.  NaN when either series holds a NaN or is
+    constant."""
+    xs = np.asarray(x, dtype=float)
+    ys = np.asarray(y, dtype=float)
+    if np.isnan(xs).any() or np.isnan(ys).any():
+        return math.nan
+    rx = _average_ranks(xs) - (len(xs) + 1) / 2.0
+    ry = _average_ranks(ys) - (len(ys) + 1) / 2.0
+    denominator = math.sqrt(float(rx @ rx) * float(ry @ ry))
+    return float(rx @ ry) / denominator if denominator else math.nan
 
 
 def compare_shapes(
@@ -90,7 +111,7 @@ def compare_shapes(
     if len(set(ours)) < 2 or len(set(paper)) < 2:
         rho = 1.0  # a constant series is trivially order-compatible
     else:
-        rho = float(scipy_stats.spearmanr(ours, paper).statistic)
+        rho = _spearman_rho(ours, paper)
         if math.isnan(rho):
             rho = 1.0
 

@@ -128,11 +128,10 @@ class Engine(ABC):
                 identical stats with or without a deadline.
             miss_path: Optional miss-path chain configuration
                 (:class:`~repro.core.misspath.MissPathConfig` or its
-                mapping form).  A configured chain requires per-access
-                execution: the vectorized engine rejects it, and
-                :func:`repro.engine.route.plan` routes the cell to
-                ``reference`` exactly as it does for per-access trace
-                proxies.  An empty configuration is equivalent to None.
+                mapping form).  Every engine drives an enabled chain
+                from the L1 miss and eviction stream; its counters land
+                in ``stats.misspath`` and the L1 counters do not move.
+                An empty configuration is equivalent to None.
         """
 
     def __repr__(self) -> str:

@@ -166,7 +166,7 @@ def plan(
             if trace is None or len(trace):
                 return Route("sampled")
             # An empty trace has nothing to sample: exact, per cell.
-            return _per_cell(engine, trace, chained, ["trace-empty"])
+            return _per_cell(engine, trace, ["trace-empty"])
 
     if mode is not None:
         blockers = _stackdist_blockers(
@@ -178,24 +178,15 @@ def plan(
         if not blockers:
             return Route("stackdist", tuple(reasons))
         reasons.extend(blockers)
-    return _per_cell(engine, trace, chained, reasons)
+    return _per_cell(engine, trace, reasons)
 
 
-def _per_cell(
-    engine: str, trace: Any, chained: bool, reasons: List[str]
-) -> Route:
+def _per_cell(engine: str, trace: Any, reasons: List[str]) -> Route:
     """The per-cell engine: checked, reference or vectorized."""
     if engine in ("checked", "reference"):
         return Route(engine, tuple(reasons))
     if trace is not None and not isinstance(trace, (Trace, TraceView)):
         # Only per-access iteration can honor guard/injector proxies.
         reasons.append("per-access trace proxy")
-        return Route("reference", tuple(reasons))
-    if chained:
-        # The chain's structures mutate per miss, which only the
-        # per-access loop can drive.
-        chain = "enabled miss-path chain (per-miss structure state)"
-        if chain not in reasons:
-            reasons.append(chain)
         return Route("reference", tuple(reasons))
     return Route("vectorized", tuple(reasons))

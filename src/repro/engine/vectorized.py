@@ -27,6 +27,11 @@ throughput.  Three ideas carry the speedup:
    by the same :mod:`repro.core.accounting` rules the reference cache
    applies per miss.
 
+A miss-path chain (:mod:`repro.core.misspath`) rides along: it only
+observes L1, so the engine offers it each evicted block and services
+each block or sub-block fetch from the events the loop already walks
+one at a time.  Bulk-accounted repeats fetch nothing and never reach it.
+
 The engine is pinned to the reference engine by the differential
 equivalence suite (``tests/engine/test_equivalence.py``): identical
 :class:`~repro.core.stats.CacheStats`, counter for counter, across
@@ -43,7 +48,7 @@ from repro.core.accounting import account_eviction
 from repro.core.block import mask_of_range, popcount
 from repro.core.config import CacheGeometry
 from repro.core.fetch import DemandFetch, FetchPolicy
-from repro.core.misspath import MissPathConfig
+from repro.core.misspath import MissPathChain, MissPathConfig, build_miss_path
 from repro.core.replacement import LRUReplacement, ReplacementPolicy
 from repro.core.stats import CacheStats
 from repro.core.write import WritePolicy
@@ -78,14 +83,6 @@ class VectorizedEngine(Engine):
         deadline: Optional[float] = None,
         miss_path: "Union[MissPathConfig, Dict[str, Any], None]" = None,
     ) -> CacheStats:
-        config = MissPathConfig.coerce(miss_path)
-        if config is not None and config.enabled:
-            raise EngineError(
-                "the vectorized engine cannot drive a miss-path chain "
-                f"({config.key()}): structure state mutates per miss, which "
-                "requires the reference engine's per-access loop "
-                "(the route planner sends such cells there)"
-            )
         if isinstance(trace, Trace):
             view = TraceView.of(trace)
         elif isinstance(trace, TraceView):
@@ -121,9 +118,10 @@ class VectorizedEngine(Engine):
             raise ConfigurationError(
                 f"warmup must be an int or 'fill', got {warmup!r}"
             )
+        chain = build_miss_path(miss_path, geometry, word_size)
         return self._run(
             geometry, view, replacement, fetch, write_policy, word_size,
-            fill_mode, reset_at, flush_at_end, deadline,
+            fill_mode, reset_at, flush_at_end, deadline, chain,
         )
 
     def _run(
@@ -138,6 +136,7 @@ class VectorizedEngine(Engine):
         reset_at: Optional[int],
         flush_at_end: bool,
         deadline: Optional[float] = None,
+        chain: Optional[MissPathChain] = None,
     ) -> CacheStats:
         t = view.trace
         n = len(t)
@@ -184,6 +183,11 @@ class VectorizedEngine(Engine):
         refd = [[0] * nways for _ in range(nsets)]
         dirty = [[0] * nways for _ in range(nsets)]
         states = [replacement.new_set(nways) for _ in range(nsets)]
+        # The chain observes L1's miss events in the reference order:
+        # the victim is offered before its frame is refilled, and every
+        # fetch is serviced with the mask and bytes the plan charged.
+        service_miss = chain.service_miss if chain is not None else None
+        offer_victim = chain.on_l1_eviction if chain is not None else None
         filled = 0
         pending_fill = fill_mode  # a fresh cache is never full
 
@@ -231,6 +235,8 @@ class VectorizedEngine(Engine):
                 bytes_fetched += fb
                 redundant += rb
                 valid[s][way] = v | fmask
+                if service_miss is not None:
+                    service_miss(tg * nsets + s, fmask, fb)
                 if is_write:
                     if writes_through:
                         bytes_wt += nbytes
@@ -254,6 +260,8 @@ class VectorizedEngine(Engine):
                 if d:
                     writebacks += 1
                     bytes_wb += popcount(d) * sub
+                if offer_victim is not None:
+                    offer_victim(stags[vw] * nsets + s, valid[s][vw])
             else:
                 filled += 1
             stags[vw] = tg
@@ -264,6 +272,8 @@ class VectorizedEngine(Engine):
             bytes_fetched += fb
             redundant += rb
             valid[s][vw] = fmask
+            if service_miss is not None:
+                service_miss(tg * nsets + s, fmask, fb)
             refd[s][vw] = nd
             dirty[s][vw] = nd if is_write and not writes_through else 0
             if is_write and writes_through:
@@ -291,6 +301,8 @@ class VectorizedEngine(Engine):
                 evictions = ev_ref = ev_tot = writebacks = bytes_wb = 0
                 txn = {}
                 reset_at = None
+                if chain is not None:
+                    chain.stats.reset()
 
             k = kind_l[i]
             sz = size_l[i]
@@ -325,6 +337,8 @@ class VectorizedEngine(Engine):
                     evictions = ev_ref = ev_tot = writebacks = bytes_wb = 0
                     txn = {}
                     pending_fill = False
+                    if chain is not None:
+                        chain.stats.reset()
                 continue
 
             s = set_l[i]
@@ -360,6 +374,8 @@ class VectorizedEngine(Engine):
                     bytes_fetched += fb
                     redundant += rb
                     valid[s][way] = v | fmask
+                    if service_miss is not None:
+                        service_miss(tg * nsets + s, fmask, fb)
                     if is_write:
                         if writes_through:
                             bytes_wt += sz
@@ -387,6 +403,8 @@ class VectorizedEngine(Engine):
                     if d:
                         writebacks += 1
                         bytes_wb += popcount(d) * sub
+                    if offer_victim is not None:
+                        offer_victim(stags[vw] * nsets + s, valid[s][vw])
                 else:
                     filled += 1
                 stags[vw] = tg
@@ -397,6 +415,8 @@ class VectorizedEngine(Engine):
                 bytes_fetched += fb
                 redundant += rb
                 valid[s][vw] = fmask
+                if service_miss is not None:
+                    service_miss(tg * nsets + s, fmask, fb)
                 refd[s][vw] = nd
                 dirty[s][vw] = nd if is_write and not writes_through else 0
                 if is_write and writes_through:
@@ -412,6 +432,8 @@ class VectorizedEngine(Engine):
                 evictions = ev_ref = ev_tot = writebacks = bytes_wb = 0
                 txn = {}
                 pending_fill = False
+                if chain is not None:
+                    chain.stats.reset()
 
             # Bulk-account the repeats: after the first access the cache
             # is at a fixed point for this run, so each repeat adds the
@@ -434,6 +456,8 @@ class VectorizedEngine(Engine):
             bytes_accessed = bytes_fetched = redundant = bytes_wt = 0
             evictions = ev_ref = ev_tot = writebacks = bytes_wb = 0
             txn = {}
+            if chain is not None:
+                chain.stats.reset()
 
         # -- Fold locals into a CacheStats ---------------------------------
         stats = CacheStats()
@@ -457,10 +481,14 @@ class VectorizedEngine(Engine):
         stats.writebacks = writebacks
         stats.bytes_written_back = bytes_wb
         stats.bytes_written_through = bytes_wt
+        if chain is not None:
+            stats.misspath = chain.stats
 
         if flush_at_end:
             for s in range(nsets):
                 for w in range(nways):
                     if tags[s][w] != -1:
                         account_eviction(stats, refd[s][w], dirty[s][w], spb, sub)
+                        if offer_victim is not None:
+                            offer_victim(tags[s][w] * nsets + s, valid[s][w])
         return stats

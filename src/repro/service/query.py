@@ -34,7 +34,7 @@ from repro.runner.checkpoint import sweep_fingerprint
 from repro.runner.runner import cell_key
 from repro.staticcheck.configlint import (
     check_geometry,
-    lint_cell_options,
+    lint_cell_axes,
     lint_grid_axes,
     lint_miss_path,
     lint_sample,
@@ -165,10 +165,7 @@ class SimQuery:
         # any engine work happens.
         fetch = axes.get("fetch")
         raise_on_errors(
-            lint_cell_options(
-                fetch, axes.get("replacement"), axes.get("warmup"),
-                source="query",
-            ),
+            lint_cell_axes(axes, source="query"),
             "invalid query",
         )
         check_geometry(net, block, sub, assoc=assoc, fetch=fetch, source="query")

@@ -53,6 +53,7 @@ from repro.staticcheck.checks import PROGRAM_RULES, check_program
 from repro.staticcheck.configlint import (
     CONFIG_RULES,
     check_geometry,
+    lint_cell_axes,
     lint_cell_options,
     lint_geometry,
     lint_grid_axes,
@@ -105,6 +106,7 @@ __all__ = [
     "PROGRAM_RULES",
     "CONFIG_RULES",
     "check_geometry",
+    "lint_cell_axes",
     "lint_cell_options",
     "lint_geometry",
     "lint_grid_axes",

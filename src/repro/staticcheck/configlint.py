@@ -112,6 +112,7 @@ from repro.staticcheck.diagnostics import Diagnostic, Severity, raise_on_errors
 __all__ = [
     "CONFIG_RULES",
     "lint_geometry",
+    "lint_cell_axes",
     "lint_cell_options",
     "lint_grid_axes",
     "lint_miss_path",
@@ -280,7 +281,8 @@ def lint_cell_options(
     warmup: Union[int, str, None],
     source: str = "options",
 ) -> List[Diagnostic]:
-    """Lint the execution options a sweep cell or query carries."""
+    """Lint the execution options a sweep cell or query carries; a None
+    option is absent (see :func:`lint_cell_axes` for an axes mapping)."""
     out: List[Diagnostic] = []
     if fetch is not None and not isinstance(fetch, FetchPolicy):
         try:
@@ -311,27 +313,46 @@ def lint_cell_options(
                 )
             )
     if warmup is not None:
-        bad = (
-            isinstance(warmup, bool)
-            or not isinstance(warmup, (int, str))
-            or (isinstance(warmup, str) and warmup != "fill")
-            or (isinstance(warmup, int) and warmup < 0)
-        )
-        if bad:
-            out.append(
-                Diagnostic(
-                    rule="sweep-bad-warmup",
-                    severity=Severity.ERROR,
-                    message=(
-                        f"warmup must be 'fill' or a non-negative access "
-                        f"count, got {warmup!r}"
-                    ),
-                    source=source,
-                    location="warmup",
-                    data={"value": warmup},
-                )
-            )
+        out += _lint_warmup(warmup, source)
     return out
+
+
+def lint_cell_axes(axes: Dict[str, Any], source: str = "options") -> List[Diagnostic]:
+    """:func:`lint_cell_options` over a cell's axes mapping (the keywords
+    of :meth:`~repro.engine.batch.CellSpec.of`).
+
+    An absent ``warmup`` is the default ``"fill"``, but an explicit None
+    is a ``sweep-bad-warmup`` error: no engine accepts it, so it must
+    fail here rather than when the cell runs.
+    """
+    out = lint_cell_options(
+        axes.get("fetch"), axes.get("replacement"), None, source
+    )
+    return out + _lint_warmup(axes.get("warmup", "fill"), source)
+
+
+def _lint_warmup(warmup: Any, source: str) -> List[Diagnostic]:
+    bad = (
+        isinstance(warmup, bool)
+        or not isinstance(warmup, (int, str))
+        or (isinstance(warmup, str) and warmup != "fill")
+        or (isinstance(warmup, int) and warmup < 0)
+    )
+    if not bad:
+        return []
+    return [
+        Diagnostic(
+            rule="sweep-bad-warmup",
+            severity=Severity.ERROR,
+            message=(
+                f"warmup must be 'fill' or a non-negative access "
+                f"count, got {warmup!r}"
+            ),
+            source=source,
+            location="warmup",
+            data={"value": warmup},
+        )
+    ]
 
 
 def lint_grid_axes(

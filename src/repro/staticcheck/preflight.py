@@ -36,7 +36,7 @@ from repro.core.config import CacheGeometry
 from repro.engine.batch import CellSpec
 from repro.errors import ConfigurationError
 from repro.staticcheck.configlint import (
-    lint_cell_options,
+    lint_cell_axes,
     lint_geometry,
     lint_miss_path,
     lint_sample,
@@ -98,9 +98,7 @@ def preflight_sweep(
     miss_path = axes.get("miss_path")
     warmup = axes.get("warmup")
     diagnostics: List[Diagnostic] = []
-    diagnostics += lint_cell_options(
-        fetch, axes.get("replacement"), warmup, source="sweep"
-    )
+    diagnostics += lint_cell_axes(axes, source="sweep")
     if miss_path is not None:
         # One lint per distinct L1 shape: the L2 block default follows
         # the L1 block (so each distinct shape can resolve to a

@@ -6,7 +6,10 @@ that every :class:`~repro.core.stats.CacheStats` counter — including
 the by-kind splits and the transaction-words histogram — is *equal*,
 not approximately equal.  The randomized sweep covers well over 200
 distinct combinations drawn from a seeded generator, so a semantics
-drift in either engine fails deterministically.
+drift in either engine fails deterministically.  Each comparison is
+repeated through the miss-path :data:`CHAINS`, pinning the chained
+vectorized engine to the chained reference loop on ``MissPathStats``
+as well.
 """
 
 from __future__ import annotations
@@ -37,14 +40,11 @@ REFERENCE = (
 )
 VECTORIZED = VectorizedEngine()
 
-# REPRO_MISSPATH_EMPTY=1 replays the reference side of every comparison
-# through the miss-path plumbing — once with an empty (disabled) config
-# and once with a small full chain — and asserts every L1 counter is
-# byte-identical to the bare run.  This is the miss-path refactor's
-# equivalence tripwire: the chain must never alter L1 behavior, so the
-# whole 220+-combo suite doubles as its invariance proof.
-MISSPATH_TRIPWIRE = bool(os.environ.get("REPRO_MISSPATH_EMPTY"))
-_TRIPWIRE_CHAINS = (
+#: Every comparison also replays both engines through these chains: an
+#: empty (disabled) one and a small full one.  Chained vectorized runs
+#: must equal chained reference runs, ``MissPathStats`` included, and
+#: the chain must never move an L1 counter away from the bare run.
+CHAINS = (
     MissPathConfig(),
     MissPathConfig(
         victim_entries=2,
@@ -77,46 +77,45 @@ _COUNTERS = (
 )
 
 
-def assert_identical(geometry, trace, **kwargs):
-    """Run both engines and compare every counter exactly."""
-    seed = kwargs.pop("replacement_seed", None)
-    ref_kwargs = dict(kwargs)
-    vec_kwargs = dict(kwargs)
-    if seed is not None:
-        # Fresh, identically-seeded policies per engine: the comparison
-        # covers the RNG stream, not just the aggregate counts.
-        ref_kwargs["replacement"] = RandomReplacement(seed=seed)
-        vec_kwargs["replacement"] = RandomReplacement(seed=seed)
-    ref = REFERENCE.run(geometry, trace, **ref_kwargs)
-    vec = VECTORIZED.run(geometry, trace, **vec_kwargs)
+def _assert_counters(expected, actual, what):
     for counter in _COUNTERS:
-        assert getattr(ref, counter) == getattr(vec, counter), (
-            f"{counter} diverged for {geometry} over {trace!r} "
-            f"({kwargs}): reference {getattr(ref, counter)!r} "
-            f"!= vectorized {getattr(vec, counter)!r}"
+        assert getattr(expected, counter) == getattr(actual, counter), (
+            f"{counter} diverged for {what}: "
+            f"{getattr(expected, counter)!r} != {getattr(actual, counter)!r}"
         )
-    if MISSPATH_TRIPWIRE:
-        for miss_path in _TRIPWIRE_CHAINS:
-            chained_kwargs = dict(kwargs)
-            if seed is not None:
-                chained_kwargs["replacement"] = RandomReplacement(seed=seed)
-            chained = REFERENCE.run(
-                geometry, trace, miss_path=miss_path, **chained_kwargs
+
+
+def assert_identical(geometry, trace, **kwargs):
+    """Run both engines, bare and chained, and compare every counter
+    exactly; returns the bare reference stats."""
+    seed = kwargs.pop("replacement_seed", None)
+
+    def run(engine, miss_path=None):
+        run_kwargs = dict(kwargs)
+        if seed is not None:
+            # A fresh, identically-seeded policy per run: the comparison
+            # covers the RNG stream, not just the aggregate counts.
+            run_kwargs["replacement"] = RandomReplacement(seed=seed)
+        return engine.run(geometry, trace, miss_path=miss_path, **run_kwargs)
+
+    what = f"{geometry} over {trace!r} ({kwargs})"
+    ref = run(REFERENCE)
+    _assert_counters(ref, run(VECTORIZED), f"vectorized, {what}")
+    for miss_path in CHAINS:
+        chained = run(REFERENCE, miss_path)
+        _assert_counters(ref, chained, f"bare vs chain {miss_path.key()}, {what}")
+        vec = run(VECTORIZED, miss_path)
+        _assert_counters(chained, vec, f"vectorized chain {miss_path.key()}, {what}")
+        if miss_path.enabled:
+            assert chained.misspath.demand_misses == (
+                ref.block_misses + ref.sub_block_misses
             )
-            for counter in _COUNTERS:
-                assert getattr(ref, counter) == getattr(chained, counter), (
-                    f"{counter} perturbed by miss path {miss_path.key()!r} "
-                    f"for {geometry} over {trace!r} ({kwargs}): bare "
-                    f"{getattr(ref, counter)!r} != chained "
-                    f"{getattr(chained, counter)!r}"
-                )
-            if miss_path.enabled:
-                assert chained.misspath is not None
-                assert chained.misspath.demand_misses == (
-                    ref.block_misses + ref.sub_block_misses
-                )
-            else:
-                assert chained.misspath is None
+            assert vec.misspath == chained.misspath, (
+                f"MissPathStats diverged for chain {miss_path.key()}, {what}: "
+                f"{chained.misspath.to_dict()} != {vec.misspath.to_dict()}"
+            )
+        else:
+            assert chained.misspath is None and vec.misspath is None
     return ref
 
 

@@ -1,13 +1,14 @@
 """Miss-path threading through the engine layer.
 
-Pins the three contracts the refactor added to the engines:
+Pins the three contracts the chain adds to the engines:
 
 * an *empty* chain is indistinguishable from no chain on every engine
-  that accepts one (the always-on edition of the ``REPRO_MISSPATH_EMPTY``
-  tripwire in ``test_equivalence.py``);
-* the vectorized engine refuses an *enabled* chain loudly, and
-  :func:`~repro.engine.route.plan` routes both ``auto`` and explicit
-  ``vectorized`` requests to ``reference`` instead;
+  (``test_equivalence.py`` repeats this over its whole combo grid);
+* an *enabled* chain runs on the vectorized engine, bit-identical to
+  the reference loop including ``MissPathStats``, and
+  :func:`~repro.engine.route.plan` keeps chained cells on
+  ``vectorized`` — only a per-access trace proxy still sends them to
+  ``reference``;
 * a chained run still matches the bare run counter-for-counter — the
   chain only adds the ``misspath`` block.
 """
@@ -26,7 +27,8 @@ from repro.engine import (
     VectorizedEngine,
     plan,
 )
-from repro.errors import ConfigurationError, EngineError
+from repro.errors import ConfigurationError
+from repro.runner.runner import _GuardedTrace
 
 CHAIN = MissPathConfig(victim_entries=4, stream_buffers=2, l2_net_size=1024)
 EMPTY = MissPathConfig()
@@ -51,14 +53,6 @@ class TestEmptyChainTripwire:
 
 
 class TestVectorizedRejection:
-    def test_enabled_chain_raises_engine_error(
-        self, tiny_trace, small_geometry
-    ):
-        with pytest.raises(EngineError, match="miss-path chain"):
-            VectorizedEngine().run(
-                small_geometry, tiny_trace, miss_path=CHAIN
-            )
-
     def test_mapping_form_is_validated_first(self, tiny_trace, small_geometry):
         with pytest.raises(ConfigurationError, match="unknown miss-path"):
             VectorizedEngine().run(
@@ -71,13 +65,17 @@ def path_for(engine, trace, miss_path=None):
 
 
 class TestResolveEngineDegradation:
-    def test_auto_degrades_to_reference_when_chained(self, tiny_trace):
+    def test_auto_keeps_chained_cells_vectorized(self, tiny_trace):
         assert path_for("auto", tiny_trace) == "vectorized"
-        assert path_for("auto", tiny_trace, CHAIN) == "reference"
-        assert path_for("auto", TraceView.of(tiny_trace), CHAIN) == "reference"
+        assert path_for("auto", tiny_trace, CHAIN) == "vectorized"
+        assert path_for("auto", TraceView.of(tiny_trace), CHAIN) == "vectorized"
 
-    def test_explicit_vectorized_degrades_too(self, tiny_trace):
-        assert path_for("vectorized", tiny_trace, CHAIN) == "reference"
+    def test_explicit_vectorized_keeps_the_chain(self, tiny_trace):
+        assert path_for("vectorized", tiny_trace, CHAIN) == "vectorized"
+
+    def test_chained_proxy_still_degrades_to_reference(self, tiny_trace):
+        guarded = _GuardedTrace(tiny_trace, "key", max_accesses=5)
+        assert path_for("auto", guarded, CHAIN) == "reference"
 
     def test_empty_chain_keeps_vectorized(self, tiny_trace):
         for miss_path in (None, EMPTY, {}):
@@ -93,7 +91,21 @@ class TestResolveEngineDegradation:
 
 
 class TestChainedRunContracts:
-    @pytest.mark.parametrize("engine_cls", [ReferenceEngine, CheckedEngine])
+    @pytest.mark.parametrize("warmup", ["fill", 0, 500])
+    @pytest.mark.parametrize("flush_at_end", [False, True])
+    def test_vectorized_chain_matches_reference(
+        self, warmup, flush_at_end, z8000_grep_trace
+    ):
+        geometry = CacheGeometry(256, 16, 8, associativity=2)
+        kwargs = dict(miss_path=CHAIN, warmup=warmup, flush_at_end=flush_at_end)
+        reference = ReferenceEngine().run(geometry, z8000_grep_trace, **kwargs)
+        vectorized = VectorizedEngine().run(geometry, z8000_grep_trace, **kwargs)
+        assert vectorized.to_dict() == reference.to_dict()  # misspath included
+        assert vectorized.misspath.structure_hits > 0
+
+    @pytest.mark.parametrize(
+        "engine_cls", [ReferenceEngine, CheckedEngine, VectorizedEngine]
+    )
     def test_chained_l1_counters_match_bare(
         self, engine_cls, z8000_grep_trace
     ):

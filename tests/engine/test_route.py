@@ -30,7 +30,7 @@ TABLE = [
      ("replacement policy 'fifo' (inclusion needs LRU)",)),
     ({"fetch": "load-forward"}, {"grid_engine": "auto"}, "vectorized",
      ("fetch policy 'load-forward' (only demand fetch)",)),
-    ({"miss_path": CHAIN}, {"grid_engine": "auto"}, "reference",
+    ({"miss_path": CHAIN}, {"grid_engine": "auto"}, "vectorized",
      ("enabled miss-path chain (per-miss structure state)",)),
     ({"engine": "checked"}, {"grid_engine": "stackdist"}, "checked",
      ("checked engine (sanitizer must observe every access)",)),
@@ -46,7 +46,7 @@ TABLE = [
     ({"sample": SAMPLE}, {"grid_engine": "auto"}, "sampled", ()),
     ({"sample": SAMPLE, "engine": "checked"}, {}, "checked",
      ("sample-fallback-checked",)),
-    ({"sample": SAMPLE, "miss_path": CHAIN}, {}, "reference",
+    ({"sample": SAMPLE, "miss_path": CHAIN}, {}, "vectorized",
      ("sample-fallback-chain",)),
     ({"sample": SAMPLE}, {"injector_active": True}, "vectorized",
      ("sample-fallback-injector",)),

@@ -1,12 +1,13 @@
 """Golden bytes: every execution route writes exactly the stored records.
 
 Each case runs one small sweep or service query that lands on one
-route — a stack-distance pass, a vectorized cell, a reference cell with
-a miss-path chain, a checked cell, a sampled cell — or resumes a
-version 1, 2 or 3 checkpoint.  The checkpoint JSONL files, the
-service's WAL-store records and its checkpoint export must equal the
-bytes in ``golden_routes.json``, so no change to how a route is chosen
-or recorded can alter what lands on disk.  A ``*_cache`` case holds
+route — a stack-distance pass, a vectorized cell, a vectorized cell
+with a miss-path chain (the ``*_reference_chain`` cases keep the name of
+the route chained cells took before), a checked cell, a sampled cell —
+or resumes a version 1, 2 or 3 checkpoint.  The checkpoint JSONL files,
+the service's WAL-store records and its checkpoint export must equal
+the bytes in ``golden_routes.json``, so no change to how a route is
+chosen or recorded can alter what lands on disk.  A ``*_cache`` case holds
 each stored record as one JSONL line, with the per-line CRC that
 checkpoints carry.
 

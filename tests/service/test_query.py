@@ -8,7 +8,7 @@ from dataclasses import fields
 import pytest
 
 from repro.engine.batch import CellSpec
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, StaticCheckError
 from repro.service.query import MAX_SWEEP_CELLS, SimQuery, expand_sweep
 
 BASE = {"suite": "pdp11", "trace": "ED", "net": 1024, "block": 16, "sub": 8}
@@ -64,6 +64,13 @@ class TestFromPayload:
     def test_invalid_payloads_rejected(self, bad):
         with pytest.raises(ConfigurationError):
             SimQuery.from_payload(dict(BASE, **bad), 5000)
+
+    def test_null_warmup_names_its_rule_at_parse(self):
+        # An explicit null is not "absent": it must fail here, with the
+        # rule id, not after admission when the engine rejects it.
+        with pytest.raises(StaticCheckError) as excinfo:
+            SimQuery.from_payload(dict(BASE, warmup=None), 5000)
+        assert [d.rule for d in excinfo.value.diagnostics] == ["sweep-bad-warmup"]
 
     def test_missing_required_key_rejected(self):
         with pytest.raises(ConfigurationError, match="missing required"):

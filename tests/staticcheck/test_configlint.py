@@ -13,6 +13,7 @@ from repro.staticcheck import (
     check_geometry,
     error_count,
     format_diagnostics,
+    lint_cell_axes,
     lint_cell_options,
     lint_geometry,
     lint_grid_axes,
@@ -83,6 +84,11 @@ class TestCellOptions:
     @pytest.mark.parametrize("warmup", ["fill", 0, 500, None])
     def test_good_warmup(self, warmup):
         assert lint_cell_options("demand", "lru", warmup) == []
+
+    def test_axes_mapping_tells_absent_from_null_warmup(self):
+        assert lint_cell_axes({"fetch": "demand"}) == []
+        diagnostics = lint_cell_axes({"warmup": None})
+        assert [d.rule for d in diagnostics] == ["sweep-bad-warmup"]
 
 
 class TestGridAxes:

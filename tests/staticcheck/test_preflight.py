@@ -75,6 +75,7 @@ class TestRunnerIntegration:
         [
             ({"miss_path": {"victim_entires": 4}}, "misspath-unknown-key"),
             ({"sample": "0"}, "sample-interval-invalid"),
+            ({"warmup": None}, "sweep-bad-warmup"),
         ],
     )
     def test_malformed_axis_names_its_rule(self, trace, axes, rule):
