@@ -5,7 +5,6 @@ from repro.analysis.experiments import (
     FIGURE_NETS,
     Table6Row,
     Table8Row,
-    default_trace_length,
     figure_experiment,
     table6_experiment,
     table7_experiment,
@@ -38,7 +37,6 @@ __all__ = [
     "FIGURE_NETS",
     "Table6Row",
     "Table8Row",
-    "default_trace_length",
     "figure_experiment",
     "table6_experiment",
     "table7_experiment",

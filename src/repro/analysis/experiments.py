@@ -12,7 +12,8 @@ Each function regenerates the data behind one table or figure:
 * :func:`figure_experiment` — the full geometry grid behind Figures
   1–8 for one architecture and a list of net sizes.
 
-Trace length defaults to :func:`default_trace_length`, which honours
+Trace length defaults to
+:func:`~repro.workloads.suites.default_trace_length`, which honours
 the ``REPRO_TRACE_LEN`` environment variable (the paper used 1 M
 references; the default here is 100 k so a full reproduction finishes
 in minutes on a laptop — see EXPERIMENTS.md).
@@ -20,7 +21,6 @@ in minutes on a laptop — see EXPERIMENTS.md).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
@@ -37,11 +37,11 @@ from repro.workloads.architectures import get_architecture
 from repro.workloads.suites import (
     Z8000_FIGURE_TRACES,
     Z8000_LOADFORWARD_TRACES,
+    default_trace_length,
     suite_traces,
 )
 
 __all__ = [
-    "default_trace_length",
     "Table6Row",
     "table6_experiment",
     "table7_experiment",
@@ -52,24 +52,6 @@ __all__ = [
 
 #: Net sizes of the two figure families (Figures 1/3/7 and 2/4/5/6/8).
 FIGURE_NETS = {"part1": (32, 128, 512), "part2": (64, 256, 1024)}
-
-
-def default_trace_length() -> int:
-    """Trace length for experiments (env ``REPRO_TRACE_LEN``)."""
-    value = os.environ.get("REPRO_TRACE_LEN", "")
-    if value:
-        try:
-            parsed = int(value)
-        except ValueError as exc:
-            raise ConfigurationError(
-                f"REPRO_TRACE_LEN must be an integer, got {value!r}"
-            ) from exc
-        if parsed < 1:
-            raise ConfigurationError(
-                f"REPRO_TRACE_LEN must be >= 1, got {parsed}"
-            )
-        return parsed
-    return 100_000
 
 
 def _experiment_traces(arch: str, length: Optional[int]):
@@ -136,7 +118,7 @@ def table7_experiment(
 
     Args:
         arch: One of the Table 7 architectures.
-        length: Trace length; :func:`default_trace_length` when None.
+        length: Trace length; :func:`~repro.workloads.suites.default_trace_length` when None.
         runner: Resilience knobs forwarded to the sweep (checkpoints,
             retries, timeouts, lenient degradation).
         sample: Optional ``--sample`` config — the table's ratios

@@ -48,11 +48,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional, Tuple
+from typing import Any, List, Optional
 
 from repro.analysis.experiments import (
     FIGURE_NETS,
-    default_trace_length,
     figure_experiment,
     table6_experiment,
     table7_experiment,
@@ -62,13 +61,18 @@ from repro.analysis.figures import figure_series, series_to_csv
 from repro.analysis.plotting import ascii_figure
 from repro.analysis.tables import format_table6, format_table7, format_table8
 from repro.core.config import CacheGeometry
-from repro.core.misspath import MissPathConfig
 from repro.engine.base import ENGINE_NAMES
+from repro.engine.batch import CellSpec
 from repro.engine.route import GRID_ENGINE_NAMES
 from repro.runner.retry import RetryPolicy
 from repro.runner.runner import RunnerConfig
 from repro.trace.writer import write_din
-from repro.workloads.suites import suite_names, suite_specs, suite_trace
+from repro.workloads.suites import (
+    default_trace_length,
+    suite_names,
+    suite_specs,
+    suite_trace,
+)
 
 __all__ = ["main"]
 
@@ -192,29 +196,36 @@ def _add_cell_flags(
     )
 
 
-def _cell_from_args(args: argparse.Namespace) -> Tuple[CacheGeometry, MissPathConfig]:
-    """The geometry and chain that :func:`_add_cell_flags` flags name.
+def _cell_from_args(args: argparse.Namespace, **axes: Any) -> CellSpec:
+    """The cell that :func:`_add_cell_flags` flags (plus ``axes``) name.
 
     Raises:
-        ConfigurationError: For an invalid geometry or chain.
+        StaticCheckError: For an invalid shape or axis, naming its rule.
     """
-    geometry = CacheGeometry(
-        net_size=args.net,
-        block_size=args.block,
-        sub_block_size=args.sub if args.sub is not None else args.block,
-        associativity=args.assoc,
+    from repro.staticcheck.configlint import lint_geometry
+    from repro.staticcheck.diagnostics import raise_on_errors
+
+    sub = args.sub if args.sub is not None else args.block
+    raise_on_errors(
+        lint_geometry(args.net, args.block, sub, assoc=args.assoc, source="cli"),
+        "invalid cell",
     )
-    miss_path = MissPathConfig(
-        victim_entries=args.victim_entries,
-        miss_entries=args.miss_entries,
-        stream_buffers=args.stream_buffers,
-        stream_depth=args.stream_depth,
-        l2_net_size=args.l2_net,
-        l2_block_size=args.l2_block,
-        l2_sub_block_size=args.l2_sub,
-        l2_associativity=args.l2_assoc,
+    return CellSpec.of(
+        CacheGeometry(args.net, args.block, sub, associativity=args.assoc),
+        fetch=args.fetch,
+        word_size=args.word,
+        miss_path={
+            "victim_entries": args.victim_entries,
+            "miss_entries": args.miss_entries,
+            "stream_buffers": args.stream_buffers,
+            "stream_depth": args.stream_depth,
+            "l2_net_size": args.l2_net,
+            "l2_block_size": args.l2_block,
+            "l2_sub_block_size": args.l2_sub,
+            "l2_associativity": args.l2_assoc,
+        },
+        **axes,
     )
-    return geometry, miss_path
 
 
 def _runner_config(args: argparse.Namespace) -> Optional[RunnerConfig]:
@@ -649,19 +660,18 @@ def _cmd_lint(args) -> int:
     errors = warnings = 0
     misspath_diagnostics = None
     if args.misspath is not None:
-        from repro.staticcheck.configlint import lint_miss_path
+        from repro.staticcheck.configlint import lint_cell
 
         try:
             raw_misspath = json.loads(args.misspath)
         except ValueError as exc:
             raise SystemExit(f"repro: --misspath is not valid JSON: {exc}")
-        misspath_diagnostics = lint_miss_path(raw_misspath, source="cli")
+        misspath_diagnostics = lint_cell({"miss_path": raw_misspath}, source="cli")
         errors += sum(1 for d in misspath_diagnostics if d.is_error)
         warnings += sum(1 for d in misspath_diagnostics if not d.is_error)
     coverage_diagnostics = None
     if args.sweep_coverage is not None:
         from repro.analysis.sweep import geometry_grid
-        from repro.engine import CellSpec
         from repro.errors import ReproError
         from repro.staticcheck.configlint import (
             lint_sample_coverage,
@@ -826,12 +836,12 @@ def _cmd_classify(args) -> int:
         )
     program = assemble_program(args.program, args.word)
     try:
-        geometry, miss_path = _cell_from_args(args)
+        spec = _cell_from_args(args)
         report = classify_chain_program(
             program,
-            geometry,
-            miss_path=miss_path,
-            fetch=args.fetch,
+            spec.geometry,
+            miss_path=spec.miss_path,
+            fetch=spec.fetch,
             stack_words=args.stack_words,
             name=args.program,
         )
@@ -897,7 +907,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_simulate(args) -> None:
-    from repro.engine import CellSpec, run_cell
+    from repro.engine import run_cell
     from repro.memory.nibble import NIBBLE_MODE_BUS
     from repro.trace.filters import reads_only
     from repro.trace.reader import read_din
@@ -905,17 +915,12 @@ def _cmd_simulate(args) -> None:
     trace = read_din(args.din, size=args.word)
     if not args.keep_writes:
         trace = reads_only(trace)
-    geometry, miss_path = _cell_from_args(args)
-    stats = run_cell(trace, CellSpec.of(
-        geometry,
-        replacement=args.replacement,
-        fetch=args.fetch,
-        word_size=args.word,
-        warmup=0 if args.cold else "fill",
-        miss_path=miss_path,
-    ))
+    spec = _cell_from_args(
+        args, replacement=args.replacement, warmup=0 if args.cold else "fill"
+    )
+    stats = run_cell(trace, spec)
     print(f"trace:        {args.din} ({len(trace)} accesses after filtering)")
-    print(f"cache:        {geometry}")
+    print(f"cache:        {spec.geometry}")
     print(f"policies:     {args.replacement} replacement, {args.fetch} fetch")
     print(f"miss ratio:   {stats.miss_ratio:.4f}")
     print(f"traffic:      {stats.traffic_ratio():.4f}")
@@ -925,7 +930,7 @@ def _cmd_simulate(args) -> None:
     )
     if stats.misspath is not None:
         misspath = stats.misspath
-        print(f"miss path:    {miss_path.key()} "
+        print(f"miss path:    {spec.miss_path.key()} "
               f"({misspath.demand_misses} demand misses)")
         for name in misspath.chain:
             structure = misspath.structures[name]

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from collections import OrderedDict, deque
 from dataclasses import dataclass
-from typing import Any, Deque, Dict, List, Optional, Tuple, Union
+from typing import Any, Deque, Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.core.config import CacheGeometry
 from repro.core.replacement import LRUReplacement
@@ -49,6 +49,7 @@ from repro.trace.record import AccessType
 
 __all__ = [
     "MISS_PATH_KEYS",
+    "MISS_PATH_MIN",
     "MissPathConfig",
     "MissPathStats",
     "StructureStats",
@@ -59,23 +60,35 @@ __all__ = [
     "BackingL2",
     "MissPathChain",
     "build_miss_path",
+    "miss_path_problems",
 ]
 
-#: The exact set of keys a miss-path configuration mapping may carry.
-#: Anything else is rejected loudly — a typo'd ``victim_entires`` must
+#: Smallest legal value of each chain field; every field is a non-bool
+#: int.  Its keys are the exact set a configuration mapping may carry:
+#: anything else is rejected loudly — a typo'd ``victim_entires`` must
 #: fail parsing, not silently fingerprint as a distinct sweep cell.
-MISS_PATH_KEYS = frozenset(
-    {
-        "victim_entries",
-        "miss_entries",
-        "stream_buffers",
-        "stream_depth",
-        "l2_net_size",
-        "l2_block_size",
-        "l2_sub_block_size",
-        "l2_associativity",
+MISS_PATH_MIN = {
+    "victim_entries": 0,
+    "miss_entries": 0,
+    "stream_buffers": 0,
+    "stream_depth": 1,
+    "l2_net_size": 0,
+    "l2_block_size": 0,
+    "l2_sub_block_size": 0,
+    "l2_associativity": 1,
+}
+MISS_PATH_KEYS = frozenset(MISS_PATH_MIN)
+
+
+def miss_path_problems(values: Mapping[str, Any]) -> Dict[str, str]:
+    """Why each illegal value of a chain-field mapping is illegal, by
+    field (empty when every value is legal)."""
+    return {
+        name: f"{name} must be an integer >= {MISS_PATH_MIN[name]}, got {value!r}"
+        for name, value in values.items()
+        if isinstance(value, bool) or not isinstance(value, int)
+        or value < MISS_PATH_MIN[name]
     }
-)
 
 
 @dataclass(frozen=True)
@@ -98,8 +111,8 @@ class MissPathConfig:
         l2_associativity: L2 set associativity.
 
     Raises:
-        ConfigurationError: For negative counts or a non-positive
-            stream depth / L2 associativity.
+        ConfigurationError: For a field that is not an integer of at
+            least its :data:`MISS_PATH_MIN`.
     """
 
     victim_entries: int = 0
@@ -112,27 +125,9 @@ class MissPathConfig:
     l2_associativity: int = 4
 
     def __post_init__(self) -> None:
-        for label in (
-            "victim_entries",
-            "miss_entries",
-            "stream_buffers",
-            "l2_net_size",
-            "l2_block_size",
-            "l2_sub_block_size",
-        ):
-            value = getattr(self, label)
-            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-                raise ConfigurationError(
-                    f"{label} must be a non-negative integer, got {value!r}"
-                )
-        if not isinstance(self.stream_depth, int) or self.stream_depth < 1:
-            raise ConfigurationError(
-                f"stream_depth must be >= 1, got {self.stream_depth!r}"
-            )
-        if not isinstance(self.l2_associativity, int) or self.l2_associativity < 1:
-            raise ConfigurationError(
-                f"l2_associativity must be >= 1, got {self.l2_associativity!r}"
-            )
+        problems = miss_path_problems(vars(self))
+        if problems:
+            raise ConfigurationError("; ".join(problems.values()))
 
     # -- Shape queries ----------------------------------------------------
 

@@ -25,10 +25,9 @@ from repro.core.fetch import FetchPolicy, make_fetch
 from repro.core.misspath import MissPathConfig
 from repro.core.replacement import make_replacement
 from repro.core.stats import CacheStats
-from repro.engine.base import ENGINE_NAMES, make_engine
+from repro.engine.base import make_engine
 from repro.engine.route import Route, plan
 from repro.engine.traceview import TraceView
-from repro.errors import ConfigurationError
 from repro.trace.filters import reads_only
 from repro.trace.record import Trace
 
@@ -86,8 +85,11 @@ class CellSpec:
         sample: Any = None,
     ) -> "CellSpec":
         """Build a spec from loose user values: the one place a cell's
-        axes are coerced, spelled canonically and name-checked.
+        axes are linted, coerced and spelled canonically.
 
+        :func:`~repro.staticcheck.configlint.lint_cell` runs first, with
+        ``geometry`` as the shape context, so a malformed axis is
+        refused under its rule id before anything is coerced.
         ``engine`` and ``replacement`` are lower-cased and ``fetch``
         takes its policy's canonical name (``load_forward`` ->
         ``load-forward``), so spellings of one cell share a
@@ -97,28 +99,35 @@ class CellSpec:
         accepts.
 
         Raises:
-            ConfigurationError: For an unknown engine or policy name,
-                or a malformed chain or sample.
+            StaticCheckError: Carrying the lint's findings, when any is
+                an error.
         """
-        from repro.staticcheck.phases import SamplingConfig
+        # Imported here: the lint builds on this module.
+        import repro.staticcheck.configlint as configlint
+        import repro.staticcheck.diagnostics as diagnostics
 
-        engine = str(engine).lower()
-        if engine not in ENGINE_NAMES:
-            raise ConfigurationError(
-                f"unknown engine {engine!r}; choose from {list(ENGINE_NAMES)}"
-            )
+        axes = dict(
+            engine=engine, fetch=fetch, replacement=replacement, warmup=warmup,
+            word_size=word_size, miss_path=miss_path, sample=sample,
+        )
+        shapes = (geometry,) if geometry is not None else ()
+        diagnostics.raise_on_errors(configlint.lint_cell(axes, shapes), "invalid cell")
         if not isinstance(fetch, FetchPolicy):
             fetch = make_fetch(str(fetch) if fetch is not None else "demand")
         chain = MissPathConfig.coerce(miss_path)
+        if sample is not None:
+            from repro.staticcheck.phases import SamplingConfig
+
+            sample = SamplingConfig.coerce(sample)
         return cls(
             geometry,
-            engine=engine,
+            engine=str(engine).lower(),
             fetch=fetch.name,
             replacement=make_replacement(str(replacement)).name,
             warmup=warmup,
             word_size=word_size,
             miss_path=chain if chain is not None and chain.enabled else None,
-            sample=SamplingConfig.coerce(sample),
+            sample=sample,
         )
 
     def fingerprint_params(

@@ -26,7 +26,6 @@ import tempfile
 from pathlib import Path
 from typing import Callable, List, Optional
 
-from repro.analysis.sweep import geometry_grid
 from repro.errors import TransientError
 from repro.runner.faults import FaultInjector, SweepAborted
 from repro.runner.retry import RetryPolicy
@@ -78,6 +77,10 @@ def run_chaos(
             contract is what keeps the byte-identity checks green when
             healthy cells run vectorized.
     """
+    # Imported here: the analysis layer builds on the runner, and the
+    # service's workers import the runner without needing analysis.
+    from repro.analysis.sweep import geometry_grid
+
     length = 2_000 if quick else 8_000
     nets = [64] if quick else [64, 256]
     ckdir = Path(

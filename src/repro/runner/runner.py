@@ -114,11 +114,6 @@ class RunnerConfig:
             the parent keeps sole ownership of the checkpoint file.
             Incompatible with ``injector`` (per-access fault proxies
             cannot cross process boundaries).
-        preflight: Run the static preflight
-            (:func:`repro.staticcheck.preflight_sweep`) before any cell
-            executes: error findings abort the sweep *before* the
-            checkpoint file is touched, warnings land on the
-            :class:`~repro.runner.health.RunReport`.
     """
 
     retry: RetryPolicy = field(default_factory=RetryPolicy)
@@ -134,7 +129,6 @@ class RunnerConfig:
     engine: str = "auto"
     grid_engine: str = "auto"
     jobs: int = 1
-    preflight: bool = True
 
     def effective_retry(self) -> RetryPolicy:
         """The retry policy with sweep-level leniency folded in."""
@@ -411,24 +405,21 @@ def run_sweep(
         max_cell_accesses=config.max_cell_accesses,
         injector_active=config.injector is not None,
     )
-    preflight_findings: List = []
-    if config.preflight:
-        # Fail-fast: error findings raise StaticCheckError here, on the
-        # axes as given and before the checkpoint file is created or
-        # truncated below.
-        from repro.staticcheck.preflight import preflight_sweep
+    # Fail-fast: error findings raise StaticCheckError here, on the axes
+    # as given and before the checkpoint file is created or truncated
+    # below; warnings land on the report.
+    from repro.staticcheck.preflight import preflight_sweep
 
-        preflight_findings = preflight_sweep(
-            traces, geometries, engine=config.engine,
-            # Coverage report only on an explicit grid-engine choice;
-            # the default stays quiet so clean sweeps keep an empty
-            # preflight (the summary line reports engines regardless).
-            grid_engine=(
-                config.grid_engine
-                if config.grid_engine != "auto" else None
-            ),
-            **axes, **guards,
-        )
+    preflight_findings = preflight_sweep(
+        traces, geometries, engine=config.engine,
+        # Coverage report only on an explicit grid-engine choice; the
+        # default stays quiet so clean sweeps keep an empty preflight
+        # (the summary line reports engines regardless).
+        grid_engine=(
+            config.grid_engine if config.grid_engine != "auto" else None
+        ),
+        **axes, **guards,
+    )
     spec = CellSpec.of(None, engine=config.engine, **axes)
     # Grid-level plan: which geometries share a stack-distance pass and
     # which run per cell.  Computed up front so an invalid grid_engine

@@ -35,7 +35,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.analysis.experiments import default_trace_length
 from repro.engine.batch import execute_cell, predecode, prepare_trace
 from repro.engine.route import GRID_ENGINE_NAMES, plan
 from repro.errors import ConfigurationError, DeadlineExceededError, ReproError
@@ -48,7 +47,7 @@ from repro.service.supervisor import Supervisor, SupervisorConfig
 from repro.stackdist.engine import run_group_pass
 from repro.stackdist.planner import plan_grid
 from repro.trace.record import Trace
-from repro.workloads.suites import suite_trace
+from repro.workloads.suites import default_trace_length, suite_trace
 
 __all__ = ["ServiceConfig", "SimResult", "SimulationService"]
 
@@ -82,7 +81,7 @@ class ServiceConfig:
             isolation unit).  Cache entries and fingerprints are
             identical either way.
         default_length: Trace length when a query omits ``length``
-            (None: :func:`~repro.analysis.experiments
+            (None: :func:`~repro.workloads.suites
             .default_trace_length`).
         supervised: Execute cells on supervised child *processes*
             (:mod:`repro.service.supervisor`) instead of in-process

@@ -11,10 +11,11 @@ Three layers, all producing the same structured
   code/data footprints and innermost-loop working sets from the CFG,
   cross-checkable against simulated miss-ratio curves.
 * **Config lint** (:mod:`repro.staticcheck.configlint` /
-  :mod:`repro.staticcheck.preflight`) — cache-geometry and sweep-grid
-  validation with stable rule ids, wired in as fail-fast preflight for
-  the runner (reject before checkpointing) and the HTTP service
-  (400 with diagnostics, engine never invoked).
+  :mod:`repro.staticcheck.preflight`) — cache-geometry, cell-axis and
+  sweep-grid validation with stable rule ids: ``CellSpec.of`` refuses
+  a malformed axis by rule id, so the runner rejects before
+  checkpointing and the HTTP service answers 400 with diagnostics,
+  the engine never invoked.
 * **Abstract cache analysis** (:mod:`repro.staticcheck.abscache`) —
   must/may abstract interpretation classifying every reference site as
   always-hit / always-miss / first-miss / unclassified for one concrete
@@ -52,9 +53,7 @@ from repro.staticcheck.cfg import BasicBlock, ControlFlowGraph, Loop, build_cfg
 from repro.staticcheck.checks import PROGRAM_RULES, check_program
 from repro.staticcheck.configlint import (
     CONFIG_RULES,
-    check_geometry,
-    lint_cell_axes,
-    lint_cell_options,
+    lint_cell,
     lint_geometry,
     lint_grid_axes,
     lint_sample,
@@ -105,9 +104,7 @@ __all__ = [
     "check_program",
     "PROGRAM_RULES",
     "CONFIG_RULES",
-    "check_geometry",
-    "lint_cell_axes",
-    "lint_cell_options",
+    "lint_cell",
     "lint_geometry",
     "lint_grid_axes",
     "lint_sample",

@@ -17,6 +17,7 @@ step of every experiment.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -36,6 +37,7 @@ __all__ = [
     "suite_trace",
     "suite_traces",
     "clear_trace_cache",
+    "default_trace_length",
 ]
 
 
@@ -284,3 +286,22 @@ def suite_traces(
 def clear_trace_cache() -> None:
     """Drop all cached traces (tests use this to bound memory)."""
     _CACHE.clear()
+
+
+def default_trace_length() -> int:
+    """Trace length for experiments and served queries (env
+    ``REPRO_TRACE_LEN``, default 100 000)."""
+    value = os.environ.get("REPRO_TRACE_LEN", "")
+    if value:
+        try:
+            parsed = int(value)
+        except ValueError as exc:
+            raise ConfigurationError(
+                f"REPRO_TRACE_LEN must be an integer, got {value!r}"
+            ) from exc
+        if parsed < 1:
+            raise ConfigurationError(
+                f"REPRO_TRACE_LEN must be >= 1, got {parsed}"
+            )
+        return parsed
+    return 100_000

@@ -4,7 +4,6 @@ import pytest
 
 from repro.analysis.experiments import (
     FIGURE_NETS,
-    default_trace_length,
     figure_experiment,
     table6_experiment,
     table7_experiment,
@@ -12,6 +11,7 @@ from repro.analysis.experiments import (
 )
 from repro.analysis.paper_data import TABLE7, TABLE8
 from repro.errors import ConfigurationError
+from repro.workloads.suites import default_trace_length
 
 LEN = 12_000  # short but long enough to warm 1 KiB caches
 

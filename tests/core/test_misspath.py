@@ -82,6 +82,8 @@ class TestMissPathConfig:
             ("l2_associativity", 0),
             ("victim_entries", True),
             ("stream_depth", "4"),
+            ("stream_depth", True),
+            ("l2_associativity", True),
         ],
     )
     def test_bad_values_rejected(self, field, value):

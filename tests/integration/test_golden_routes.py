@@ -140,8 +140,15 @@ def golden() -> Dict[str, str]:
 
 
 @pytest.fixture(scope="module")
-def produced(golden, tmp_path_factory) -> Dict[str, str]:
-    return produce(tmp_path_factory.mktemp("golden"), golden)
+def regenerated(tmp_path_factory) -> Path:
+    path = tmp_path_factory.mktemp("golden") / GOLDEN.name
+    _write_golden(path)
+    return path
+
+
+@pytest.fixture(scope="module")
+def produced(regenerated) -> Dict[str, str]:
+    return json.loads(regenerated.read_text(encoding="utf-8"))
 
 
 CASES = (
@@ -161,7 +168,15 @@ def test_golden_cases_are_complete(golden):
     assert set(golden) == set(CASES) | inputs
 
 
-def _write_golden() -> None:  # pragma: no cover - maintenance entry point
+def test_regenerating_writes_the_committed_bytes(regenerated):
+    # Regeneration keeps the committed legacy inputs verbatim, so on
+    # unchanged code it reproduces the golden file byte for byte.
+    assert regenerated.read_bytes() == GOLDEN.read_bytes()
+
+
+def _legacy_input(version: int, source: str, directory: Path) -> str:
+    """A version-``version`` checkpoint holding the first cell of the
+    ``source`` sweep, as a release writing that version stored it."""
     from repro.core.misspath import MissPathConfig
     from repro.engine.batch import prepare_trace
     from repro.memory.nibble import NIBBLE_MODE_BUS
@@ -172,37 +187,50 @@ def _write_golden() -> None:  # pragma: no cover - maintenance entry point
     # here so the legacy inputs never depend on the code under test.
     lacked = {3: ("sample",), 2: ("sample", "miss_path"),
               1: ("sample", "miss_path", "engine")}
+    current = _sweep(source, directory / f"{source}.jsonl")
+    kwargs, config = SWEEPS[source]
+    prepared = [prepare_trace(trace) for trace in _traces()]
+    params = dict(
+        word_size=2, fetch="demand", replacement="lru",
+        warmup=kwargs.get("warmup", "fill"), bus_model=NIBBLE_MODE_BUS,
+        filter_writes=True, engine=config.get("engine", "auto"),
+        miss_path=MissPathConfig.coerce(kwargs.get("miss_path", {})).key(),
+        sample="none",
+    )
+    for name in lacked[version]:
+        params.pop(name)
+    fingerprint = sweep_fingerprint(
+        [cell_key(g, t.name) for g in GEOMETRIES for t in prepared],
+        [len(t) for t in prepared], **params,
+    )
+    header = {"kind": "header", "version": version, "fingerprint": fingerprint}
+    header["crc"] = line_crc(header)
+    first_cell = current.splitlines(keepends=True)[1]
+    return json.dumps(header, sort_keys=True) + "\n" + first_cell
+
+
+def _write_golden(out: Path = GOLDEN) -> None:
+    """Regenerate the golden data into ``out``.
+
+    A legacy input stands for a file an older release wrote, so each
+    committed one is kept verbatim; only a missing one is built, from
+    a sweep under the current code.
+    """
+    committed = (
+        json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
+    )
     with tempfile.TemporaryDirectory() as raw:
         directory = Path(raw)
         inputs: Dict[str, str] = {}
         for version, source in LEGACY.items():
-            current = _sweep(source, directory / f"{source}.jsonl")
-            kwargs, config = SWEEPS[source]
-            prepared = [prepare_trace(trace) for trace in _traces()]
-            params = dict(
-                word_size=2, fetch="demand", replacement="lru",
-                warmup=kwargs.get("warmup", "fill"), bus_model=NIBBLE_MODE_BUS,
-                filter_writes=True, engine=config.get("engine", "auto"),
-                miss_path=MissPathConfig.coerce(kwargs.get("miss_path", {})).key(),
-                sample="none",
-            )
-            for name in lacked[version]:
-                params.pop(name)
-            fingerprint = sweep_fingerprint(
-                [cell_key(g, t.name) for g in GEOMETRIES for t in prepared],
-                [len(t) for t in prepared], **params,
-            )
-            header = {"kind": "header", "version": version,
-                      "fingerprint": fingerprint}
-            header["crc"] = line_crc(header)
-            first_cell = current.splitlines(keepends=True)[1]
-            inputs[f"legacy_v{version}_input"] = (
-                json.dumps(header, sort_keys=True) + "\n" + first_cell
+            name = f"legacy_v{version}_input"
+            inputs[name] = committed.get(name) or _legacy_input(
+                version, source, directory
             )
         cases = directory / "cases"
         cases.mkdir()
         data = dict(inputs, **produce(cases, inputs))
-    GOLDEN.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    out.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n", encoding="utf-8")
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -14,7 +14,7 @@ import asyncio
 import pytest
 
 from repro.core.misspath import MissPathConfig
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, StaticCheckError
 from repro.service import ServiceConfig, SimQuery, SimulationService
 
 BASE = {"suite": "pdp11", "trace": "ED", "net": 256, "block": 16, "sub": 8}
@@ -67,7 +67,7 @@ class TestQueryAxis:
         ],
     )
     def test_bad_values_rejected(self, bad):
-        with pytest.raises(ConfigurationError, match="miss_path"):
+        with pytest.raises(StaticCheckError, match="misspath-bad-value"):
             SimQuery.from_payload(dict(BASE, miss_path=bad), 4000)
 
     def test_chain_key_changes_the_fingerprint(self):

@@ -10,8 +10,14 @@ service chaos harness (``python -m repro chaos --serve``).
 from __future__ import annotations
 
 import asyncio
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import repro
 
 from repro.errors import WorkerCrashError
 from repro.service.admission import RejectedError
@@ -33,6 +39,23 @@ async def wait_for(predicate, timeout: float, step: float = 0.1) -> bool:
             return True
         await asyncio.sleep(step)
     return predicate()
+
+
+class TestWorkerImports:
+    def test_worker_import_skips_the_analysis_layer(self):
+        # Every worker spawn pays its imports; the analysis layer
+        # (experiments, figures, tables) serves no cell.
+        probe = (
+            "import sys, repro.service.worker; "
+            "print(sorted(m for m in sys.modules if m.startswith('repro.analysis')))"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        result = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, timeout=60, check=True,
+        )
+        assert result.stdout.strip() == "[]"
 
 
 class TestHappyPath:

@@ -6,15 +6,15 @@ clients and CI gates can key on them without parsing messages.
 
 import pytest
 
+from repro.core.config import CacheGeometry
+from repro.engine.batch import CellSpec
 from repro.errors import StaticCheckError
 from repro.staticcheck import (
     CONFIG_RULES,
     Severity,
-    check_geometry,
     error_count,
     format_diagnostics,
-    lint_cell_axes,
-    lint_cell_options,
+    lint_cell,
     lint_geometry,
     lint_grid_axes,
 )
@@ -69,26 +69,51 @@ class TestGeometryCorpus:
 
 class TestCellOptions:
     def test_unknown_fetch_policy(self):
-        diagnostics = lint_cell_options("prefetch-all", "lru", "fill")
+        diagnostics = lint_cell(
+            {"fetch": "prefetch-all", "replacement": "lru", "warmup": "fill"}
+        )
         assert [d.rule for d in diagnostics] == ["policy-unknown-fetch"]
 
     def test_unknown_replacement_policy(self):
-        diagnostics = lint_cell_options("demand", "mru", "fill")
+        diagnostics = lint_cell(
+            {"fetch": "demand", "replacement": "mru", "warmup": "fill"}
+        )
         assert [d.rule for d in diagnostics] == ["policy-unknown-replacement"]
 
     @pytest.mark.parametrize("warmup", ["cold", -1, True, 2.5])
     def test_bad_warmup(self, warmup):
-        diagnostics = lint_cell_options(None, None, warmup)
+        diagnostics = lint_cell({"warmup": warmup})
         assert [d.rule for d in diagnostics] == ["sweep-bad-warmup"]
 
     @pytest.mark.parametrize("warmup", ["fill", 0, 500, None])
     def test_good_warmup(self, warmup):
-        assert lint_cell_options("demand", "lru", warmup) == []
+        # None: the axis is absent, so it takes its default.
+        axes = {"fetch": "demand", "replacement": "lru"}
+        if warmup is not None:
+            axes["warmup"] = warmup
+        assert lint_cell(axes) == []
 
     def test_axes_mapping_tells_absent_from_null_warmup(self):
-        assert lint_cell_axes({"fetch": "demand"}) == []
-        diagnostics = lint_cell_axes({"warmup": None})
+        assert lint_cell({"fetch": "demand"}) == []
+        diagnostics = lint_cell({"warmup": None})
         assert [d.rule for d in diagnostics] == ["sweep-bad-warmup"]
+
+    def test_null_fetch_is_demand(self):
+        assert lint_cell({"fetch": None}) == []
+
+    def test_chain_and_sample_findings_reported_once(self):
+        # The chain is linted per L1 shape and the sample per trace
+        # length, but a finding that does not depend on either is
+        # reported once.
+        shapes = [CacheGeometry(256, 16, 8), CacheGeometry(512, 16, 8)]
+        diagnostics = lint_cell(
+            {"miss_path": {"victim_entires": 4}, "sample": "4000"},
+            shapes,
+            [1000, 1000],
+        )
+        assert [d.rule for d in diagnostics] == [
+            "misspath-unknown-key", "sample-interval-exceeds-trace"
+        ]
 
 
 class TestGridAxes:
@@ -106,17 +131,28 @@ class TestGridAxes:
 
 
 class TestCheckGeometryGate:
+    """``CellSpec.of`` is the gate: it raises on ``lint_cell`` errors."""
+
     def test_raises_with_full_diagnostics(self):
         with pytest.raises(StaticCheckError) as excinfo:
-            check_geometry(100, 32, 64, assoc=0)
+            CellSpec.of(
+                None, fetch="prefetch-all", replacement="mru",
+                warmup="cold", word_size=0,
+            )
         rules = {d.rule for d in excinfo.value.diagnostics}
-        assert rules == {"geom-pow2", "geom-sub-gt-block", "geom-assoc-invalid"}
-        assert "geom-" in str(excinfo.value)
+        assert rules == {
+            "policy-unknown-fetch", "policy-unknown-replacement",
+            "sweep-bad-warmup", "sweep-bad-word-size",
+        }
+        assert "policy-" in str(excinfo.value)
 
     def test_warnings_pass_through(self):
-        diagnostics = check_geometry(64, 16, 16, fetch="load-forward")
+        diagnostics = lint_cell(
+            {"fetch": "load_forward"}, [CacheGeometry(64, 16, 16)]
+        )
         assert error_count(diagnostics) == 0
         assert [d.rule for d in diagnostics] == ["fetch-lf-single-sub"]
+        assert CellSpec.of(CacheGeometry(64, 16, 16), fetch="load_forward")
 
     def test_format_orders_errors_first(self):
         diagnostics = lint_geometry(64, 16, 16, assoc=0, fetch="load-forward")

@@ -76,26 +76,27 @@ class TestRunnerIntegration:
             ({"miss_path": {"victim_entires": 4}}, "misspath-unknown-key"),
             ({"sample": "0"}, "sample-interval-invalid"),
             ({"warmup": None}, "sweep-bad-warmup"),
+            ({"replacement": None}, "policy-unknown-replacement"),
+            ({"engine": "foo"}, "policy-unknown-engine"),
+            ({"engine": None}, "policy-unknown-engine"),
+            ({"word_size": 0}, "sweep-bad-word-size"),
+            ({"word_size": 2.5}, "sweep-bad-word-size"),
+            ({"word_size": True}, "sweep-bad-word-size"),
         ],
     )
     def test_malformed_axis_names_its_rule(self, trace, axes, rule):
-        # Preflight lints the axes before CellSpec.of coerces them, so
-        # the sweep fails as the service does: with the rule id.
+        # The axes are linted before CellSpec.of coerces them, so the
+        # sweep fails as the service does: with the rule id.  The
+        # engine axis arrives through the runner config.
+        axes = dict(axes)
+        config = RunnerConfig(engine=axes.pop("engine", "auto"))
         with pytest.raises(StaticCheckError) as excinfo:
-            run_sweep([trace], GEOMS, **axes)
+            run_sweep([trace], GEOMS, config=config, **axes)
         assert rule in {d.rule for d in excinfo.value.diagnostics}
 
     def test_warnings_land_on_the_report(self, trace):
         points, report = run_sweep([trace], GEOMS, fetch="load-forward")
         assert [d.rule for d in report.preflight] == ["fetch-lf-single-sub"]
-        assert points[0].miss_ratio > 0
-
-    def test_preflight_can_be_disabled(self, trace):
-        points, report = run_sweep(
-            [trace], GEOMS, fetch="load-forward",
-            config=RunnerConfig(preflight=False),
-        )
-        assert report.preflight == []
         assert points[0].miss_ratio > 0
 
     def test_clean_checkpointed_sweep_still_works(self, trace, tmp_path):

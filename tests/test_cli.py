@@ -377,6 +377,10 @@ class TestClassifyCommand:
         ]) == 1
         assert "classify failed" in capsys.readouterr().err
 
+    def test_bad_chain_geometry_names_its_rule(self, capsys):
+        assert main(["classify", "fib", "--l2-net", "3000"]) != 0
+        assert "[geom-pow2]" in capsys.readouterr().err
+
 
 class TestPhasesCommand:
     def test_text_report(self, capsys):
