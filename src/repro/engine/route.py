@@ -87,15 +87,19 @@ def _stackdist_blockers(
     max_cell_accesses: Optional[int],
     injector_active: bool,
 ) -> List[str]:
-    """Every condition that rules out a stack-distance pass."""
+    """Every condition that rules out a stack-distance pass.
+
+    Reads the spec's stored axis names, the ones its fingerprint
+    records (:meth:`CellSpec.of` spells them canonically).
+    """
     if mode == "percell":
         return ["grid engine forced to percell"]
     blockers: List[str] = []
-    if spec.replacement.lower() != "lru":
+    if spec.replacement != "lru":
         blockers.append(
             f"replacement policy {spec.replacement!r} (inclusion needs LRU)"
         )
-    if spec.fetch.lower().replace("_", "-") != "demand":
+    if spec.fetch != "demand":
         blockers.append(f"fetch policy {spec.fetch!r} (only demand fetch)")
     if chained:
         blockers.append("enabled miss-path chain (per-miss structure state)")

@@ -6,8 +6,9 @@ yields the hit count of *every* associativity at once.  This package
 grows that observation into a grid-level engine:
 
 * :mod:`repro.stackdist.engine` — one pass per ``(block_size,
-  num_sets)`` group computes per-set LRU stack distances plus
-  per-sub-block first-touch epochs, from which the full 17-counter
+  num_sets)`` group computes, as whole-trace array code, per-set LRU
+  stack distances plus each needed sub-block's previous touch, from
+  which the full 17-counter
   :class:`~repro.core.stats.CacheStats` of every member geometry
   (associativity × sub-block size × warmup) is derived in closed form.
 * :mod:`repro.stackdist.planner` — partitions a sweep grid into

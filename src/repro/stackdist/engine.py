@@ -3,68 +3,65 @@
 The paper picks LRU partly because "LRU permits more efficient
 simulation": Mattson's inclusion property means one recency stack per
 cache set answers *every* associativity at once.  This module pushes
-that idea through the full sub-block cache model: a single pass over a
+that idea through the full sub-block cache model: one pass over a
 trace, per (block_size, num_sets) *pass group*, produces the complete
 17-counter :class:`~repro.core.stats.CacheStats` — bit-identical to the
 reference simulator — for every (associativity, sub_block_size, warmup)
-member cell sharing that group.
+member cell sharing that group.  The pass is whole-trace array code:
+no step walks the trace one reference at a time.
 
-How the closed form works
--------------------------
+Distances
+---------
 
-For a set-associative LRU cache, an access to block ``b`` with per-set
-stack distance ``d`` (1 = most recent) hits the tag under associativity
-``A`` iff ``d <= A`` — valid whenever every access allocates, which is
-why the engine only accepts read/ifetch traces under demand fetch
+An access is split into per-block *portions*.  The stack distance
+``d`` of a portion (1 = most recent) is one plus the number of distinct
+blocks its set saw since the previous touch of its block.  With the
+portions sorted by set (stable in time) and immediate repeats of a
+block dropped (each has ``d = 1``), that count is the number of
+positions ``k`` in ``(prev, i)`` whose next occurrence lies after
+``i``, which equals ``i - prev - #{j < i : prev[j] > prev}``.  The last
+term is a prefix count over the ``prev`` array; :func:`_count_above`
+answers every such query at once with a merge-sort tree (one sorted
+array per level, one ``searchsorted`` per level), ``O(n log n)``.
+:func:`set_distances` is that kernel; :func:`distance_histogram`
+reads it too.
+
+Per member
+----------
+
+For a set-associative LRU cache of ``A`` ways, a portion hits the tag
+iff ``d <= A`` — valid whenever every access allocates, which is why
+the engine only accepts read/ifetch traces under demand fetch
 (non-allocating write misses skip the recency update and break
-inclusion).
+inclusion).  With the portions sorted by block (stable in time):
 
-Sub-block validity is derived from two extra facts kept per block:
+* a portion with ``d > A`` *fills* the block: a block miss that
+  fetches every needed sub-block in one transaction;
+* a needed sub-block of any other portion is valid iff its previous
+  touch comes at or after the block's last fill (demand fetch makes
+  needed == fetched == valid == referenced), so the missing ones, the
+  sub-block misses and their transaction runs are array comparisons;
+* a *residency* runs from a fill to the block's next fill.  It ends in
+  an eviction iff the block is refilled (``d > A``) or at least ``A``
+  distinct blocks follow its last access in the set; the eviction
+  charges the residency's fetched sub-blocks to
+  ``evicted_sub_blocks_referenced``.  ``flush_at_end`` evicts the
+  residencies that end with fewer than ``A`` blocks after them.
 
-* ``T[j]`` — the last access epoch that *needed* sub-block ``j``
-  (demand fetch makes needed == fetched == valid, so after any access
-  needing ``j`` the sub-block is valid under every associativity);
-* a per-block *history* of (epoch, distance) pairs, kept as a monotone
-  stack (epochs increasing, distances strictly decreasing), so
-  ``Dmax(j) = max{d' of accesses to b after T[j]}`` is one bisect.
-
-Sub-block ``j`` is valid under ``A`` iff it was ever needed and the
-block was never evicted since (``Dmax(j) <= A``).  A portion therefore
-block-misses where ``A < d``, sub-block-misses where
-``d <= A < max(d, max Dmax(j) over needed j)``, and hits above.  The
-same machinery yields the victim's referenced-sub-block population at
-eviction time (the victim under ``A`` is the post-update stack entry at
-index ``A``), so eviction-utilization counters — and hence *traffic
-ratio*, not just miss ratio — come out exact.
-
-Keeping the pass O(trace), not O(cells x trace)
------------------------------------------------
-
-The scalar loop classifies each portion before touching any per-cell
-state.  History entries only exist for distances above the smallest
-associativity, so a portion whose needed sub-blocks were all touched
-since the block's last deep access ("all fresh") needs no bisects; and
-a portion whose only stale sub-blocks were *never* touched misses
-identically under every associativity.  That uniform case — the
-overwhelmingly common miss on real traces — is accumulated into
-counters shared by every member with that sub-block size, so the hot
-path's cost does not grow with the member count.  Warm-up resets are
-reconciled by snapshotting the shared counters at each member's reset
-boundary and subtracting the snapshot at materialization.
-
-Warm-up itself is handled natively: ``warmup=N`` resets a member's
-accumulators after access ``N-1`` (exactly
-:func:`repro.core.sim.simulate`'s countdown), and ``warmup="fill"``
-tracks per-associativity frame-fill progress (sum over sets of
-``min(distinct_blocks_seen, A)``) and resets at the end of the access
-that completes the fill.
+Warm-up resets at a time ``min_t`` and every event is filtered by its
+time.  ``warmup=N`` gives ``min_t = N`` (the reset fires at the end of
+access ``N-1``, exactly :func:`repro.core.sim.simulate`'s countdown);
+``"fill"`` resets after the access that brings the cold rank ``A-1``
+block into the last set to fill.  A residency whose last access falls
+before ``min_t`` and whose refill (if any) falls after it was evicted
+before the reset iff its block is deeper than ``A`` in the set's stack
+at the boundary — one prefix count over the set-sorted order.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Any, Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -72,15 +69,9 @@ from repro.core.stats import CacheStats
 from repro.errors import ConfigurationError
 from repro.trace.record import AccessType
 
-__all__ = ["MemberSpec", "distance_histogram", "run_group_pass"]
+__all__ = ["MemberSpec", "distance_histogram", "run_group_pass", "set_distances"]
 
 _KIND_OF = (AccessType.READ, AccessType.WRITE, AccessType.IFETCH)
-_INF = float("inf")
-
-#: Snapshot of the shared accumulators at a member's reset boundary:
-#: (sub misses, fetched bytes, transaction words, misses, by-kind).
-_Snap = Tuple[int, int, Dict[int, int], int, Tuple[int, ...]]
-_ZERO_SNAP: _Snap = (0, 0, {}, 0, (0, 0, 0))
 
 
 @dataclass(frozen=True)
@@ -96,50 +87,6 @@ class MemberSpec:
     ways: int
     sub_block_size: int
     warmup: Union[int, str] = "fill"
-
-
-class _Member:
-    """Accumulators for one member cell during a pass."""
-
-    __slots__ = (
-        "spec", "ways", "sub_index", "spb", "min_t", "start_r", "snap",
-        "misses", "block_misses", "sub_misses", "by_kind",
-        "bytes_fetched", "tw", "evictions", "ev_ref", "ev_total",
-    )
-
-    def __init__(self, spec: MemberSpec, sub_index: int, spb: int, n: int) -> None:
-        self.spec = spec
-        self.ways = spec.ways
-        self.sub_index = sub_index
-        self.spb = spb
-        # Int warm-up: events at access t count iff t >= min_t (the
-        # reset fires at the END of access warmup-1).  A warmup past
-        # the end of the trace never resets (the simulate() countdown
-        # never reaches zero), so the stats cover the whole run.
-        warmup = spec.warmup
-        self.start_r: Optional[int]
-        if isinstance(warmup, int) and 1 <= warmup <= n:
-            self.min_t = warmup
-            self.start_r = warmup - 1
-        else:
-            self.min_t = 0
-            self.start_r = None
-        self.snap: _Snap = _ZERO_SNAP
-        self.zero(None)
-
-    def zero(self, start_r: Optional[int]) -> None:
-        """Reset accumulators at a warm-start boundary."""
-        if start_r is not None:
-            self.start_r = start_r
-        self.misses = 0
-        self.block_misses = 0
-        self.sub_misses = 0
-        self.by_kind = {kind: 0 for kind in _KIND_OF}
-        self.bytes_fetched = 0
-        self.tw: Dict[int, int] = {}
-        self.evictions = 0
-        self.ev_ref = 0
-        self.ev_total = 0
 
 
 def _validate(
@@ -197,29 +144,295 @@ def _portions(
     return tvec, pb, pb % num_sets, plo, phi
 
 
-def _collapsible(pset: Any, pb: Any, plo: Any, phi: Any) -> Any:
-    """True where a portion repeats its set's previous (block, lo, hi).
+def _stable_argsort(keys: Any) -> Any:
+    """``np.argsort(keys, kind="stable")`` for non-negative int64 keys.
 
-    Such a portion has stack distance 1 and every needed sub-block
-    freshly touched, so it is a full hit under *every* associativity
-    and can be skipped by the scalar loop (its access/byte counts are
-    recovered from prefix sums).  Runs of straight-line ifetches make
-    this common in real traces.
+    Sorts one packed word per element (key high, index low): numpy's
+    value sort does that 5-9x faster than a stable argsort of 10k-100k
+    keys, and the table7 passes run about 14% longer without it.  Keys
+    too wide to pack take the argsort.
     """
-    total = len(pset)
-    if total < 2:
-        return np.zeros(total, dtype=bool)
-    order = np.argsort(pset, kind="stable")
-    same_sorted = np.zeros(total, dtype=bool)
-    same_sorted[1:] = (
-        (pset[order][1:] == pset[order][:-1])
-        & (pb[order][1:] == pb[order][:-1])
-        & (plo[order][1:] == plo[order][:-1])
-        & (phi[order][1:] == phi[order][:-1])
+    total = len(keys)
+    bits = max(total - 1, 1).bit_length()
+    if total == 0 or int(keys.min()) < 0 or int(keys.max()) >> (62 - bits):
+        return np.argsort(keys, kind="stable")
+    packed = (keys << bits) | np.arange(total, dtype=np.int64)
+    packed.sort()
+    return packed & ((1 << bits) - 1)
+
+
+def _count_above(values: Any, ends: Any, floors: Any) -> Any:
+    """For each query ``q``: ``#{j < ends[q] : values[j] > floors[q]}``.
+
+    A merge-sort tree over ``values`` (which lie in ``[-1, len)``):
+    level ``L`` holds the values sorted within aligned blocks of
+    ``2**L``, flattened into one globally sorted key array
+    (``block * width + value``).  A prefix ``[0, end)`` is the union
+    of one aligned block per set bit of ``end``, so each level answers
+    every query with one ``searchsorted``.
+    """
+    m = len(values)
+    counts = np.zeros(len(ends), dtype=np.int64)
+    if not len(ends):
+        return counts
+    width = m + 2
+    pos = np.arange(m, dtype=np.int64)
+    keys = pos * width + (values + 1)
+    top = int(ends.max())
+    shift = 0
+    while (1 << shift) <= top:
+        span = 1 << shift
+        hit = np.flatnonzero(ends & span)
+        if len(hit):
+            start = ends[hit] & ~(2 * span - 1)
+            probe = (start >> shift) * width + floors[hit] + 1
+            counts[hit] += start + span - np.searchsorted(keys, probe, side="right")
+        if (span << 1) > top:
+            break
+        keys = keys + ((pos >> (shift + 1)) - (pos >> shift)) * width
+        keys.sort()
+        shift += 1
+    return counts
+
+
+def set_distances(blocks: Any, sets: Any) -> Any:
+    """Exact per-set LRU stack distance of every reference.
+
+    ``blocks[i]`` is referenced in set ``sets[i]``, in order.  Returns
+    an int64 array: 1 for an immediate re-reference, 1 + the number of
+    distinct blocks the set saw since the block's previous reference
+    otherwise, and 0 for a cold first reference.
+    """
+    blocks = np.asarray(blocks, dtype=np.int64)
+    sets = np.asarray(sets, dtype=np.int64)
+    return _distances(blocks, _stable_argsort(sets))
+
+
+def _distances(blocks: Any, order: Any) -> Any:
+    """:func:`set_distances`, given ``order``: a stable argsort of the sets."""
+    total = len(blocks)
+    dist = np.zeros(total, dtype=np.int64)
+    if total == 0:
+        return dist
+    seq = blocks[order]
+    head = np.ones(total, dtype=bool)
+    head[1:] = seq[1:] != seq[:-1]
+    dist[order[~head]] = 1
+    kept = order[head]
+    uniq = seq[head]
+    by_block = _stable_argsort(uniq)
+    again = uniq[by_block[1:]] == uniq[by_block[:-1]]
+    prev = np.full(len(uniq), -1, dtype=np.int64)
+    prev[by_block[1:][again]] = by_block[:-1][again]
+    later = np.flatnonzero(prev >= 0)  # ascending, so the probes are too
+    earlier = prev[later]
+    dist[kept[later]] = later - earlier - _count_above(prev, later, earlier)
+    return dist
+
+
+class _Walk:
+    """Trace-level arrays shared by every member of one pass.
+
+    Portions are held in *block order* (sorted by block, stable in
+    time), so each block's history is one contiguous run; ``so`` is the
+    set order used for the per-set counts.
+    """
+
+    def __init__(
+        self, tvec: Any, pb: Any, pset: Any, plo: Any, phi: Any, n: int
+    ) -> None:
+        total = len(pb)
+        self.n = n
+        self.total = total
+        by_set = _stable_argsort(pset)
+        dist = _distances(pb, by_set)
+        bo = _stable_argsort(pb)
+        self.t = tvec[bo]
+        self.lo = plo[bo]
+        self.hi = phi[bo]
+        block = pb[bo]
+        first = np.ones(total, dtype=bool)
+        first[1:] = block[1:] != block[:-1]
+        last = np.ones(total, dtype=bool)
+        last[:-1] = first[1:]
+        self.last = last
+        self.block_id = np.cumsum(first) - 1
+        dist = dist[bo]
+        dist[first] = np.iinfo(np.int64).max  # cold: deeper than any ways
+        self.dist = dist
+        # Time of the block's next portion (past the end if none).
+        tnext = np.full(total, n + 1, dtype=np.int64)
+        tnext[:-1] = np.where(last[:-1], n + 1, self.t[1:])
+        self.tnext = tnext
+
+        # Set order (stable in time): each portion's position and its
+        # set's end.
+        set_of = pset[bo]
+        block_pos = np.empty(total, dtype=np.int64)
+        block_pos[bo] = np.arange(total, dtype=np.int64)
+        so = block_pos[by_set]
+        self.so = so
+        setpos = np.empty(total, dtype=np.int64)
+        setpos[so] = np.arange(total, dtype=np.int64)
+        self.setpos = setpos
+        self.setend = np.searchsorted(set_of[so], set_of, side="right")
+        # Distinct blocks after a block's last portion in its set.
+        after = np.zeros(total + 1, dtype=np.int64)
+        np.cumsum(last[so], out=after[1:])
+        self.tail = after[self.setend] - after[setpos + 1]
+        # Cold first touches per set, in time order: (set, time, rank).
+        cold = so[first[so]]
+        cold_sets = set_of[cold]
+        set_start = np.searchsorted(cold_sets, cold_sets, side="left")
+        self.cold_t = self.t[cold]
+        self.cold_rank = np.arange(len(cold), dtype=np.int64) - set_start
+        self._granules: Dict[int, Tuple[Any, Any, Any, bool]] = {}
+        self._depth: Dict[int, Any] = {}
+
+    def fill_time(self, ways: int, num_sets: int) -> int:
+        """``min_t`` of a ``"fill"`` member: 0 if the cache never fills."""
+        at = self.cold_rank == ways - 1
+        if int(at.sum()) < num_sets:
+            return 0
+        return int(self.cold_t[at].max()) + 1
+
+    def granules(self, sub: int) -> Tuple[Any, Any, Any, bool]:
+        """Needed sub-blocks of size ``sub``, one row per (portion, j).
+
+        Returns ``(owner, prev_touch, run_head, single)``: the owning
+        portion (block order), the block-order position of the
+        previous portion that needed the same sub-block of the same
+        block (-1 if none), whether the row starts its portion, and
+        whether every portion needs exactly one sub-block.
+        """
+        cached = self._granules.get(sub)
+        if cached is not None:
+            return cached
+        total = self.total
+        first_j = self.lo // sub
+        count = self.hi // sub - first_j + 1
+        # Usually every portion needs one sub-block; skipping the
+        # repeat, reduceat and run bincount then saves about a fifth of
+        # the table7 pass time.
+        single = total == 0 or int(count.max()) == 1
+        if single:
+            owner = np.arange(total, dtype=np.int64)
+            j = first_j
+            head = np.ones(total, dtype=bool)
+        else:
+            owner = np.repeat(np.arange(total, dtype=np.int64), count)
+            starts = np.cumsum(count) - count
+            j = first_j[owner] + np.arange(len(owner), dtype=np.int64) - starts[owner]
+            head = np.zeros(len(owner), dtype=bool)
+            head[starts] = True
+        key = self.block_id[owner] * (1 + int(j.max(initial=0))) + j
+        by_key = _stable_argsort(key)
+        again = key[by_key[1:]] == key[by_key[:-1]]
+        prev_touch = np.full(len(owner), -1, dtype=np.int64)
+        prev_touch[by_key[1:][again]] = owner[by_key[:-1][again]]
+        cached = (owner, prev_touch, head, single)
+        self._granules[sub] = cached
+        return cached
+
+    def depth(self, min_t: int) -> Any:
+        """Per portion: its block's depth in the set's stack at ``min_t``.
+
+        Counts the blocks whose last portion before ``min_t`` sits at
+        or after this one in the set order; meaningful for a portion
+        that is its block's last before ``min_t``.
+        """
+        cached = self._depth.get(min_t)
+        if cached is None:
+            open_at = (self.t < min_t) & (self.tnext >= min_t)
+            upto = np.zeros(self.total + 1, dtype=np.int64)
+            np.cumsum(open_at[self.so], out=upto[1:])
+            cached = upto[self.setend] - upto[self.setpos]
+            self._depth[min_t] = cached
+        return cached
+
+
+def _member_stats(
+    walk: _Walk,
+    kinds: Any,
+    ways: int,
+    sub: int,
+    block_size: int,
+    word_size: int,
+    min_t: int,
+    flush_at_end: bool,
+) -> CacheStats:
+    """The event counters of one member (accesses are filled by the caller)."""
+    stats = CacheStats()
+    total = walk.total
+    if total == 0:
+        return stats
+    deep = walk.dist > ways
+    fills = np.flatnonzero(deep)
+    residency = np.cumsum(deep) - 1
+    owner, prev_touch, head, single = walk.granules(sub)
+    missing = prev_touch < fills[residency[owner]]
+
+    counted = walk.t >= min_t
+    g_counted = counted if single else counted[owner]
+    if single:
+        portion_miss = missing
+    else:
+        portion_miss = np.logical_or.reduceat(missing, np.flatnonzero(head))
+    stats.block_misses = int(np.count_nonzero(deep & counted))
+    stats.sub_block_misses = int(
+        np.count_nonzero(portion_miss & ~deep & counted)
     )
-    same = np.empty(total, dtype=bool)
-    same[order] = same_sorted
-    return same
+    fetched = missing & g_counted
+    stats.bytes_fetched = int(np.count_nonzero(fetched)) * sub
+    if single:
+        runs = {1: int(np.count_nonzero(fetched))}
+    else:
+        run_head = missing.copy()
+        run_head[1:] &= ~(missing[:-1] & ~head[1:])
+        run_id = np.cumsum(run_head) - 1
+        length = np.bincount(run_id[missing], minlength=int(run_head.sum()))
+        lengths = np.bincount(length[g_counted[run_head]])
+        runs = {int(k): int(c) for k, c in enumerate(lengths) if c}
+    tw: Dict[int, int] = {}
+    for run, count in runs.items():
+        if count:
+            key = run * sub // word_size
+            tw[key] = tw.get(key, 0) + count
+    stats.transaction_words = tw
+
+    missed = np.zeros(walk.n, dtype=bool)
+    missed[walk.t[portion_miss]] = True
+    missed_kinds = kinds[min_t:][missed[min_t:]]
+    stats.misses = len(missed_kinds)
+    by_kind = np.bincount(missed_kinds, minlength=len(_KIND_OF))
+    stats.misses_by_kind = {
+        kind: int(by_kind[i]) for i, kind in enumerate(_KIND_OF)
+    }
+
+    # Residencies: fill ``fills[k]`` through the portion before the next.
+    ends = np.empty(len(fills), dtype=np.int64)
+    ends[:-1] = fills[1:] - 1
+    ends[-1] = total - 1
+    # A residency is still cached at the end unless its block is
+    # refilled or at least ``ways`` blocks follow it in its set.
+    resident = walk.last[ends] & (walk.tail[ends] < ways)
+    charged = ~resident
+    if min_t:
+        # Evicted before the reset: refilled before it, or pushed below
+        # the set's top ``ways`` blocks by then.
+        charged &= ~(
+            (walk.t[ends] < min_t)
+            & ((walk.tnext[ends] < min_t) | (walk.depth(min_t)[ends] > ways))
+        )
+    if flush_at_end:
+        charged |= resident
+    per_residency = np.bincount(
+        residency[owner[missing]], minlength=len(fills)
+    )
+    stats.evictions = int(np.count_nonzero(charged))
+    stats.evicted_sub_blocks_referenced = int(per_residency[charged].sum())
+    stats.evicted_sub_blocks_total = stats.evictions * (block_size // sub)
+    return stats
 
 
 def run_group_pass(
@@ -264,494 +477,32 @@ def run_group_pass(
             "filter writes or fall back to a per-cell engine"
         )
 
-    subs = sorted({member.sub_block_size for member in members})
-    sub_index = {sub: i for i, sub in enumerate(subs)}
-    spb = [block_size // sub for sub in subs]
-    ways = sorted({member.ways for member in members})
-    a_min, a_max = ways[0], ways[-1]
-    dist_inf = a_max + 1
-    nsubs = len(subs)
-
-    mems = [
-        _Member(spec, sub_index[spec.sub_block_size],
-                block_size // spec.sub_block_size, n)
-        for spec in members
-    ]
-    # Accounting tables: per (A, sub) member lists for the generic
-    # verdict loop, per-sub lists for verdicts identical across A, and
-    # the ascending-A cells the block-miss loop walks.
-    pair_members: Dict[Tuple[int, int], List[_Member]] = {}
-    for member in mems:
-        pair_members.setdefault((member.ways, member.sub_index), []).append(member)
-    members_of_si: List[List[_Member]] = [[] for _ in subs]
-    for member in mems:
-        members_of_si[member.sub_index].append(member)
-    acell: List[Tuple[int, List[Tuple[int, int, List[_Member]]]]] = []
-    for assoc in ways:
-        cells: List[Tuple[int, int, List[_Member]]] = []
-        for si in range(nsubs):
-            group = pair_members.get((assoc, si))
-            if group:
-                cells.append((si, subs[si], group))
-        acell.append((assoc, cells))
-    fill_members: Dict[int, List[_Member]] = {}
-    for member in mems:
-        if member.spec.warmup == "fill":
-            fill_members.setdefault(member.ways, []).append(member)
-
-    # Shared accumulators for verdicts that are identical for every
-    # member sharing a sub-block size (the hot path).  Warm-up is
-    # reconciled by snapshot: a member's share of a shared counter is
-    # its final value minus the value at the member's last reset.
-    shared_sub = [0] * nsubs
-    shared_bytes = [0] * nsubs
-    shared_tw: List[Dict[int, int]] = [{} for _ in subs]
-    shared_miss = [0] * nsubs
-    shared_kind = [[0, 0, 0] for _ in subs]
-    words_of = [sub // word_size for sub in subs]
-
-    def take_snap(member: _Member) -> None:
-        si = member.sub_index
-        member.snap = (
-            shared_sub[si], shared_bytes[si], dict(shared_tw[si]),
-            shared_miss[si], tuple(shared_kind[si]),
-        )
-
-    # Members with an int warm-up snapshot when the pass first reaches
-    # their first counted access; fill members re-snapshot at fill.
-    pending_snaps = sorted(
-        ((member.min_t, member) for member in mems if member.min_t > 0),
-        key=lambda pair: pair[0],
-    )
-
-    # -- Vectorized precomputation ------------------------------------
     eff = np.where(sizes > 0, sizes, word_size)
-    cum_bytes = np.cumsum(eff) if n else eff
-    cum_kind = {
-        kind: np.cumsum(kinds == int(kind)) if n else kinds
-        for kind in _KIND_OF
-    }
-    tvec, pb, pset, plo, phi = _portions(addrs, eff, block_size, num_sets, n)
-    keep = ~_collapsible(pset, pb, plo, phi)
-    p_t = tvec[keep].tolist()
-    p_b = pb[keep].tolist()
-    p_s = pset[keep].tolist()
-    p_lo = plo[keep].tolist()
-    p_hi = phi[keep].tolist()
-    kind_list = kinds.tolist()
+    cum_bytes = np.concatenate(([0], np.cumsum(eff)))
+    cum_kind = np.zeros((len(_KIND_OF), n + 1), dtype=np.int64)
+    for i in range(len(_KIND_OF)):
+        np.cumsum(kinds == i, out=cum_kind[i, 1:])
+    walk = _Walk(*_portions(addrs, eff, block_size, num_sets, n), n=n)
 
-    # -- Scalar pass state --------------------------------------------
-    stacks: List[List[int]] = [[] for _ in range(num_sets)]
-    distinct = [0] * num_sets
-    # blocks[b] = [hist_t, hist_d, [T-list per sub]]; T[j] = last epoch
-    # needing sub-block j (-1 = never), history as described above.
-    blocks: Dict[int, List[Any]] = {}
-    fill_progress = {assoc: 0 for assoc in ways}
-    fill_done: Dict[int, Optional[int]] = {assoc: None for assoc in ways}
-    fill_target = {assoc: num_sets * assoc for assoc in ways}
-    pending_fills: List[int] = []
-    # Access-level miss flags: explicit (A, sub) pairs plus whole-sub
-    # markers (flag_all) for verdicts that miss under every A.
-    flag_pairs: Set[Tuple[int, int]] = set()
-    flag_all: Set[int] = set()
-    prev_t = -1
-
-    def flush(upto_t: int) -> None:
-        """End-of-access bookkeeping: access-level misses, fill resets."""
-        if flag_pairs or flag_all:
-            kind_i = kind_list[upto_t]
-            for si in flag_all:
-                shared_miss[si] += 1
-                shared_kind[si][kind_i] += 1
-            if flag_pairs:
-                kind = _KIND_OF[kind_i]
-                for pair in flag_pairs:
-                    if pair[1] in flag_all:
-                        continue  # already counted via the shared miss
-                    for member in pair_members[pair]:
-                        if upto_t >= member.min_t:
-                            member.misses += 1
-                            member.by_kind[kind] += 1
-                flag_pairs.clear()
-            flag_all.clear()
-        if pending_fills:
-            for assoc in pending_fills:
-                fill_done[assoc] = upto_t
-                for member in fill_members.get(assoc, ()):
-                    member.zero(upto_t)
-                    take_snap(member)
-            pending_fills.clear()
-
-    def victim_valid(vbst: Any, assoc: int, si: int) -> int:
-        """Count the victim's valid sub-blocks (== referenced) under A."""
-        vh_d = vbst[1]
-        lo, hi = 0, len(vh_d)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if vh_d[mid] > assoc:
-                lo = mid + 1
-            else:
-                hi = mid
-        thr = vbst[0][lo - 1] if lo else 0
-        count = 0
-        for t_j in vbst[2][si]:
-            if t_j >= thr:
-                count += 1
-        return count
-
-    def block_miss_all(
-        t: int, d: int, db: int, stack: List[int], lo: int, hi: int
-    ) -> None:
-        """Account a block miss (A < d) for every affected associativity."""
-        for assoc, cells in acell:
-            if assoc >= d:
-                break
-            evicts = db >= assoc
-            vbst = blocks[stack[assoc]] if evicts else None
-            for si, sub, group in cells:
-                nbytes = (hi // sub - lo // sub + 1) * sub
-                nwords = nbytes // word_size
-                count = victim_valid(vbst, assoc, si) if evicts else 0
-                for member in group:
-                    if t >= member.min_t:
-                        member.block_misses += 1
-                        member.bytes_fetched += nbytes
-                        member.tw[nwords] = member.tw.get(nwords, 0) + 1
-                        if evicts:
-                            member.evictions += 1
-                            member.ev_ref += count
-                            member.ev_total += member.spb
-                flag_pairs.add((assoc, si))
-
-    blocks_get = blocks.get
-    subs_local = subs
-    flag_all_add = flag_all.add
-    range_n = range(nsubs)
-    for t, b, s, lo, hi in zip(p_t, p_b, p_s, p_lo, p_hi):
-        if t != prev_t:
-            if prev_t >= 0 and (flag_pairs or flag_all or pending_fills):
-                flush(prev_t)
-            while pending_snaps and t >= pending_snaps[0][0]:
-                take_snap(pending_snaps.pop(0)[1])
-            prev_t = t
-        stack = stacks[s]
-        bst = blocks_get(b)
-
-        if bst is None:
-            # Cold block: misses under every associativity; fill/fetch
-            # bookkeeping plus possible evictions from full sets.
-            db = distinct[s]
-            if db < a_max:
-                grown = db + 1
-                distinct[s] = grown
-                for assoc in ways:
-                    if assoc >= grown:
-                        fill_progress[assoc] += 1
-                        if (
-                            fill_progress[assoc] == fill_target[assoc]
-                            and fill_done[assoc] is None
-                        ):
-                            pending_fills.append(assoc)
-            stack.insert(0, b)
-            t_lists = [[-1] * count for count in spb]
-            blocks[b] = [[t], [dist_inf], t_lists]
-            block_miss_all(t, dist_inf, db, stack, lo, hi)
-            for si in range_n:
-                sub = subs_local[si]
-                t_list = t_lists[si]
-                for j in range(lo // sub, hi // sub + 1):
-                    t_list[j] = t
-            if len(stack) > a_max:
-                stack.pop()
-            continue
-
-        if stack[0] == b:
-            d = 1
-        elif b in stack:
-            i = stack.index(b)
-            d = i + 1
-            del stack[i]
-            stack.insert(0, b)
-        else:
-            d = dist_inf
-            stack.insert(0, b)
-            # NOTE: trimmed back to a_max after verdicts — the victim
-            # lookup needs stack[A] alive up to A = a_max.
-
-        # Freshness scan: a needed sub-block is fresh if touched at or
-        # after the block's last deep access (history tail), in which
-        # case its Dmax can't exceed a_min and it is valid everywhere.
-        # Fresh granules take their T update eagerly — equivalent for
-        # every later comparison, since any epoch between two history
-        # pushes yields the same verdicts — so the common full-hit
-        # portion finishes inside this single scan.
-        tail = bst[0][-1]
-        t_lists = bst[2]
-        fresh = True
-        finite_stale = False
-        stale_sis: Optional[List[Tuple[int, Sequence[int]]]] = None
-        for si in range_n:
-            sub = subs_local[si]
-            first = lo // sub
-            last_sub = hi // sub
-            t_list = t_lists[si]
-            if first == last_sub:
-                t_j = t_list[first]
-                if t_j >= tail:
-                    t_list[first] = t
-                else:
-                    fresh = False
-                    if t_j >= 0:
-                        finite_stale = True
-                        break
-                    if stale_sis is None:
-                        stale_sis = []
-                    stale_sis.append((si, (first,)))
-            else:
-                untouched: Optional[List[int]] = None
-                for j in range(first, last_sub + 1):
-                    t_j = t_list[j]
-                    if t_j >= tail:
-                        t_list[j] = t
-                    else:
-                        fresh = False
-                        if t_j >= 0:
-                            finite_stale = True
-                            break
-                        if untouched is None:
-                            untouched = [j]
-                        else:
-                            untouched.append(j)
-                if finite_stale:
-                    break
-                if untouched is not None:
-                    if stale_sis is None:
-                        stale_sis = []
-                    stale_sis.append((si, untouched))
-
-        if fresh and d <= a_min:
-            continue  # full hit everywhere; T already moved in the scan
-
-        if d > a_min:
-            hist_t, hist_d = bst[0], bst[1]
-            while hist_d and hist_d[-1] <= d:
-                hist_d.pop()
-                hist_t.pop()
-            hist_t.append(t)
-            hist_d.append(d)
-
-        if not finite_stale:
-            # Uniform verdicts: stale sub-blocks (if any) were never
-            # touched, so they miss under *every* associativity.
-            if d <= a_min:
-                # Hot path: identical deltas for every member of the
-                # sub size — accumulate once into shared counters.
-                assert stale_sis is not None  # not fresh, so some stale
-                for si, stale in stale_sis:
-                    flag_all_add(si)
-                    shared_sub[si] += 1
-                    if len(stale) == 1:
-                        shared_bytes[si] += subs_local[si]
-                        twd = shared_tw[si]
-                        key = words_of[si]
-                        twd[key] = twd.get(key, 0) + 1
-                    else:
-                        sub = subs_local[si]
-                        twd = shared_tw[si]
-                        run = 1
-                        prev_j = stale[0]
-                        for j in stale[1:]:
-                            if j == prev_j + 1:
-                                run += 1
-                            else:
-                                shared_bytes[si] += run * sub
-                                key = run * sub // word_size
-                                twd[key] = twd.get(key, 0) + 1
-                                run = 1
-                            prev_j = j
-                        shared_bytes[si] += run * sub
-                        key = run * sub // word_size
-                        twd[key] = twd.get(key, 0) + 1
-            else:
-                block_miss_all(t, d, a_max, stack, lo, hi)
-                if stale_sis is not None:
-                    # Sub-miss where the tag still hits (ways >= d);
-                    # block-missing members already fetched the range.
-                    for si, stale in stale_sis:
-                        flag_all_add(si)
-                        sub = subs_local[si]
-                        runs: List[int] = []
-                        run = 1
-                        prev_j = stale[0]
-                        for j in stale[1:]:
-                            if j == prev_j + 1:
-                                run += 1
-                            else:
-                                runs.append(run)
-                                run = 1
-                            prev_j = j
-                        runs.append(run)
-                        for member in members_of_si[si]:
-                            if t >= member.min_t and member.ways >= d:
-                                member.sub_misses += 1
-                                for run in runs:
-                                    nwords = run * sub // word_size
-                                    member.bytes_fetched += run * sub
-                                    member.tw[nwords] = (
-                                        member.tw.get(nwords, 0) + 1
-                                    )
-        else:
-            # General path: some needed sub-block was touched before
-            # the block's last deep access — bisect the history for
-            # each needed position's Dmax and walk the A axis.
-            hist_t, hist_d = bst[0], bst[1]
-            hist_len = len(hist_t)
-            dmaxes: List[List[float]] = []
-            thetas: List[float] = []
-            theta_max: float = d
-            for si in range_n:
-                sub = subs_local[si]
-                first = lo // sub
-                last_sub = hi // sub
-                t_list = t_lists[si]
-                dmax: List[float] = []
-                theta: float = d
-                for j in range(first, last_sub + 1):
-                    t_j = t_list[j]
-                    if t_j < 0:
-                        dm = _INF
-                    else:
-                        pos = bisect_right(hist_t, t_j)
-                        dm = hist_d[pos] if pos < hist_len else 0
-                    dmax.append(dm)
-                    if dm > theta:
-                        theta = dm
-                dmaxes.append(dmax)
-                thetas.append(theta)
-                if theta > theta_max:
-                    theta_max = theta
-            for assoc, cells in acell:
-                if assoc >= theta_max:
-                    break
-                if assoc < d:
-                    vbst = blocks[stack[assoc]]  # re-referenced => full set
-                    for si, sub, group in cells:
-                        first = lo // sub
-                        nbytes = (hi // sub - first + 1) * sub
-                        nwords = nbytes // word_size
-                        count = victim_valid(vbst, assoc, si)
-                        for member in group:
-                            if t >= member.min_t:
-                                member.block_misses += 1
-                                member.bytes_fetched += nbytes
-                                member.tw[nwords] = member.tw.get(nwords, 0) + 1
-                                member.evictions += 1
-                                member.ev_ref += count
-                                member.ev_total += member.spb
-                        flag_pairs.add((assoc, si))
-                else:
-                    for si, sub, group in cells:
-                        if thetas[si] <= assoc:
-                            continue
-                        flag_pairs.add((assoc, si))
-                        dmax = dmaxes[si]
-                        runs = []
-                        run = 0
-                        for dm in dmax:
-                            if dm > assoc:
-                                run += 1
-                            elif run:
-                                runs.append(run)
-                                run = 0
-                        if run:
-                            runs.append(run)
-                        for member in group:
-                            if t >= member.min_t:
-                                member.sub_misses += 1
-                                for run in runs:
-                                    nwords = run * sub // word_size
-                                    member.bytes_fetched += run * sub
-                                    member.tw[nwords] = (
-                                        member.tw.get(nwords, 0) + 1
-                                    )
-
-        # Late T updates: the scan eager-set fresh granules, so only
-        # stale ones remain — except on the general path, whose scan
-        # broke off early and must re-set the whole needed range.
-        if finite_stale:
-            for si in range_n:
-                sub = subs_local[si]
-                t_list = t_lists[si]
-                first = lo // sub
-                last_sub = hi // sub
-                if first == last_sub:
-                    t_list[first] = t
-                else:
-                    for j in range(first, last_sub + 1):
-                        t_list[j] = t
-        elif stale_sis is not None:
-            for si, stale in stale_sis:
-                t_list = t_lists[si]
-                for j in stale:
-                    t_list[j] = t
-        if len(stack) > a_max:
-            stack.pop()
-
-    if prev_t >= 0:
-        flush(prev_t)
-    while pending_snaps:
-        take_snap(pending_snaps.pop(0)[1])
-
-    if flush_at_end:
-        for member in mems:
-            assoc = member.ways
-            si = member.sub_index
-            for s in range(num_sets):
-                for victim in stacks[s][: min(distinct[s], assoc)]:
-                    member.evictions += 1
-                    member.ev_total += member.spb
-                    member.ev_ref += victim_valid(blocks[victim], assoc, si)
-
-    # -- Materialize per-member CacheStats ----------------------------
     results: List[CacheStats] = []
-    for member in mems:
-        stats = CacheStats()
-        start = member.start_r
-        if n:
-            first_counted = 0 if start is None else start + 1
-            stats.accesses = n - first_counted
-            total_bytes = int(cum_bytes[-1])
-            stats.bytes_accessed = (
-                total_bytes if start is None else total_bytes - int(cum_bytes[start])
-            )
-            for kind in _KIND_OF:
-                total_kind = int(cum_kind[kind][-1])
-                stats.accesses_by_kind[kind] = (
-                    total_kind
-                    if start is None
-                    else total_kind - int(cum_kind[kind][start])
-                )
-        si = member.sub_index
-        snap_sub, snap_bytes, snap_tw, snap_miss, snap_kind = member.snap
-        stats.misses = member.misses + shared_miss[si] - snap_miss
-        stats.block_misses = member.block_misses
-        stats.sub_block_misses = member.sub_misses + shared_sub[si] - snap_sub
-        by_kind = dict(member.by_kind)
-        for kind_i, kind in enumerate(_KIND_OF):
-            delta = shared_kind[si][kind_i] - snap_kind[kind_i]
-            if delta:
-                by_kind[kind] += delta
-        stats.misses_by_kind = by_kind
-        stats.bytes_fetched = member.bytes_fetched + shared_bytes[si] - snap_bytes
-        tw = dict(member.tw)
-        for key, value in shared_tw[si].items():
-            delta = value - snap_tw.get(key, 0)
-            if delta:
-                tw[key] = tw.get(key, 0) + delta
-        stats.transaction_words = tw
-        stats.evictions = member.evictions
-        stats.evicted_sub_blocks_referenced = member.ev_ref
-        stats.evicted_sub_blocks_total = member.ev_total
+    for member in members:
+        warmup = member.warmup
+        if warmup == "fill":
+            min_t = walk.fill_time(member.ways, num_sets)
+        else:
+            # A warm-up past the end of the trace never resets (the
+            # simulate() countdown never reaches zero).
+            min_t = int(warmup) if int(warmup) <= n else 0
+        stats = _member_stats(
+            walk, kinds, member.ways, member.sub_block_size, block_size,
+            word_size, min_t, flush_at_end,
+        )
+        stats.accesses = n - min_t
+        stats.bytes_accessed = int(cum_bytes[n] - cum_bytes[min_t])
+        stats.accesses_by_kind = {
+            kind: int(cum_kind[i, n] - cum_kind[i, min_t])
+            for i, kind in enumerate(_KIND_OF)
+        }
         results.append(stats)
     return results
 
@@ -781,19 +532,10 @@ def distance_histogram(
         )
     if num_sets < 1:
         raise ConfigurationError(f"num_sets must be >= 1, got {num_sets}")
-    blocks = (np.asarray(trace.addrs) // block_size).tolist()
-    histogram: Dict[int, int] = {}
-    stacks: Dict[int, List[int]] = {}
-    for block in blocks:
-        stack = stacks.setdefault(block % num_sets, [])
-        try:
-            position = stack.index(block)
-        except ValueError:
-            histogram[-1] = histogram.get(-1, 0) + 1
-            stack.insert(0, block)
-            continue
-        distance = position + 1
-        histogram[distance] = histogram.get(distance, 0) + 1
-        del stack[position]
-        stack.insert(0, block)
-    return histogram
+    blocks = np.asarray(trace.addrs, dtype=np.int64) // block_size
+    dist = set_distances(blocks, blocks % num_sets)
+    values, counts = np.unique(dist, return_counts=True)
+    return {
+        int(value) if value else -1: int(count)
+        for value, count in zip(values, counts)
+    }

@@ -152,6 +152,20 @@ def format_diagnostics(diagnostics: Sequence[Diagnostic]) -> str:
     return "\n".join(diagnostic.render() for diagnostic in ordered)
 
 
+#: Source suffixes that name a miss-path chain level, and the level's
+#: name in an error summary (a chain's L2 shape is linted by the same
+#: rules as the L1's).
+_CHAIN_LEVELS = (("misspath-l2", "miss-path L2"), ("misspath", "miss-path chain"))
+
+
+def _summary_item(diagnostic: Diagnostic) -> str:
+    """``[rule] message``, naming the chain level a chain finding is at."""
+    for suffix, level in _CHAIN_LEVELS:
+        if diagnostic.source.endswith(suffix):
+            return f"[{diagnostic.rule}] {level}: {diagnostic.message}"
+    return f"[{diagnostic.rule}] {diagnostic.message}"
+
+
 def raise_on_errors(
     diagnostics: Sequence[Diagnostic], context: str
 ) -> List[Diagnostic]:
@@ -162,9 +176,7 @@ def raise_on_errors(
     """
     errors = [diagnostic for diagnostic in diagnostics if diagnostic.is_error]
     if errors:
-        summary = "; ".join(
-            f"[{diagnostic.rule}] {diagnostic.message}" for diagnostic in errors[:3]
-        )
+        summary = "; ".join(_summary_item(diagnostic) for diagnostic in errors[:3])
         if len(errors) > 3:
             summary += f" (+{len(errors) - 3} more)"
         raise StaticCheckError(

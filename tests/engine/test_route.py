@@ -133,3 +133,21 @@ class TestCellSpec:
         assert params["miss_path"] == spec.miss_path.key()
         assert params["sample"] == spec.sample.key()
         assert CellSpec(None).fingerprint_params("bus", True)["sample"] == "none"
+
+    @pytest.mark.parametrize(
+        "axes, blocker",
+        [
+            ({"replacement": "LRU"}, "replacement policy 'LRU' (inclusion needs LRU)"),
+            ({"fetch": "Demand"}, "fetch policy 'Demand' (only demand fetch)"),
+        ],
+    )
+    def test_route_reads_the_names_the_fingerprint_records(self, axes, blocker):
+        # A spec built without CellSpec.of keeps its raw spelling: the
+        # route weighs that spelling, as the fingerprint records it.
+        raw = CellSpec(None, **axes)
+        ((axis, name),) = axes.items()
+        assert raw.fingerprint_params("bus", True)[axis] == name
+        assert blocker in plan(raw, grid_engine="auto").reasons
+        canonical = CellSpec.of(None, **axes)
+        assert canonical.fingerprint_params("bus", True)[axis] == name.lower()
+        assert plan(canonical, grid_engine="auto").path == "stackdist"

@@ -1,4 +1,4 @@
-"""REPRO_STACKDIST_GRID tripwire: 220 combos, stackdist == reference.
+"""Grid equivalence: 220 combos, stackdist == reference.
 
 Mirrors ``tests/engine/test_equivalence.py``'s randomized sweep, but on
 the stack-distance engine's coverable subset (LRU, demand fetch,
@@ -8,13 +8,13 @@ associativities sharing the (block, sets) pair, exactly as the planner
 would batch them — and once per member through the
 :class:`~repro.engine.ReferenceEngine`, asserting every counter equal.
 
-Skipped unless ``REPRO_STACKDIST_GRID=1`` (CI's stackdist-smoke job
-sets it); the always-on property suite lives in ``test_property.py``.
+About one combo in five runs a long trace (thousands of accesses of
+loops and ping-pong between a few blocks), so distance windows run
+long and residencies straddle the warm-up boundary.
 """
 
 from __future__ import annotations
 
-import os
 import random
 
 import numpy as np
@@ -24,11 +24,6 @@ from repro.core.config import CacheGeometry
 from repro.engine import ReferenceEngine
 from repro.stackdist import MemberSpec, run_group_pass
 from repro.trace.record import Trace
-
-pytestmark = pytest.mark.skipif(
-    not os.environ.get("REPRO_STACKDIST_GRID"),
-    reason="set REPRO_STACKDIST_GRID=1 to run the 220-combo grid tripwire",
-)
 
 REFERENCE = ReferenceEngine()
 
@@ -80,13 +75,48 @@ def _readonly_trace(rng, n, addr_space, max_size, spanning):
     )
 
 
+def _long_trace(rng, n, addr_space, max_size):
+    """Loops over a few hot blocks and ping-pong between two of them,
+    broken by sequential ifetch runs and random reads."""
+    hot = [rng.randrange(addr_space) for _ in range(rng.randint(2, 24))]
+    ping, pong = rng.sample(hot, 2)
+    addrs, kinds, sizes = [], [], []
+    pc = rng.randrange(addr_space)
+    pattern = rng.choice(("loop", "pingpong"))
+    for t in range(n):
+        roll = rng.random()
+        if roll < 0.6:
+            if pattern == "loop":
+                addr = hot[t % len(hot)] + rng.choice((0, 2))
+            else:
+                addr = ping if t % 2 else pong
+            kind = 0
+        elif roll < 0.85:
+            pc += rng.choice((0, 2, 2, 4))
+            addr, kind = pc, 2
+        else:
+            addr, kind = rng.randrange(addr_space), 0
+        if rng.random() < 0.01:
+            pattern = "pingpong" if pattern == "loop" else "loop"
+        addrs.append(addr % addr_space)
+        kinds.append(kind)
+        sizes.append(rng.choice((0, 0, 2, 4, max_size)))
+    return Trace(
+        np.array(addrs, np.int64),
+        np.array(kinds, np.uint8),
+        np.array(sizes, np.uint8),
+        name="long",
+    )
+
+
 def _random_group(rng):
     """One (trace, block, sets, members, word, flush) pass-group combo."""
     block = rng.choice((4, 8, 16, 32))
     num_sets = rng.choice((1, 2, 4, 8, 32))
     word = rng.choice([w for w in (1, 2, 4) if w <= block])
     subs = [s for s in (1, 2, 4, 8, 16) if word <= s <= block]
-    n = rng.choice((0, 1, 5, 50, 400))
+    long_run = rng.random() < 0.2
+    n = rng.randint(1000, 4000) if long_run else rng.choice((0, 1, 5, 50, 400))
     members = []
     for ways in rng.sample((1, 2, 4, 8, 256), k=rng.randint(1, 3)):
         members.append(
@@ -96,9 +126,13 @@ def _random_group(rng):
                 warmup=rng.choice(("fill", 0, 1, n // 2, n, n + 3)),
             )
         )
-    trace = _readonly_trace(
-        rng, n, rng.choice((64, 256, 4096)), 13, spanning=rng.random() < 0.5
-    )
+    if long_run:
+        trace = _long_trace(rng, n, rng.choice((256, 4096, 65536)), 13)
+    else:
+        trace = _readonly_trace(
+            rng, n, rng.choice((64, 256, 4096)), 13,
+            spanning=rng.random() < 0.5,
+        )
     return trace, block, num_sets, members, word, rng.random() < 0.3
 
 

@@ -19,6 +19,7 @@ from repro.core.config import CacheGeometry
 from repro.engine import CheckedEngine, ReferenceEngine
 from repro.errors import ConfigurationError
 from repro.stackdist import MemberSpec, run_group_pass
+from repro.stackdist.engine import set_distances
 from repro.trace.record import Trace
 
 REFERENCE = ReferenceEngine()
@@ -176,3 +177,33 @@ def test_empty_trace_all_members_zero():
     for stats in run_group_pass(trace, 8, 2, members):
         assert stats.accesses == 0
         assert stats.misses == 0
+
+
+def test_addresses_too_wide_to_pack_match_reference():
+    # Block numbers near 2**58 cannot share an int64 with their index,
+    # so the pass sorts them with a plain stable argsort.
+    rng = np.random.default_rng(11)
+    addrs = (1 << 62) + rng.integers(0, 4096, size=300) * 2
+    trace = _trace(addrs.tolist(), rng.choice([0, 2], size=300).tolist(), [2] * 300)
+    members = [MemberSpec(ways=ways, sub_block_size=4) for ways in (1, 2, 4)]
+    _assert_members_match(trace, 16, 4, members, flush_at_end=True)
+
+
+def test_set_distances_reads_narrow_integer_dtypes():
+    # int32 block numbers that differ only in high bits: arithmetic in
+    # their own width would wrap them onto each other.
+    rng = np.random.default_rng(5)
+    pool = rng.choice(256, size=64, replace=False).astype(np.int64) << 23
+    blocks = pool[rng.integers(0, 64, size=300)]
+    sets = (blocks >> 23) % 4
+    stacks: dict = {}
+    want = []
+    for block, s in zip(blocks.tolist(), sets.tolist()):
+        stack = stacks.setdefault(s, [])
+        want.append(stack.index(block) + 1 if block in stack else 0)
+        if block in stack:
+            stack.remove(block)
+        stack.insert(0, block)
+    got = set_distances(blocks.astype(np.int32), sets.astype(np.int32))
+    assert got.dtype == np.int64
+    assert got.tolist() == want

@@ -381,6 +381,10 @@ class TestClassifyCommand:
         assert main(["classify", "fib", "--l2-net", "3000"]) != 0
         assert "[geom-pow2]" in capsys.readouterr().err
 
+    def test_bad_chain_geometry_names_its_level(self, capsys):
+        assert main(["classify", "fib", "--l2-net", "3000"]) != 0
+        assert "[geom-pow2] miss-path L2: net size" in capsys.readouterr().err
+
 
 class TestPhasesCommand:
     def test_text_report(self, capsys):
