@@ -7,8 +7,9 @@ A dependency-free timing check for the CI stackdist-smoke step::
 Builds a 64-cell constant-sets LRU grid (16 associativities x 4
 sub-block sizes, net size co-varying with associativity so every cell
 shares one ``(block_size, num_sets)`` pass group), runs it through
-``run_sweep`` twice — ``--grid-engine stackdist`` versus ``percell`` —
-verifies every ratio triple is identical, writes
+``run_sweep`` twice — the default engine, which answers it from
+stack-distance passes, versus ``engine="vectorized"``, which runs every
+cell on its own — verifies every ratio triple is identical, writes
 ``BENCH_stackdist.json`` next to this file, and exits non-zero if the
 pass engine is not at least ``--min-speedup`` (default 10) times
 faster.
@@ -36,6 +37,9 @@ ASSOCIATIVITIES = (1, 2, 4, 8, 16, 32, 64, 128)
 BLOCKS_AND_SUBS = ((16, (2, 4, 8, 16)), (32, (2, 4, 8, 16, 32)))
 NUM_SETS = 64
 
+#: Artifact key -> the RunnerConfig of that sweep.
+RUNS = {"percell": {"engine": "vectorized"}, "stackdist": {}}
+
 
 def build_grid():
     """72 geometries in two (block, sets=64) pass groups.
@@ -56,13 +60,13 @@ def build_grid():
     ]
 
 
-def _time_sweep(traces, grid, grid_engine: str, repeats: int):
+def _time_sweep(traces, grid, run: str, repeats: int):
     best = float("inf")
     points = None
     for _ in range(repeats):
         start = time.perf_counter()
         points, _report = run_sweep(
-            traces, grid, config=RunnerConfig(grid_engine=grid_engine)
+            traces, grid, config=RunnerConfig(**RUNS[run])
         )
         best = min(best, time.perf_counter() - start)
     return points, best
@@ -90,21 +94,21 @@ def main(argv=None) -> int:
     cells = len(grid) * len(traces)
     results = {}
     points = {}
-    for grid_engine in ("percell", "stackdist"):
-        pts, seconds = _time_sweep(traces, grid, grid_engine, args.repeats)
-        points[grid_engine] = pts
-        results[grid_engine] = {
+    for run in RUNS:
+        pts, seconds = _time_sweep(traces, grid, run, args.repeats)
+        points[run] = pts
+        results[run] = {
             "cells": cells,
             "best_seconds": seconds,
             "cells_per_second": cells / seconds,
         }
         print(
-            f"{grid_engine:>10s}: {cells} cells in {seconds * 1e3:9.1f} ms "
+            f"{run:>10s}: {cells} cells in {seconds * 1e3:9.1f} ms "
             f"({cells / seconds:8.1f} cells/s)"
         )
 
     if points_digest(points["percell"]) != points_digest(points["stackdist"]):
-        print("bench-stackdist: FAIL — grid engines disagree on the ratios")
+        print("bench-stackdist: FAIL — passes and per-cell runs disagree on the ratios")
         return 1
 
     speedup = (

@@ -206,7 +206,7 @@ def _redundant_fraction(
         return 0.0
     from repro.engine import CellSpec, prepare_trace, run_cell
 
-    spec = CellSpec(geometry, engine=engine_name, fetch="load-forward")
+    spec = CellSpec.of(geometry, engine=engine_name, fetch="load-forward")
     total_fetched = total_redundant = 0
     for trace in traces:
         # The interned view shares one read-filtered copy (and the

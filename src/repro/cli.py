@@ -63,7 +63,6 @@ from repro.analysis.tables import format_table6, format_table7, format_table8
 from repro.core.config import CacheGeometry
 from repro.engine.base import ENGINE_NAMES
 from repro.engine.batch import CellSpec
-from repro.engine.route import GRID_ENGINE_NAMES
 from repro.runner.retry import RetryPolicy
 from repro.runner.runner import RunnerConfig
 from repro.trace.writer import write_din
@@ -115,14 +114,10 @@ def _add_resilience_flags(subparser: argparse.ArgumentParser) -> None:
     execution = subparser.add_argument_group("execution")
     execution.add_argument(
         "--engine", default="auto", choices=list(ENGINE_NAMES),
-        help="simulation engine per cell (auto picks vectorized for "
-             "plain traces; see docs/engines.md)",
-    )
-    execution.add_argument(
-        "--grid-engine", default="auto", choices=list(GRID_ENGINE_NAMES),
-        help="grid-level strategy: auto answers coverable LRU pass "
-             "groups from one stack-distance pass per trace, stackdist "
-             "forces it, percell disables it (see docs/stackdist.md)",
+        help="simulation engine: auto answers coverable LRU cells from "
+             "one stack-distance pass per shape group and trace, and "
+             "runs the rest on vectorized; any other choice runs that "
+             "engine on every cell (see docs/engines.md)",
     )
     execution.add_argument(
         "--jobs", type=int, default=1, metavar="N",
@@ -238,7 +233,6 @@ def _runner_config(args: argparse.Namespace) -> Optional[RunnerConfig]:
         and args.cell_timeout is None
         and not args.lenient
         and args.engine == "auto"
-        and args.grid_engine == "auto"
         and args.jobs == 1
     ):
         return None
@@ -249,7 +243,6 @@ def _runner_config(args: argparse.Namespace) -> Optional[RunnerConfig]:
         resume=args.resume,
         lenient=args.lenient,
         engine=args.engine,
-        grid_engine=args.grid_engine,
         jobs=args.jobs,
     )
 
@@ -382,11 +375,6 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=list(ENGINE_NAMES),
         help="force one engine for every query (default: per-query; "
              "checked opts the whole service into sanitized execution)",
-    )
-    serve.add_argument(
-        "--grid-engine", default="auto", choices=list(GRID_ENGINE_NAMES),
-        help="answer batched LRU pass groups from one stack-distance "
-             "pass (auto), force it (stackdist), or disable it (percell)",
     )
     serve.add_argument(
         "--allow-sampling", action="store_true",
@@ -624,7 +612,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 max_queue=args.max_queue,
                 breaker_failures=args.breaker_failures or None,
                 engine=args.engine,
-                grid_engine=args.grid_engine,
                 default_length=args.length,
                 supervised=args.supervised,
                 worker_processes=args.worker_processes,

@@ -46,7 +46,8 @@ def simulate(
         warmup: ``0`` for cold-start, a positive count of accesses to
             skip, or ``"fill"`` to start measuring once the cache has
             filled (the paper's warm-start).  If the warm-up point is
-            never reached the returned stats cover zero accesses.
+            never reached the stats are never reset, so they cover the
+            whole run.
         flush_at_end: Evict everything after the run so eviction-based
             statistics (sub-block utilization, write-backs) cover
             still-resident blocks.

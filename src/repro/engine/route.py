@@ -22,7 +22,6 @@ if TYPE_CHECKING:
     from repro.engine.batch import CellSpec
 
 __all__ = [
-    "GRID_ENGINE_NAMES",
     "PATHS",
     "SAMPLE_FALLBACKS",
     "Route",
@@ -31,13 +30,9 @@ __all__ = [
 ]
 
 #: Every path a route can name, cheapest first.  ``stackdist`` means
-#: eligible for a one-pass group; whether a pass forms is the grid
-#: planner's grouping decision.
+#: answered by a stack-distance pass, which only a sweep grid or a
+#: service batch can form.
 PATHS = ("sampled", "stackdist", "vectorized", "reference", "checked")
-
-#: Grid strategies: ``auto`` runs a pass for every coverable group of
-#: >= 2 cells, ``stackdist`` for every coverable group, ``percell`` none.
-GRID_ENGINE_NAMES = ("auto", "stackdist", "percell")
 
 #: The rule ids that send a sampled cell back to exact simulation.
 SAMPLE_FALLBACKS = (
@@ -80,8 +75,6 @@ def trace_coverable(trace: Any) -> bool:
 
 def _stackdist_blockers(
     spec: "CellSpec",
-    engine: str,
-    mode: str,
     chained: bool,
     cell_timeout: Optional[float],
     max_cell_accesses: Optional[int],
@@ -92,8 +85,6 @@ def _stackdist_blockers(
     Reads the spec's stored axis names, the ones its fingerprint
     records (:meth:`CellSpec.of` spells them canonically).
     """
-    if mode == "percell":
-        return ["grid engine forced to percell"]
     blockers: List[str] = []
     if spec.replacement != "lru":
         blockers.append(
@@ -103,15 +94,10 @@ def _stackdist_blockers(
         blockers.append(f"fetch policy {spec.fetch!r} (only demand fetch)")
     if chained:
         blockers.append("enabled miss-path chain (per-miss structure state)")
-    if engine == "checked":
+    if spec.engine == "checked":
         blockers.append("checked engine (sanitizer must observe every access)")
-    elif engine != "auto" and mode == "auto":
-        # An explicitly requested per-cell engine wins over the default
-        # grid mode; grid_engine="stackdist" is the more explicit ask
-        # and overrides it (the results are identical either way).
-        blockers.append(
-            f"explicit per-cell engine {spec.engine!r} (auto grid defers to it)"
-        )
+    elif spec.engine != "auto":
+        blockers.append(f"explicit per-cell engine {spec.engine!r}")
     if cell_timeout is not None:
         blockers.append("cell_timeout (per-cell deadline needs per-cell runs)")
     if max_cell_accesses is not None:
@@ -125,7 +111,7 @@ def plan(
     spec: "CellSpec",
     trace: Any = None,
     *,
-    grid_engine: Optional[str] = None,
+    grid: bool = False,
     cell_timeout: Optional[float] = None,
     max_cell_accesses: Optional[int] = None,
     injector_active: bool = False,
@@ -137,24 +123,20 @@ def plan(
             the reference loop, writes rule out a pass, and an empty
             trace runs exact even when sampled.  ``None`` plans for any
             plain trace.
-        grid_engine: The grid strategy (:data:`GRID_ENGINE_NAMES`);
-            ``None`` plans a lone cell, for which no pass can form.
+        grid: Whether the cell belongs to a sweep grid or a service
+            batch, where a pass can form; a lone cell never gets one.
         cell_timeout / max_cell_accesses / injector_active: Per-cell
             guards (a service deadline counts as a ``cell_timeout``).
 
     Raises:
-        ConfigurationError: For an unknown engine or grid strategy.
+        ConfigurationError: For an engine name outside
+            :data:`~repro.engine.base.ENGINE_NAMES` (spelled as
+            :meth:`CellSpec.of` stores it).
     """
-    engine = spec.engine.lower()
+    engine = spec.engine
     if engine not in ENGINE_NAMES:
         raise ConfigurationError(
-            f"unknown engine {spec.engine!r}; choose from {list(ENGINE_NAMES)}"
-        )
-    mode = grid_engine.lower() if grid_engine is not None else None
-    if mode is not None and mode not in GRID_ENGINE_NAMES:
-        raise ConfigurationError(
-            f"unknown grid engine {grid_engine!r}; choose from "
-            f"{list(GRID_ENGINE_NAMES)}"
+            f"unknown engine {engine!r}; choose from {list(ENGINE_NAMES)}"
         )
     chained = spec.miss_path is not None and spec.miss_path.enabled
     reasons: List[str] = []
@@ -172,10 +154,9 @@ def plan(
             # An empty trace has nothing to sample: exact, per cell.
             return _per_cell(engine, trace, ["trace-empty"])
 
-    if mode is not None:
+    if grid:
         blockers = _stackdist_blockers(
-            spec, engine, mode, chained, cell_timeout, max_cell_accesses,
-            injector_active,
+            spec, chained, cell_timeout, max_cell_accesses, injector_active
         )
         if not blockers and trace is not None and not trace_coverable(trace):
             blockers.append("trace carries writes (write misses break inclusion)")

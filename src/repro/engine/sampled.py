@@ -241,7 +241,7 @@ def _run_interval(
     fast engine cannot take to the reference loop — the equivalence
     contract makes the substitution invisible.
     """
-    path = plan(CellSpec(None, engine=engine_name), window).path
+    path = plan(CellSpec.of(None, engine=engine_name), window).path
     stats = make_engine(path).run(
         geometry,
         window,

@@ -102,13 +102,13 @@ class RunnerConfig:
         injector: Deterministic fault plan, for chaos runs and tests.
         sleep: Injectable sleep used by retry backoff (jobs=1 only;
             workers always use the real ``time.sleep``).
-        engine / grid_engine: Route planner inputs
-            (:func:`repro.engine.route.plan`, ``docs/engines.md``): the
-            per-cell engine (``auto``, ``reference``, ``vectorized``,
-            ``checked``) and the grid strategy (``auto``, ``stackdist``,
-            ``percell``).  The grid strategy is never part of the sweep
-            fingerprint: every path produces identical ratios, so
-            checkpoints resume across it.
+        engine: The route planner's engine input
+            (:func:`repro.engine.route.plan`, ``docs/engines.md``):
+            ``auto`` answers coverable cells from stack-distance passes
+            and the rest per cell; ``reference``, ``vectorized`` or
+            ``checked`` runs that engine on every cell.  The engine is
+            part of the sweep fingerprint; the path a cell took is not,
+            so checkpoints resume across paths.
         jobs: Worker processes for cell execution.  1 (default) runs
             in-process; N > 1 fans cells out over a process pool while
             the parent keeps sole ownership of the checkpoint file.
@@ -127,7 +127,6 @@ class RunnerConfig:
     injector: Optional[FaultInjector] = None
     sleep: Callable[[float], None] = time.sleep
     engine: str = "auto"
-    grid_engine: str = "auto"
     jobs: int = 1
 
     def effective_retry(self) -> RetryPolicy:
@@ -412,28 +411,19 @@ def run_sweep(
 
     preflight_findings = preflight_sweep(
         traces, geometries, engine=config.engine,
-        # Coverage report only on an explicit grid-engine choice; the
-        # default stays quiet so clean sweeps keep an empty preflight
-        # (the summary line reports engines regardless).
-        grid_engine=(
-            config.grid_engine if config.grid_engine != "auto" else None
-        ),
-        **axes, **guards,
+        injector_active=guards["injector_active"], **axes,
     )
     spec = CellSpec.of(None, engine=config.engine, **axes)
     # Grid-level plan: which geometries share a stack-distance pass and
-    # which run per cell.  Computed up front so an invalid grid_engine
-    # fails before the checkpoint file is touched.
-    grid = plan_grid(
-        geometries, grid_engine=config.grid_engine, spec=spec, **guards
-    )
+    # which run per cell.
+    grid = plan_grid(geometries, spec=spec, **guards)
     if plan(spec, **guards).path != "sampled":
         # A sample the route planner sends back to exact simulation is
         # dropped: the cells, and the fingerprint, are exact.
         spec = replace(spec, sample=None)
     prepared = [prepare_trace(trace, filter_writes) for trace in traces]
     routes = [
-        plan(spec, trace, grid_engine=config.grid_engine, **guards)
+        plan(spec, trace, grid=True, **guards)
         for trace in prepared
     ]
     keys = [

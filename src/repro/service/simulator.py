@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.engine.batch import execute_cell, predecode, prepare_trace
-from repro.engine.route import GRID_ENGINE_NAMES, plan
+from repro.engine.route import plan
 from repro.errors import ConfigurationError, DeadlineExceededError, ReproError
 from repro.runner.health import CellOutcome, CellStatus, RunReport
 from repro.service.admission import AdmissionController, Breaker, RejectedError
@@ -73,13 +73,8 @@ class ServiceConfig:
         retry_after: Back-off hint for queue-full rejections.
         engine: Default engine for queries that don't specify one is
             always ``auto``; this forces a specific engine for *all*
-            queries instead (operational escape hatch).
-        grid_engine: Grid strategy for batched queries — ``auto``
-            (default), ``stackdist``, or ``percell``; the route planner
-            weighs it exactly as a sweep does (``docs/engines.md``).
-            Supervised mode always runs per cell (workers are the
-            isolation unit).  Cache entries and fingerprints are
-            identical either way.
+            queries instead (operational escape hatch); a forced
+            engine runs every query per cell, as it does in a sweep.
         default_length: Trace length when a query omits ``length``
             (None: :func:`~repro.workloads.suites
             .default_trace_length`).
@@ -113,7 +108,6 @@ class ServiceConfig:
     breaker_reset: float = 5.0
     retry_after: float = 1.0
     engine: Optional[str] = None
-    grid_engine: str = "auto"
     default_length: Optional[int] = None
     supervised: bool = False
     worker_processes: int = 2
@@ -176,11 +170,6 @@ class SimulationService:
         cache: Optional[ResultCache] = None,
     ) -> None:
         self.config = config if config is not None else ServiceConfig()
-        if self.config.grid_engine not in GRID_ENGINE_NAMES:
-            raise ConfigurationError(
-                f"unknown grid engine {self.config.grid_engine!r}; choose "
-                f"from {list(GRID_ENGINE_NAMES)}"
-            )
         if self.config.allow_sampling and self.config.supervised:
             raise ConfigurationError(
                 "allow_sampling is incompatible with supervised mode: "
@@ -540,22 +529,23 @@ class SimulationService:
     ) -> None:
         """Answer coverable cells of one batch from stack-distance passes.
 
-        Cells the route planner sends to ``stackdist`` under the
-        service's ``grid_engine`` (a request deadline counts as a
-        per-cell timeout) are grouped per ``(word_size, warmup)`` by
+        Cells the route planner sends to ``stackdist`` (a request
+        deadline counts as a per-cell timeout) are grouped per
+        ``(word_size, warmup)`` by
         :func:`~repro.stackdist.planner.plan_grid`, exactly as a sweep
-        grid is, and each pass group is computed by one
+        grid is, and each pass group of two or more is computed by one
         :func:`repro.stackdist.engine.run_group_pass` over the already
-        prepared trace.  Already-cached cells and everything else stay
-        on the per-cell path — fallback is transparent because both
-        paths produce identical stats and fingerprints.
+        prepared trace.  Supervised mode always runs per cell (workers
+        are the isolation unit).  Already-cached cells, lone cells and
+        everything else stay on the per-cell path — fallback is
+        transparent because both paths produce identical stats and
+        fingerprints.
         """
         eligible: "OrderedDict[tuple, List[_Pending]]" = OrderedDict()
         for pending in group:
             query = pending.query
             route = plan(
-                query.spec, prepared,
-                grid_engine=self.config.grid_engine,
+                query.spec, prepared, grid=True,
                 cell_timeout=(
                     pending.deadline - time.monotonic()
                     if pending.deadline is not None else None
@@ -574,9 +564,11 @@ class SimulationService:
             template = pendings[0].query.spec
             grid = plan_grid(
                 [pending.query.spec.geometry for pending in pendings],
-                self.config.grid_engine, spec=template,
+                spec=template,
             )
             for pass_group in grid.groups:
+                if len(pass_group) < 2:
+                    continue  # a lone query runs per cell (execute_cell)
                 async with self._slots:
                     simulate_started = loop.time()
                     try:

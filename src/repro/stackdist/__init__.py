@@ -15,8 +15,8 @@ grows that observation into a grid-level engine:
   stackdist-coverable pass groups versus per-cell fallback cells and
   names the axis (policy, fetch, chain, …) that forced each fallback.
 
-The runner (:func:`repro.runner.run_sweep`, ``--grid-engine``) and the
-simulation service consume both; ``docs/stackdist.md`` has the
+The runner (:func:`repro.runner.run_sweep`) and the simulation service
+consume both; ``docs/stackdist.md`` has the
 algorithm and the coverage matrix.
 """
 
@@ -26,7 +26,6 @@ from repro.stackdist.engine import (
     run_group_pass,
 )
 from repro.stackdist.planner import (
-    GRID_ENGINE_NAMES,
     GridPlan,
     PassGroup,
     plan_grid,
@@ -34,7 +33,6 @@ from repro.stackdist.planner import (
 )
 
 __all__ = [
-    "GRID_ENGINE_NAMES",
     "GridPlan",
     "MemberSpec",
     "PassGroup",

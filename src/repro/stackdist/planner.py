@@ -3,13 +3,12 @@
 The stack-distance engine (:mod:`repro.stackdist.engine`) answers every
 geometry sharing a ``(block_size, num_sets)`` pair from a single trace
 pass, but only where :func:`repro.engine.route.plan` routes the sweep's
-cells to ``stackdist`` (LRU, demand fetch, no chain, no checked engine,
+cells to ``stackdist`` (LRU, demand fetch, no chain, engine ``auto``,
 no per-cell guard or fault injector — ``docs/engines.md`` has the
 table).  :func:`plan_grid` asks the route planner once per sweep, then
-groups the geometry list into :class:`PassGroup` batches versus
-fallback indices, recording *why* whichever side lost — the runner
-consumes the split, ``repro lint`` and the preflight surface the
-reasons.
+groups the geometry list into :class:`PassGroup` batches, or records
+*why* the whole grid runs per cell — the runner consumes the split,
+``repro lint --sweep-coverage`` surfaces the reasons.
 
 Coverage is decided per *sweep* (the knobs are sweep-global) plus per
 *trace*: the runner re-plans each prepared trace, because a trace
@@ -18,21 +17,16 @@ containing writes breaks inclusion (write misses do not allocate).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import CacheGeometry
 from repro.engine.batch import CellSpec
-from repro.engine.route import (
-    GRID_ENGINE_NAMES,
-    SAMPLE_FALLBACKS,
-    plan,
-    trace_coverable,
-)
+from repro.engine.route import SAMPLE_FALLBACKS, plan, trace_coverable
+from repro.errors import ConfigurationError
 from repro.stackdist.engine import MemberSpec
 
 __all__ = [
-    "GRID_ENGINE_NAMES",
     "PassGroup",
     "GridPlan",
     "plan_grid",
@@ -66,22 +60,21 @@ class PassGroup:
 class GridPlan:
     """How a sweep grid will be executed.
 
+    The split is all or nothing: either every geometry belongs to a
+    pass group (a shape alone in its ``(block_size, num_sets)`` gets a
+    one-member pass) or every geometry runs per cell.
+
     Attributes:
         groups: Pass groups the stack-distance engine will run.
         fallback_indices: Geometry indices executed per cell, in input
             order.
-        blockers: Sweep-level reasons that forced the *whole* grid to
-            fall back (empty when any group was planned or the grid
-            was simply too fragmented).
-        fallback_reasons: Reason per fallback index (mirrors
-            ``blockers`` for sweep-level exclusions; "pass group of 1"
-            for singleton groups under ``auto``).
+        blockers: The reasons the grid runs per cell (empty when it
+            does not).
     """
 
     groups: Tuple[PassGroup, ...]
     fallback_indices: Tuple[int, ...]
     blockers: Tuple[str, ...] = ()
-    fallback_reasons: Dict[int, str] = field(default_factory=dict)
 
     @property
     def covered(self) -> int:
@@ -102,7 +95,8 @@ def plan_grid(
 
     Args:
         geometries: The sweep's geometry axis, in input order.
-        grid_engine: ``auto`` | ``stackdist`` | ``percell``.
+        grid_engine: Only ``"auto"``, the one grid rule; kept so
+            existing callers that name it keep working.
         spec: The sweep's cell template (its geometry is ignored); when
             omitted, built from ``axes`` (``replacement``, ``fetch``,
             ``warmup``, ``miss_path``, ``engine``, ``sample`` — the
@@ -111,32 +105,34 @@ def plan_grid(
             per-cell guards the route planner weighs.
 
     Returns:
-        A :class:`GridPlan`.  When the route is not ``stackdist`` every
-        index lands in ``fallback_indices``; under ``auto`` only groups
-        of >= 2 geometries become passes; under ``stackdist`` every
-        group does, singletons included.
+        A :class:`GridPlan`: the groups the runner runs, singletons
+        included.  When the route is not ``stackdist`` every index
+        lands in ``fallback_indices``.
 
     Raises:
-        ConfigurationError: For a ``grid_engine`` outside
-            :data:`GRID_ENGINE_NAMES`.
+        ConfigurationError: For a ``grid_engine`` other than ``"auto"``.
     """
+    if grid_engine != "auto":
+        raise ConfigurationError(
+            f"unknown grid engine {grid_engine!r}: a coverable grid always "
+            "runs on stack-distance passes; pass engine= to run per cell"
+        )
     if spec is None:
         spec = CellSpec.of(None, **axes)
     route = plan(
-        spec, grid_engine=grid_engine, cell_timeout=cell_timeout,
+        spec, grid=True, cell_timeout=cell_timeout,
         max_cell_accesses=max_cell_accesses, injector_active=injector_active,
     )
-    all_indices = tuple(range(len(geometries)))
     if route.path != "stackdist":
         blockers = (
             ("sampled simulation (cells are already cheap)",)
             if route.path == "sampled"
             else tuple(r for r in route.reasons if r not in SAMPLE_FALLBACKS)
         )
-        reason = "; ".join(blockers)
         return GridPlan(
-            groups=(), fallback_indices=all_indices, blockers=blockers,
-            fallback_reasons={i: reason for i in all_indices},
+            groups=(),
+            fallback_indices=tuple(range(len(geometries))),
+            blockers=blockers,
         )
 
     grouped: Dict[Tuple[int, int], List[int]] = {}
@@ -145,33 +141,20 @@ def plan_grid(
             (geometry.block_size, geometry.num_sets), []
         ).append(i)
 
-    groups: List[PassGroup] = []
-    fallback: List[int] = []
-    fallback_reasons: Dict[int, str] = {}
-    for (block_size, num_sets), indices in grouped.items():
-        if grid_engine.lower() == "auto" and len(indices) < 2:
-            fallback.extend(indices)
-            for i in indices:
-                fallback_reasons[i] = "pass group of 1 (auto keeps per-cell)"
-            continue
-        groups.append(
-            PassGroup(
-                block_size=block_size,
-                num_sets=num_sets,
-                geometry_indices=tuple(indices),
-                members=tuple(
-                    MemberSpec(
-                        ways=geometries[i].associativity,
-                        sub_block_size=geometries[i].sub_block_size,
-                        warmup=spec.warmup,
-                    )
-                    for i in indices
-                ),
-            )
+    groups = tuple(
+        PassGroup(
+            block_size=block_size,
+            num_sets=num_sets,
+            geometry_indices=tuple(indices),
+            members=tuple(
+                MemberSpec(
+                    ways=geometries[i].associativity,
+                    sub_block_size=geometries[i].sub_block_size,
+                    warmup=spec.warmup,
+                )
+                for i in indices
+            ),
         )
-    return GridPlan(
-        groups=tuple(groups),
-        fallback_indices=tuple(sorted(fallback)),
-        blockers=(),
-        fallback_reasons=fallback_reasons,
+        for (block_size, num_sets), indices in grouped.items()
     )
+    return GridPlan(groups=groups, fallback_indices=())

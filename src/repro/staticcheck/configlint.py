@@ -479,7 +479,6 @@ def lint_miss_path(
 def lint_stackdist_coverage(
     geometries: Sequence[Any],
     spec: Optional[CellSpec] = None,
-    grid_engine: str = "auto",
     cell_timeout: Optional[float] = None,
     max_cell_accesses: Optional[int] = None,
     injector_active: bool = False,
@@ -490,9 +489,9 @@ def lint_stackdist_coverage(
     Info-severity only — this is a planning report, not a judgement:
     ``sweep-stackdist-coverage`` carries how many cells of the grid the
     :mod:`repro.stackdist` engine answers and in how many pass groups,
-    ``sweep-stackdist-fallback`` names each reason (replacement policy,
-    fetch policy, miss-path chain, engine, per-cell guard) that forces
-    cells onto the per-cell path, with the affected cell count.
+    ``sweep-stackdist-fallback`` names the reasons (replacement policy,
+    fetch policy, miss-path chain, engine, per-cell guard) that force
+    the grid onto the per-cell path, with its cell count.
 
     A rendering of :func:`repro.stackdist.planner.plan_grid`, the plan
     the runner executes, for the sweep template ``spec`` (default
@@ -502,7 +501,6 @@ def lint_stackdist_coverage(
 
     plan = plan_grid(
         geometries,
-        grid_engine=grid_engine,
         spec=spec if spec is not None else CellSpec(None),
         cell_timeout=cell_timeout,
         max_cell_accesses=max_cell_accesses,
@@ -525,15 +523,12 @@ def lint_stackdist_coverage(
                 "total": total,
                 "pass_groups": len(plan.groups),
                 "fallback": len(plan.fallback_indices),
-                "grid_engine": grid_engine,
             },
         )
     ]
-    by_reason: Dict[str, int] = {}
-    for index in plan.fallback_indices:
-        reason = plan.fallback_reasons.get(index, "not coverable")
-        by_reason[reason] = by_reason.get(reason, 0) + 1
-    for reason, count in sorted(by_reason.items()):
+    if plan.fallback_indices:
+        reason = "; ".join(plan.blockers)
+        count = len(plan.fallback_indices)
         out.append(
             Diagnostic(
                 rule="sweep-stackdist-fallback",

@@ -11,7 +11,7 @@ produce a table of NaNs.
 The cell axes go through :func:`~repro.staticcheck.configlint.lint_cell`,
 the gate :meth:`~repro.engine.batch.CellSpec.of` also runs, here with
 the sweep's shapes and trace lengths as context; preflight adds the
-trace checks below and, on request, the stack-distance coverage report.
+trace checks below.
 Error-severity findings abort the sweep with a
 :class:`~repro.errors.StaticCheckError` carrying all diagnostics;
 warnings are returned to the caller (the runner threads them into its
@@ -34,12 +34,11 @@ rule                      severity  meaning
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Sequence
+from typing import Any, List, Sequence
 
 from repro.core.config import CacheGeometry
-from repro.engine.batch import CellSpec
-from repro.staticcheck.configlint import lint_cell, lint_stackdist_coverage
-from repro.staticcheck.diagnostics import Diagnostic, Severity, error_count, raise_on_errors
+from repro.staticcheck.configlint import lint_cell
+from repro.staticcheck.diagnostics import Diagnostic, Severity, raise_on_errors
 
 __all__ = ["preflight_sweep"]
 
@@ -48,9 +47,6 @@ def preflight_sweep(
     traces: Sequence[Any],
     geometries: Sequence[CacheGeometry],
     strict: bool = True,
-    grid_engine: Optional[str] = None,
-    cell_timeout: Optional[float] = None,
-    max_cell_accesses: Optional[int] = None,
     injector_active: bool = False,
     **axes: Any,
 ) -> List[Diagnostic]:
@@ -69,14 +65,8 @@ def preflight_sweep(
             are reported before any cell runs.
         strict: Raise on error-severity findings (the runner's mode);
             False returns everything for reporting instead.
-        grid_engine: When given (an explicit ``--grid-engine`` value),
-            append the info-severity ``sweep-stackdist-*`` coverage
-            report (:func:`~repro.staticcheck.configlint
-            .lint_stackdist_coverage`) for this grid; ``None`` (the
-            runner's ``auto`` default) keeps preflight quiet.
-        cell_timeout / max_cell_accesses / injector_active: The
-            per-cell guards, which the route planner weighs for the
-            coverage report and the sample fallbacks.
+        injector_active: Whether a fault injector wraps the traces,
+            which the route planner weighs for the sample fallbacks.
 
     Raises:
         StaticCheckError: With the full diagnostic list, when ``strict``
@@ -128,16 +118,6 @@ def preflight_sweep(
                     data={"name": trace_name},
                 )
             )
-
-    if grid_engine is not None and not error_count(diagnostics):
-        diagnostics += lint_stackdist_coverage(
-            geometries,
-            spec=CellSpec.of(None, **axes),
-            grid_engine=grid_engine,
-            cell_timeout=cell_timeout,
-            max_cell_accesses=max_cell_accesses,
-            injector_active=injector_active,
-        )
 
     if strict:
         return raise_on_errors(diagnostics, "sweep preflight")

@@ -22,28 +22,28 @@ SAMPLE = "100,2"
 #: (CellSpec.of kwargs, plan kwargs, expected path, reasons that must appear)
 TABLE = [
     ({}, {}, "vectorized", ()),
-    ({}, {"grid_engine": "auto"}, "stackdist", ()),
-    ({}, {"grid_engine": "stackdist"}, "stackdist", ()),
-    ({}, {"grid_engine": "percell"}, "vectorized",
-     ("grid engine forced to percell",)),
-    ({"replacement": "fifo"}, {"grid_engine": "auto"}, "vectorized",
+    ({}, {"grid": True}, "stackdist", ()),
+    ({"warmup": 0}, {"grid": True}, "stackdist", ()),
+    ({"engine": "vectorized"}, {"grid": True}, "vectorized",
+     ("explicit per-cell engine 'vectorized'",)),
+    ({"replacement": "fifo"}, {"grid": True}, "vectorized",
      ("replacement policy 'fifo' (inclusion needs LRU)",)),
-    ({"fetch": "load-forward"}, {"grid_engine": "auto"}, "vectorized",
+    ({"fetch": "load-forward"}, {"grid": True}, "vectorized",
      ("fetch policy 'load-forward' (only demand fetch)",)),
-    ({"miss_path": CHAIN}, {"grid_engine": "auto"}, "vectorized",
+    ({"miss_path": CHAIN}, {"grid": True}, "vectorized",
      ("enabled miss-path chain (per-miss structure state)",)),
-    ({"engine": "checked"}, {"grid_engine": "stackdist"}, "checked",
+    ({"engine": "checked"}, {"grid": True}, "checked",
      ("checked engine (sanitizer must observe every access)",)),
-    ({"engine": "reference"}, {"grid_engine": "auto"}, "reference",
-     ("explicit per-cell engine 'reference' (auto grid defers to it)",)),
-    ({"engine": "reference"}, {"grid_engine": "stackdist"}, "stackdist", ()),
-    ({}, {"grid_engine": "auto", "cell_timeout": 1.0}, "vectorized",
+    ({"engine": "reference"}, {"grid": True}, "reference",
+     ("explicit per-cell engine 'reference'",)),
+    ({"miss_path": {}}, {"grid": True}, "stackdist", ()),
+    ({}, {"grid": True, "cell_timeout": 1.0}, "vectorized",
      ("cell_timeout (per-cell deadline needs per-cell runs)",)),
-    ({}, {"grid_engine": "auto", "max_cell_accesses": 10}, "vectorized",
+    ({}, {"grid": True, "max_cell_accesses": 10}, "vectorized",
      ("max_cell_accesses (per-cell budget needs per-cell runs)",)),
-    ({}, {"grid_engine": "auto", "injector_active": True}, "vectorized",
+    ({}, {"grid": True, "injector_active": True}, "vectorized",
      ("fault injector (per-access proxies are per cell)",)),
-    ({"sample": SAMPLE}, {"grid_engine": "auto"}, "sampled", ()),
+    ({"sample": SAMPLE}, {"grid": True}, "sampled", ()),
     ({"sample": SAMPLE, "engine": "checked"}, {}, "checked",
      ("sample-fallback-checked",)),
     ({"sample": SAMPLE, "miss_path": CHAIN}, {}, "vectorized",
@@ -79,11 +79,11 @@ def test_reason_joins_the_reasons():
 
 
 def test_trace_with_writes_is_not_a_pass(tiny_trace):
-    route = plan(CellSpec(None), tiny_trace, grid_engine="stackdist")
+    route = plan(CellSpec(None), tiny_trace, grid=True)
     assert route.path == "vectorized"
     assert any("writes" in reason for reason in route.reasons)
     reads = Trace([0, 8, 16], [0, 2, 0], 2, name="reads")
-    assert plan(CellSpec(None), reads, grid_engine="auto").path == "stackdist"
+    assert plan(CellSpec(None), reads, grid=True).path == "stackdist"
 
 
 def test_proxies_take_the_reference_loop(tiny_trace):
@@ -94,7 +94,7 @@ def test_proxies_take_the_reference_loop(tiny_trace):
 
 def test_empty_trace_is_exact_even_when_sampled():
     empty = Trace([], [], 2, name="empty")
-    route = plan(CellSpec.of(None, sample=SAMPLE), empty, grid_engine="auto")
+    route = plan(CellSpec.of(None, sample=SAMPLE), empty, grid=True)
     assert route.path == "vectorized"
     assert route.reasons == ("trace-empty",)
 
@@ -108,7 +108,9 @@ def test_lone_cell_never_plans_a_pass():
     "spec, context",
     [
         (CellSpec(None, engine="warp"), {}),
-        (CellSpec(None), {"grid_engine": "warp"}),
+        # A spec built without CellSpec.of keeps its raw spelling, which
+        # the fingerprint records; the route refuses it, not re-spells it.
+        (CellSpec(None, engine="Vectorized"), {"grid": True}),
     ],
 )
 def test_unknown_names_rejected(spec, context):
@@ -147,7 +149,7 @@ class TestCellSpec:
         raw = CellSpec(None, **axes)
         ((axis, name),) = axes.items()
         assert raw.fingerprint_params("bus", True)[axis] == name
-        assert blocker in plan(raw, grid_engine="auto").reasons
+        assert blocker in plan(raw, grid=True).reasons
         canonical = CellSpec.of(None, **axes)
         assert canonical.fingerprint_params("bus", True)[axis] == name.lower()
-        assert plan(canonical, grid_engine="auto").path == "stackdist"
+        assert plan(canonical, grid=True).path == "stackdist"

@@ -154,6 +154,14 @@ class TestGuards:
         sampled = sampled_for(trace, 1000, 4, replacement="random")
         assert 0.0 <= sampled.miss_ratio <= 1.0
 
+    def test_engine_name_is_spelled_canonically(self, trace):
+        # The interval engine goes through CellSpec.of, so any spelling
+        # it accepts routes like the canonical name.
+        loose = sampled_for(trace, 1000, 2, engine="Vectorized")
+        assert loose.to_dict() == sampled_for(trace, 1000, 2).to_dict()
+        with pytest.raises(ConfigurationError):
+            sampled_for(trace, 1000, 2, engine="warp")
+
 
 class TestSampleTrace:
     def test_one_call_plan_and_run(self, trace):

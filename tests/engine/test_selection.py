@@ -37,7 +37,7 @@ def test_make_engine_rejects_unknown_and_auto():
 
 
 def path_for(engine, trace):
-    return plan(CellSpec(None, engine=engine), trace).path
+    return plan(CellSpec.of(None, engine=engine), trace).path
 
 
 def test_resolve_auto_prefers_vectorized_for_plain_traces(tiny_trace):

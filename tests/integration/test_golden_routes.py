@@ -38,7 +38,7 @@ GOLDEN = Path(__file__).with_name("golden_routes.json")
 LENGTH = 2000
 
 #: Three shapes sharing (block 16, 16 sets) form one pass group; the
-#: block-8 shape is a singleton that ``auto`` leaves per cell.
+#: block-8 shape is alone in its group and gets a one-member pass.
 GEOMETRIES = [
     CacheGeometry(256, 16, 8, associativity=1),
     CacheGeometry(512, 16, 8, associativity=2),
@@ -49,7 +49,7 @@ GEOMETRIES = [
 #: name -> (run_sweep kwargs, RunnerConfig kwargs)
 SWEEPS = {
     "sweep_stackdist": ({}, {}),
-    "sweep_vectorized": ({}, {"grid_engine": "percell"}),
+    "sweep_vectorized": ({}, {"engine": "vectorized"}),
     "sweep_reference_chain": ({"miss_path": {"victim_entries": 4}}, {}),
     "sweep_checked": ({}, {"engine": "checked"}),
     "sweep_sampled": ({"sample": "400,2", "warmup": 0}, {}),
@@ -67,7 +67,7 @@ QUERY = {"suite": "pdp11", "trace": "ED", "length": LENGTH,
 
 #: name -> (ServiceConfig kwargs, extra query keys)
 QUERIES = {
-    "serve_stackdist": ({"grid_engine": "stackdist"}, {}),
+    "serve_stackdist": ({"batch_window": 0.05}, {}),
     "serve_vectorized": ({}, {}),
     "serve_reference_chain": ({}, {"miss_path": {"victim_entries": 4}}),
     "serve_checked": ({}, {"engine": "checked"}),
@@ -89,19 +89,34 @@ def _sweep(name: str, path: Path, resume: bool = False) -> str:
     return path.read_text(encoding="utf-8")
 
 
+#: name -> further queries sent in the same batch as ``QUERY``.  The
+#: service answers a batch's queries from one pass only when two or
+#: more share a (block, sets) group: this one shares (16, 16).
+COMPANIONS = {
+    "serve_stackdist": [{"net": 512, "assoc": 2}],
+}
+
+
 def _serve(name: str, directory: Path) -> Dict[str, str]:
     service_kwargs, extra = QUERIES[name]
     store_dir = directory / f"{name}.store"
     export = directory / f"{name}.export.jsonl"
+    config = {"batch_window": 0.0, "store_dir": str(store_dir), **service_kwargs}
 
     async def main():
-        service = SimulationService(
-            ServiceConfig(batch_window=0.0, store_dir=str(store_dir), **service_kwargs)
-        )
+        service = SimulationService(ServiceConfig(**config))
         await service.start()
         try:
-            query = SimQuery.from_payload(dict(QUERY, **extra), LENGTH)
-            result = await service.simulate(query)
+            payloads = [dict(QUERY, **extra)] + [
+                dict(QUERY, **extra, **companion)
+                for companion in COMPANIONS.get(name, [])
+            ]
+            result, *_ = await asyncio.gather(
+                *(
+                    service.simulate(SimQuery.from_payload(payload, LENGTH))
+                    for payload in payloads
+                )
+            )
             service.cache.export_checkpoint(result.entry.fingerprint, export)
         finally:
             await service.stop()
@@ -109,7 +124,7 @@ def _serve(name: str, directory: Path) -> Dict[str, str]:
     asyncio.run(main())
     store = WalStore(store_dir)
     lines = []
-    for record in store.records():
+    for record in sorted(store.records(), key=lambda record: record["key"]):
         record["crc"] = line_crc(record)
         lines.append(json.dumps(record, sort_keys=True) + "\n")
     store.close()

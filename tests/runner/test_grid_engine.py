@@ -1,14 +1,28 @@
-"""--grid-engine wiring in run_sweep: equality, records, resume interop."""
+"""Stack-distance passes in run_sweep: equality, records, resume interop.
+
+Every coverable grid runs on passes under the default engine; an
+explicit ``engine=`` runs per cell and is part of the sweep
+fingerprint.  A per-cell guard (``cell_timeout``) forces the per-cell
+path without changing the fingerprint, which is how these tests put
+both paths behind one checkpoint.
+"""
 
 import json
 
 import pytest
 
 from repro.core.config import CacheGeometry
-from repro.errors import ConfigurationError
+from repro.engine.batch import CellSpec, prepare_trace, run_cell
 from repro.runner.chaos import points_digest
 from repro.runner.runner import RunnerConfig, run_sweep
+from repro.stackdist import plan_grid, run_group_pass
 from repro.trace.record import Trace
+
+#: The runner config of each path: the default, and a per-cell guard
+#: that keeps the sweep (and its fingerprint) but rules out passes.
+#: The guard's per-access proxy runs on the reference loop.
+PATH_CONFIGS = {"stackdist": {}, "percell": {"cell_timeout": 60.0}}
+PATH_ENGINES = {"stackdist": "stackdist", "percell": "reference"}
 
 
 def read_trace(n=300, name="reads", stride=12):
@@ -35,11 +49,9 @@ def grid():
 
 def test_stackdist_points_equal_percell(traces, grid):
     base, base_report = run_sweep(
-        traces, grid, config=RunnerConfig(grid_engine="percell")
+        traces, grid, config=RunnerConfig(engine="vectorized")
     )
-    fast, fast_report = run_sweep(
-        traces, grid, config=RunnerConfig(grid_engine="stackdist")
-    )
+    fast, fast_report = run_sweep(traces, grid, config=RunnerConfig())
     assert points_digest(base) == points_digest(fast)
     for lhs, rhs in zip(base, fast):
         assert lhs.per_trace == rhs.per_trace
@@ -56,11 +68,29 @@ def test_auto_uses_passes_for_groups_of_two_plus(traces, grid):
     assert "stackdist" in summary and "pass group" in summary
 
 
-def test_singleton_grid_stays_percell_under_auto(traces):
+def test_singleton_grid_runs_one_member_passes(traces):
     grid = [CacheGeometry(512, 16, 8), CacheGeometry(1024, 32, 8)]
     points, report = run_sweep(traces, grid, config=RunnerConfig())
-    assert report.pass_groups == 0
-    assert "stackdist" not in report.by_engine()
+    assert report.pass_groups == 4  # one per shape and trace
+    assert report.by_engine() == {"stackdist": 4}
+    per_cell, _ = run_sweep(
+        traces, grid, config=RunnerConfig(engine="vectorized")
+    )
+    assert points_digest(points) == points_digest(per_cell)
+    # Every counter, not only the ratios, matches the per-cell engine.
+    spec = CellSpec.of(None)
+    for trace in traces:
+        prepared = prepare_trace(trace)
+        for group in plan_grid(grid, spec=spec).groups:
+            ((index,), (member,)) = group.geometry_indices, group.members
+            (stats,) = run_group_pass(
+                prepared, group.block_size, group.num_sets, (member,),
+                word_size=spec.word_size,
+            )
+            expected = run_cell(
+                prepared, CellSpec.of(grid[index], engine="vectorized")
+            )
+            assert stats.to_dict() == expected.to_dict()
 
 
 def test_write_traces_fall_back_transparently(grid):
@@ -73,12 +103,9 @@ def test_write_traces_fall_back_transparently(grid):
     )
     base, _ = run_sweep(
         [writes], grid, filter_writes=False,
-        config=RunnerConfig(grid_engine="percell"),
+        config=RunnerConfig(engine="vectorized"),
     )
-    fast, report = run_sweep(
-        [writes], grid, filter_writes=False,
-        config=RunnerConfig(grid_engine="stackdist"),
-    )
+    fast, report = run_sweep([writes], grid, filter_writes=False)
     assert points_digest(base) == points_digest(fast)
     assert report.pass_groups == 0
     assert "stackdist" not in report.by_engine()
@@ -92,16 +119,9 @@ def test_filtered_write_trace_is_coverable(grid):
         [(i * 24) % 1024 for i in range(n)],
         [0, 1] * (n // 2), 2, name="rw",
     )
-    _, report = run_sweep(
-        [writes], grid, config=RunnerConfig(grid_engine="stackdist")
-    )
+    _, report = run_sweep([writes], grid)
     assert report.pass_groups == 1
     assert report.by_engine().get("stackdist") == 4
-
-
-def test_unknown_grid_engine_rejected(traces, grid):
-    with pytest.raises(ConfigurationError):
-        run_sweep(traces, grid, config=RunnerConfig(grid_engine="warp"))
 
 
 def test_records_carry_engine_and_same_fingerprint(traces, grid, tmp_path):
@@ -109,15 +129,15 @@ def test_records_carry_engine_and_same_fingerprint(traces, grid, tmp_path):
     ck_slow = tmp_path / "slow.jsonl"
     run_sweep(
         traces, grid,
-        config=RunnerConfig(checkpoint=ck_fast, grid_engine="stackdist"),
+        config=RunnerConfig(checkpoint=ck_fast, **PATH_CONFIGS["stackdist"]),
     )
     run_sweep(
         traces, grid,
-        config=RunnerConfig(checkpoint=ck_slow, grid_engine="percell"),
+        config=RunnerConfig(checkpoint=ck_slow, **PATH_CONFIGS["percell"]),
     )
     fast_lines = [json.loads(line) for line in ck_fast.read_text().splitlines()]
     slow_lines = [json.loads(line) for line in ck_slow.read_text().splitlines()]
-    # Same header fingerprint: grid engine is not part of the sweep's
+    # Same header fingerprint: the path is not part of the sweep's
     # identity, only of how cells were computed.
     assert fast_lines[0]["fingerprint"] == slow_lines[0]["fingerprint"]
     fast_cells = {r["key"]: r for r in fast_lines[1:] if r.get("kind") == "cell"}
@@ -125,7 +145,7 @@ def test_records_carry_engine_and_same_fingerprint(traces, grid, tmp_path):
     assert fast_cells.keys() == slow_cells.keys()
     for key, record in fast_cells.items():
         assert record["engine"] == "stackdist"
-        assert slow_cells[key]["engine"] == "vectorized"
+        assert slow_cells[key]["engine"] == PATH_ENGINES["percell"]
         for ratio in ("miss", "traffic", "scaled"):
             assert record[ratio] == slow_cells[key][ratio]
 
@@ -136,21 +156,20 @@ def test_records_carry_engine_and_same_fingerprint(traces, grid, tmp_path):
 def test_resume_interop_across_grid_engines(traces, grid, tmp_path, first, second):
     ck = tmp_path / "sweep.jsonl"
     baseline, _ = run_sweep(traces, grid)
-    # Full sweep under one engine, then truncate to half the cells to
+    # Full sweep on one path, then truncate to half the cells to
     # simulate a kill mid-sweep...
     run_sweep(
         traces, grid,
-        config=RunnerConfig(checkpoint=ck, grid_engine=first),
+        config=RunnerConfig(checkpoint=ck, **PATH_CONFIGS[first]),
     )
     lines = ck.read_text().splitlines(keepends=True)
     ck.write_text("".join(lines[:5]))  # header + 4 cell records
-    # ...then the full sweep resumes under the other engine.
+    # ...then the full sweep resumes on the other path.
     points, report = run_sweep(
         traces, grid,
-        config=RunnerConfig(checkpoint=ck, resume=True, grid_engine=second),
+        config=RunnerConfig(checkpoint=ck, resume=True, **PATH_CONFIGS[second]),
     )
     assert report.resumed == 4
     assert points_digest(points) == points_digest(baseline)
     resumed = [o for o in report.outcomes if o.status.value == "resumed"]
-    want_engine = "stackdist" if first == "stackdist" else "vectorized"
-    assert all(o.engine == want_engine for o in resumed)
+    assert all(o.engine == PATH_ENGINES[first] for o in resumed)

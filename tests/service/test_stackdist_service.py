@@ -1,15 +1,16 @@
-"""Service-side stack-distance passes: equality, caching, export compat."""
+"""Service-side stack-distance passes: equality, caching, export compat.
+
+A batch answers two or more coverable queries that share a
+``(block, sets)`` pass group from one pass; a lone query runs per cell.
+"""
 
 from __future__ import annotations
 
 import asyncio
 import json
 
-import pytest
-
 from repro.core.config import CacheGeometry
 from repro.engine.batch import CellSpec
-from repro.errors import ConfigurationError
 from repro.service import ServiceConfig, SimQuery, SimulationService
 
 
@@ -42,18 +43,12 @@ def simulate_batch(queries, config):
     return asyncio.run(main())
 
 
-def test_grid_engine_validated():
-    with pytest.raises(ConfigurationError):
-        SimulationService(ServiceConfig(grid_engine="warp"))
-
-
 def test_batched_grid_answers_from_passes_and_matches_percell():
     queries = grid_queries()
-    fast, _ = simulate_batch(
-        queries, ServiceConfig(batch_window=0.05, grid_engine="auto")
-    )
+    fast, _ = simulate_batch(queries, ServiceConfig(batch_window=0.05))
+    # A forced engine runs every query per cell, like a sweep's engine=.
     slow, _ = simulate_batch(
-        queries, ServiceConfig(batch_window=0.05, grid_engine="percell")
+        queries, ServiceConfig(batch_window=0.05, engine="vectorized")
     )
     for lhs, rhs in zip(fast, slow):
         assert lhs.entry.engine == "stackdist"
@@ -64,38 +59,31 @@ def test_batched_grid_answers_from_passes_and_matches_percell():
             rhs.entry.miss, rhs.entry.traffic, rhs.entry.scaled
         )
         assert lhs.entry.stats == rhs.entry.stats
-        assert lhs.entry.fingerprint == rhs.entry.fingerprint
 
 
-def test_forced_grid_overrides_an_explicit_engine_like_the_runner():
-    """``grid_engine="stackdist"`` answers an explicit ``vectorized``
-    query from a pass, exactly as the sweep runner plans it; the
-    ``auto`` grid defers to the explicit engine, again like the runner.
-    """
-    from repro.stackdist.planner import plan_grid
-
+def test_explicit_query_engine_stays_per_cell_like_the_runner():
     queries = grid_queries(engine="vectorized")
-    forced, _ = simulate_batch(
-        queries, ServiceConfig(batch_window=0.05, grid_engine="stackdist")
-    )
-    deferred, _ = simulate_batch(
-        queries, ServiceConfig(batch_window=0.05, grid_engine="auto")
-    )
-    assert [r.entry.engine for r in forced] == ["stackdist"] * 4
-    assert [r.entry.engine for r in deferred] == ["vectorized"] * 4
-    for lhs, rhs in zip(forced, deferred):
-        assert lhs.entry.stats == rhs.entry.stats
-        assert lhs.entry.fingerprint == rhs.entry.fingerprint
-    geometries = [query.spec.geometry for query in queries]
-    assert plan_grid(geometries, "stackdist", engine="vectorized").covered == 4
-    assert plan_grid(geometries, "auto", engine="vectorized").covered == 0
+    results, _ = simulate_batch(queries, ServiceConfig(batch_window=0.05))
+    assert [r.entry.engine for r in results] == ["vectorized"] * 4
+
+
+def test_lone_query_runs_per_cell_and_a_pair_shares_one_pass():
+    lone, pair = grid_queries()[:1], grid_queries()[:2]
+    (single,), _ = simulate_batch(lone, ServiceConfig(batch_window=0.05))
+    assert single.entry.engine == "vectorized"
+    results, service = simulate_batch(pair, ServiceConfig(batch_window=0.05))
+    assert [r.entry.engine for r in results] == ["stackdist"] * 2
+    assert service.metrics.stage_seconds.count(
+        labels={"stage": "simulate"}
+    ) == 1
+    # Same answer and same cache identity on either path.
+    assert results[0].entry.stats == single.entry.stats
+    assert results[0].entry.fingerprint == single.entry.fingerprint
 
 
 def test_noncoverable_queries_stay_percell():
     queries = grid_queries(replacement="fifo")
-    results, _ = simulate_batch(
-        queries, ServiceConfig(batch_window=0.05, grid_engine="auto")
-    )
+    results, _ = simulate_batch(queries, ServiceConfig(batch_window=0.05))
     assert all(r.entry.engine == "vectorized" for r in results)
 
 
@@ -103,9 +91,7 @@ def test_pass_results_are_cached():
     queries = grid_queries()
 
     async def main():
-        service = SimulationService(
-            ServiceConfig(batch_window=0.05, grid_engine="auto")
-        )
+        service = SimulationService(ServiceConfig(batch_window=0.05))
         await service.start()
         try:
             first = await asyncio.gather(
@@ -129,8 +115,9 @@ def test_exported_checkpoint_stays_byte_compatible(tmp_path):
     """Export of a stackdist-computed entry carries no engine key."""
     queries = grid_queries()
     results, service = simulate_batch(
-        queries, ServiceConfig(batch_window=0.05, grid_engine="stackdist")
+        queries, ServiceConfig(batch_window=0.05)
     )
+    assert results[0].entry.engine == "stackdist"
     checkpoint = tmp_path / "exported.jsonl"
     service.cache.export_checkpoint(results[0].entry.fingerprint, checkpoint)
     records = [
@@ -145,9 +132,7 @@ def test_disk_hit_after_restart_reports_disk(tmp_path):
     entry: after a restart the cell is served, and counted, as a disk
     hit."""
     query = grid_queries()[0]
-    config = ServiceConfig(
-        batch_window=0.05, grid_engine="auto", store_dir=str(tmp_path)
-    )
+    config = ServiceConfig(batch_window=0.05, store_dir=str(tmp_path))
     (first,), _ = simulate_batch([query], config)
     assert first.source == "computed"
     (again,), service = simulate_batch([query], config)

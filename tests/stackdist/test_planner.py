@@ -9,11 +9,7 @@ from repro.core.config import CacheGeometry
 from repro.core.fetch import DemandFetch, LoadForwardFetch
 from repro.core.misspath import MissPathConfig
 from repro.errors import ConfigurationError
-from repro.stackdist import (
-    GRID_ENGINE_NAMES,
-    plan_grid,
-    trace_coverable,
-)
+from repro.stackdist import plan_grid, trace_coverable
 from repro.trace.record import Trace
 
 
@@ -36,10 +32,6 @@ def _mixed_grid():
     ]
 
 
-def test_grid_engine_names_frozen():
-    assert GRID_ENGINE_NAMES == ("auto", "stackdist", "percell")
-
-
 def test_plan_groups_by_block_and_sets():
     plan = plan_grid(_mixed_grid())
     assert plan.covered == 6
@@ -59,35 +51,29 @@ def test_members_carry_resolved_assoc_sub_and_warmup():
     assert all(m.warmup == 100 for m in group.members)
 
 
-def test_auto_keeps_singleton_groups_per_cell():
+def test_singleton_groups_become_one_member_passes():
     grid = [CacheGeometry(512, 8, 4), CacheGeometry(1024, 16, 4)]
-    plan = plan_grid(grid, grid_engine="auto")
-    assert plan.groups == ()
-    assert plan.fallback_indices == (0, 1)
-    assert all(
-        "pass group of 1" in reason
-        for reason in plan.fallback_reasons.values()
-    )
-
-
-def test_stackdist_mode_takes_singletons():
-    grid = [CacheGeometry(512, 8, 4), CacheGeometry(1024, 16, 4)]
-    plan = plan_grid(grid, grid_engine="stackdist")
+    plan = plan_grid(grid)
     assert plan.covered == 2
     assert plan.fallback_indices == ()
-    assert all(len(group) == 1 for group in plan.groups)
+    assert [g.geometry_indices for g in plan.groups] == [(0,), (1,)]
 
 
 def test_percell_mode_covers_nothing():
-    plan = plan_grid(_constant_sets_grid(), grid_engine="percell")
-    assert plan.groups == ()
-    assert plan.fallback_indices == (0, 1, 2, 3)
-    assert plan.blockers == ("grid engine forced to percell",)
+    # The per-cell opt-out is an explicit engine: it runs every cell.
+    for engine in ("reference", "vectorized", "checked"):
+        plan = plan_grid(_constant_sets_grid(), engine=engine)
+        assert plan.groups == ()
+        assert plan.fallback_indices == (0, 1, 2, 3)
+        assert any(engine in blocker for blocker in plan.blockers)
+    assert plan_grid(_constant_sets_grid(), engine="auto").covered == 4
 
 
 def test_unknown_grid_engine_rejected():
-    with pytest.raises(ConfigurationError):
-        plan_grid(_constant_sets_grid(), grid_engine="warp")
+    # "auto" is the one grid rule; the retired strategy names are refused.
+    for grid_engine in ("warp", "stackdist", "percell", "AUTO"):
+        with pytest.raises(ConfigurationError):
+            plan_grid(_constant_sets_grid(), grid_engine=grid_engine)
 
 
 @pytest.mark.parametrize(
@@ -122,14 +108,14 @@ def test_demand_fetch_spellings_all_coverable(fetch):
 
 def test_explicit_percell_engine_blocks_auto_only():
     grid = _constant_sets_grid()
-    auto = plan_grid(grid, engine="vectorized", grid_engine="auto")
-    assert auto.groups == ()
-    assert any("defers" in blocker for blocker in auto.blockers)
-    forced = plan_grid(grid, engine="vectorized", grid_engine="stackdist")
-    assert forced.covered == 4
+    assert plan_grid(grid, engine="auto").covered == 4
+    explicit = plan_grid(grid, engine="vectorized")
+    assert explicit.groups == ()
+    assert explicit.blockers == ("explicit per-cell engine 'vectorized'",)
     # checked is a sanitizer: it must actually run per cell, always.
-    checked = plan_grid(grid, engine="checked", grid_engine="stackdist")
+    checked = plan_grid(grid, engine="checked")
     assert checked.groups == ()
+    assert any("sanitizer" in blocker for blocker in checked.blockers)
 
 
 def test_trace_coverable_rejects_writes():

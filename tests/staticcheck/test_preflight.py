@@ -6,9 +6,11 @@ import os
 import pytest
 
 from repro.core.config import CacheGeometry
+from repro.engine.batch import CellSpec
 from repro.errors import StaticCheckError
 from repro.runner.runner import RunnerConfig, run_sweep
 from repro.staticcheck import preflight_sweep
+from repro.staticcheck.configlint import lint_stackdist_coverage
 from repro.workloads.suites import suite_trace
 
 GEOMS = [CacheGeometry(net_size=64, block_size=8, sub_block_size=8)]
@@ -117,7 +119,9 @@ SHARED_SETS = [
 
 
 class TestCoverageMatchesTheRun:
-    """The coverage lint's ``covered`` equals the cells a pass answered."""
+    """The coverage lint (``repro lint --sweep-coverage``) reports, for
+    the same axes and guards, exactly the cells a run answers from
+    passes; the preflight itself stays quiet about coverage."""
 
     @pytest.mark.parametrize(
         "blocker",
@@ -130,13 +134,17 @@ class TestCoverageMatchesTheRun:
         ids=["none", "checked", "cell_timeout", "max_cell_accesses"],
     )
     def test_covered_equals_stackdist_cells(self, trace, blocker):
-        _, report = run_sweep(
-            [trace], SHARED_SETS,
-            config=RunnerConfig(grid_engine="stackdist", **blocker),
+        config = RunnerConfig(**blocker)
+        _, report = run_sweep([trace], SHARED_SETS, config=config)
+        coverage, *fallbacks = lint_stackdist_coverage(
+            SHARED_SETS,
+            spec=CellSpec.of(None, engine=config.engine),
+            cell_timeout=config.cell_timeout,
+            max_cell_accesses=config.max_cell_accesses,
         )
-        (coverage,) = [
-            d for d in report.preflight if d.rule == "sweep-stackdist-coverage"
-        ]
+        assert coverage.rule == "sweep-stackdist-coverage"
+        assert [f.data["cells"] for f in fallbacks] == ([3] if blocker else [])
+        assert report.preflight == []
         ran = sum(1 for o in report.outcomes if o.engine == "stackdist")
         assert coverage.data["covered"] == ran
         assert ran == (3 if not blocker else 0)
