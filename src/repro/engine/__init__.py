@@ -9,7 +9,7 @@ Public surface:
   — the one decision of which path (sampled, stackdist, vectorized,
   reference, checked) answers a cell, and why.
 * :class:`~repro.engine.reference.ReferenceEngine` — the object-model
-  loop (semantics baseline; handles guarded / fault-injected traces).
+  loop (semantics baseline; handles fault-injected traces).
 * :class:`~repro.engine.vectorized.VectorizedEngine` — the NumPy batch
   engine, pinned to the reference by the equivalence suite.
 * :class:`~repro.engine.checked.CheckedEngine` — reference semantics

@@ -6,8 +6,8 @@ An :class:`Engine` turns ``(geometry, trace, policies, warmup)`` into a
 * ``reference`` — the original object-model loop
   (:class:`~repro.core.cache.SubBlockCache` driven by
   :func:`~repro.core.sim.simulate`).  It accepts *any* iterable of
-  accesses, which is what the resilient runner's guarded and
-  fault-injecting trace proxies rely on.
+  accesses, which is what the resilient runner's fault-injecting trace
+  proxies rely on.
 * ``vectorized`` — the NumPy batch engine
   (:mod:`repro.engine.vectorized`): whole-trace decode kernels, flat
   per-set state, memoized fetch plans.  Requires a real
@@ -18,15 +18,15 @@ An :class:`Engine` turns ``(geometry, trace, policies, warmup)`` into a
 Both engines are bound by the **equivalence contract**: identical
 inputs must produce *identical* stats, counter for counter.  The
 differential suite in ``tests/engine`` enforces it; anything that
-cannot honor it (per-access fault proxies, cooperative timeouts)
-routes to ``reference`` — see :func:`repro.engine.route.plan` and
-``docs/engines.md``.
+cannot honor it (per-access fault proxies) routes to ``reference`` —
+see :func:`repro.engine.route.plan` and ``docs/engines.md``.
 """
 
 from __future__ import annotations
 
 import time
 from abc import ABC, abstractmethod
+from itertools import islice
 from typing import Any, Dict, Iterator, Optional, Union
 
 from repro.core.config import CacheGeometry
@@ -58,25 +58,28 @@ def deadline_guard(
 
     The cooperative-cancellation shim for the per-access engines: the
     monotonic clock (:func:`time.monotonic`, the service's deadline
-    epoch) is sampled every :data:`DEADLINE_CHECK_EVERY` accesses.  A
-    ``None`` deadline yields the trace unchanged.
+    epoch) is sampled before every :data:`DEADLINE_CHECK_EVERY` accesses
+    and once more at the end of the trace, so a short trace cannot
+    outrun an expired deadline.  A ``None`` deadline yields the trace
+    unchanged.
 
     Raises:
-        DeadlineExceededError: When the budget expires mid-trace.
+        DeadlineExceededError: When the budget expires.
     """
     if deadline is None:
         yield from trace
         return
-    countdown = DEADLINE_CHECK_EVERY
-    for record in trace:
-        countdown -= 1
-        if countdown <= 0:
-            countdown = DEADLINE_CHECK_EVERY
-            if time.monotonic() >= deadline:
-                raise DeadlineExceededError(
-                    "request deadline expired mid-simulation", stage=stage
-                )
-        yield record
+    accesses = iter(trace)
+    while True:
+        if time.monotonic() >= deadline:
+            raise DeadlineExceededError(
+                "request deadline expired mid-simulation", stage=stage
+            )
+        chunk = list(islice(accesses, DEADLINE_CHECK_EVERY))
+        if not chunk:
+            return
+        yield from chunk
+
 
 #: Accepted ``--engine`` values; ``auto`` is planned per run.  ``checked``
 #: is the sanitizing wrapper (reference semantics + per-access

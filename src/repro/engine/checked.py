@@ -187,7 +187,7 @@ class CheckedEngine(Engine):
     (sweep commands, ``chaos`` and ``serve``) or
     ``make_engine("checked")``.
     Accepts any iterable of accesses, exactly like the reference
-    engine, so guarded and fault-injected cells can run under it.
+    engine, so fault-injected cells can run under it.
     """
 
     name = "checked"

@@ -4,9 +4,9 @@ This is the paper-faithful simulator — one :class:`Access` at a time
 through :class:`~repro.core.cache.SubBlockCache` — repackaged as an
 :class:`~repro.engine.base.Engine`.  It defines the semantics the
 vectorized engine must match exactly — miss-path chains included — and
-it is the only engine that can drive per-access trace proxies (the
-runner's cooperative timeouts and fault injection), so every guarded
-cell executes here regardless of the requested engine.
+it can drive per-access trace proxies (the runner's fault injection),
+so every fault-injected cell executes here unless ``checked`` is
+requested.
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ supervised), the config lint and the sweep preflight all read the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, List, Tuple
 
 import numpy as np
 
@@ -69,15 +69,13 @@ def trace_coverable(trace: Any) -> bool:
     misses do not allocate, which breaks Mattson inclusion."""
     kinds = getattr(trace, "kinds", None)
     if kinds is None:
-        return False  # guarded/proxy traces never feed a pass
+        return False  # proxy traces never feed a pass
     return not bool(np.any(np.asarray(kinds) == _WRITE))
 
 
 def _stackdist_blockers(
     spec: "CellSpec",
     chained: bool,
-    cell_timeout: Optional[float],
-    max_cell_accesses: Optional[int],
     injector_active: bool,
 ) -> List[str]:
     """Every condition that rules out a stack-distance pass.
@@ -98,10 +96,6 @@ def _stackdist_blockers(
         blockers.append("checked engine (sanitizer must observe every access)")
     elif spec.engine != "auto":
         blockers.append(f"explicit per-cell engine {spec.engine!r}")
-    if cell_timeout is not None:
-        blockers.append("cell_timeout (per-cell deadline needs per-cell runs)")
-    if max_cell_accesses is not None:
-        blockers.append("max_cell_accesses (per-cell budget needs per-cell runs)")
     if injector_active:
         blockers.append("fault injector (per-access proxies are per cell)")
     return blockers
@@ -112,21 +106,19 @@ def plan(
     trace: Any = None,
     *,
     grid: bool = False,
-    cell_timeout: Optional[float] = None,
-    max_cell_accesses: Optional[int] = None,
     injector_active: bool = False,
 ) -> Route:
     """Choose the path that answers ``spec`` (its geometry is unused).
 
     Args:
-        trace: The prepared trace, when known: a per-access proxy forces
-            the reference loop, writes rule out a pass, and an empty
+        trace: The prepared trace, when known: a per-access fault proxy
+            forces the reference loop, writes rule out a pass, and an empty
             trace runs exact even when sampled.  ``None`` plans for any
             plain trace.
         grid: Whether the cell belongs to a sweep grid or a service
             batch, where a pass can form; a lone cell never gets one.
-        cell_timeout / max_cell_accesses / injector_active: Per-cell
-            guards (a service deadline counts as a ``cell_timeout``).
+        injector_active: Whether a fault injector wraps the traces.
+            A deadline is no input: every path honors one.
 
     Raises:
         ConfigurationError: For an engine name outside
@@ -155,9 +147,7 @@ def plan(
             return _per_cell(engine, trace, ["trace-empty"])
 
     if grid:
-        blockers = _stackdist_blockers(
-            spec, chained, cell_timeout, max_cell_accesses, injector_active
-        )
+        blockers = _stackdist_blockers(spec, chained, injector_active)
         if not blockers and trace is not None and not trace_coverable(trace):
             blockers.append("trace carries writes (write misses break inclusion)")
         if not blockers:
@@ -171,7 +161,7 @@ def _per_cell(engine: str, trace: Any, reasons: List[str]) -> Route:
     if engine in ("checked", "reference"):
         return Route(engine, tuple(reasons))
     if trace is not None and not isinstance(trace, (Trace, TraceView)):
-        # Only per-access iteration can honor guard/injector proxies.
+        # Only per-access iteration can honor fault-injector proxies.
         reasons.append("per-access trace proxy")
         return Route("reference", tuple(reasons))
     return Route("vectorized", tuple(reasons))

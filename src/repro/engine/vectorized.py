@@ -90,7 +90,7 @@ class VectorizedEngine(Engine):
         else:
             raise EngineError(
                 "the vectorized engine consumes a Trace's array columns; "
-                f"got {type(trace).__name__} (guarded or proxied traces "
+                f"got {type(trace).__name__} (proxied traces "
                 "must run on the reference engine)"
             )
         replacement = (

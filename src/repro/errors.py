@@ -148,7 +148,7 @@ class SanitizerError(EngineError):
 
 
 class CellTimeoutError(ReproError, TimeoutError):
-    """A sweep cell exceeded its wall-clock timeout or access budget.
+    """A sweep cell exceeded its wall-clock timeout.
 
     Deterministic by nature (re-running the same cell would time out
     again), so the runner never retries it: the cell is skipped in

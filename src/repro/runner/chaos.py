@@ -26,6 +26,7 @@ import tempfile
 from pathlib import Path
 from typing import Callable, List, Optional
 
+from repro.engine.base import DEADLINE_CHECK_EVERY
 from repro.errors import TransientError
 from repro.runner.faults import FaultInjector, SweepAborted
 from repro.runner.retry import RetryPolicy
@@ -72,10 +73,11 @@ def run_chaos(
             for post-mortem); a temporary directory when omitted.
         out: Line sink, injectable for tests.
         engine: Simulation engine for every scenario sweep.  Fault-
-            injected cells always execute on the reference engine
-            (their traces are per-access proxies); the equivalence
-            contract is what keeps the byte-identity checks green when
-            healthy cells run vectorized.
+            injected cells run on the reference engine unless
+            ``checked`` is asked for (their traces are per-access
+            proxies); the equivalence contract is what keeps the
+            byte-identity checks green when healthy cells run
+            vectorized.
     """
     # Imported here: the analysis layer builds on the runner, and the
     # service's workers import the runner without needing analysis.
@@ -206,16 +208,18 @@ def run_chaos(
     # -- Scenario 5: a stalled cell trips the timeout ---------------------
     stalled_key = cell_key(geometries[-1], traces[-1].name)
     # The checked engine asserts invariants per access (~10x slower), so
-    # healthy cells need a wider budget; the stall sleeps per access and
-    # blows through either budget by orders of magnitude.
+    # healthy cells need a wider budget.  The engine reads the clock
+    # every DEADLINE_CHECK_EVERY accesses; that many stalls (a sleep
+    # never returns early) outlast the budget twofold.
     cell_timeout = 1.0 if engine == "checked" else 0.05
+    stall_seconds = 2 * cell_timeout / DEADLINE_CHECK_EVERY
     timed, timeout_report = run_sweep(
         traces, geometries, word_size=2,
         config=config(
             lenient=True,
             cell_timeout=cell_timeout,
             injector=FaultInjector(
-                stall_cells=(stalled_key,), stall_seconds=0.002,
+                stall_cells=(stalled_key,), stall_seconds=stall_seconds,
             ),
             sleep=_NO_SLEEP,
         ),

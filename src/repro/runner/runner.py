@@ -5,8 +5,8 @@ sub-block size) × trace sweep.  Run monolithically, one bad cell loses
 the whole campaign; here every (geometry, trace) pair becomes an
 independent *cell* executed under
 
-* a wall-clock timeout and an access budget
-  (:class:`~repro.errors.CellTimeoutError` on breach),
+* a wall-clock timeout, the deadline every engine and stack-distance
+  pass checks (:class:`~repro.errors.CellTimeoutError` on breach),
 * a retry budget with exponential backoff and deterministic jitter
   (:mod:`repro.runner.retry`),
 * JSONL checkpointing, so an interrupted sweep resumes from the last
@@ -41,7 +41,6 @@ from typing import (
     Any,
     Callable,
     Dict,
-    Iterator,
     List,
     NamedTuple,
     Optional,
@@ -56,6 +55,7 @@ from repro.engine.route import Route, plan
 from repro.errors import (
     CellTimeoutError,
     ConfigurationError,
+    DeadlineExceededError,
     EngineError,
     ReproError,
 )
@@ -85,9 +85,8 @@ class RunnerConfig:
 
     Attributes:
         retry: Backoff schedule and retryability rules.
-        cell_timeout: Wall-clock seconds allowed per cell attempt.
-        max_cell_accesses: Access budget per cell attempt (the sweep-
-            level analogue of the toy machine's step budget).
+        cell_timeout: Wall-clock seconds per cell attempt, a deadline
+            its engine or pass checks; it never changes a cell's path.
         checkpoint: JSONL checkpoint path; None disables checkpointing.
         resume: Reuse completed cells from an existing checkpoint
             instead of truncating it.
@@ -118,7 +117,6 @@ class RunnerConfig:
 
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     cell_timeout: Optional[float] = None
-    max_cell_accesses: Optional[int] = None
     checkpoint: Optional[Union[str, Path]] = None
     resume: bool = False
     lenient: bool = False
@@ -156,50 +154,6 @@ def cell_key(geometry: CacheGeometry, trace_name: str) -> str:
     )
 
 
-class _GuardedTrace:
-    """Trace proxy enforcing a deadline and an access budget.
-
-    The reference simulator's only interaction with a trace is
-    iteration, so the cheapest reliable cell timeout is a cooperative
-    check on every access — no signals, no threads, identical results
-    when the budget is not hit.  Guarded cells therefore always execute
-    on the reference engine.
-    """
-
-    def __init__(
-        self,
-        trace: Trace,
-        key: str,
-        deadline: Optional[float] = None,
-        max_accesses: Optional[int] = None,
-    ) -> None:
-        self._trace = trace
-        self._key = key
-        self._deadline = deadline
-        self._max_accesses = max_accesses
-
-    @property
-    def name(self) -> str:
-        return self._trace.name
-
-    def __len__(self) -> int:
-        return len(self._trace)
-
-    def __iter__(self) -> Iterator:
-        deadline = self._deadline
-        budget = self._max_accesses
-        for count, access in enumerate(self._trace):
-            if budget is not None and count >= budget:
-                raise CellTimeoutError(
-                    f"cell {self._key}: access budget of {budget} exceeded"
-                )
-            if deadline is not None and time.monotonic() > deadline:
-                raise CellTimeoutError(
-                    f"cell {self._key}: wall-clock timeout at access {count}"
-                )
-            yield access
-
-
 class _CellResult(NamedTuple):
     """What one answered cell records: its ratio triple plus extras."""
 
@@ -224,32 +178,24 @@ def _execute_cell(
     config: RunnerConfig,
     bus_model: BusCostModel,
     rng: random.Random,
+    phase_plan: Any = None,
 ) -> "tuple[_CellResult, int]":
     """Run one per-cell route under retry; returns ``(result, attempts)``.
 
-    Each attempt arms the fault injector and the guard, then plans the
-    cell against the trace it actually iterates (a proxy routes to the
-    reference loop).  Shared verbatim by the in-process path and the
-    pool workers, so a sweep computes identical results regardless of
-    ``jobs``.
+    Each attempt arms the fault injector, plans the cell against the
+    trace it actually iterates (a fault proxy routes to the reference
+    loop) and runs it under a deadline ``cell_timeout`` seconds away,
+    whose expiry becomes a :class:`CellTimeoutError`.  A sampled cell runs
+    from its trace's ``phase_plan``.  Shared verbatim by the in-process
+    path and the pool workers, so a sweep computes identical results
+    regardless of ``jobs``.
     """
 
-    def attempt(_attempt_number: int) -> _CellResult:
-        run_trace: Any = trace
-        if config.injector is not None:
-            run_trace = config.injector.arm(key, run_trace)
-        if config.cell_timeout is not None or config.max_cell_accesses is not None:
-            deadline = (
-                time.monotonic() + config.cell_timeout
-                if config.cell_timeout is not None
-                else None
-            )
-            run_trace = _GuardedTrace(
-                run_trace, key, deadline, config.max_cell_accesses
-            )
-        route = plan(spec, run_trace)
+    def run(
+        run_trace: Any, route: Route, deadline: Optional[float]
+    ) -> "tuple[Route, Any]":
         try:
-            stats = run_route(run_trace, spec, route)
+            return route, run_route(run_trace, spec, route, deadline, phase_plan)
         except ReproError:
             raise
         except Exception as exc:
@@ -267,39 +213,31 @@ def _execute_cell(
             # Fresh policy objects — the failed attempt may have
             # consumed replacement RNG state.
             route = Route("reference", route.reasons + ("vectorized engine failed",))
-            stats = run_route(run_trace, spec, route)
+            return route, run_route(run_trace, spec, route, deadline)
+
+    def attempt(_attempt_number: int) -> _CellResult:
+        run_trace: Any = trace
+        if config.injector is not None:
+            run_trace = config.injector.arm(key, run_trace)
+        deadline = (
+            time.monotonic() + config.cell_timeout
+            if config.cell_timeout is not None else None
+        )
+        try:
+            route, stats = run(run_trace, plan(spec, run_trace), deadline)
+        except DeadlineExceededError as exc:
+            raise CellTimeoutError(f"cell {key}: wall-clock timeout") from exc
+        ratios = _ratios(stats, bus_model, spec.word_size)
+        if route.path == "sampled":
+            return _CellResult(ratios, None, stats.to_dict(), route.path)
         misspath = (
             stats.misspath.hits_summary() if stats.misspath is not None else None
         )
-        return _CellResult(
-            _ratios(stats, bus_model, spec.word_size), misspath, None, route.path
-        )
+        return _CellResult(ratios, misspath, None, route.path)
 
     return call_with_retry(
         attempt, config.effective_retry(), rng, sleep=config.sleep
     )
-
-
-def _execute_sampled_cell(
-    spec: CellSpec,
-    trace: Trace,
-    phase_plan: Any,
-    config: RunnerConfig,
-    bus_model: BusCostModel,
-) -> "tuple[_CellResult, int]":
-    """Run one sampled cell from its trace's shared phase plan.
-
-    The cell timeout becomes the engine deadline.  Retry is absent: the
-    sampled path has no fault-injection proxies, so a failure is
-    deterministic and a retry would only repeat it.
-    """
-    deadline = (
-        time.monotonic() + config.cell_timeout
-        if config.cell_timeout is not None else None
-    )
-    stats = run_route(trace, spec, Route("sampled"), deadline, phase_plan)
-    ratios = _ratios(stats, bus_model, spec.word_size)
-    return _CellResult(ratios, None, stats.to_dict(), "sampled"), 1
 
 
 def _attempt(run: Callable[[], "tuple[_CellResult, int]"]) -> tuple:
@@ -399,11 +337,7 @@ def run_sweep(
             "fault injection requires jobs=1: per-access fault proxies "
             "cannot cross process boundaries"
         )
-    guards: Dict[str, Any] = dict(
-        cell_timeout=config.cell_timeout,
-        max_cell_accesses=config.max_cell_accesses,
-        injector_active=config.injector is not None,
-    )
+    injector_active = config.injector is not None
     # Fail-fast: error findings raise StaticCheckError here, on the axes
     # as given and before the checkpoint file is created or truncated
     # below; warnings land on the report.
@@ -411,19 +345,19 @@ def run_sweep(
 
     preflight_findings = preflight_sweep(
         traces, geometries, engine=config.engine,
-        injector_active=guards["injector_active"], **axes,
+        injector_active=injector_active, **axes,
     )
     spec = CellSpec.of(None, engine=config.engine, **axes)
     # Grid-level plan: which geometries share a stack-distance pass and
     # which run per cell.
-    grid = plan_grid(geometries, spec=spec, **guards)
-    if plan(spec, **guards).path != "sampled":
+    grid = plan_grid(geometries, spec=spec, injector_active=injector_active)
+    if plan(spec, injector_active=injector_active).path != "sampled":
         # A sample the route planner sends back to exact simulation is
         # dropped: the cells, and the fingerprint, are exact.
         spec = replace(spec, sample=None)
     prepared = [prepare_trace(trace, filter_writes) for trace in traces]
     routes = [
-        plan(spec, trace, grid=True, **guards)
+        plan(spec, trace, grid=True, injector_active=injector_active)
         for trace in prepared
     ]
     keys = [
@@ -459,8 +393,9 @@ def run_sweep(
     # answers every member cell at once; the per-cell loop below then
     # only *emits* those results, in the same canonical order as a
     # per-cell run, so checkpoint lines keep their ordering contract.
-    # A pass that cannot run (an unexpected engine rejection) simply
-    # leaves its cells to the per-cell path — fallback is transparent.
+    # A pass that cannot run (an unexpected engine rejection, or its
+    # cells' summed ``cell_timeout`` running out) simply leaves its
+    # cells to the per-cell path — fallback is transparent.
     answered: Dict[str, tuple] = {}
     passes_run = 0
     for trace, route in zip(prepared, routes):
@@ -474,10 +409,15 @@ def run_sweep(
             if all(key in completed for key in group_keys):
                 continue
             started = time.monotonic()
+            deadline = (
+                started + config.cell_timeout * len(group_keys)
+                if config.cell_timeout is not None else None
+            )
             try:
                 stats_list = run_group_pass(
                     trace, group.block_size, group.num_sets,
                     group.members, word_size=spec.word_size,
+                    deadline=deadline,
                 )
             except ReproError:
                 continue
@@ -556,14 +496,10 @@ def run_sweep(
                         ran = answered.pop(key)
                     elif key in futures:
                         ran = futures.pop(key).result()
-                    elif trace.name in phase_plans:
-                        ran = _attempt(lambda: _execute_sampled_cell(
-                            cell_spec, trace, phase_plans[trace.name],
-                            config, bus_model,
-                        ))
                     else:
                         ran = _attempt(lambda: _execute_cell(
                             cell_spec, trace, key, config, bus_model, rng,
+                            phase_plans.get(trace.name),
                         ))
                     outcome = _record(key, trace.name, ran, config, writer)
                     if outcome.status is CellStatus.OK:

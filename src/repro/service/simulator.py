@@ -529,13 +529,13 @@ class SimulationService:
     ) -> None:
         """Answer coverable cells of one batch from stack-distance passes.
 
-        Cells the route planner sends to ``stackdist`` (a request
-        deadline counts as a per-cell timeout) are grouped per
+        Cells the route planner sends to ``stackdist`` are grouped per
         ``(word_size, warmup)`` by
         :func:`~repro.stackdist.planner.plan_grid`, exactly as a sweep
         grid is, and each pass group of two or more is computed by one
         :func:`repro.stackdist.engine.run_group_pass` over the already
-        prepared trace.  Supervised mode always runs per cell (workers
+        prepared trace, under the earliest request deadline among its
+        members.  Supervised mode always runs per cell (workers
         are the isolation unit).  Already-cached cells, lone cells and
         everything else stay on the per-cell path — fallback is
         transparent because both paths produce identical stats and
@@ -544,14 +544,7 @@ class SimulationService:
         eligible: "OrderedDict[tuple, List[_Pending]]" = OrderedDict()
         for pending in group:
             query = pending.query
-            route = plan(
-                query.spec, prepared, grid=True,
-                cell_timeout=(
-                    pending.deadline - time.monotonic()
-                    if pending.deadline is not None else None
-                ),
-            )
-            if route.path != "stackdist":
+            if plan(query.spec, prepared, grid=True).path != "stackdist":
                 continue
             if query.fingerprint(len(prepared)) in self.cache:
                 continue  # the cell's own cache lookup will serve it
@@ -569,6 +562,11 @@ class SimulationService:
             for pass_group in grid.groups:
                 if len(pass_group) < 2:
                     continue  # a lone query runs per cell (execute_cell)
+                deadline = min(
+                    (pendings[i].deadline for i in pass_group.geometry_indices
+                     if pendings[i].deadline is not None),
+                    default=None,
+                )
                 async with self._slots:
                     simulate_started = loop.time()
                     try:
@@ -576,7 +574,7 @@ class SimulationService:
                             self._executor, run_group_pass,
                             prepared, pass_group.block_size,
                             pass_group.num_sets, pass_group.members,
-                            template.word_size,
+                            template.word_size, False, deadline,
                         )
                     except ReproError:
                         continue  # transparent fallback to per-cell runs

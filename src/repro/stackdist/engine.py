@@ -60,13 +60,14 @@ at the boundary — one prefix count over the set-sorted order.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
-from typing import Any, Dict, List, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.core.stats import CacheStats
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, DeadlineExceededError
 from repro.trace.record import AccessType
 
 __all__ = ["MemberSpec", "distance_histogram", "run_group_pass", "set_distances"]
@@ -442,6 +443,7 @@ def run_group_pass(
     members: Sequence[MemberSpec],
     word_size: int = 2,
     flush_at_end: bool = False,
+    deadline: Optional[float] = None,
 ) -> List[CacheStats]:
     """One trace pass answering every member cell of a pass group.
 
@@ -457,6 +459,8 @@ def run_group_pass(
         word_size: Data-path word size (transaction-length unit).
         flush_at_end: Evict all resident blocks after the pass, as
             :func:`repro.core.sim.simulate` does for utilization runs.
+        deadline: Optional :func:`time.monotonic` instant, checked
+            after the distance walk and before each member.
 
     Returns:
         One :class:`~repro.core.stats.CacheStats` per member, in
@@ -465,6 +469,7 @@ def run_group_pass(
 
     Raises:
         ConfigurationError: On an invalid shape or a trace with writes.
+        DeadlineExceededError: When ``deadline`` passes mid-pass.
     """
     _validate(block_size, num_sets, members, word_size)
     addrs = np.asarray(trace.addrs, dtype=np.int64)
@@ -486,6 +491,8 @@ def run_group_pass(
 
     results: List[CacheStats] = []
     for member in members:
+        if deadline is not None and time.monotonic() >= deadline:
+            raise DeadlineExceededError("deadline expired mid-pass")
         warmup = member.warmup
         if warmup == "fill":
             min_t = walk.fill_time(member.ways, num_sets)

@@ -4,11 +4,11 @@ The stack-distance engine (:mod:`repro.stackdist.engine`) answers every
 geometry sharing a ``(block_size, num_sets)`` pair from a single trace
 pass, but only where :func:`repro.engine.route.plan` routes the sweep's
 cells to ``stackdist`` (LRU, demand fetch, no chain, engine ``auto``,
-no per-cell guard or fault injector — ``docs/engines.md`` has the
-table).  :func:`plan_grid` asks the route planner once per sweep, then
-groups the geometry list into :class:`PassGroup` batches, or records
-*why* the whole grid runs per cell — the runner consumes the split,
-``repro lint --sweep-coverage`` surfaces the reasons.
+no fault injector — ``docs/engines.md`` has the table).
+:func:`plan_grid` asks the route planner once per sweep, then groups
+the geometry list into :class:`PassGroup` batches, or records *why*
+the whole grid runs per cell — the runner consumes the split, ``repro
+lint --sweep-coverage`` surfaces the reasons.
 
 Coverage is decided per *sweep* (the knobs are sweep-global) plus per
 *trace*: the runner re-plans each prepared trace, because a trace
@@ -101,8 +101,10 @@ def plan_grid(
             omitted, built from ``axes`` (``replacement``, ``fetch``,
             ``warmup``, ``miss_path``, ``engine``, ``sample`` — the
             keywords of :meth:`~repro.engine.batch.CellSpec.of`).
-        cell_timeout / max_cell_accesses / injector_active: The
-            per-cell guards the route planner weighs.
+        cell_timeout / max_cell_accesses: Kept for existing callers:
+            a timeout does not change the plan (every pass honors a
+            deadline), and the access budget is gone.
+        injector_active: Whether a fault injector wraps the traces.
 
     Returns:
         A :class:`GridPlan`: the groups the runner runs, singletons
@@ -110,19 +112,22 @@ def plan_grid(
         lands in ``fallback_indices``.
 
     Raises:
-        ConfigurationError: For a ``grid_engine`` other than ``"auto"``.
+        ConfigurationError: For a ``grid_engine`` other than ``"auto"``
+            or a ``max_cell_accesses`` other than None.
     """
     if grid_engine != "auto":
         raise ConfigurationError(
             f"unknown grid engine {grid_engine!r}: a coverable grid always "
             "runs on stack-distance passes; pass engine= to run per cell"
         )
+    if max_cell_accesses is not None:
+        raise ConfigurationError(
+            "max_cell_accesses was removed: bound a cell with "
+            "cell_timeout, the deadline every engine and pass checks"
+        )
     if spec is None:
         spec = CellSpec.of(None, **axes)
-    route = plan(
-        spec, grid=True, cell_timeout=cell_timeout,
-        max_cell_accesses=max_cell_accesses, injector_active=injector_active,
-    )
+    route = plan(spec, grid=True, injector_active=injector_active)
     if route.path != "stackdist":
         blockers = (
             ("sampled simulation (cells are already cheap)",)

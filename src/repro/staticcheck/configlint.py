@@ -57,7 +57,7 @@ rule                              severity  meaning
                                             groups (:mod:`repro.stackdist`)
 ``sweep-stackdist-fallback``      info      which axis (replacement policy,
                                             fetch policy, miss-path chain,
-                                            engine, guard) forces cells onto
+                                            engine, injector) forces cells onto
                                             the per-cell fallback path, with
                                             the affected cell count
 ``sample-interval-invalid``       error     a ``--sample`` spec that does not
@@ -479,8 +479,6 @@ def lint_miss_path(
 def lint_stackdist_coverage(
     geometries: Sequence[Any],
     spec: Optional[CellSpec] = None,
-    cell_timeout: Optional[float] = None,
-    max_cell_accesses: Optional[int] = None,
     injector_active: bool = False,
     source: str = "sweep",
 ) -> List[Diagnostic]:
@@ -490,20 +488,18 @@ def lint_stackdist_coverage(
     ``sweep-stackdist-coverage`` carries how many cells of the grid the
     :mod:`repro.stackdist` engine answers and in how many pass groups,
     ``sweep-stackdist-fallback`` names the reasons (replacement policy,
-    fetch policy, miss-path chain, engine, per-cell guard) that force
+    fetch policy, miss-path chain, engine, fault injector) that force
     the grid onto the per-cell path, with its cell count.
 
     A rendering of :func:`repro.stackdist.planner.plan_grid`, the plan
     the runner executes, for the sweep template ``spec`` (default
-    axes when omitted) under the same guards.
+    axes when omitted) with the same injector.
     """
     from repro.stackdist.planner import plan_grid
 
     plan = plan_grid(
         geometries,
         spec=spec if spec is not None else CellSpec(None),
-        cell_timeout=cell_timeout,
-        max_cell_accesses=max_cell_accesses,
         injector_active=injector_active,
     )
     total = len(geometries)

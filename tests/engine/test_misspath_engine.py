@@ -28,7 +28,7 @@ from repro.engine import (
     plan,
 )
 from repro.errors import ConfigurationError
-from repro.runner.runner import _GuardedTrace
+from repro.runner.faults import FaultyTrace
 
 CHAIN = MissPathConfig(victim_entries=4, stream_buffers=2, l2_net_size=1024)
 EMPTY = MissPathConfig()
@@ -74,8 +74,8 @@ class TestResolveEngineDegradation:
         assert path_for("vectorized", tiny_trace, CHAIN) == "vectorized"
 
     def test_chained_proxy_still_degrades_to_reference(self, tiny_trace):
-        guarded = _GuardedTrace(tiny_trace, "key", max_accesses=5)
-        assert path_for("auto", guarded, CHAIN) == "reference"
+        proxy = FaultyTrace(tiny_trace)
+        assert path_for("auto", proxy, CHAIN) == "reference"
 
     def test_empty_chain_keeps_vectorized(self, tiny_trace):
         for miss_path in (None, EMPTY, {}):

@@ -13,11 +13,12 @@ from repro.core.misspath import MissPathConfig
 from repro.engine import CellSpec, TraceView, plan
 from repro.engine.route import PATHS, Route
 from repro.errors import ConfigurationError
-from repro.runner.runner import _GuardedTrace
+from repro.runner.faults import FaultyTrace
 from repro.trace.record import Trace
 
 CHAIN = {"victim_entries": 4}
 SAMPLE = "100,2"
+WRITES = Trace([0, 8, 16], [0, 1, 0], 2, name="writes")
 
 #: (CellSpec.of kwargs, plan kwargs, expected path, reasons that must appear)
 TABLE = [
@@ -37,10 +38,12 @@ TABLE = [
     ({"engine": "reference"}, {"grid": True}, "reference",
      ("explicit per-cell engine 'reference'",)),
     ({"miss_path": {}}, {"grid": True}, "stackdist", ()),
-    ({}, {"grid": True, "cell_timeout": 1.0}, "vectorized",
-     ("cell_timeout (per-cell deadline needs per-cell runs)",)),
-    ({}, {"grid": True, "max_cell_accesses": 10}, "vectorized",
-     ("max_cell_accesses (per-cell budget needs per-cell runs)",)),
+    ({}, {"grid": True, "trace": WRITES}, "vectorized",
+     ("trace carries writes (write misses break inclusion)",)),
+    ({"replacement": "fifo", "fetch": "load-forward"}, {"grid": True},
+     "vectorized",
+     ("replacement policy 'fifo' (inclusion needs LRU)",
+      "fetch policy 'load-forward' (only demand fetch)")),
     ({}, {"grid": True, "injector_active": True}, "vectorized",
      ("fault injector (per-access proxies are per cell)",)),
     ({"sample": SAMPLE}, {"grid": True}, "sampled", ()),
@@ -87,8 +90,7 @@ def test_trace_with_writes_is_not_a_pass(tiny_trace):
 
 
 def test_proxies_take_the_reference_loop(tiny_trace):
-    guarded = _GuardedTrace(tiny_trace, "key", max_accesses=5)
-    assert plan(CellSpec(None), guarded).path == "reference"
+    assert plan(CellSpec(None), FaultyTrace(tiny_trace)).path == "reference"
     assert plan(CellSpec(None), TraceView.of(tiny_trace)).path == "vectorized"
 
 

@@ -16,7 +16,8 @@ from repro.engine import (
 )
 import repro.engine.batch as batch_module
 from repro.errors import ConfigurationError, EngineError
-from repro.runner.runner import RunnerConfig, _GuardedTrace, run_sweep
+from repro.runner.faults import FaultyTrace
+from repro.runner.runner import RunnerConfig, run_sweep
 
 
 def test_engine_names_are_the_cli_choices():
@@ -46,12 +47,12 @@ def test_resolve_auto_prefers_vectorized_for_plain_traces(tiny_trace):
 
 
 def test_resolve_degrades_proxies_to_reference(tiny_trace):
-    guarded = _GuardedTrace(tiny_trace, "key", max_accesses=5)
+    proxy = FaultyTrace(tiny_trace)
     # Proxies are iteration-only: even an explicit vectorized request
     # runs the reference loop (the documented known-unsupported combo).
-    assert path_for("auto", guarded) == "reference"
-    assert path_for("vectorized", guarded) == "reference"
-    assert "per-access trace proxy" in plan(CellSpec(None), guarded).reasons
+    assert path_for("auto", proxy) == "reference"
+    assert path_for("vectorized", proxy) == "reference"
+    assert "per-access trace proxy" in plan(CellSpec(None), proxy).reasons
 
 
 def test_resolve_respects_explicit_reference(tiny_trace):
@@ -65,9 +66,8 @@ def test_resolve_rejects_unknown_name(tiny_trace):
 
 
 def test_vectorized_rejects_non_trace_input(small_geometry, tiny_trace):
-    guarded = _GuardedTrace(tiny_trace, "key")
     with pytest.raises(EngineError):
-        VectorizedEngine().run(small_geometry, guarded)
+        VectorizedEngine().run(small_geometry, FaultyTrace(tiny_trace))
 
 
 def test_vectorized_validates_like_the_reference_cache(

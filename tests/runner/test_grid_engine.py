@@ -2,9 +2,10 @@
 
 Every coverable grid runs on passes under the default engine; an
 explicit ``engine=`` runs per cell and is part of the sweep
-fingerprint.  A per-cell guard (``cell_timeout``) forces the per-cell
-path without changing the fingerprint, which is how these tests put
-both paths behind one checkpoint.
+fingerprint.  A fault injector (one that injects nothing) forces the
+per-cell path without changing the fingerprint, which is how these
+tests put both paths behind one checkpoint.  A cell timeout forces
+nothing: passes honor it.
 """
 
 import json
@@ -14,15 +15,16 @@ import pytest
 from repro.core.config import CacheGeometry
 from repro.engine.batch import CellSpec, prepare_trace, run_cell
 from repro.runner.chaos import points_digest
+from repro.runner.faults import FaultInjector
 from repro.runner.runner import RunnerConfig, run_sweep
 from repro.stackdist import plan_grid, run_group_pass
 from repro.trace.record import Trace
 
-#: The runner config of each path: the default, and a per-cell guard
-#: that keeps the sweep (and its fingerprint) but rules out passes.
-#: The guard's per-access proxy runs on the reference loop.
-PATH_CONFIGS = {"stackdist": {}, "percell": {"cell_timeout": 60.0}}
-PATH_ENGINES = {"stackdist": "stackdist", "percell": "reference"}
+#: The runner config of each path: the default, and an idle fault
+#: injector that keeps the sweep (and its fingerprint) but rules out
+#: passes.  It wraps no trace, so its cells run vectorized.
+PATH_CONFIGS = {"stackdist": {}, "percell": {"injector": FaultInjector()}}
+PATH_ENGINES = {"stackdist": "stackdist", "percell": "vectorized"}
 
 
 def read_trace(n=300, name="reads", stride=12):
@@ -91,6 +93,19 @@ def test_singleton_grid_runs_one_member_passes(traces):
                 prepared, CellSpec.of(grid[index], engine="vectorized")
             )
             assert stats.to_dict() == expected.to_dict()
+
+
+def test_cell_timeout_sweep_answers_from_passes(traces, grid, tmp_path):
+    ck = tmp_path / "timed.jsonl"
+    baseline, _ = run_sweep(traces, grid)
+    points, report = run_sweep(
+        traces, grid, config=RunnerConfig(checkpoint=ck, cell_timeout=60.0)
+    )
+    assert points_digest(points) == points_digest(baseline)
+    assert report.pass_groups == 2
+    records = [json.loads(line) for line in ck.read_text().splitlines()[1:]]
+    assert len(records) == 8
+    assert all(record["engine"] == "stackdist" for record in records)
 
 
 def test_write_traces_fall_back_transparently(grid):

@@ -194,21 +194,6 @@ class TestGracefulDegradation:
 
 
 class TestBudgets:
-    def test_access_budget_trips_cell_timeout(self, traces, geometries):
-        with pytest.raises(CellTimeoutError, match="access budget"):
-            run_sweep(
-                traces, [geometries[0]], word_size=2, warmup=0,
-                config=RunnerConfig(max_cell_accesses=50),
-            )
-
-    def test_access_budget_skips_in_lenient_mode(self, traces, geometries):
-        points, report = run_sweep(
-            traces, [geometries[0]], word_size=2, warmup=0,
-            config=RunnerConfig(max_cell_accesses=50, lenient=True),
-        )
-        assert len(report.skipped) == 2
-        assert all("CellTimeoutError" in o.reason for o in report.skipped)
-
     def test_wall_clock_timeout_skips_a_stalled_cell(self, traces, geometries):
         stalled = cell_key(geometries[0], "hot")
         points, report = run_sweep(
@@ -222,13 +207,23 @@ class TestBudgets:
             ),
         )
         assert [o.key for o in report.skipped] == [stalled]
+        assert report.skipped[0].reason == (
+            f"CellTimeoutError: cell {stalled}: wall-clock timeout"
+        )
         assert points[0].skipped_traces == ("hot",)
+
+    def test_expired_budget_fails_a_strict_sweep(self, traces, geometries):
+        with pytest.raises(CellTimeoutError, match="wall-clock timeout"):
+            run_sweep(
+                traces, [geometries[0]], word_size=2, warmup=0,
+                config=RunnerConfig(cell_timeout=0.0, engine="vectorized"),
+            )
 
     def test_generous_budgets_change_nothing(self, traces, geometries):
         baseline, _ = run_sweep(traces, geometries, word_size=2, warmup=0)
         points, _ = run_sweep(
             traces, geometries, word_size=2, warmup=0,
-            config=RunnerConfig(cell_timeout=60.0, max_cell_accesses=10_000),
+            config=RunnerConfig(cell_timeout=60.0),
         )
         assert points_digest(points) == points_digest(baseline)
 

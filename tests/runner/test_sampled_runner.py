@@ -18,7 +18,7 @@ from repro.core.config import CacheGeometry
 from repro.errors import ConfigurationError
 from repro.runner.chaos import points_digest
 from repro.runner.checkpoint import CHECKPOINT_VERSION
-from repro.runner.runner import RunnerConfig, run_sweep
+from repro.runner.runner import RunnerConfig, cell_key, run_sweep
 from repro.trace.record import Trace
 
 
@@ -74,6 +74,20 @@ class TestSampledCells:
             assert marker["exact"] is False
             assert marker["sample"]["interval"] == 100
             assert marker["sample"]["k"] == 2
+
+    def test_timed_out_cell_is_skipped_as_a_cell_timeout(
+        self, traces, geometries
+    ):
+        # A zero budget expires before the first interval runs.
+        _, report = run_sampled_sweep(
+            traces, geometries[:1], cell_timeout=0.0, lenient=True
+        )
+        keys = [cell_key(geometries[0], trace.name) for trace in traces]
+        assert [o.key for o in report.skipped] == keys
+        for outcome in report.skipped:
+            assert outcome.reason == (
+                f"CellTimeoutError: cell {outcome.key}: wall-clock timeout"
+            )
 
     def test_sampled_sweep_is_deterministic(self, traces, geometries):
         one, _ = run_sampled_sweep(traces, geometries)

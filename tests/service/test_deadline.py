@@ -17,8 +17,11 @@ from typing import Any, Dict, Optional, Tuple
 
 import pytest
 
-from repro.engine.batch import predecode, prepare_trace, run_cell
+from repro.core.config import CacheGeometry
+from repro.engine.batch import CellSpec, predecode, prepare_trace, run_cell
 from repro.errors import DeadlineExceededError
+from repro.stackdist.engine import MemberSpec, run_group_pass
+from repro.trace.record import Trace
 from repro.service.app import ServiceApp, _retry_after_header
 from repro.service.query import SimQuery
 from repro.service.simulator import ServiceConfig
@@ -97,6 +100,29 @@ class TestEngineCancellation:
         with pytest.raises(DeadlineExceededError) as excinfo:
             run_cell(prepared, spec, deadline=time.monotonic() - 1.0)
         assert excinfo.value.stage == "simulate"
+
+    @pytest.mark.parametrize("engine", ["reference", "checked", "vectorized"])
+    def test_an_expired_deadline_cancels_a_short_trace(self, engine):
+        # Shorter than one clock-check period of the per-access engines.
+        short = Trace([(i * 12) % 2048 for i in range(500)], [0] * 500, 2)
+        spec = CellSpec.of(CacheGeometry(256, 16, 8), engine=engine)
+        with pytest.raises(DeadlineExceededError):
+            run_cell(short, spec, deadline=time.monotonic() - 1.0)
+
+    def test_an_expired_deadline_cancels_a_pass(self):
+        reads = Trace([(i * 12) % 2048 for i in range(500)], [0] * 500, 2)
+        members = [MemberSpec(ways=ways, sub_block_size=8) for ways in (1, 2)]
+        with pytest.raises(DeadlineExceededError):
+            run_group_pass(
+                reads, 16, 16, members, deadline=time.monotonic() - 1.0
+            )
+        unbounded = run_group_pass(reads, 16, 16, members)
+        bounded = run_group_pass(
+            reads, 16, 16, members, deadline=time.monotonic() + 600.0
+        )
+        assert [s.to_dict() for s in bounded] == [
+            s.to_dict() for s in unbounded
+        ]
 
     @pytest.mark.parametrize("engine", ["reference", "vectorized"])
     def test_a_slack_deadline_changes_nothing(self, engine):

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import time
 
 from repro.core.config import CacheGeometry
 from repro.engine.batch import CellSpec
@@ -28,13 +29,13 @@ def grid_queries(**overrides):
     ]
 
 
-def simulate_batch(queries, config):
+def simulate_batch(queries, config, deadline=None):
     async def main():
         service = SimulationService(config)
         await service.start()
         try:
             results = await asyncio.gather(
-                *(service.simulate(query) for query in queries)
+                *(service.simulate(query, deadline) for query in queries)
             )
             return results, service
         finally:
@@ -79,6 +80,18 @@ def test_lone_query_runs_per_cell_and_a_pair_shares_one_pass():
     # Same answer and same cache identity on either path.
     assert results[0].entry.stats == single.entry.stats
     assert results[0].entry.fingerprint == single.entry.fingerprint
+
+
+def test_queries_with_deadlines_still_share_one_pass():
+    pair = grid_queries()[:2]
+    results, service = simulate_batch(
+        pair, ServiceConfig(batch_window=0.05),
+        deadline=time.monotonic() + 600.0,
+    )
+    assert [r.entry.engine for r in results] == ["stackdist"] * 2
+    assert service.metrics.stage_seconds.count(
+        labels={"stage": "simulate"}
+    ) == 1
 
 
 def test_noncoverable_queries_stay_percell():

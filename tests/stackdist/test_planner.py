@@ -83,8 +83,9 @@ def test_unknown_grid_engine_rejected():
         (dict(fetch=LoadForwardFetch()), "fetch"),
         (dict(miss_path=MissPathConfig(victim_entries=2)), "miss-path"),
         (dict(engine="checked"), "checked"),
-        (dict(cell_timeout=1.0), "cell_timeout"),
-        (dict(max_cell_accesses=10), "max_cell_accesses"),
+        (dict(engine="reference"), "reference"),
+        (dict(sample="100,2", miss_path=MissPathConfig(victim_entries=2)),
+         "miss-path"),
         (dict(injector_active=True), "injector"),
     ],
 )
@@ -93,6 +94,17 @@ def test_sweep_blockers_force_fallback(kwargs, needle):
     assert plan.groups == ()
     assert plan.fallback_indices == (0, 1, 2, 3)
     assert any(needle in blocker for blocker in plan.blockers)
+
+
+def test_cell_timeout_does_not_change_the_plan():
+    grid = _constant_sets_grid()
+    assert plan_grid(grid, cell_timeout=1.0) == plan_grid(grid)
+    assert plan_grid(grid, cell_timeout=1.0).covered == 4
+
+
+def test_max_cell_accesses_is_refused():
+    with pytest.raises(ConfigurationError, match="max_cell_accesses was removed"):
+        plan_grid(_constant_sets_grid(), max_cell_accesses=10)
 
 
 def test_disabled_miss_path_does_not_block():

@@ -120,32 +120,29 @@ SHARED_SETS = [
 
 class TestCoverageMatchesTheRun:
     """The coverage lint (``repro lint --sweep-coverage``) reports, for
-    the same axes and guards, exactly the cells a run answers from
-    passes; the preflight itself stays quiet about coverage."""
+    the same axes, exactly the cells a run answers from passes; a cell
+    timeout blocks no pass.  The preflight itself stays quiet about
+    coverage."""
 
     @pytest.mark.parametrize(
-        "blocker",
+        "knobs, blocked",
         [
-            {},
-            {"engine": "checked"},
-            {"cell_timeout": 30},
-            {"max_cell_accesses": 10**9},
+            ({}, False),
+            ({"engine": "checked"}, True),
+            ({"cell_timeout": 30}, False),
         ],
-        ids=["none", "checked", "cell_timeout", "max_cell_accesses"],
+        ids=["none", "checked", "cell_timeout"],
     )
-    def test_covered_equals_stackdist_cells(self, trace, blocker):
-        config = RunnerConfig(**blocker)
+    def test_covered_equals_stackdist_cells(self, trace, knobs, blocked):
+        config = RunnerConfig(**knobs)
         _, report = run_sweep([trace], SHARED_SETS, config=config)
         coverage, *fallbacks = lint_stackdist_coverage(
-            SHARED_SETS,
-            spec=CellSpec.of(None, engine=config.engine),
-            cell_timeout=config.cell_timeout,
-            max_cell_accesses=config.max_cell_accesses,
+            SHARED_SETS, spec=CellSpec.of(None, engine=config.engine)
         )
         assert coverage.rule == "sweep-stackdist-coverage"
-        assert [f.data["cells"] for f in fallbacks] == ([3] if blocker else [])
+        assert [f.data["cells"] for f in fallbacks] == ([3] if blocked else [])
         assert report.preflight == []
         ran = sum(1 for o in report.outcomes if o.engine == "stackdist")
         assert coverage.data["covered"] == ran
-        assert ran == (3 if not blocker else 0)
-        assert report.pass_groups == (1 if not blocker else 0)
+        assert ran == (0 if blocked else 3)
+        assert report.pass_groups == (0 if blocked else 1)

@@ -172,8 +172,10 @@ class TestResilienceFlags:
 
 
 class TestChaosCommand:
-    def test_quick_chaos_run_passes(self, capsys):
-        assert main(["chaos", "--quick"]) == 0
+    def test_quick_chaos_run_passes(self, capsys, tmp_path):
+        assert main(
+            ["chaos", "--quick", "--checkpoint-dir", str(tmp_path)]
+        ) == 0
         out = capsys.readouterr().out
         assert "PASS" in out
         assert "FAIL" not in out
