@@ -1,24 +1,18 @@
-"""CI sanitize smoke: abstract-analysis runtime and sanitizer overhead.
+"""CI sanitize smoke: the checked engine's overhead over the reference loop.
 
 A small, dependency-free timing check (no pytest-benchmark) for the CI
 sanitize-smoke step::
 
     PYTHONPATH=src python benchmarks/bench_abscache.py [--length N] [--max-overhead X]
 
-Two measurements, one artifact (``BENCH_abscache.json``):
-
-* **Analysis runtime** — :func:`repro.staticcheck.classify_program` over
-  every bundled toy-ISA program on the paper's headline geometry, with
-  the per-program site classification counts recorded alongside the
-  wall time.  The analysis is the cheap half of the differential
-  soundness story, and this keeps it honest: a fixpoint regression that
-  blows the worklist up shows here long before a test times out.
-* **CheckedEngine overhead** — the PDP-11 ED trace through
-  ``reference`` and ``checked`` engines; the checked engine asserts the
-  full cache-invariant suite after every access, so it is expected to
-  be much slower.  The gate only fails when the overhead exceeds
-  ``--max-overhead`` (default 400x), i.e. when the sanitizer stops
-  being usable even for smoke runs.
+Runs the PDP-11 ED trace through the ``reference`` and ``checked``
+engines and writes ``BENCH_abscache.json``.  The checked engine
+asserts the full cache-invariant suite after every access, so it is
+expected to be much slower; the gate only fails when the two disagree
+on the miss ratio or the overhead exceeds ``--max-overhead`` (default
+400x), i.e. when the sanitizer stops being usable even for smoke runs.
+The abstract cache analysis is timed, under its own gate, by
+``benchmarks/bench_abschain.py``.
 """
 
 from __future__ import annotations
@@ -31,33 +25,10 @@ from pathlib import Path
 
 from repro.core.config import CacheGeometry
 from repro.engine import TraceView, make_engine
-from repro.staticcheck import classify_program
 from repro.trace.filters import reads_only
-from repro.workloads import assemble_program
-from repro.workloads.programs import PROGRAMS
 from repro.workloads.suites import suite_trace
 
 GEOMETRY = CacheGeometry(1024, 16, 8)
-
-
-def _time_analysis():
-    results = {}
-    for name in sorted(PROGRAMS):
-        program = assemble_program(name, 2)
-        start = time.perf_counter()
-        report = classify_program(program, GEOMETRY, name=name)
-        seconds = time.perf_counter() - start
-        results[name] = {
-            "seconds": seconds,
-            "sites": len(report.sites),
-            "counts": report.counts,
-            "unclassified_fraction": report.unclassified_fraction,
-        }
-        print(
-            f"{name:>12s}: {seconds * 1e3:7.2f} ms, {len(report.sites):4d} sites, "
-            f"{report.unclassified_fraction:.2f} unclassified"
-        )
-    return results
 
 
 def _time_engines(length, repeats):
@@ -93,9 +64,7 @@ def main(argv=None) -> int:
     parser.add_argument("--max-overhead", type=float, default=400.0)
     args = parser.parse_args(argv)
 
-    print("abstract-interpretation analysis (1024:16,8):")
-    analysis = _time_analysis()
-    print("engine overhead (pdp11/ED, reads only):")
+    print("engine overhead (pdp11/ED, reads only, 1024:16,8):")
     engines = _time_engines(args.length, args.repeats)
 
     if engines["reference"]["miss_ratio"] != engines["checked"]["miss_ratio"]:
@@ -111,7 +80,6 @@ def main(argv=None) -> int:
         json.dumps(
             {
                 "geometry": "1024:16,8@4",
-                "analysis": analysis,
                 "engines": engines,
                 "overhead_checked_vs_reference": overhead,
             },

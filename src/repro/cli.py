@@ -811,7 +811,7 @@ def _cmd_classify(args) -> int:
     from repro.errors import ConfigurationError
     from repro.staticcheck import (
         classify_chain_program,
-        verify_chain_classification,
+        verify_classification,
     )
     from repro.workloads.generator import assemble_program
     from repro.workloads.programs import PROGRAMS
@@ -836,7 +836,7 @@ def _cmd_classify(args) -> int:
         print(f"repro: classify failed: {error}", file=sys.stderr)
         return 1
     verification = (
-        verify_chain_classification(program, report) if args.verify else None
+        verify_classification(program, report) if args.verify else None
     )
 
     if args.fmt == "json":

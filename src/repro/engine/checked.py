@@ -25,8 +25,9 @@ moment any is violated:
 
 Because both engines are bound by the equivalence contract, running a
 sweep under ``--engine checked`` changes nothing but speed: identical stats,
-with a tripwire under every access.  The measured overhead is tracked
-by ``benchmarks/bench_abscache.py``.
+with a tripwire under every access.  The measured overhead is gated
+by ``benchmarks/bench_abscache.py`` (``--max-overhead``, run by CI's
+sanitize-smoke job).
 """
 
 from __future__ import annotations

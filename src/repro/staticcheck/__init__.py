@@ -16,15 +16,15 @@ Three layers, all producing the same structured
   a malformed axis by rule id, so the runner rejects before
   checkpointing and the HTTP service answers 400 with diagnostics,
   the engine never invoked.
-* **Abstract cache analysis** (:mod:`repro.staticcheck.abscache`) —
-  must/may abstract interpretation classifying every reference site as
-  always-hit / always-miss / first-miss / unclassified for one concrete
-  geometry, differentially verified against the simulator.
-* **Hierarchical chain analysis** (:mod:`repro.staticcheck.abschain`) —
-  the same fixpoint lifted through the miss-path chain (victim cache,
-  miss cache, stream buffers, backing L2): per-site hierarchical
-  proofs (``chain-hit@<structure>``, ``memory-bound``), differentially
-  verified against a cold chained simulation.
+* **Abstract cache analysis** (:mod:`repro.staticcheck.abschain` over
+  the L1 domain in :mod:`repro.staticcheck.abscache`) — one must/may
+  abstract interpretation that gives every reference site two proofs
+  for one concrete geometry and miss-path chain: its L1 class
+  (always-hit / always-miss / first-miss / unclassified) and its
+  hierarchical class through the chain (victim cache, miss cache,
+  stream buffers, backing L2: ``chain-hit@<structure>``,
+  ``memory-bound``).  A bare chain gives the single-level proofs.  One
+  verifier checks both against a cold chained simulation.
 
 ``python -m repro lint`` runs the program analyzer over every bundled
 workload program; ``python -m repro classify`` runs the abstract cache
@@ -32,22 +32,14 @@ analysis.  See ``docs/staticcheck.md`` for the rule catalogue.
 """
 
 from repro.errors import StaticCheckError
-from repro.staticcheck.abscache import (
-    ClassificationReport,
-    SiteClass,
-    SiteResult,
-    VerificationResult,
-    classify_program,
-    predict_knee,
-    verify_classification,
-)
+from repro.staticcheck.abscache import SiteClass
 from repro.staticcheck.abschain import (
     ChainClassificationReport,
     ChainSiteClass,
     ChainSiteResult,
     ChainVerificationResult,
     classify_chain_program,
-    verify_chain_classification,
+    verify_classification,
 )
 from repro.staticcheck.cfg import BasicBlock, ControlFlowGraph, Loop, build_cfg
 from repro.staticcheck.checks import PROGRAM_RULES, check_program
@@ -84,19 +76,13 @@ from repro.staticcheck.phases import (
 from repro.staticcheck.preflight import preflight_sweep
 
 __all__ = [
-    "ClassificationReport",
     "SiteClass",
-    "SiteResult",
-    "VerificationResult",
-    "classify_program",
-    "predict_knee",
-    "verify_classification",
     "ChainClassificationReport",
     "ChainSiteClass",
     "ChainSiteResult",
     "ChainVerificationResult",
     "classify_chain_program",
-    "verify_chain_classification",
+    "verify_classification",
     "BasicBlock",
     "ControlFlowGraph",
     "Loop",

@@ -1,13 +1,18 @@
-"""Must/may abstract-interpretation cache analysis over the CFG.
+"""Must/may abstract-interpretation L1 domain over the CFG.
 
-Classifies every instruction-fetch and data-reference *site* of an
-assembled toy-machine program, for one concrete cache geometry, as:
+The L1 half of :func:`repro.staticcheck.abschain.classify_chain_program`
+(``repro classify``): it classifies every instruction-fetch and
+data-reference *site* of an assembled toy-machine program, for one
+concrete L1 geometry, as:
 
 * ``always-hit`` — the reference hits on every execution;
 * ``always-miss`` — the reference misses on every execution;
 * ``first-miss`` — at most the first execution of the site misses
   (the block is *persistent*: never evicted between two executions);
 * ``unclassified`` — the analysis cannot prove any of the above.
+
+A chain report carries this proof per site as ``l1`` (printed as
+``l1_class``); with a bare chain these are the single-level proofs.
 
 The analysis is the classic must/may age-bound abstract interpretation
 (Ferdinand-style), extended with the sub-block valid-bit abstraction
@@ -38,44 +43,30 @@ guaranteed-missing sub-block (must) and may gain the full forward range
 (may), so sector geometries and both load-forward variants are sound.
 
 Replacement is modeled as LRU (the repository's and the paper's
-default); :func:`classify_program` refuses other policies rather than
-silently producing unsound bounds.  Soundness is pinned end to end by
-:func:`verify_classification`, which executes the program, replays its
-trace through the concrete :class:`~repro.core.cache.SubBlockCache`,
-attributes every access back to its site, and fails loudly if any
+default).  Soundness is pinned end to end by
+:func:`repro.staticcheck.abschain.verify_classification`, which replays
+the program's trace through the concrete cache and fails loudly if any
 ``always-hit`` misses, any ``always-miss`` hits, or any ``first-miss``
-misses twice.  See ``docs/staticcheck.md``.
+misses after its first occurrence.  See ``docs/staticcheck.md``.
 """
 
 from __future__ import annotations
 
 import enum
 from collections import deque
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.core.block import mask_of_range
-from repro.core.cache import SubBlockCache
 from repro.core.config import CacheGeometry
 from repro.core.fetch import FetchPolicy, LoadForwardFetch, make_fetch
-from repro.errors import ConfigurationError, StaticCheckError
+from repro.errors import StaticCheckError
 from repro.staticcheck.cfg import ControlFlowGraph, build_cfg
 from repro.staticcheck.checks import check_program
-from repro.staticcheck.diagnostics import Diagnostic, Severity, raise_on_errors
 from repro.trace.record import AccessType
 from repro.workloads.assembler import AssembledProgram
 from repro.workloads.isa import Instruction, Op
-from repro.workloads.machine import Machine
 
-__all__ = [
-    "SiteClass",
-    "SiteResult",
-    "ClassificationReport",
-    "VerificationResult",
-    "classify_program",
-    "verify_classification",
-    "predict_knee",
-]
+__all__ = ["SiteClass"]
 
 #: Safety valve for the fixpoint loop; the lattices are finite, so this
 #: should never fire on a real program.  Generous because the may state
@@ -105,161 +96,6 @@ class SiteClass(enum.Enum):
 
     def __str__(self) -> str:  # pragma: no cover - presentation sugar
         return self.value
-
-
-@dataclass(frozen=True)
-class SiteResult:
-    """Classification of one reference site.
-
-    Attributes:
-        site: Stable site key ``"<instruction index>:<role>"`` where the
-            role is ``ifetch`` (first instruction word), ``imm`` (the
-            immediate word of a two-word instruction), or ``data`` (the
-            memory reference of a load/store/stack instruction).
-        instr_addr: Byte address of the owning instruction.
-        kind: ``"ifetch"``, ``"read"``, or ``"write"``.
-        classification: The proven :class:`SiteClass`.
-        target: Referenced byte address when statically known, else
-            ``None`` (such sites are always ``unclassified``).
-        reason: Short human-readable justification.
-    """
-
-    site: str
-    instr_addr: int
-    kind: str
-    classification: SiteClass
-    target: Optional[int] = None
-    reason: str = ""
-
-    def to_dict(self) -> Dict[str, Any]:
-        payload: Dict[str, Any] = {
-            "site": self.site,
-            "instr_addr": self.instr_addr,
-            "kind": self.kind,
-            "class": self.classification.value,
-        }
-        if self.target is not None:
-            payload["target"] = self.target
-        if self.reason:
-            payload["reason"] = self.reason
-        return payload
-
-
-@dataclass(frozen=True)
-class ClassificationReport:
-    """Every site of one program classified for one geometry."""
-
-    name: str
-    word_size: int
-    stack_words: int
-    fetch: str
-    net_size: int
-    block_size: int
-    sub_block_size: int
-    associativity: int
-    sites: Tuple[SiteResult, ...] = ()
-
-    @property
-    def counts(self) -> Dict[str, int]:
-        """Site count per classification value."""
-        out = {cls.value: 0 for cls in SiteClass}
-        for site in self.sites:
-            out[site.classification.value] += 1
-        return out
-
-    @property
-    def unclassified_fraction(self) -> float:
-        """Fraction of sites the analysis could not classify."""
-        if not self.sites:
-            return 0.0
-        unclassified = sum(
-            1
-            for site in self.sites
-            if site.classification is SiteClass.UNCLASSIFIED
-        )
-        return unclassified / len(self.sites)
-
-    def geometry(self) -> CacheGeometry:
-        """The geometry the report was computed for."""
-        return CacheGeometry(
-            net_size=self.net_size,
-            block_size=self.block_size,
-            sub_block_size=self.sub_block_size,
-            associativity=self.associativity,
-        )
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-ready form (``repro classify --format json``)."""
-        return {
-            "schema_version": 1,
-            "name": self.name,
-            "word_size": self.word_size,
-            "stack_words": self.stack_words,
-            "fetch": self.fetch,
-            "geometry": {
-                "net_size": self.net_size,
-                "block_size": self.block_size,
-                "sub_block_size": self.sub_block_size,
-                "associativity": self.associativity,
-            },
-            "counts": self.counts,
-            "total_sites": len(self.sites),
-            "unclassified_fraction": self.unclassified_fraction,
-            "sites": [site.to_dict() for site in self.sites],
-        }
-
-    def to_diagnostics(self) -> List[Diagnostic]:
-        """One warning-severity finding per site (the PR 4 schema)."""
-        out: List[Diagnostic] = []
-        for site in self.sites:
-            data: Dict[str, Any] = {"site": site.site, "kind": site.kind}
-            if site.target is not None:
-                data["target"] = site.target
-            out.append(
-                Diagnostic(
-                    rule=f"abscache-{site.classification.value}",
-                    severity=Severity.WARNING,
-                    message=(
-                        f"{site.kind} reference is {site.classification.value}"
-                        + (f": {site.reason}" if site.reason else "")
-                    ),
-                    source=self.name,
-                    location=f"addr {site.instr_addr:#x}",
-                    data=data,
-                )
-            )
-        return out
-
-
-@dataclass(frozen=True)
-class VerificationResult:
-    """Outcome of differentially checking a report against execution.
-
-    Attributes:
-        ok: True when no proven classification was contradicted.
-        accesses: Trace accesses replayed (every one attributed; none
-            silently excluded).
-        checked: Accesses that landed on an ``always-hit`` /
-            ``always-miss`` / ``first-miss`` site (the ones with a
-            proof to check).
-        unclassified_accesses: Accesses on ``unclassified`` sites.
-        violations: ``(site, occurrence, expected, observed)`` tuples.
-    """
-
-    ok: bool
-    accesses: int
-    checked: int
-    unclassified_accesses: int
-    violations: Tuple[Tuple[str, int, str, str], ...] = ()
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "ok": self.ok,
-            "accesses": self.accesses,
-            "checked": self.checked,
-            "unclassified_accesses": self.unclassified_accesses,
-            "violations": [list(violation) for violation in self.violations],
-        }
 
 
 # -- Abstract state --------------------------------------------------------
@@ -945,7 +781,7 @@ def _analyze(analyzer: _Analyzer) -> Tuple[
     return in_states, record
 
 
-# -- Public API ------------------------------------------------------------
+# -- Helpers shared with abschain -----------------------------------------
 
 
 def _site_sort_key(site: str) -> Tuple[int, int]:
@@ -955,256 +791,3 @@ def _site_sort_key(site: str) -> Tuple[int, int]:
 
 def _resolve_fetch(fetch: Union[str, FetchPolicy]) -> FetchPolicy:
     return make_fetch(fetch) if isinstance(fetch, str) else fetch
-
-
-def classify_program(
-    program: AssembledProgram,
-    geometry: CacheGeometry,
-    *,
-    fetch: Union[str, FetchPolicy] = "demand",
-    stack_words: int = 4096,
-    name: str = "",
-    check: bool = True,
-) -> ClassificationReport:
-    """Classify every reference site of ``program`` for ``geometry``.
-
-    Models the repository's default configuration: LRU replacement,
-    write-through-no-allocate writes, word-sized accesses, and the
-    machine's standard memory layout (``stack_words`` must match the
-    :class:`~repro.workloads.machine.Machine` the program will run on).
-
-    Args:
-        program: The assembled program (its word size is used).
-        geometry: Concrete cache shape to analyze against.
-        fetch: Fetch policy name or instance (``demand``,
-            ``load-forward``, ``load-forward-optimized``).
-        stack_words: Stack capacity, as passed to the machine.
-        name: Program name for the report and diagnostics.
-        check: Refuse programs with error-severity static findings
-            (the analysis assumes a program the machine can execute).
-
-    Raises:
-        StaticCheckError: When ``check`` and the program has errors.
-        ConfigurationError: When the word size exceeds the sub-block
-            size (no such cache can be built).
-    """
-    word = program.word_size
-    if word > geometry.sub_block_size:
-        raise ConfigurationError(
-            f"word_size ({word}) exceeds sub_block_size "
-            f"({geometry.sub_block_size}); no cache accepts this geometry"
-        )
-    if check:
-        raise_on_errors(
-            [d for d in check_program(program, name=name) if d.is_error],
-            context=f"classify {name or 'program'}",
-        )
-    policy = _resolve_fetch(fetch)
-    analyzer = _Analyzer(program, geometry, policy, stack_words)
-    in_states, record = _analyze(analyzer)
-
-    reachable_sites = set(record)
-    sites: List[SiteResult] = []
-    for index, inst in enumerate(program.instructions):
-        expected = [f"{index}:ifetch"]
-        if inst.words == 2:
-            expected.append(f"{index}:imm")
-        if inst.op in (
-            Op.LD, Op.LDB, Op.ST, Op.STB, Op.PUSH, Op.POP, Op.CALL, Op.RET
-        ):
-            expected.append(f"{index}:data")
-        for site in expected:
-            if site in reachable_sites:
-                cls, reason, target, kind_label = record[site][:4]
-                sites.append(
-                    SiteResult(
-                        site=site,
-                        instr_addr=inst.addr,
-                        kind=kind_label,
-                        classification=cls,
-                        target=target,
-                        reason=reason,
-                    )
-                )
-            else:
-                role = site.split(":", 1)[1]
-                kind_label = (
-                    "ifetch"
-                    if role in ("ifetch", "imm")
-                    else (
-                        "read"
-                        if inst.op in (Op.LD, Op.LDB, Op.POP, Op.RET)
-                        else "write"
-                    )
-                )
-                sites.append(
-                    SiteResult(
-                        site=site,
-                        instr_addr=inst.addr,
-                        kind=kind_label,
-                        classification=SiteClass.UNCLASSIFIED,
-                        target=None,
-                        reason="unreachable from the entry point",
-                    )
-                )
-    sites.sort(key=lambda result: _site_sort_key(result.site))
-    return ClassificationReport(
-        name=name,
-        word_size=word,
-        stack_words=stack_words,
-        fetch=policy.name,
-        net_size=geometry.net_size,
-        block_size=geometry.block_size,
-        sub_block_size=geometry.sub_block_size,
-        associativity=geometry.associativity,
-        sites=tuple(sites),
-    )
-
-
-def verify_classification(
-    program: AssembledProgram,
-    report: ClassificationReport,
-    *,
-    max_steps: int = 5_000_000,
-    max_refs: Optional[int] = 200_000,
-) -> VerificationResult:
-    """Differentially check a report against a concrete execution.
-
-    Runs the program on the :class:`~repro.workloads.machine.Machine`,
-    replays its trace cold through a concrete
-    :class:`~repro.core.cache.SubBlockCache` of the report's geometry
-    and fetch policy, attributes every access back to its site, and
-    records a violation whenever an ``always-hit`` access misses, an
-    ``always-miss`` access hits, or a ``first-miss`` site misses after
-    its first occurrence.  Every access is attributed — truncated runs
-    simply check a prefix, never skip accesses.
-    """
-    machine = Machine(program, stack_words=report.stack_words)
-    trace = machine.run(max_steps=max_steps, max_refs=max_refs).trace
-    cache = SubBlockCache(
-        report.geometry(),
-        fetch=make_fetch(report.fetch),
-        word_size=report.word_size,
-    )
-    class_of = {
-        site.site: site.classification for site in report.sites
-    }
-    addr_to_index = program.addr_to_index
-    occurrences: Dict[str, int] = {}
-    violations: List[Tuple[str, int, str, str]] = []
-    checked = unclassified = 0
-    current = -1
-    for access in trace:
-        if access.kind is AccessType.IFETCH:
-            index = addr_to_index.get(int(access.addr))
-            if index is not None:
-                current = index
-                site = f"{index}:ifetch"
-            else:
-                site = f"{current}:imm"
-        else:
-            site = f"{current}:data"
-        hit = cache.access(int(access.addr), access.kind, int(access.size))
-        occurrence = occurrences.get(site, 0)
-        occurrences[site] = occurrence + 1
-        cls = class_of.get(site)
-        observed = "hit" if hit else "miss"
-        if cls is None:
-            violations.append(
-                (site, occurrence, "a classified site", observed)
-            )
-            continue
-        if cls is SiteClass.UNCLASSIFIED:
-            unclassified += 1
-            continue
-        checked += 1
-        if cls is SiteClass.ALWAYS_HIT and not hit:
-            violations.append((site, occurrence, "hit", "miss"))
-        elif cls is SiteClass.ALWAYS_MISS and hit:
-            violations.append((site, occurrence, "miss", "hit"))
-        elif cls is SiteClass.FIRST_MISS and occurrence > 0 and not hit:
-            violations.append(
-                (site, occurrence, "hit after first occurrence", "miss")
-            )
-    return VerificationResult(
-        ok=not violations,
-        accesses=len(trace),
-        checked=checked,
-        unclassified_accesses=unclassified,
-        violations=tuple(violations),
-    )
-
-
-def predict_knee(
-    program: AssembledProgram,
-    nets: Sequence[int],
-    *,
-    block_size: int,
-    sub_block_size: Optional[int] = None,
-    associativity: int = 4,
-    fetch: Union[str, FetchPolicy] = "demand",
-    stack_words: int = 4096,
-    name: str = "",
-) -> Optional[int]:
-    """Predict the miss-ratio knee from classification counts.
-
-    For each candidate net size, counts the loop-body sites proven
-    ``always-hit`` or ``first-miss`` — the references that stop missing
-    in steady state.  The predicted knee is the smallest net size whose
-    coverage reaches the maximum over all candidates with no loop-body
-    site proven ``always-miss``: beyond it, added capacity converts no
-    further steady-state references, which is where a miss-ratio curve
-    flattens.  Returns None for loop-free programs (no steady state,
-    no knee) or when every candidate geometry is invalid.
-    """
-    cfg = build_cfg(program)
-    loops = cfg.natural_loops()
-    if not loops:
-        return None
-    loop_instructions = set()
-    for loop in loops:
-        for block_index in loop.body:
-            block = cfg.blocks[block_index]
-            loop_instructions.update(range(block.start, block.end))
-
-    coverage: List[Tuple[int, int]] = []  # (net, AH+FM loop sites)
-    for net in sorted(set(nets)):
-        try:
-            geometry = CacheGeometry(
-                net_size=net,
-                block_size=block_size,
-                sub_block_size=sub_block_size or block_size,
-                associativity=associativity,
-            )
-        except ConfigurationError:
-            continue
-        report = classify_program(
-            program,
-            geometry,
-            fetch=fetch,
-            stack_words=stack_words,
-            name=name,
-        )
-        settled = 0
-        any_miss = False
-        for site in report.sites:
-            index = int(site.site.split(":", 1)[0])
-            if index not in loop_instructions:
-                continue
-            if site.classification is SiteClass.ALWAYS_MISS:
-                any_miss = True
-                break
-            if site.classification in (
-                SiteClass.ALWAYS_HIT,
-                SiteClass.FIRST_MISS,
-            ):
-                settled += 1
-        if not any_miss:
-            coverage.append((net, settled))
-    if not coverage:
-        return None
-    best = max(settled for _, settled in coverage)
-    for net, settled in coverage:
-        if settled == best:
-            return net
-    return None  # pragma: no cover - the maximum always occurs

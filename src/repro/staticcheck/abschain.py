@@ -1,9 +1,12 @@
 """Hierarchical must/may analysis through the miss-path chain.
 
-:mod:`repro.staticcheck.abscache` proves, per reference site, how the
-*L1* behaves.  This module lifts the same Ferdinand-style fixpoint
-through the PR 7 miss-path chain, so a site proven ``always-miss`` in
-L1 can still be proven to cost nothing on the memory bus:
+The one abstract cache analysis behind ``repro classify``.
+:mod:`repro.staticcheck.abscache` supplies the L1 domain that proves,
+per reference site, how the *L1* behaves (reported as ``l1_class``;
+with a bare chain these are the single-level proofs).  This module
+lifts the same Ferdinand-style fixpoint through the miss-path chain,
+so a site proven ``always-miss`` in L1 can still be proven to cost
+nothing on the memory bus:
 
 * :class:`~repro.core.misspath.VictimCache` — a fully-associative
   must/may age domain over evicted blocks, modeling the L1↔VC swap:
@@ -26,8 +29,10 @@ Soundness is pinned end to end by :func:`verify_classification`: the
 program runs on the machine, the trace replays cold through a concrete
 chained :class:`~repro.core.cache.SubBlockCache` (or the sanitizing
 :class:`~repro.engine.checked.CheckedCache` under ``REPRO_SANITIZE``),
-every access is attributed to its site, and each proof is checked
-against the observed servicing structure.  See ``docs/staticcheck.md``.
+every access is attributed to its site, and both of the site's proofs
+are checked: the L1 one against the observed hit or miss, the chain
+one against the observed servicing structure.  See
+``docs/staticcheck.md``.
 """
 
 from __future__ import annotations
@@ -61,7 +66,7 @@ from repro.staticcheck.abscache import (
     _site_sort_key,
 )
 from repro.staticcheck.checks import check_program
-from repro.staticcheck.diagnostics import Diagnostic, Severity, raise_on_errors
+from repro.staticcheck.diagnostics import raise_on_errors
 from repro.trace.record import AccessType
 from repro.workloads.assembler import AssembledProgram
 from repro.workloads.isa import Op
@@ -74,7 +79,6 @@ __all__ = [
     "ChainVerificationResult",
     "classify_chain_program",
     "verify_classification",
-    "verify_chain_classification",
 ]
 
 #: Interval count past which the stream-buffer may-side collapses to
@@ -97,11 +101,6 @@ class ChainSiteClass(enum.Enum):
     def __str__(self) -> str:  # pragma: no cover - presentation sugar
         return self.value
 
-    @property
-    def rule_id(self) -> str:
-        """Stable diagnostic rule id (no ``@`` — rule ids are slugs)."""
-        return "abschain-" + self.name.lower().replace("_", "-")
-
 
 #: Structure name -> the chain-hit class naming it.
 _CHAIN_HIT_OF = {
@@ -109,6 +108,12 @@ _CHAIN_HIT_OF = {
     "miss": ChainSiteClass.CHAIN_HIT_MISS,
     "stream": ChainSiteClass.CHAIN_HIT_STREAM,
     "l2": ChainSiteClass.CHAIN_HIT_L2,
+}
+
+#: Chain class of a proven L1 miss -> the level proven to service it.
+_SERVER_OF = {
+    ChainSiteClass.MEMORY_BOUND: "memory",
+    **{cls: name for name, cls in _CHAIN_HIT_OF.items()},
 }
 
 
@@ -120,7 +125,7 @@ class ChainSiteResult:
         site: Stable site key ``"<instruction index>:<role>"``.
         instr_addr: Byte address of the owning instruction.
         kind: ``"ifetch"``, ``"read"``, or ``"write"``.
-        l1: The single-level :class:`SiteClass` (the PR 5 proof).
+        l1: The L1 :class:`SiteClass` proof (``l1_class``).
         classification: The hierarchical :class:`ChainSiteClass`.
         target: Referenced byte address when statically known.
         reason: Short human-readable justification for the chain proof.
@@ -217,33 +222,6 @@ class ChainClassificationReport:
             "sites": [site.to_dict() for site in self.sites],
         }
 
-    def to_diagnostics(self) -> List[Diagnostic]:
-        """Per-site findings, in site order."""
-        out: List[Diagnostic] = []
-        for site in self.sites:
-            data: Dict[str, Any] = {
-                "site": site.site,
-                "kind": site.kind,
-                "l1_class": site.l1.value,
-            }
-            if site.target is not None:
-                data["target"] = site.target
-            out.append(
-                Diagnostic(
-                    rule=site.classification.rule_id,
-                    severity=Severity.WARNING,
-                    message=(
-                        f"{site.kind} reference is "
-                        f"{site.classification.value}"
-                        + (f": {site.reason}" if site.reason else "")
-                    ),
-                    source=self.name,
-                    location=f"addr {site.instr_addr:#x}",
-                    data=data,
-                )
-            )
-        return out
-
     def proof_rows(self) -> List[Dict[str, Any]]:
         """One row per chain structure for the CLI proof table."""
         rows: List[Dict[str, Any]] = []
@@ -269,8 +247,9 @@ class ChainVerificationResult:
     Attributes:
         ok: True when nothing was contradicted.
         accesses: Trace accesses replayed (all attributed).
-        checked: Accesses that landed on a site with a chain proof.
-        unclassified_accesses: Accesses on ``unclassified`` sites.
+        checked: Accesses that landed on a site with an L1 or a chain
+            proof.
+        unclassified_accesses: Accesses on sites with neither proof.
         violations: ``(site, occurrence, expected, observed)`` tuples.
         sanitized: True when the replay used the checked engine.
     """
@@ -1134,18 +1113,19 @@ def verify_classification(
     max_refs: Optional[int] = 200_000,
     sanitize: Optional[bool] = None,
 ) -> ChainVerificationResult:
-    """Differentially check chain proofs against a concrete replay.
+    """Differentially check a report's L1 and chain proofs by replay.
 
     Runs the program, replays its trace cold through a concrete
     chained cache, attributes every access to its site, and records a
-    violation whenever a proof is contradicted:
+    violation whenever either of the site's proofs is contradicted:
 
-    * an ``L1-hit`` access misses;
+    * an ``always-hit`` (``L1-hit``) access misses;
+    * an ``always-miss`` access hits;
+    * a ``first-miss`` access misses after its first occurrence;
     * a ``chain-hit@S`` access hits L1, presents no demand miss, or is
       serviced by anything other than ``S`` (checked against the
       chain's ``last_serviced``);
-    * a ``memory-bound`` access is serviced before memory;
-    * a ``first-miss`` access misses after its first occurrence.
+    * a ``memory-bound`` access is serviced before memory.
 
     When ``sanitize`` is true (default: the ``REPRO_SANITIZE``
     environment toggle), the replay uses the checked engine,
@@ -1175,7 +1155,9 @@ def verify_classification(
             return int(cache.stats.misspath.demand_misses)
         return int(cache.stats.block_misses + cache.stats.sub_block_misses)
 
-    class_of = {site.site: site.classification for site in report.sites}
+    proofs = {
+        site.site: (site.l1, site.classification) for site in report.sites
+    }
     addr_to_index = program.addr_to_index
     occurrences: Dict[str, int] = {}
     violations: List[Tuple[str, int, str, str]] = []
@@ -1191,44 +1173,55 @@ def verify_classification(
                 site = f"{current}:imm"
         else:
             site = f"{current}:data"
-        before = demand_count()
+        proof = proofs.get(site)
+        # chain-hit@<structure> or memory-bound: a proven L1 miss with
+        # a proven servicing level, checked by its demand-miss count.
+        expected_server = None if proof is None else _SERVER_OF.get(proof[1])
+        before = demand_count() if expected_server is not None else 0
         hit = cache.access(int(access.addr), access.kind, int(access.size))
-        delta = demand_count() - before
         occurrence = occurrences.get(site, 0)
         occurrences[site] = occurrence + 1
-        cls = class_of.get(site)
-        observed = "hit" if hit else "miss"
-        if cls is None:
+        if proof is None:
+            observed = "hit" if hit else "miss"
             violations.append(
                 (site, occurrence, "a classified site", observed)
             )
             continue
-        if cls is ChainSiteClass.UNCLASSIFIED:
+        l1_cls, cls = proof
+        if (
+            cls is ChainSiteClass.UNCLASSIFIED
+            and l1_cls is SiteClass.UNCLASSIFIED
+        ):
             unclassified += 1
             continue
         checked += 1
-        if cls is ChainSiteClass.L1_HIT:
+        # The L1 proof.  ``L1-hit`` and the chain's ``first-miss`` make
+        # the same claims as ``always-hit`` and ``first-miss``; a
+        # serviced chain class also claims an L1 miss.
+        if l1_cls is SiteClass.ALWAYS_HIT or cls is ChainSiteClass.L1_HIT:
             if not hit:
                 violations.append((site, occurrence, "hit", "miss"))
-        elif cls is ChainSiteClass.FIRST_MISS:
+        elif (
+            l1_cls is SiteClass.FIRST_MISS
+            or cls is ChainSiteClass.FIRST_MISS
+        ):
             if occurrence > 0 and not hit:
                 violations.append(
                     (site, occurrence, "hit after first occurrence", "miss")
                 )
-        else:
-            # chain-hit@<structure> or memory-bound: a proven L1 miss
-            # with a proven servicing level.
-            expected_server = (
-                "memory"
-                if cls is ChainSiteClass.MEMORY_BOUND
-                else cls.value.split("@", 1)[1]
+        elif hit:
+            # Left: an ``always-miss`` L1 proof or a serviced chain class.
+            expected = (
+                "miss"
+                if expected_server is None
+                else f"miss serviced by {expected_server}"
             )
-            if hit:
-                violations.append(
-                    (site, occurrence, f"miss serviced by "
-                     f"{expected_server}", "hit")
-                )
-            elif delta != 1:
+            violations.append((site, occurrence, expected, "hit"))
+        elif expected_server is not None:
+            # The chain proof: one demand miss, serviced by the proven
+            # level (checked against the chain's ``last_serviced``).
+            delta = demand_count() - before
+            if delta != 1:
                 violations.append(
                     (site, occurrence, "exactly one demand miss",
                      f"{delta} demand misses")
@@ -1250,7 +1243,3 @@ def verify_classification(
         sanitized=use_checked,
     )
 
-
-#: Unambiguous alias for callers that also import the single-level
-#: :func:`repro.staticcheck.abscache.verify_classification`.
-verify_chain_classification = verify_classification

@@ -21,7 +21,8 @@ against what simulation actually measures:
 :class:`~repro.analysis.sweep.SweepPoint` per net size) against the
 prediction: the observed knee — the smallest net size whose miss ratio
 is within tolerance of the curve's floor — should sit within a small
-factor of the predicted footprint.
+factor of the structural estimate (the hot loop's code plus the static
+data, or the whole footprint for a loop-free program).
 """
 
 from __future__ import annotations
@@ -210,7 +211,6 @@ def compare_with_sweep(
     points: Sequence,
     tolerance: float = 1.10,
     slack: float = 8.0,
-    classified_knee: Optional[int] = None,
 ) -> LocalityComparison:
     """Check a predicted footprint against a simulated miss-ratio curve.
 
@@ -220,20 +220,11 @@ def compare_with_sweep(
     program whose curve never flattens, a "huge footprint" program that
     is flat from the smallest cache), which is exactly the signal that
     a trace is not exercising the locality its program promises.
-
-    Args:
-        classified_knee: When given (the abstract-interpretation knee
-            from :func:`repro.staticcheck.abscache.predict_knee`), it
-            replaces the structural footprint estimate — the abstract
-            analysis accounts for mapping conflicts and replacement, so
-            its prediction is the tighter one.
     """
     # Steady state sits in the hot loop: its code plus (a subset of) the
     # data segment it streams over.  Loop-free programs touch everything
     # once, so the whole static footprint is the estimate.
-    if classified_knee is not None:
-        predicted = max(classified_knee, 1)
-    elif report.hot_loop_bytes:
+    if report.hot_loop_bytes:
         predicted = max(report.hot_loop_bytes + report.data_bytes, 1)
     else:
         predicted = max(report.total_bytes, 1)
@@ -251,11 +242,7 @@ def compare_with_sweep(
         # also exceeds the largest simulated cache.
         largest = curve[-1].geometry.net_size if curve else 0
         consistent = predicted > largest
-    elif (
-        classified_knee is None
-        and not report.hot_loop_bytes
-        and knee == curve[0].geometry.net_size
-    ):
+    elif not report.hot_loop_bytes and knee == curve[0].geometry.net_size:
         # A loop-free program has no steady state: every reference is
         # compulsory, so the curve is flat from the smallest cache and
         # the knee position carries no information about the footprint.

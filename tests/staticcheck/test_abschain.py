@@ -1,31 +1,37 @@
-"""Soundness of the hierarchical (chain-aware) abstract cache analysis.
+"""Soundness of the abstract cache analysis (L1 and chain proofs).
 
-The load-bearing suite mirrors ``test_abscache.py`` but covers the
-acceptance matrix of ISSUE 9: all bundled programs × the chain grid
-{bare, vc4, mc4, sb2x4, l2, vc4+sb2x4+l2} at words 2 and 4.  Each
-combination is classified statically and then *executed* through a
-cold chained cache — a single contradicted hierarchical proof (a
-``chain-hit@victim`` access serviced by memory, say) fails the suite.
+The load-bearing suites are differential: every bundled program is
+classified statically and then *executed* through a cold (chained)
+cache, every access attributed back to its site.  A single
+contradicted proof fails the suite — an ``always-hit`` (``l1_class``)
+that misses, an ``always-miss`` that hits, a ``first-miss`` that misses
+twice, or a ``chain-hit@victim`` access serviced by memory — and no
+access is ever silently excluded from the check.  Two grids: the chain
+grid {bare, vc4, mc4, sb2x4, l2, vc4+sb2x4+l2} at words 2 and 4, and a
+bare-chain L1 grid covering non-sector, sector and load-forward
+geometries.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
 
 from repro.core.config import CacheGeometry
+from repro.errors import ConfigurationError, StaticCheckError
+from repro.staticcheck.abscache import SiteClass
 from repro.staticcheck.abschain import (
     ChainSiteClass,
     classify_chain_program,
-    verify_chain_classification,
     verify_classification,
 )
 from repro.workloads import assemble_program
 from repro.workloads.assembler import assemble
 from repro.workloads.programs import PROGRAMS
 
-#: The ISSUE 9 acceptance chain grid.
+#: The chain grid every program is verified under.
 CHAINS = {
     "bare": {},
     "vc4": {"victim_entries": 4},
@@ -41,6 +47,15 @@ CHAINS = {
 }
 
 GEOMETRY = dict(net_size=256, block_size=16, sub_block_size=16, associativity=2)
+
+#: (net, block, sub-block, associativity, fetch) for the bare-chain L1
+#: grid — one non-sector config, one sector config (sub < block), and
+#: one load-forward sector config.
+L1_GRID = (
+    (256, 16, 16, 2, "demand"),
+    (512, 32, 8, 4, "demand"),
+    (512, 32, 8, 4, "load-forward"),
+)
 
 #: A straight-line program: every block is touched once, and stream
 #: buffers provably prefetch the sequential ifetch run.
@@ -81,6 +96,125 @@ def test_differential_soundness(name, word):
         )
         assert result.accesses > 0
         assert report.classified_fraction > 0.0
+
+
+@pytest.mark.parametrize("name", sorted(PROGRAMS))
+def test_l1_differential_soundness(name):
+    """No L1 proof contradicted on sector and load-forward geometries."""
+    program = assemble_program(name, 2)
+    for net, block, sub, assoc, fetch in L1_GRID:
+        geometry = CacheGeometry(
+            net_size=net, block_size=block,
+            sub_block_size=sub, associativity=assoc,
+        )
+        report = classify_chain_program(
+            program, geometry, fetch=fetch, name=name
+        )
+        assert report.sites, f"{name}: no sites classified"
+        result = verify_classification(program, report, max_refs=80_000)
+        assert result.ok, (
+            f"{name} @ net={net} block={block} sub={sub} assoc={assoc} "
+            f"{fetch}: {len(result.violations)} violated proof(s), e.g. "
+            f"{result.violations[:3]}"
+        )
+        assert result.checked + result.unclassified_accesses == result.accesses
+        assert result.accesses > 0
+        # The analysis must actually prove things, not leave every
+        # site unclassified.
+        assert any(
+            site.l1 is not SiteClass.UNCLASSIFIED for site in report.sites
+        ), f"{name}: nothing classified"
+
+
+def _forge_l1(report, pick, l1):
+    """``report`` with the ``l1`` proof of every picked site replaced."""
+    return dataclasses.replace(
+        report,
+        sites=tuple(
+            dataclasses.replace(site, l1=l1) if pick(site) else site
+            for site in report.sites
+        ),
+    )
+
+
+class TestL1Proofs:
+    def test_entry_ifetch_is_always_miss(self):
+        # The very first instruction fetch starts from an empty cache
+        # on every path: the analysis must prove it a miss.
+        report = classify_chain_program(
+            assemble_program("fib", 2), CacheGeometry(256, 16, 8), name="fib"
+        )
+        entry = next(s for s in report.sites if s.site == "0:ifetch")
+        assert entry.l1 is SiteClass.ALWAYS_MISS
+        assert entry.classification is ChainSiteClass.MEMORY_BOUND
+
+    def test_write_site_l1_proof_is_replayed(self):
+        """A write miss bypasses the chain, so its site has no chain
+        proof; its ``l1`` proof is still checked on every access."""
+        program = assemble_program("fib", 2)
+        report = classify_chain_program(
+            program, CacheGeometry(**GEOMETRY), name="fib"
+        )
+        write = next(
+            site
+            for site in report.sites
+            if site.kind == "write"
+            and site.l1 is SiteClass.ALWAYS_MISS
+            and site.classification is ChainSiteClass.UNCLASSIFIED
+        )
+        forged = _forge_l1(report, lambda site: site is write, SiteClass.ALWAYS_HIT)
+        result = verify_classification(program, forged, max_refs=80_000)
+        assert not result.ok
+        assert {violation[0] for violation in result.violations} == {
+            write.site
+        }
+        assert all(
+            violation[2:] == ("hit", "miss") for violation in result.violations
+        )
+
+    @pytest.mark.parametrize(
+        "forged_l1, expected",
+        [
+            (SiteClass.ALWAYS_MISS, ("miss", "hit")),
+            (SiteClass.FIRST_MISS, ("hit after first occurrence", "miss")),
+        ],
+        ids=["always-miss", "first-miss"],
+    )
+    def test_l1_proof_on_a_proofless_site_is_replayed(self, forged_l1, expected):
+        """An ``l1`` proof is checked even where the chain proves nothing:
+        forging one onto every proof-less site is caught."""
+        program = assemble_program("fib", 2)
+        report = classify_chain_program(
+            program, CacheGeometry(**GEOMETRY), name="fib"
+        )
+        forged = _forge_l1(
+            report,
+            lambda site: site.l1 is SiteClass.UNCLASSIFIED
+            and site.classification is ChainSiteClass.UNCLASSIFIED,
+            forged_l1,
+        )
+        result = verify_classification(program, forged, max_refs=80_000)
+        assert not result.ok
+        assert {violation[2:] for violation in result.violations} == {expected}
+
+
+class TestInputValidation:
+    def test_word_larger_than_sub_block_is_rejected(self):
+        program = assemble_program("fib", 4)
+        with pytest.raises(ConfigurationError, match="sub_block_size"):
+            classify_chain_program(program, CacheGeometry(256, 16, 2))
+
+    def test_error_program_is_refused(self):
+        bad = assemble("jmp 2\nhalt\n", word_size=2)
+        with pytest.raises(StaticCheckError):
+            classify_chain_program(bad, CacheGeometry(256, 16, 8), name="bad")
+
+    def test_error_program_accepted_without_check(self):
+        bad = assemble("jmp 2\nhalt\n", word_size=2)
+        report = classify_chain_program(
+            bad, CacheGeometry(256, 16, 8), name="bad", check=False
+        )
+        assert report.sites
 
 
 class TestChainProofs:
@@ -155,6 +289,28 @@ class TestChainInertLint:
 
 
 class TestReportSchema:
+    def test_counts_and_fraction_are_consistent(self):
+        report = classify_chain_program(
+            assemble_program("fib", 2),
+            CacheGeometry(256, 16, 8, associativity=2),
+            name="fib",
+        )
+        counts = report.counts
+        assert sum(counts.values()) == len(report.sites)
+        assert report.classified_fraction == (
+            len(report.sites) - counts["unclassified"]
+        ) / len(report.sites)
+
+    def test_to_dict_schema(self):
+        payload = classify_chain_program(
+            assemble_program("fib", 2), CacheGeometry(256, 16, 8), name="fib"
+        ).to_dict()
+        assert payload["name"] == "fib"
+        assert payload["geometry"]["net_size"] == 256
+        for site in payload["sites"]:
+            assert site["l1_class"] in {cls.value for cls in SiteClass}
+            assert site["class"] in {cls.value for cls in ChainSiteClass}
+
     def test_to_dict_has_chain_key_and_sorted_bounds(self):
         report = classify_chain_program(
             assemble_program("fib", 2),
@@ -216,7 +372,4 @@ class TestVerifierSanitize:
         )
         assert result.ok
         assert result.sanitized
-
-    def test_alias_is_the_same_function(self):
-        assert verify_chain_classification is verify_classification
 

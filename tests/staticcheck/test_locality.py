@@ -191,14 +191,3 @@ class TestLoopFreeComparison:
         assert comparison.consistent == (
             comparison.predicted_bytes / 8.0 <= 32 <= comparison.predicted_bytes * 8
         )
-
-    def test_classified_knee_replaces_the_structural_estimate(self):
-        report = footprint(assemble(LOOP_SOURCE), name="loop")
-        curve = [
-            FakePoint(64, 0.5), FakePoint(128, 0.5),
-            FakePoint(256, 0.04), FakePoint(512, 0.04),
-        ]
-        comparison = compare_with_sweep(report, curve, classified_knee=256)
-        assert comparison.predicted_bytes == 256
-        assert comparison.observed_knee_net == 256
-        assert comparison.consistent
