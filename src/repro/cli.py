@@ -874,9 +874,8 @@ def _cmd_classify(args) -> int:
             )
         if verification is not None:
             status = "PASSED" if verification.ok else "FAILED"
-            sanitized = " (checked engine)" if verification.sanitized else ""
             print(
-                f"  verification {status}{sanitized}: "
+                f"  verification {status}: "
                 f"{verification.accesses} accesses "
                 f"({verification.checked} against proofs, "
                 f"{verification.unclassified_accesses} unclassified)"

@@ -25,9 +25,10 @@ moment any is violated:
 
 Because both engines are bound by the equivalence contract, running a
 sweep under ``--engine checked`` changes nothing but speed: identical stats,
-with a tripwire under every access.  The measured overhead is gated
-by ``benchmarks/bench_abscache.py`` (``--max-overhead``, run by CI's
-sanitize-smoke job).
+with a tripwire under every access.  ``tests/engine/test_equivalence.py``
+holds it to the reference loop on every combo of its grid, and
+``benchmarks/test_speed_contracts.py`` bounds its overhead at 400x
+the reference loop.
 """
 
 from __future__ import annotations

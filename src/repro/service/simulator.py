@@ -35,6 +35,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.engine.base import ENGINE_NAMES
 from repro.engine.batch import execute_cell, predecode, prepare_trace
 from repro.engine.route import plan
 from repro.errors import ConfigurationError, DeadlineExceededError, ReproError
@@ -46,6 +47,7 @@ from repro.service.query import SimQuery, refuse_sample_fallback
 from repro.service.supervisor import Supervisor, SupervisorConfig
 from repro.stackdist.engine import run_group_pass
 from repro.stackdist.planner import plan_grid
+from repro.staticcheck.diagnostics import Diagnostic, Severity, raise_on_errors
 from repro.trace.record import Trace
 from repro.workloads.suites import default_trace_length, suite_trace
 
@@ -75,6 +77,9 @@ class ServiceConfig:
             always ``auto``; this forces a specific engine for *all*
             queries instead (operational escape hatch); a forced
             engine runs every query per cell, as it does in a sweep.
+            A name outside :data:`~repro.engine.base.ENGINE_NAMES`
+            (spelled exactly) is refused at construction under
+            ``policy-unknown-engine``.
         default_length: Trace length when a query omits ``length``
             (None: :func:`~repro.workloads.suites
             .default_trace_length`).
@@ -170,6 +175,24 @@ class SimulationService:
         cache: Optional[ResultCache] = None,
     ) -> None:
         self.config = config if config is not None else ServiceConfig()
+        engine = self.config.engine
+        if engine is not None and engine not in ENGINE_NAMES:
+            # Refused here, not per query: a forced engine that no query
+            # can run would blame every client for the operator's setting.
+            raise_on_errors(
+                [
+                    Diagnostic(
+                        rule="policy-unknown-engine",
+                        severity=Severity.ERROR,
+                        message=f"unknown engine {engine!r}; choose from "
+                        f"{list(ENGINE_NAMES)}",
+                        source="service-config",
+                        location="engine",
+                        data={"value": engine},
+                    )
+                ],
+                "invalid service config",
+            )
         if self.config.allow_sampling and self.config.supervised:
             raise ConfigurationError(
                 "allow_sampling is incompatible with supervised mode: "

@@ -28,7 +28,7 @@ classification per site (:class:`ChainSiteClass`): ``L1-hit``,
 Soundness is pinned end to end by :func:`verify_classification`: the
 program runs on the machine, the trace replays cold through a concrete
 chained :class:`~repro.core.cache.SubBlockCache` (or the sanitizing
-:class:`~repro.engine.checked.CheckedCache` under ``REPRO_SANITIZE``),
+:class:`~repro.engine.checked.CheckedCache` when asked to sanitize),
 every access is attributed to its site, and both of the site's proofs
 are checked: the L1 one against the observed hit or miss, the chain
 one against the observed servicing structure.  See
@@ -38,7 +38,6 @@ one against the observed servicing structure.  See
 from __future__ import annotations
 
 import enum
-import os
 from dataclasses import dataclass
 from typing import (
     Any,
@@ -1099,19 +1098,13 @@ def classify_chain_program(
     )
 
 
-def _sanitize_enabled(override: Optional[bool]) -> bool:
-    if override is not None:
-        return override
-    return os.environ.get("REPRO_SANITIZE", "") not in ("", "0")
-
-
 def verify_classification(
     program: AssembledProgram,
     report: ChainClassificationReport,
     *,
     max_steps: int = 5_000_000,
     max_refs: Optional[int] = 200_000,
-    sanitize: Optional[bool] = None,
+    sanitize: bool = False,
 ) -> ChainVerificationResult:
     """Differentially check a report's L1 and chain proofs by replay.
 
@@ -1127,14 +1120,12 @@ def verify_classification(
       chain's ``last_serviced``);
     * a ``memory-bound`` access is serviced before memory.
 
-    When ``sanitize`` is true (default: the ``REPRO_SANITIZE``
-    environment toggle), the replay uses the checked engine,
+    When ``sanitize`` is true, the replay uses the checked engine,
     cross-asserting the cache/chain invariants after every access.
     """
     config = report.miss_path
     chained = config.enabled
-    use_checked = _sanitize_enabled(sanitize)
-    if use_checked:
+    if sanitize:
         from repro.engine.checked import CheckedCache
 
         cache_cls = CheckedCache
@@ -1240,6 +1231,6 @@ def verify_classification(
         checked=checked,
         unclassified_accesses=unclassified,
         violations=tuple(violations),
-        sanitized=use_checked,
+        sanitized=sanitize,
     )
 

@@ -1,20 +1,22 @@
-"""Differential equivalence: vectorized must match reference exactly.
+"""Differential equivalence: vectorized and checked must match reference.
 
 This suite is the engine layer's contract.  Every test simulates the
-same (geometry, trace, policies, warmup) on both engines and asserts
-that every :class:`~repro.core.stats.CacheStats` counter — including
-the by-kind splits and the transaction-words histogram — is *equal*,
-not approximately equal.  The randomized sweep covers well over 200
-distinct combinations drawn from a seeded generator, so a semantics
-drift in either engine fails deterministically.  Each comparison is
-repeated through the miss-path :data:`CHAINS`, pinning the chained
-vectorized engine to the chained reference loop on ``MissPathStats``
-as well.
+same (geometry, trace, policies, warmup) on the reference loop, the
+vectorized engine and the checked engine, and asserts that every
+:class:`~repro.core.stats.CacheStats` counter — including the by-kind
+splits and the transaction-words histogram — is *equal*, not
+approximately equal.  The checked engine also asserts every cache
+invariant and conservation law after each access, so the grid is the
+sanitizer's full pass as well.  The randomized sweep covers well over
+200 distinct combinations drawn from a seeded generator, so a
+semantics drift in any engine fails deterministically.  Each
+comparison is repeated through the miss-path :data:`CHAINS`, pinning
+the chained engines to the chained reference loop on
+``MissPathStats`` as well.
 """
 
 from __future__ import annotations
 
-import os
 import random
 
 import numpy as np
@@ -30,18 +32,17 @@ from repro.core.replacement import (
 )
 from repro.core.write import WritePolicy
 from repro.engine import CheckedEngine, ReferenceEngine, TraceView, VectorizedEngine
+from repro.trace.filters import reads_only
 from repro.trace.record import Trace
+from repro.workloads.suites import suite_trace
 
-# REPRO_SANITIZE=1 swaps the reference side of every comparison for the
-# checked engine (identical semantics, per-access invariant assertions),
-# so this suite doubles as the sanitizer smoke pass in CI.
-REFERENCE = (
-    CheckedEngine() if os.environ.get("REPRO_SANITIZE") else ReferenceEngine()
-)
+REFERENCE = ReferenceEngine()
 VECTORIZED = VectorizedEngine()
+#: The engines every comparison holds to :data:`REFERENCE`.
+CANDIDATES = (VECTORIZED, CheckedEngine())
 
-#: Every comparison also replays both engines through these chains: an
-#: empty (disabled) one and a small full one.  Chained vectorized runs
+#: Every comparison also replays every engine through these chains: an
+#: empty (disabled) one and a small full one.  Chained candidate runs
 #: must equal chained reference runs, ``MissPathStats`` included, and
 #: the chain must never move an L1 counter away from the bare run.
 CHAINS = (
@@ -86,7 +87,7 @@ def _assert_counters(expected, actual, what):
 
 
 def assert_identical(geometry, trace, **kwargs):
-    """Run both engines, bare and chained, and compare every counter
+    """Run every engine, bare and chained, and compare every counter
     exactly; returns the bare reference stats."""
     seed = kwargs.pop("replacement_seed", None)
 
@@ -100,22 +101,25 @@ def assert_identical(geometry, trace, **kwargs):
 
     what = f"{geometry} over {trace!r} ({kwargs})"
     ref = run(REFERENCE)
-    _assert_counters(ref, run(VECTORIZED), f"vectorized, {what}")
+    for engine in CANDIDATES:
+        _assert_counters(ref, run(engine), f"{engine.name}, {what}")
     for miss_path in CHAINS:
         chained = run(REFERENCE, miss_path)
         _assert_counters(ref, chained, f"bare vs chain {miss_path.key()}, {what}")
-        vec = run(VECTORIZED, miss_path)
-        _assert_counters(chained, vec, f"vectorized chain {miss_path.key()}, {what}")
         if miss_path.enabled:
             assert chained.misspath.demand_misses == (
                 ref.block_misses + ref.sub_block_misses
             )
-            assert vec.misspath == chained.misspath, (
-                f"MissPathStats diverged for chain {miss_path.key()}, {what}: "
-                f"{chained.misspath.to_dict()} != {vec.misspath.to_dict()}"
-            )
         else:
-            assert chained.misspath is None and vec.misspath is None
+            assert chained.misspath is None
+        for engine in CANDIDATES:
+            got = run(engine, miss_path)
+            where = f"{engine.name} chain {miss_path.key()}, {what}"
+            _assert_counters(chained, got, where)
+            assert got.misspath == chained.misspath, (
+                f"MissPathStats diverged for {where}: "
+                f"{chained.misspath!r} != {got.misspath!r}"
+            )
     return ref
 
 
@@ -201,6 +205,10 @@ def test_real_workload_equivalence(z8000_grep_trace):
         CacheGeometry(1024, 16, 8),
     ):
         assert_identical(geometry, z8000_grep_trace)
+    # The engines' headline input: read-only pdp11 ED on the paper's
+    # 1024 B, 16,8 4-way cache.
+    pdp11_ed = reads_only(suite_trace("pdp11", "ED", length=8_000))
+    assert_identical(CacheGeometry(1024, 16, 8), pdp11_ed)
 
 
 def test_traceview_input_matches_trace_input(tiny_trace, small_geometry):

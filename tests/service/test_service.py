@@ -12,7 +12,7 @@ import pytest
 
 from repro.core.config import CacheGeometry
 from repro.engine.batch import CellSpec
-from repro.errors import ReproError
+from repro.errors import ReproError, StaticCheckError
 from repro.runner.runner import run_sweep
 from repro.service import (
     RejectedError,
@@ -71,6 +71,14 @@ class TestResultIdentity:
         config = ServiceConfig(batch_window=0.0, engine="reference")
         result = run(with_service(config, body))
         assert result.entry.engine == "reference"
+
+    @pytest.mark.parametrize("engine", ["warp", "Vectorized"])
+    def test_unknown_engine_override_is_refused_at_construction(self, engine):
+        with pytest.raises(StaticCheckError) as excinfo:
+            SimulationService(ServiceConfig(engine=engine))
+        (finding,) = excinfo.value.diagnostics
+        assert finding.rule == "policy-unknown-engine"
+        assert finding.location == "engine"
 
 
 class TestCachingAndCoalescing:
