@@ -1,6 +1,6 @@
 """Load generator for the simulation service (CI service-smoke gate).
 
-Dependency-free, like ``perf_smoke.py``::
+Dependency-free::
 
     PYTHONPATH=src python benchmarks/bench_service.py [--url http://...]
 

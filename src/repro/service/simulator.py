@@ -12,7 +12,8 @@ order:
 3. **Admission** — the breaker and the bounded queue refuse work the
    service cannot take (:class:`~repro.service.admission.RejectedError`
    → HTTP 429/503).
-4. **Batching** — the scheduler drains the queue every batch window and
+4. **Batching** — the scheduler drains the queue (at once when no
+   trace group is running, after the batch window otherwise) and
    groups queries by trace, so each trace is generated, read-filtered,
    and predecoded exactly once per batch
    (:mod:`repro.engine.batch`) before its cells fan out.
@@ -67,8 +68,10 @@ class ServiceConfig:
         max_inflight: Cells allowed to execute concurrently.
         max_queue: Queries allowed to wait for a slot before new ones
             are refused with 429 semantics.
-        batch_window: Seconds the scheduler lets a batch accumulate
-            before grouping and dispatching it.
+        batch_window: Seconds a batch waits for more queries while
+            any trace group is running.  When none is running the
+            scheduler dispatches at once, so a lone query on an idle
+            service never waits for it.
         breaker_failures: Consecutive cell failures that open the
             breaker (None disables it).
         breaker_reset: Breaker cool-down in seconds.
@@ -358,7 +361,7 @@ class SimulationService:
         return elapsed
 
     async def stop(self) -> None:
-        """Stop scheduling, fail queued work, release the pool."""
+        """Stop scheduling, fail every unanswered query, release the pool."""
         self._stopped = True
         if self.supervisor is not None:
             await self.supervisor.drain(timeout=2.0)
@@ -374,13 +377,15 @@ class SimulationService:
             task.cancel()
         if self._group_tasks:
             await asyncio.gather(*self._group_tasks, return_exceptions=True)
-        while self._queue:
-            pending = self._queue.popleft()
-            if not pending.future.done():
-                pending.future.set_exception(
+        # Queued and dispatched-but-cancelled queries alike: every
+        # unresolved future is in the in-flight map.
+        self._queue.clear()
+        for future in self._inflight_futures.values():
+            if not future.done():
+                future.set_exception(
                     ReproError("service stopped before the query ran")
                 )
-            self._inflight_futures.pop(pending.query, None)
+        self._inflight_futures.clear()
         if self._executor is not None:
             self._executor.shutdown(wait=False)
             self._executor = None
@@ -480,8 +485,12 @@ class SimulationService:
         while True:
             await self._wake.wait()
             self._wake.clear()
-            if self.config.batch_window > 0:
-                # Let a batch accumulate so same-trace queries group.
+            # Queries enqueued in this loop turn join the batch.
+            await asyncio.sleep(0)
+            if self._group_tasks:
+                # While any trace group is running, let arrivals
+                # accumulate so same-trace queries share one group and,
+                # where coverable, one stack-distance pass.
                 await asyncio.sleep(self.config.batch_window)
             if not self._queue:
                 continue

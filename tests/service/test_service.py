@@ -7,6 +7,8 @@ the HTTP edge is covered in ``test_http.py``.
 from __future__ import annotations
 
 import asyncio
+import threading
+import time
 
 import pytest
 
@@ -45,6 +47,40 @@ async def with_service(config, body):
         return await body(service)
     finally:
         await service.stop()
+
+
+def hold(service, release):
+    """Block ``QUERY``'s cell on the pool until ``release`` is set.
+
+    Returns a future that resolves once the cell is running, i.e. once
+    its trace group has been dispatched and is in flight.
+    """
+    loop = asyncio.get_event_loop()
+    entered = loop.create_future()
+    execute = service._execute
+
+    def held(prepared, cell_query, deadline=None):
+        if cell_query == QUERY:
+            loop.call_soon_threadsafe(entered.set_result, None)
+            release.wait()
+        return execute(prepared, cell_query, deadline)
+
+    service._execute = held
+    return entered
+
+
+async def queue_behind(service, query):
+    """Submit ``query`` while a trace group is running.
+
+    Gives the scheduler a few loop turns, then checks that the query is
+    still queued: behind a running group it waits out ``batch_window``
+    (a test sets it well above the test's own run time).
+    """
+    future = asyncio.ensure_future(service.simulate(query))
+    for _ in range(5):
+        await asyncio.sleep(0)
+    assert any(pending.query == query for pending in service._queue)
+    return future
 
 
 class TestResultIdentity:
@@ -136,6 +172,50 @@ class TestCachingAndCoalescing:
         ) == 1
 
 
+class TestDispatch:
+    def test_lone_query_on_an_idle_service_skips_the_batch_window(self):
+        async def body(service):
+            started = time.monotonic()
+            result = await service.simulate(QUERY)
+            return result, time.monotonic() - started, service
+
+        result, elapsed, service = run(
+            with_service(ServiceConfig(batch_window=5.0), body)
+        )
+        assert result.source == "computed"
+        assert elapsed < 1.0
+        assert service.metrics.stage_seconds.count(
+            labels={"stage": "queue"}
+        ) == 1
+
+    def test_queries_arriving_while_a_group_runs_go_out_as_one_group(self):
+        release = threading.Event()
+
+        async def body(service):
+            entered = hold(service, release)
+            try:
+                first = asyncio.ensure_future(service.simulate(QUERY))
+                await entered
+                later = [
+                    await queue_behind(service, ed_query(net))
+                    for net in (256, 512)
+                ]
+                assert len(service._queue) == 2
+            finally:
+                release.set()
+            results = await asyncio.gather(first, *later)
+            return results, service
+
+        results, service = run(
+            with_service(ServiceConfig(batch_window=0.2), body)
+        )
+        assert [result.source for result in results] == ["computed"] * 3
+        # QUERY's group, then one group for both later arrivals.
+        assert service.metrics.stage_seconds.count(
+            labels={"stage": "prepare"}
+        ) == 2
+
+
 class TestOverloadAndFailure:
     def test_zero_queue_rejects_with_429_semantics(self):
         async def body(service):
@@ -154,16 +234,22 @@ class TestOverloadAndFailure:
 
     def test_bounded_queue_rejects_the_overflow_query(self):
         slow = ServiceConfig(batch_window=5.0, max_queue=1)
-        other = ed_query(512)
+        release = threading.Event()
 
         async def body(service):
-            first = asyncio.ensure_future(service.simulate(QUERY))
-            await asyncio.sleep(0)  # let it enqueue
-            with pytest.raises(RejectedError) as excinfo:
-                await service.simulate(other)
-            await service.stop()  # fails the still-queued first query
-            with pytest.raises(ReproError, match="stopped"):
-                await first
+            entered = hold(service, release)
+            try:
+                running = asyncio.ensure_future(service.simulate(QUERY))
+                await entered
+                queued = await queue_behind(service, ed_query(512))
+                with pytest.raises(RejectedError) as excinfo:
+                    await service.simulate(ed_query(256))
+                await service.stop()  # fails the still-queued query
+                for future in (running, queued):
+                    with pytest.raises(ReproError, match="stopped"):
+                        await future
+            finally:
+                release.set()
             return excinfo.value
 
         error = run(with_service(slow, body))
@@ -199,16 +285,39 @@ class TestOverloadAndFailure:
         run(with_service(config, body))
 
     def test_stop_fails_queued_queries(self):
+        release = threading.Event()
+
         async def body(service):
-            future = asyncio.ensure_future(
-                service.simulate(QUERY)
-            )
-            await asyncio.sleep(0)
-            await service.stop()
-            with pytest.raises(ReproError, match="stopped"):
-                await future
+            entered = hold(service, release)
+            try:
+                running = asyncio.ensure_future(service.simulate(QUERY))
+                await entered
+                queued = await queue_behind(service, ed_query(512))
+                await service.stop()
+                for future in (running, queued):
+                    with pytest.raises(ReproError, match="stopped"):
+                        await future
+            finally:
+                release.set()
 
         run(with_service(ServiceConfig(batch_window=5.0), body))
+
+    def test_stop_fails_dispatched_queries(self):
+        release = threading.Event()
+
+        async def body(service):
+            entered = hold(service, release)
+            try:
+                future = asyncio.ensure_future(service.simulate(QUERY))
+                await entered  # dispatched: its group is on the pool
+                await service.stop()
+                with pytest.raises(ReproError, match="stopped"):
+                    await asyncio.wait_for(future, 2.0)
+                assert service._inflight_futures == {}
+            finally:
+                release.set()
+
+        run(with_service(ServiceConfig(), body))
 
 
 class TestHealthz:

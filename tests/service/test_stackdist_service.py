@@ -82,6 +82,16 @@ def test_lone_query_runs_per_cell_and_a_pair_shares_one_pass():
     assert results[0].entry.fingerprint == single.entry.fingerprint
 
 
+def test_a_burst_on_an_idle_service_still_shares_one_pass():
+    """Dispatch-at-once yields one loop turn first, so a gathered burst
+    forms one batch under the default config."""
+    results, service = simulate_batch(grid_queries(), ServiceConfig())
+    assert [r.entry.engine for r in results] == ["stackdist"] * 4
+    assert service.metrics.stage_seconds.count(
+        labels={"stage": "simulate"}
+    ) == 1
+
+
 def test_queries_with_deadlines_still_share_one_pass():
     pair = grid_queries()[:2]
     results, service = simulate_batch(
