@@ -6,7 +6,7 @@ the output), records shape-agreement statistics against the published
 numbers in ``benchmark.extra_info``, and asserts the headline
 qualitative claims.
 
-Trace length comes from ``REPRO_TRACE_LEN`` (default 50 000 here; the
+Trace length comes from ``REPRO_TRACE_LEN`` (default 30 000 here; the
 paper used 1 000 000 — a full-length run reproduces the same shapes,
 just more slowly).  Suite traces and figure sweeps are memoized across
 benchmark files, so the whole directory shares one generation pass.
@@ -26,9 +26,9 @@ from repro.analysis.sweep import SweepPoint
 def bench_length() -> int:
     """Trace length for benchmark runs (env ``REPRO_TRACE_LEN``).
 
-    The default keeps a full `pytest benchmarks/ --benchmark-only` run
-    in the tens of minutes; the paper's 1 M-reference scale is
-    ``REPRO_TRACE_LEN=1000000``.
+    At the default a full `pytest benchmarks/ --benchmark-only` run
+    takes about 40 s on a 2-vCPU host; the paper's 1 M-reference scale
+    is ``REPRO_TRACE_LEN=1000000``.
     """
     return int(os.environ.get("REPRO_TRACE_LEN", "30000"))
 

@@ -201,17 +201,32 @@ def table8_experiment(
 def _redundant_fraction(
     traces, geometry, load_forward: bool, engine_name: str = "auto"
 ) -> float:
-    """Fraction of fetched bytes that were redundant re-loads."""
+    """Fraction of fetched bytes that were redundant re-loads.
+
+    Counted on the path the row's sweep took: a one-member
+    stack-distance pass per trace, or per cell under an explicit
+    ``engine_name``.
+    """
     if not load_forward:
         return 0.0
     from repro.engine import CellSpec, prepare_trace, run_cell
+    from repro.stackdist import plan_grid, run_group_pass, trace_coverable
 
     spec = CellSpec.of(geometry, engine=engine_name, fetch="load-forward")
+    groups = plan_grid([geometry], spec=spec).groups
     total_fetched = total_redundant = 0
     for trace in traces:
         # The interned view shares one read-filtered copy (and the
         # decode arrays) with the sweep that just ran over this trace.
-        stats = run_cell(prepare_trace(trace), spec)
+        prepared = prepare_trace(trace)
+        if groups and trace_coverable(prepared):
+            (group,) = groups
+            (stats,) = run_group_pass(
+                prepared, group.block_size, group.num_sets, group.members,
+                word_size=spec.word_size,
+            )
+        else:
+            stats = run_cell(prepared, spec)
         total_fetched += stats.bytes_fetched
         total_redundant += stats.redundant_bytes_fetched
     return total_redundant / total_fetched if total_fetched else 0.0

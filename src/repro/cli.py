@@ -61,6 +61,7 @@ from repro.analysis.figures import figure_series, series_to_csv
 from repro.analysis.plotting import ascii_figure
 from repro.analysis.tables import format_table6, format_table7, format_table8
 from repro.core.config import CacheGeometry
+from repro.core.fetch import FETCH_NAMES
 from repro.engine.base import ENGINE_NAMES
 from repro.engine.batch import CellSpec
 from repro.runner.retry import RetryPolicy
@@ -150,7 +151,7 @@ def _add_cell_flags(
     subparser.add_argument(
         "--fetch",
         default="demand",
-        choices=["demand", "load-forward", "load-forward-optimized"],
+        choices=FETCH_NAMES,
     )
     chain = subparser.add_argument_group(
         "miss path",

@@ -28,7 +28,11 @@ from typing import List, Tuple
 from repro.core.block import mask_of_range
 from repro.errors import ConfigurationError
 
+#: Every policy's name, as :func:`make_fetch` spells it.
+FETCH_NAMES = ("demand", "load-forward", "load-forward-optimized")
+
 __all__ = [
+    "FETCH_NAMES",
     "FetchPlan",
     "FetchPolicy",
     "DemandFetch",
@@ -175,6 +179,5 @@ def make_fetch(name: str) -> FetchPolicy:
     if key == "load-forward-optimized":
         return LoadForwardFetch(optimized=True)
     raise ConfigurationError(
-        f"unknown fetch policy {name!r}; choose from "
-        "['demand', 'load-forward', 'load-forward-optimized']"
+        f"unknown fetch policy {name!r}; choose from {list(FETCH_NAMES)}"
     )

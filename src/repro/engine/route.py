@@ -88,8 +88,6 @@ def _stackdist_blockers(
         blockers.append(
             f"replacement policy {spec.replacement!r} (inclusion needs LRU)"
         )
-    if spec.fetch != "demand":
-        blockers.append(f"fetch policy {spec.fetch!r} (only demand fetch)")
     if chained:
         blockers.append("enabled miss-path chain (per-miss structure state)")
     if spec.engine == "checked":

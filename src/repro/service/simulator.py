@@ -562,7 +562,7 @@ class SimulationService:
         """Answer coverable cells of one batch from stack-distance passes.
 
         Cells the route planner sends to ``stackdist`` are grouped per
-        ``(word_size, warmup)`` by
+        ``(word_size, warmup, fetch)`` by
         :func:`~repro.stackdist.planner.plan_grid`, exactly as a sweep
         grid is, and each pass group of two or more is computed by one
         :func:`repro.stackdist.engine.run_group_pass` over the already
@@ -580,8 +580,10 @@ class SimulationService:
                 continue
             if query.fingerprint(len(prepared)) in self.cache:
                 continue  # the cell's own cache lookup will serve it
+            # plan_grid gives every member the template's fetch and
+            # warm-up, so a batch mixes neither.
             eligible.setdefault(
-                (query.spec.word_size, query.spec.warmup), []
+                (query.spec.word_size, query.spec.warmup, query.spec.fetch), []
             ).append(pending)
         assert self._slots is not None and self._executor is not None
         loop = asyncio.get_event_loop()

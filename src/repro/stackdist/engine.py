@@ -6,9 +6,9 @@ cache set answers *every* associativity at once.  This module pushes
 that idea through the full sub-block cache model: one pass over a
 trace, per (block_size, num_sets) *pass group*, produces the complete
 17-counter :class:`~repro.core.stats.CacheStats` — bit-identical to the
-reference simulator — for every (associativity, sub_block_size, warmup)
-member cell sharing that group.  The pass is whole-trace array code:
-no step walks the trace one reference at a time.
+reference simulator — for every (associativity, sub_block_size, warmup,
+fetch) member cell sharing that group.  The pass is whole-trace array
+code: no step walks the trace one reference at a time.
 
 Distances
 ---------
@@ -31,20 +31,26 @@ Per member
 
 For a set-associative LRU cache of ``A`` ways, a portion hits the tag
 iff ``d <= A`` — valid whenever every access allocates, which is why
-the engine only accepts read/ifetch traces under demand fetch
-(non-allocating write misses skip the recency update and break
-inclusion).  With the portions sorted by block (stable in time):
+the engine only accepts read/ifetch traces (non-allocating write
+misses skip the recency update and break inclusion).  Tag hits do not
+depend on the fetch policy.  With the portions sorted by block (stable
+in time):
 
-* a portion with ``d > A`` *fills* the block: a block miss that
-  fetches every needed sub-block in one transaction;
-* a needed sub-block of any other portion is valid iff its previous
-  touch comes at or after the block's last fill (demand fetch makes
-  needed == fetched == valid == referenced), so the missing ones, the
+* a portion with ``d > A`` *fills* the block (a block miss), and a
+  *residency* runs from a fill to the block's next fill;
+* under demand fetch a needed sub-block of any other portion is valid
+  iff its previous touch comes at or after the block's last fill
+  (needed == fetched == valid == referenced), so the missing ones, the
   sub-block misses and their transaction runs are array comparisons;
-* a *residency* runs from a fill to the block's next fill.  It ends in
-  an eviction iff the block is refilled (``d > A``) or at least ``A``
-  distinct blocks follow its last access in the set; the eviction
-  charges the residency's fetched sub-blocks to
+* under load-forward a resident block's valid sub-blocks are a suffix
+  ``[m, S)``: a fill starts at ``m = S``, a portion whose first needed
+  sub-block ``a`` lies below ``m`` misses with one transaction from
+  ``a`` (through ``S``, or up to ``m`` for the optimized scheme) and
+  leaves ``m = a``, so ``m`` is a segmented running minimum of ``a``;
+* a residency ends in an eviction iff the block is refilled
+  (``d > A``) or at least ``A`` distinct blocks follow its last access
+  in the set; the eviction charges the residency's referenced
+  sub-blocks (the union of those its portions needed) to
   ``evicted_sub_blocks_referenced``.  ``flush_at_end`` evicts the
   residencies that end with fewer than ``A`` blocks after them.
 
@@ -66,6 +72,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.core.fetch import FETCH_NAMES
 from repro.core.stats import CacheStats
 from repro.errors import ConfigurationError, DeadlineExceededError
 from repro.trace.record import AccessType
@@ -77,17 +84,20 @@ _KIND_OF = (AccessType.READ, AccessType.WRITE, AccessType.IFETCH)
 
 @dataclass(frozen=True)
 class MemberSpec:
-    """One cell a pass group answers: (ways, sub-block size, warmup).
+    """One cell a pass group answers: (ways, sub-block size, warmup, fetch).
 
     ``ways`` is the geometry-resolved associativity (after the
     num_blocks clamp), ``sub_block_size`` divides the group's block
-    size, and ``warmup`` is the cell's warm-up mode (an access count or
-    ``"fill"``).
+    size, ``warmup`` is the cell's warm-up mode (an access count or
+    ``"fill"``), and ``fetch`` is the fetch policy's name (one of
+    :data:`~repro.core.fetch.FETCH_NAMES`, as
+    :meth:`~repro.engine.batch.CellSpec.of` spells it).
     """
 
     ways: int
     sub_block_size: int
     warmup: Union[int, str] = "fill"
+    fetch: str = "demand"
 
 
 def _validate(
@@ -118,6 +128,11 @@ def _validate(
             raise ConfigurationError(f"bad warmup {warmup!r}")
         if isinstance(warmup, int) and warmup < 0:
             raise ConfigurationError(f"warmup must be >= 0, got {warmup}")
+        if member.fetch not in FETCH_NAMES:
+            raise ConfigurationError(
+                f"unknown fetch policy {member.fetch!r}; choose from "
+                f"{list(FETCH_NAMES)}"
+            )
 
 
 def _portions(
@@ -248,6 +263,8 @@ class _Walk:
         by_set = _stable_argsort(pset)
         dist = _distances(pb, by_set)
         bo = _stable_argsort(pb)
+        # Trace order of each portion (by time, then address).
+        self.order = bo
         self.t = tvec[bo]
         self.lo = plo[bo]
         self.hi = phi[bo]
@@ -352,11 +369,32 @@ class _Walk:
         return cached
 
 
+def _histogram(words: Any, rank: Any) -> Dict[int, int]:
+    """``transaction_words`` of the transactions ``words``, keyed in
+    first-seen order: the order of each key's lowest ``rank``.
+
+    The per-access engines record transactions by time, then address,
+    and :meth:`~repro.core.stats.CacheStats.scaled_traffic_ratio` sums
+    the costs in the dict's order, so the order is part of the result.
+    """
+    if not len(words):
+        return {}
+    counts = np.bincount(words)
+    keys = np.flatnonzero(counts)
+    if len(keys) == 1:
+        return {int(keys[0]): int(counts[keys[0]])}
+    first = np.full(len(counts), np.iinfo(np.int64).max, dtype=np.int64)
+    np.minimum.at(first, words, rank)
+    keys = keys[np.argsort(first[keys], kind="stable")]
+    return {int(key): int(counts[key]) for key in keys}
+
+
 def _member_stats(
     walk: _Walk,
     kinds: Any,
     ways: int,
     sub: int,
+    fetch: str,
     block_size: int,
     word_size: int,
     min_t: int,
@@ -371,35 +409,66 @@ def _member_stats(
     fills = np.flatnonzero(deep)
     residency = np.cumsum(deep) - 1
     owner, prev_touch, head, single = walk.granules(sub)
+    # Needed sub-blocks first needed in their residency: under demand
+    # fetch the fetched ones, under any fetch the residency's
+    # referenced set.
     missing = prev_touch < fills[residency[owner]]
 
     counted = walk.t >= min_t
-    g_counted = counted if single else counted[owner]
-    if single:
-        portion_miss = missing
+    if fetch == "demand":
+        g_counted = counted if single else counted[owner]
+        if single:
+            portion_miss = missing
+        else:
+            portion_miss = np.logical_or.reduceat(missing, np.flatnonzero(head))
+        fetched = missing & g_counted
+        stats.bytes_fetched = int(np.count_nonzero(fetched)) * sub
+        if single:
+            words = np.full(int(np.count_nonzero(fetched)), sub // word_size)
+            rank = np.zeros(len(words), dtype=np.int64)
+        else:
+            # One transaction per run of missing rows within a portion.
+            run_head = missing.copy()
+            run_head[1:] &= ~(missing[:-1] & ~head[1:])
+            run_id = np.cumsum(run_head) - 1
+            length = np.bincount(run_id[missing], minlength=int(run_head.sum()))
+            starts = np.flatnonzero(run_head)
+            kept = g_counted[starts]
+            words = length[kept] * sub // word_size
+            # By the portion's trace order, then by row: a portion's
+            # rows ascend through its sub-blocks.
+            starts = starts[kept]
+            rank = walk.order[owner[starts]] * len(owner) + starts
     else:
-        portion_miss = np.logical_or.reduceat(missing, np.flatnonzero(head))
+        # Load-forward keeps a resident block's valid sub-blocks a
+        # suffix [m, S): a fill starts it at m = S, and a portion whose
+        # first needed sub-block lies below m misses, fetches from it
+        # on and lowers m to it.  So m is a running minimum over each
+        # residency; offsetting each residency's keys below every
+        # earlier one's restarts one running minimum at every fill.
+        span = block_size // sub
+        target = walk.lo // sub
+        offset = residency * (span + 1)
+        valid_from = np.empty(total, dtype=np.int64)  # m before the portion
+        valid_from[1:] = (np.minimum.accumulate(target - offset) + offset)[:-1]
+        valid_from[deep] = span
+        portion_miss = target < valid_from
+        at = np.flatnonzero(portion_miss & counted)
+        if fetch == "load-forward":
+            # One transaction through the block's end, re-fetching the
+            # valid suffix.
+            run = span - target[at]
+            stats.redundant_bytes_fetched = int((span - valid_from[at]).sum()) * sub
+        else:
+            run = valid_from[at] - target[at]
+        stats.bytes_fetched = int(run.sum()) * sub
+        words = run * sub // word_size
+        rank = walk.order[at]
+    stats.transaction_words = _histogram(words, rank)
     stats.block_misses = int(np.count_nonzero(deep & counted))
     stats.sub_block_misses = int(
         np.count_nonzero(portion_miss & ~deep & counted)
     )
-    fetched = missing & g_counted
-    stats.bytes_fetched = int(np.count_nonzero(fetched)) * sub
-    if single:
-        runs = {1: int(np.count_nonzero(fetched))}
-    else:
-        run_head = missing.copy()
-        run_head[1:] &= ~(missing[:-1] & ~head[1:])
-        run_id = np.cumsum(run_head) - 1
-        length = np.bincount(run_id[missing], minlength=int(run_head.sum()))
-        lengths = np.bincount(length[g_counted[run_head]])
-        runs = {int(k): int(c) for k, c in enumerate(lengths) if c}
-    tw: Dict[int, int] = {}
-    for run, count in runs.items():
-        if count:
-            key = run * sub // word_size
-            tw[key] = tw.get(key, 0) + count
-    stats.transaction_words = tw
 
     missed = np.zeros(walk.n, dtype=bool)
     missed[walk.t[portion_miss]] = True
@@ -455,7 +524,8 @@ def run_group_pass(
         block_size: The group's block size in bytes.
         num_sets: The group's set count (geometry-resolved).
         members: The cells to answer; each combines an associativity,
-            a sub-block size dividing ``block_size``, and a warm-up.
+            a sub-block size dividing ``block_size``, a warm-up and a
+            fetch policy.
         word_size: Data-path word size (transaction-length unit).
         flush_at_end: Evict all resident blocks after the pass, as
             :func:`repro.core.sim.simulate` does for utilization runs.
@@ -465,10 +535,12 @@ def run_group_pass(
     Returns:
         One :class:`~repro.core.stats.CacheStats` per member, in
         order, each bit-identical to a reference-engine run of the
-        same cell (LRU, demand fetch, no miss-path chain).
+        same cell (LRU, the member's fetch policy, no miss-path
+        chain), the order of its transaction histogram included.
 
     Raises:
-        ConfigurationError: On an invalid shape or a trace with writes.
+        ConfigurationError: On an invalid shape, an unknown member
+            fetch policy or a trace with writes.
         DeadlineExceededError: When ``deadline`` passes mid-pass.
     """
     _validate(block_size, num_sets, members, word_size)
@@ -501,8 +573,8 @@ def run_group_pass(
             # simulate() countdown never reaches zero).
             min_t = int(warmup) if int(warmup) <= n else 0
         stats = _member_stats(
-            walk, kinds, member.ways, member.sub_block_size, block_size,
-            word_size, min_t, flush_at_end,
+            walk, kinds, member.ways, member.sub_block_size, member.fetch,
+            block_size, word_size, min_t, flush_at_end,
         )
         stats.accesses = n - min_t
         stats.bytes_accessed = int(cum_bytes[n] - cum_bytes[min_t])

@@ -3,8 +3,8 @@
 The stack-distance engine (:mod:`repro.stackdist.engine`) answers every
 geometry sharing a ``(block_size, num_sets)`` pair from a single trace
 pass, but only where :func:`repro.engine.route.plan` routes the sweep's
-cells to ``stackdist`` (LRU, demand fetch, no chain, engine ``auto``,
-no fault injector — ``docs/engines.md`` has the table).
+cells to ``stackdist`` (LRU, no chain, engine ``auto``, no fault
+injector, any fetch policy — ``docs/engines.md`` has the table).
 :func:`plan_grid` asks the route planner once per sweep, then groups
 the geometry list into :class:`PassGroup` batches, or records *why*
 the whole grid runs per cell — the runner consumes the split, ``repro
@@ -156,6 +156,7 @@ def plan_grid(
                     ways=geometries[i].associativity,
                     sub_block_size=geometries[i].sub_block_size,
                     warmup=spec.warmup,
+                    fetch=spec.fetch,
                 )
                 for i in indices
             ),

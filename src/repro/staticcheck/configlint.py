@@ -488,7 +488,7 @@ def lint_stackdist_coverage(
     ``sweep-stackdist-coverage`` carries how many cells of the grid the
     :mod:`repro.stackdist` engine answers and in how many pass groups,
     ``sweep-stackdist-fallback`` names the reasons (replacement policy,
-    fetch policy, miss-path chain, engine, fault injector) that force
+    miss-path chain, engine, fault injector) that force
     the grid onto the per-cell path, with its cell count.
 
     A rendering of :func:`repro.stackdist.planner.plan_grid`, the plan

@@ -9,11 +9,13 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.config import CacheGeometry
 from repro.core.misspath import MissPathConfig
 from repro.engine import CellSpec, TraceView, plan
 from repro.engine.route import PATHS, Route
 from repro.errors import ConfigurationError
 from repro.runner.faults import FaultyTrace
+from repro.stackdist import plan_grid, run_group_pass
 from repro.trace.record import Trace
 
 CHAIN = {"victim_entries": 4}
@@ -29,8 +31,7 @@ TABLE = [
      ("explicit per-cell engine 'vectorized'",)),
     ({"replacement": "fifo"}, {"grid": True}, "vectorized",
      ("replacement policy 'fifo' (inclusion needs LRU)",)),
-    ({"fetch": "load-forward"}, {"grid": True}, "vectorized",
-     ("fetch policy 'load-forward' (only demand fetch)",)),
+    ({"fetch": "load-forward"}, {"grid": True}, "stackdist", ()),
     ({"miss_path": CHAIN}, {"grid": True}, "vectorized",
      ("enabled miss-path chain (per-miss structure state)",)),
     ({"engine": "checked"}, {"grid": True}, "checked",
@@ -42,8 +43,7 @@ TABLE = [
      ("trace carries writes (write misses break inclusion)",)),
     ({"replacement": "fifo", "fetch": "load-forward"}, {"grid": True},
      "vectorized",
-     ("replacement policy 'fifo' (inclusion needs LRU)",
-      "fetch policy 'load-forward' (only demand fetch)")),
+     ("replacement policy 'fifo' (inclusion needs LRU)",)),
     ({}, {"grid": True, "injector_active": True}, "vectorized",
      ("fault injector (per-access proxies are per cell)",)),
     ({"sample": SAMPLE}, {"grid": True}, "sampled", ()),
@@ -53,6 +53,7 @@ TABLE = [
      ("sample-fallback-chain",)),
     ({"sample": SAMPLE}, {"injector_active": True}, "vectorized",
      ("sample-fallback-injector",)),
+    ({"fetch": "load-forward-optimized"}, {"grid": True}, "stackdist", ()),
 ]
 
 
@@ -142,7 +143,6 @@ class TestCellSpec:
         "axes, blocker",
         [
             ({"replacement": "LRU"}, "replacement policy 'LRU' (inclusion needs LRU)"),
-            ({"fetch": "Demand"}, "fetch policy 'Demand' (only demand fetch)"),
         ],
     )
     def test_route_reads_the_names_the_fingerprint_records(self, axes, blocker):
@@ -155,3 +155,18 @@ class TestCellSpec:
         canonical = CellSpec.of(None, **axes)
         assert canonical.fingerprint_params("bus", True)[axis] == name.lower()
         assert plan(canonical, grid=True).path == "stackdist"
+
+    def test_a_raw_fetch_spelling_reaches_the_pass_as_stored(self):
+        # Fetch no longer sways the route, so a raw spelling plans a
+        # pass; the pass refuses it (the runner then runs the cells per
+        # cell), while the CellSpec.of spelling runs on the pass.
+        raw = CellSpec(None, fetch="Demand")
+        assert plan(raw, grid=True) == Route("stackdist")
+        geometries = [CacheGeometry(64, 16, 8)]
+        (group,) = plan_grid(geometries, spec=raw).groups
+        assert [member.fetch for member in group.members] == ["Demand"]
+        reads = Trace([0, 8, 16], [0, 0, 2], 2, name="reads")
+        with pytest.raises(ConfigurationError, match="unknown fetch policy 'Demand'"):
+            run_group_pass(reads, 16, 1, group.members)
+        (group,) = plan_grid(geometries, spec=CellSpec.of(None, fetch="Demand")).groups
+        assert [member.fetch for member in group.members] == ["demand"]

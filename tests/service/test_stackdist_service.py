@@ -11,8 +11,10 @@ import json
 import time
 
 from repro.core.config import CacheGeometry
-from repro.engine.batch import CellSpec
+from repro.engine.batch import CellSpec, prepare_trace, run_cell
+from repro.memory.nibble import NIBBLE_MODE_BUS
 from repro.service import ServiceConfig, SimQuery, SimulationService
+from repro.workloads.suites import suite_trace
 
 
 def grid_queries(**overrides):
@@ -90,6 +92,27 @@ def test_a_burst_on_an_idle_service_still_shares_one_pass():
     assert service.metrics.stage_seconds.count(
         labels={"stage": "simulate"}
     ) == 1
+
+
+def test_a_mixed_fetch_burst_answers_each_query_under_its_own_fetch():
+    demand = grid_queries()[:2]
+    forward = grid_queries(fetch="load-forward")[:2]
+    results, service = simulate_batch(demand + forward, ServiceConfig())
+    assert [r.entry.engine for r in results] == ["stackdist"] * 4
+    # One pass per fetch policy: a batch never mixes them.
+    assert service.metrics.stage_seconds.count(
+        labels={"stage": "simulate"}
+    ) == 2
+    prepared = prepare_trace(suite_trace("pdp11", "ED", length=4000), True)
+    for query, result in zip(demand + forward, results):
+        want = run_cell(prepared, query.spec)
+        assert result.entry.stats == want.to_dict()
+        assert (result.entry.miss, result.entry.traffic, result.entry.scaled) == (
+            want.miss_ratio,
+            want.traffic_ratio(),
+            want.scaled_traffic_ratio(NIBBLE_MODE_BUS, query.spec.word_size),
+        )
+    assert results[0].entry.stats != results[2].entry.stats
 
 
 def test_queries_with_deadlines_still_share_one_pass():

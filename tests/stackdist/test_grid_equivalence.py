@@ -1,12 +1,14 @@
 """Grid equivalence: 220 combos, stackdist == reference.
 
 Mirrors ``tests/engine/test_equivalence.py``'s randomized sweep, but on
-the stack-distance engine's coverable subset (LRU, demand fetch,
+the stack-distance engine's coverable subset (LRU, any fetch policy,
 read/ifetch traces): 4 chunks x 55 seeded combos, each simulated once
 through :func:`repro.stackdist.run_group_pass` — grouped with sibling
 associativities sharing the (block, sets) pair, exactly as the planner
-would batch them — and once per member through the
-:class:`~repro.engine.ReferenceEngine`, asserting every counter equal.
+would batch them, each member under its own fetch policy — and once
+per member through the :class:`~repro.engine.ReferenceEngine`,
+asserting every counter equal and the three ratios a sweep cell
+records bit-identical.
 
 About one combo in five runs a long trace (thousands of accesses of
 loops and ping-pong between a few blocks), so distance windows run
@@ -21,7 +23,10 @@ import numpy as np
 import pytest
 
 from repro.core.config import CacheGeometry
+from repro.core.fetch import FETCH_NAMES, make_fetch
 from repro.engine import ReferenceEngine
+from repro.memory.nibble import NIBBLE_MODE_BUS
+from repro.runner.runner import _ratios
 from repro.stackdist import MemberSpec, run_group_pass
 from repro.trace.record import Trace
 
@@ -46,6 +51,31 @@ _COUNTERS = (
     "bytes_written_through",
     "prefetches",
 )
+
+
+def assert_same_stats(want, got, word_size, where):
+    """Every counter equal, and the ratio triple a sweep cell records
+    bit-identical: the nibble-mode ratio sums the transaction histogram
+    in its dict order, so equal counters alone do not pin it."""
+    for counter in _COUNTERS:
+        assert getattr(want, counter) == getattr(got, counter), (
+            f"{counter} diverged for {where}: reference "
+            f"{getattr(want, counter)!r} != stackdist {getattr(got, counter)!r}"
+        )
+    assert _ratios(got, NIBBLE_MODE_BUS, word_size) == _ratios(
+        want, NIBBLE_MODE_BUS, word_size
+    ), f"ratios diverged for {where}"
+
+
+def reference_run(geometry, trace, member, word_size, flush_at_end):
+    """The reference engine on one pass member's cell."""
+    return REFERENCE.run(
+        geometry, trace,
+        fetch=make_fetch(member.fetch),
+        word_size=word_size,
+        warmup=member.warmup,
+        flush_at_end=flush_at_end,
+    )
 
 
 def _readonly_trace(rng, n, addr_space, max_size, spanning):
@@ -124,6 +154,7 @@ def _random_group(rng):
                 ways=ways,
                 sub_block_size=rng.choice(subs),
                 warmup=rng.choice(("fill", 0, 1, n // 2, n, n + 3)),
+                fetch=rng.choice(FETCH_NAMES),
             )
         )
     if long_run:
@@ -153,16 +184,9 @@ def test_randomized_grid_equivalence(chunk):
                 sub_block_size=member.sub_block_size,
                 associativity=member.ways,
             )
-            want = REFERENCE.run(
-                geometry, trace,
-                word_size=word,
-                warmup=member.warmup,
-                flush_at_end=flush,
+            want = reference_run(geometry, trace, member, word, flush)
+            assert_same_stats(
+                want, got, word,
+                f"{geometry} member {member} over {trace!r} "
+                f"(word {word}, flush {flush})",
             )
-            for counter in _COUNTERS:
-                assert getattr(want, counter) == getattr(got, counter), (
-                    f"{counter} diverged for {geometry} member {member} "
-                    f"over {trace!r} (word {word}, flush {flush}): "
-                    f"reference {getattr(want, counter)!r} != stackdist "
-                    f"{getattr(got, counter)!r}"
-                )

@@ -80,7 +80,7 @@ def test_unknown_grid_engine_rejected():
     "kwargs, needle",
     [
         (dict(replacement="fifo"), "replacement"),
-        (dict(fetch=LoadForwardFetch()), "fetch"),
+        (dict(sample="100,2"), "sampled"),
         (dict(miss_path=MissPathConfig(victim_entries=2)), "miss-path"),
         (dict(engine="checked"), "checked"),
         (dict(engine="reference"), "reference"),
@@ -116,6 +116,22 @@ def test_disabled_miss_path_does_not_block():
 def test_demand_fetch_spellings_all_coverable(fetch):
     plan = plan_grid(_constant_sets_grid(), fetch=fetch)
     assert plan.covered == 4
+
+
+def test_load_forward_fetch_forms_pass_groups():
+    # Every fetch policy runs on a pass; each member carries the
+    # sweep's fetch, spelled as CellSpec.of stores it.
+    for fetch, name in (
+        (LoadForwardFetch(), "load-forward"),
+        (LoadForwardFetch(optimized=True), "load-forward-optimized"),
+        ("load_forward", "load-forward"),
+    ):
+        plan = plan_grid(_constant_sets_grid(), fetch=fetch)
+        assert plan.covered == 4
+        assert plan.blockers == ()
+        assert {m.fetch for g in plan.groups for m in g.members} == {name}
+    (group,) = plan_grid(_constant_sets_grid()).groups
+    assert {member.fetch for member in group.members} == {"demand"}
 
 
 def test_explicit_percell_engine_blocks_auto_only():

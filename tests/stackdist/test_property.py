@@ -3,9 +3,10 @@
 The stack-distance engine's whole value proposition is *exact*
 equality: every member cell of a pass group must be bit-identical to a
 reference-engine run of the same geometry.  Hypothesis drives the
-geometry axes (sets x assoc x block x sub-block), warm-up modes, and
-randomized read/ifetch streams; the assertion compares every
-:class:`~repro.core.stats.CacheStats` counter, not just the ratios.
+geometry axes (sets x assoc x block x sub-block), warm-up modes,
+fetch policies and randomized read/ifetch streams; the assertion
+compares every :class:`~repro.core.stats.CacheStats` counter and the
+ratio triple a sweep cell records.
 """
 
 from __future__ import annotations
@@ -16,31 +17,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import CacheGeometry
-from repro.engine import CheckedEngine, ReferenceEngine
+from repro.core.fetch import FETCH_NAMES
+from repro.engine import CheckedEngine
 from repro.errors import ConfigurationError
 from repro.stackdist import MemberSpec, run_group_pass
 from repro.stackdist.engine import set_distances
 from repro.trace.record import Trace
 
-REFERENCE = ReferenceEngine()
-
-_COUNTERS = (
-    "accesses",
-    "misses",
-    "block_misses",
-    "sub_block_misses",
-    "accesses_by_kind",
-    "misses_by_kind",
-    "bytes_accessed",
-    "bytes_fetched",
-    "redundant_bytes_fetched",
-    "transaction_words",
-    "evictions",
-    "evicted_sub_blocks_referenced",
-    "evicted_sub_blocks_total",
-    "writebacks",
-    "prefetches",
-)
+from tests.stackdist.test_grid_equivalence import assert_same_stats, reference_run
 
 
 def _trace(addrs, kinds, sizes):
@@ -55,7 +39,7 @@ def _trace(addrs, kinds, sizes):
 def _assert_members_match(
     trace, block_size, num_sets, members, word_size=2, flush_at_end=False
 ):
-    """run_group_pass vs one ReferenceEngine run per member, all counters."""
+    """run_group_pass vs one ReferenceEngine run per member."""
     stats_list = run_group_pass(
         trace, block_size, num_sets, members,
         word_size=word_size, flush_at_end=flush_at_end,
@@ -68,19 +52,11 @@ def _assert_members_match(
             sub_block_size=member.sub_block_size,
             associativity=member.ways,
         )
-        want = REFERENCE.run(
-            geometry, trace,
-            word_size=word_size,
-            warmup=member.warmup,
-            flush_at_end=flush_at_end,
+        want = reference_run(geometry, trace, member, word_size, flush_at_end)
+        assert_same_stats(
+            want, got, word_size,
+            f"member {member} (block {block_size}, sets {num_sets})",
         )
-        for counter in _COUNTERS:
-            assert getattr(want, counter) == getattr(got, counter), (
-                f"{counter} diverged for member {member} "
-                f"(block {block_size}, sets {num_sets}): reference "
-                f"{getattr(want, counter)!r} != stackdist "
-                f"{getattr(got, counter)!r}"
-            )
 
 
 @st.composite
@@ -126,6 +102,7 @@ def _pass_group_case(draw):
                 ways=ways,
                 sub_block_size=draw(st.sampled_from(subs)),
                 warmup=warmup,
+                fetch=draw(st.sampled_from(FETCH_NAMES)),
             )
         )
     flush = draw(st.booleans())
@@ -160,6 +137,13 @@ def test_spot_check_against_checked_engine(addrs, ways):
     geometry = CacheGeometry(8 * 4 * ways, 8, 4, associativity=ways)
     want = CheckedEngine().run(geometry, trace, warmup="fill")
     assert want.snapshot() == got.snapshot()
+
+
+def test_unknown_fetch_rejected():
+    trace = _trace([0, 8], [0, 0], [0, 0])
+    member = MemberSpec(ways=1, sub_block_size=4, fetch="prefetch")
+    with pytest.raises(ConfigurationError, match="unknown fetch policy 'prefetch'"):
+        run_group_pass(trace, 8, 2, [member])
 
 
 def test_write_trace_rejected():
