@@ -26,6 +26,20 @@ array per level, one ``searchsorted`` per level), ``O(n log n)``.
 :func:`set_distances` is that kernel; :func:`distance_histogram`
 reads it too.
 
+A pass only asks whether ``d`` exceeds each member's ways, so it hands
+the kernel ``near``, its smallest member's ways: a reuse at most
+``near`` positions after its block's previous touch takes that gap
+``i - prev``, an upper bound on ``d`` of at most ``near``, and skips
+the prefix count.  Every member still reads ``d > A`` exactly;
+:func:`set_distances` stays exact (``near = 0``).
+
+The portions, their block order and everything derived from it
+depend on the block size and word size but not on the set count (bit
+selection), so :class:`_Blocks` holds them once and a one-slot memo
+hands them to the next pass over the same trace and block size: a
+sweep's groups come sorted by ``(block_size, num_sets)``.  Only the
+set order and the distances (:class:`_Walk`) are built per pass.
+
 Per member
 ----------
 
@@ -53,6 +67,11 @@ in time):
   sub-blocks (the union of those its portions needed) to
   ``evicted_sub_blocks_referenced``.  ``flush_at_end`` evicts the
   residencies that end with fewer than ``A`` blocks after them.
+
+The fills, residencies, counted events and eviction charges depend
+only on ``A`` and the warm-up end ``min_t``, so members sharing both
+share one residency frame (:class:`_Frame`); only the sub-block and
+fetch work is per member.
 
 Warm-up resets at a time ``min_t`` and every event is filtered by its
 time.  ``warmup=N`` gives ``min_t = N`` (the reset fires at the end of
@@ -136,9 +155,9 @@ def _validate(
 
 
 def _portions(
-    addrs: Any, eff: Any, block_size: int, num_sets: int, n: int
-) -> Tuple[Any, Any, Any, Any, Any]:
-    """Flatten accesses into per-block portions (t, block, set, lo, hi)."""
+    addrs: Any, eff: Any, block_size: int, n: int
+) -> Tuple[Any, Any, Any, Any]:
+    """Flatten accesses into per-block portions (t, block, lo, hi)."""
     fb = addrs // block_size
     last = (addrs + eff - 1) // block_size
     nport = last - fb + 1
@@ -157,7 +176,7 @@ def _portions(
         a_rep = np.repeat(addrs, nport)
         plo = np.maximum(a_rep, base) - base
         phi = np.minimum(a_rep + np.repeat(eff, nport), base + block_size) - 1 - base
-    return tvec, pb, pb % num_sets, plo, phi
+    return tvec, pb, plo, phi
 
 
 def _stable_argsort(keys: Any) -> Any:
@@ -224,8 +243,15 @@ def set_distances(blocks: Any, sets: Any) -> Any:
     return _distances(blocks, _stable_argsort(sets))
 
 
-def _distances(blocks: Any, order: Any) -> Any:
-    """:func:`set_distances`, given ``order``: a stable argsort of the sets."""
+def _distances(blocks: Any, order: Any, near: int = 0) -> Any:
+    """:func:`set_distances`, given ``order``: a stable argsort of the sets.
+
+    A reuse at most ``near`` set positions after its block's previous
+    touch gets that gap instead of its exact distance.  The gap bounds
+    the distance from above, so a caller that only asks whether a
+    distance exceeds some ``ways >= near`` reads the same answer, and
+    those reuses skip the prefix count.
+    """
     total = len(blocks)
     dist = np.zeros(total, dtype=np.int64)
     if total == 0:
@@ -242,26 +268,42 @@ def _distances(blocks: Any, order: Any) -> Any:
     prev[by_block[1:][again]] = by_block[:-1][again]
     later = np.flatnonzero(prev >= 0)  # ascending, so the probes are too
     earlier = prev[later]
-    dist[kept[later]] = later - earlier - _count_above(prev, later, earlier)
+    gap = later - earlier
+    far = np.flatnonzero(gap > near)
+    gap[far] -= _count_above(prev, later[far], earlier[far])
+    dist[kept[later]] = gap
     return dist
 
 
-class _Walk:
-    """Trace-level arrays shared by every member of one pass.
+class _Blocks:
+    """The set-count-free state of one trace at one block and word size.
 
     Portions are held in *block order* (sorted by block, stable in
-    time), so each block's history is one contiguous run; ``so`` is the
-    set order used for the per-set counts.
+    time), so each block's history is one contiguous run.  Under bit
+    selection none of this depends on the set count, so every pass of
+    one block size reuses it (:func:`_block_state`).
     """
 
     def __init__(
-        self, tvec: Any, pb: Any, pset: Any, plo: Any, phi: Any, n: int
+        self, trace: Any, block_size: int, word_size: int
     ) -> None:
-        total = len(pb)
+        addrs = np.asarray(trace.addrs, dtype=np.int64)
+        kinds = np.asarray(trace.kinds)
+        sizes = np.asarray(trace.sizes)
+        n = len(addrs)
+        if n and bool((kinds == int(AccessType.WRITE)).any()):
+            raise ConfigurationError(
+                "stackdist pass groups cover read/ifetch traces only; "
+                "filter writes or fall back to a per-cell engine"
+            )
         self.n = n
+        self.kinds = kinds
+        self.sizes = sizes
+        eff = np.where(sizes > 0, sizes.astype(np.int64), word_size)
+        tvec, pb, plo, phi = _portions(addrs, eff, block_size, n)
+        total = len(pb)
         self.total = total
-        by_set = _stable_argsort(pset)
-        dist = _distances(pb, by_set)
+        self.pb = pb  # block of each portion, in trace order
         bo = _stable_argsort(pb)
         # Trace order of each portion (by time, then address).
         self.order = bo
@@ -271,40 +313,121 @@ class _Walk:
         block = pb[bo]
         first = np.ones(total, dtype=bool)
         first[1:] = block[1:] != block[:-1]
+        self.first = first
         last = np.ones(total, dtype=bool)
         last[:-1] = first[1:]
         self.last = last
         self.block_id = np.cumsum(first) - 1
-        dist = dist[bo]
-        dist[first] = np.iinfo(np.int64).max  # cold: deeper than any ways
-        self.dist = dist
         # Time of the block's next portion (past the end if none).
         tnext = np.full(total, n + 1, dtype=np.int64)
         tnext[:-1] = np.where(last[:-1], n + 1, self.t[1:])
         self.tnext = tnext
+        self._granules: Dict[int, Tuple[Optional[Any], Any, Optional[Any]]] = {}
 
-        # Set order (stable in time): each portion's position and its
-        # set's end.
-        set_of = pset[bo]
+    def granules(self, sub: int) -> Tuple[Optional[Any], Any, Optional[Any]]:
+        """Needed sub-blocks of size ``sub``, one row per (portion, j).
+
+        Returns ``(owner, prev_touch, run_head)``: the owning portion
+        (block order), the block-order position of the previous portion
+        that needed the same sub-block of the same block (-1 if none),
+        and whether the row starts its portion.  When every portion
+        needs exactly one sub-block the rows are the portions, and
+        ``owner`` and ``run_head`` are None.
+        """
+        cached = self._granules.get(sub)
+        if cached is not None:
+            return cached
+        total = self.total
+        first_j = self.lo // sub
+        count = self.hi // sub - first_j + 1
+        owner: Optional[Any] = None
+        head: Optional[Any] = None
+        # Usually every portion needs one sub-block; skipping the
+        # repeat, reduceat and run bincount then saves about a fifth of
+        # the table7 pass time.
+        if total == 0 or int(count.max()) == 1:
+            j = first_j
+            ids = self.block_id
+        else:
+            owner = np.repeat(np.arange(total, dtype=np.int64), count)
+            starts = np.cumsum(count) - count
+            j = first_j[owner] + np.arange(len(owner), dtype=np.int64) - starts[owner]
+            head = np.zeros(len(owner), dtype=bool)
+            head[starts] = True
+            ids = self.block_id[owner]
+        key = ids * (1 + int(j.max(initial=0))) + j
+        by_key = _stable_argsort(key)
+        again = key[by_key[1:]] == key[by_key[:-1]]
+        earlier = by_key[:-1][again]
+        prev_touch = np.full(len(key), -1, dtype=np.int64)
+        prev_touch[by_key[1:][again]] = earlier if owner is None else owner[earlier]
+        cached = (owner, prev_touch, head)
+        self._granules[sub] = cached
+        return cached
+
+
+#: The last block state built, as ``(trace, block_size, word_size,
+#: state)``.  One slot: a sweep runs a trace's passes back to back, and
+#: a wider memo would keep every trace's state alive.  It is read once
+#: and replaced whole, so threads running passes over different traces
+#: at once at worst rebuild a state, never read a mixed one.
+_last_blocks: Optional[Tuple[Any, int, int, _Blocks]] = None
+
+
+def _block_state(trace: Any, block_size: int, word_size: int) -> _Blocks:
+    """The :class:`_Blocks` of ``trace``, reused from the last pass
+    over the same trace object, block size and word size."""
+    global _last_blocks
+    slot = _last_blocks
+    if (
+        slot is not None
+        and slot[0] is trace
+        and slot[1] == block_size
+        and slot[2] == word_size
+    ):
+        return slot[3]
+    # Let the old state go before the new one is built.
+    slot = _last_blocks = None
+    state = _Blocks(trace, block_size, word_size)
+    _last_blocks = (trace, block_size, word_size, state)
+    return state
+
+
+class _Walk:
+    """One set count's view of a :class:`_Blocks`, shared by every
+    member of one pass: distances and the set order (stable in time)."""
+
+    def __init__(self, blocks: _Blocks, num_sets: int, near: int) -> None:
+        self.blocks = blocks
+        total = blocks.total
+        order = blocks.order
+        pset = blocks.pb % num_sets
+        by_set = _stable_argsort(pset)
+        dist = _distances(blocks.pb, by_set, near)[order]
+        dist[blocks.first] = np.iinfo(np.int64).max  # cold: deeper than any ways
+        self.dist = dist
+
+        # Set order: each portion's position and its set's end.
         block_pos = np.empty(total, dtype=np.int64)
-        block_pos[bo] = np.arange(total, dtype=np.int64)
+        block_pos[order] = np.arange(total, dtype=np.int64)
         so = block_pos[by_set]
+        del block_pos
         self.so = so
         setpos = np.empty(total, dtype=np.int64)
         setpos[so] = np.arange(total, dtype=np.int64)
         self.setpos = setpos
+        set_of = pset[order]
         self.setend = np.searchsorted(set_of[so], set_of, side="right")
         # Distinct blocks after a block's last portion in its set.
         after = np.zeros(total + 1, dtype=np.int64)
-        np.cumsum(last[so], out=after[1:])
+        np.cumsum(blocks.last[so], out=after[1:])
         self.tail = after[self.setend] - after[setpos + 1]
         # Cold first touches per set, in time order: (set, time, rank).
-        cold = so[first[so]]
+        cold = so[blocks.first[so]]
         cold_sets = set_of[cold]
         set_start = np.searchsorted(cold_sets, cold_sets, side="left")
-        self.cold_t = self.t[cold]
+        self.cold_t = blocks.t[cold]
         self.cold_rank = np.arange(len(cold), dtype=np.int64) - set_start
-        self._granules: Dict[int, Tuple[Any, Any, Any, bool]] = {}
         self._depth: Dict[int, Any] = {}
 
     def fill_time(self, ways: int, num_sets: int) -> int:
@@ -313,44 +436,6 @@ class _Walk:
         if int(at.sum()) < num_sets:
             return 0
         return int(self.cold_t[at].max()) + 1
-
-    def granules(self, sub: int) -> Tuple[Any, Any, Any, bool]:
-        """Needed sub-blocks of size ``sub``, one row per (portion, j).
-
-        Returns ``(owner, prev_touch, run_head, single)``: the owning
-        portion (block order), the block-order position of the
-        previous portion that needed the same sub-block of the same
-        block (-1 if none), whether the row starts its portion, and
-        whether every portion needs exactly one sub-block.
-        """
-        cached = self._granules.get(sub)
-        if cached is not None:
-            return cached
-        total = self.total
-        first_j = self.lo // sub
-        count = self.hi // sub - first_j + 1
-        # Usually every portion needs one sub-block; skipping the
-        # repeat, reduceat and run bincount then saves about a fifth of
-        # the table7 pass time.
-        single = total == 0 or int(count.max()) == 1
-        if single:
-            owner = np.arange(total, dtype=np.int64)
-            j = first_j
-            head = np.ones(total, dtype=bool)
-        else:
-            owner = np.repeat(np.arange(total, dtype=np.int64), count)
-            starts = np.cumsum(count) - count
-            j = first_j[owner] + np.arange(len(owner), dtype=np.int64) - starts[owner]
-            head = np.zeros(len(owner), dtype=bool)
-            head[starts] = True
-        key = self.block_id[owner] * (1 + int(j.max(initial=0))) + j
-        by_key = _stable_argsort(key)
-        again = key[by_key[1:]] == key[by_key[:-1]]
-        prev_touch = np.full(len(owner), -1, dtype=np.int64)
-        prev_touch[by_key[1:][again]] = owner[by_key[:-1][again]]
-        cached = (owner, prev_touch, head, single)
-        self._granules[sub] = cached
-        return cached
 
     def depth(self, min_t: int) -> Any:
         """Per portion: its block's depth in the set's stack at ``min_t``.
@@ -361,12 +446,55 @@ class _Walk:
         """
         cached = self._depth.get(min_t)
         if cached is None:
-            open_at = (self.t < min_t) & (self.tnext >= min_t)
-            upto = np.zeros(self.total + 1, dtype=np.int64)
+            blocks = self.blocks
+            open_at = (blocks.t < min_t) & (blocks.tnext >= min_t)
+            upto = np.zeros(blocks.total + 1, dtype=np.int64)
             np.cumsum(open_at[self.so], out=upto[1:])
             cached = upto[self.setend] - upto[self.setpos]
             self._depth[min_t] = cached
         return cached
+
+
+class _Frame:
+    """The residencies of one ``(ways, min_t)``, shared by every member
+    of a pass with both: fills, counted events and eviction charges."""
+
+    def __init__(
+        self, walk: _Walk, ways: int, min_t: int, flush_at_end: bool
+    ) -> None:
+        blocks = walk.blocks
+        self.min_t = min_t
+        deep = walk.dist > ways
+        self.deep = deep
+        fills = np.flatnonzero(deep)
+        self.residencies = len(fills)
+        residency = np.cumsum(deep) - 1
+        self.residency = residency
+        # Block-order position of each portion's residency's fill.
+        self.fill_pos = fills[residency]
+        counted = blocks.t >= min_t
+        self.counted = counted
+        self.block_misses = int(np.count_nonzero(deep & counted))
+
+        # Residencies: fill ``fills[k]`` through the portion before the next.
+        ends = np.empty(len(fills), dtype=np.int64)
+        ends[:-1] = fills[1:] - 1
+        ends[-1] = blocks.total - 1
+        # A residency is still cached at the end unless its block is
+        # refilled or at least ``ways`` blocks follow it in its set.
+        resident = blocks.last[ends] & (walk.tail[ends] < ways)
+        charged = ~resident
+        if min_t:
+            # Evicted before the reset: refilled before it, or pushed below
+            # the set's top ``ways`` blocks by then.
+            charged &= ~(
+                (blocks.t[ends] < min_t)
+                & ((blocks.tnext[ends] < min_t) | (walk.depth(min_t)[ends] > ways))
+            )
+        if flush_at_end:
+            charged |= resident
+        self.charged = charged
+        self.evictions = int(np.count_nonzero(charged))
 
 
 def _histogram(words: Any, rank: Any) -> Dict[int, int]:
@@ -390,43 +518,35 @@ def _histogram(words: Any, rank: Any) -> Dict[int, int]:
 
 
 def _member_stats(
-    walk: _Walk,
-    kinds: Any,
-    ways: int,
+    blocks: _Blocks,
+    frame: _Frame,
     sub: int,
     fetch: str,
     block_size: int,
     word_size: int,
-    min_t: int,
-    flush_at_end: bool,
 ) -> CacheStats:
     """The event counters of one member (accesses are filled by the caller)."""
     stats = CacheStats()
-    total = walk.total
-    if total == 0:
-        return stats
-    deep = walk.dist > ways
-    fills = np.flatnonzero(deep)
-    residency = np.cumsum(deep) - 1
-    owner, prev_touch, head, single = walk.granules(sub)
+    owner, prev_touch, head = blocks.granules(sub)
+    deep = frame.deep
+    counted = frame.counted
     # Needed sub-blocks first needed in their residency: under demand
     # fetch the fetched ones, under any fetch the residency's
     # referenced set.
-    missing = prev_touch < fills[residency[owner]]
+    missing = prev_touch < (frame.fill_pos if owner is None else frame.fill_pos[owner])
 
-    counted = walk.t >= min_t
     if fetch == "demand":
-        g_counted = counted if single else counted[owner]
-        if single:
+        if owner is None:
             portion_miss = missing
+            fetched = int(np.count_nonzero(missing & counted))
+            stats.bytes_fetched = fetched * sub
+            words = np.full(fetched, sub // word_size)
+            rank = np.zeros(fetched, dtype=np.int64)
         else:
+            assert head is not None
+            g_counted = counted[owner]
             portion_miss = np.logical_or.reduceat(missing, np.flatnonzero(head))
-        fetched = missing & g_counted
-        stats.bytes_fetched = int(np.count_nonzero(fetched)) * sub
-        if single:
-            words = np.full(int(np.count_nonzero(fetched)), sub // word_size)
-            rank = np.zeros(len(words), dtype=np.int64)
-        else:
+            stats.bytes_fetched = int(np.count_nonzero(missing & g_counted)) * sub
             # One transaction per run of missing rows within a portion.
             run_head = missing.copy()
             run_head[1:] &= ~(missing[:-1] & ~head[1:])
@@ -438,7 +558,7 @@ def _member_stats(
             # By the portion's trace order, then by row: a portion's
             # rows ascend through its sub-blocks.
             starts = starts[kept]
-            rank = walk.order[owner[starts]] * len(owner) + starts
+            rank = blocks.order[owner[starts]] * len(owner) + starts
     else:
         # Load-forward keeps a resident block's valid sub-blocks a
         # suffix [m, S): a fill starts it at m = S, and a portion whose
@@ -447,9 +567,9 @@ def _member_stats(
         # residency; offsetting each residency's keys below every
         # earlier one's restarts one running minimum at every fill.
         span = block_size // sub
-        target = walk.lo // sub
-        offset = residency * (span + 1)
-        valid_from = np.empty(total, dtype=np.int64)  # m before the portion
+        target = blocks.lo // sub
+        offset = frame.residency * (span + 1)
+        valid_from = np.empty(blocks.total, dtype=np.int64)  # m before the portion
         valid_from[1:] = (np.minimum.accumulate(target - offset) + offset)[:-1]
         valid_from[deep] = span
         portion_miss = target < valid_from
@@ -463,44 +583,27 @@ def _member_stats(
             run = valid_from[at] - target[at]
         stats.bytes_fetched = int(run.sum()) * sub
         words = run * sub // word_size
-        rank = walk.order[at]
+        rank = blocks.order[at]
     stats.transaction_words = _histogram(words, rank)
-    stats.block_misses = int(np.count_nonzero(deep & counted))
+    stats.block_misses = frame.block_misses
     stats.sub_block_misses = int(
         np.count_nonzero(portion_miss & ~deep & counted)
     )
 
-    missed = np.zeros(walk.n, dtype=bool)
-    missed[walk.t[portion_miss]] = True
-    missed_kinds = kinds[min_t:][missed[min_t:]]
+    min_t = frame.min_t
+    missed = np.zeros(blocks.n, dtype=bool)
+    missed[blocks.t[portion_miss]] = True
+    missed_kinds = blocks.kinds[min_t:][missed[min_t:]]
     stats.misses = len(missed_kinds)
     by_kind = np.bincount(missed_kinds, minlength=len(_KIND_OF))
     stats.misses_by_kind = {
         kind: int(by_kind[i]) for i, kind in enumerate(_KIND_OF)
     }
 
-    # Residencies: fill ``fills[k]`` through the portion before the next.
-    ends = np.empty(len(fills), dtype=np.int64)
-    ends[:-1] = fills[1:] - 1
-    ends[-1] = total - 1
-    # A residency is still cached at the end unless its block is
-    # refilled or at least ``ways`` blocks follow it in its set.
-    resident = walk.last[ends] & (walk.tail[ends] < ways)
-    charged = ~resident
-    if min_t:
-        # Evicted before the reset: refilled before it, or pushed below
-        # the set's top ``ways`` blocks by then.
-        charged &= ~(
-            (walk.t[ends] < min_t)
-            & ((walk.tnext[ends] < min_t) | (walk.depth(min_t)[ends] > ways))
-        )
-    if flush_at_end:
-        charged |= resident
-    per_residency = np.bincount(
-        residency[owner[missing]], minlength=len(fills)
-    )
-    stats.evictions = int(np.count_nonzero(charged))
-    stats.evicted_sub_blocks_referenced = int(per_residency[charged].sum())
+    first_needed = frame.residency[missing if owner is None else owner[missing]]
+    per_residency = np.bincount(first_needed, minlength=frame.residencies)
+    stats.evictions = frame.evictions
+    stats.evicted_sub_blocks_referenced = int(per_residency[frame.charged].sum())
     stats.evicted_sub_blocks_total = stats.evictions * (block_size // sub)
     return stats
 
@@ -544,27 +647,13 @@ def run_group_pass(
         DeadlineExceededError: When ``deadline`` passes mid-pass.
     """
     _validate(block_size, num_sets, members, word_size)
-    addrs = np.asarray(trace.addrs, dtype=np.int64)
-    kinds = np.asarray(trace.kinds)
-    sizes = np.asarray(trace.sizes, dtype=np.int64)
-    n = len(addrs)
-    if n and bool((kinds == int(AccessType.WRITE)).any()):
-        raise ConfigurationError(
-            "stackdist pass groups cover read/ifetch traces only; "
-            "filter writes or fall back to a per-cell engine"
-        )
+    blocks = _block_state(trace, block_size, word_size)
+    n = blocks.n
+    walk = _Walk(blocks, num_sets, near=min(member.ways for member in members))
 
-    eff = np.where(sizes > 0, sizes, word_size)
-    cum_bytes = np.concatenate(([0], np.cumsum(eff)))
-    cum_kind = np.zeros((len(_KIND_OF), n + 1), dtype=np.int64)
-    for i in range(len(_KIND_OF)):
-        np.cumsum(kinds == i, out=cum_kind[i, 1:])
-    walk = _Walk(*_portions(addrs, eff, block_size, num_sets, n), n=n)
-
-    results: List[CacheStats] = []
-    for member in members:
-        if deadline is not None and time.monotonic() >= deadline:
-            raise DeadlineExceededError("deadline expired mid-pass")
+    # Members sharing (ways, min_t) share one residency frame.
+    by_frame: Dict[Tuple[int, int], List[int]] = {}
+    for index, member in enumerate(members):
         warmup = member.warmup
         if warmup == "fill":
             min_t = walk.fill_time(member.ways, num_sets)
@@ -572,17 +661,35 @@ def run_group_pass(
             # A warm-up past the end of the trace never resets (the
             # simulate() countdown never reaches zero).
             min_t = int(warmup) if int(warmup) <= n else 0
-        stats = _member_stats(
-            walk, kinds, member.ways, member.sub_block_size, member.fetch,
-            block_size, word_size, min_t, flush_at_end,
+        by_frame.setdefault((member.ways, min_t), []).append(index)
+
+    results: List[CacheStats] = [CacheStats() for _ in members]
+    for (ways, min_t), indices in by_frame.items():
+        # The accesses after the reset; a size-0 access is a word wide.
+        sizes = blocks.sizes[min_t:]
+        sized = sizes > 0
+        bytes_accessed = int(sizes.sum(dtype=np.int64, where=sized)) + word_size * (
+            len(sizes) - int(np.count_nonzero(sized))
         )
-        stats.accesses = n - min_t
-        stats.bytes_accessed = int(cum_bytes[n] - cum_bytes[min_t])
-        stats.accesses_by_kind = {
-            kind: int(cum_kind[i, n] - cum_kind[i, min_t])
-            for i, kind in enumerate(_KIND_OF)
-        }
-        results.append(stats)
+        by_kind = np.bincount(blocks.kinds[min_t:], minlength=len(_KIND_OF))
+        frame: Optional[_Frame] = None
+        for index in indices:
+            if deadline is not None and time.monotonic() >= deadline:
+                raise DeadlineExceededError("deadline expired mid-pass")
+            if blocks.total:
+                if frame is None:
+                    frame = _Frame(walk, ways, min_t, flush_at_end)
+                member = members[index]
+                results[index] = _member_stats(
+                    blocks, frame, member.sub_block_size, member.fetch,
+                    block_size, word_size,
+                )
+            stats = results[index]
+            stats.accesses = n - min_t
+            stats.bytes_accessed = bytes_accessed
+            stats.accesses_by_kind = {
+                kind: int(by_kind[i]) for i, kind in enumerate(_KIND_OF)
+            }
     return results
 
 

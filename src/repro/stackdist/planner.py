@@ -65,7 +65,9 @@ class GridPlan:
     one-member pass) or every geometry runs per cell.
 
     Attributes:
-        groups: Pass groups the stack-distance engine will run.
+        groups: Pass groups the stack-distance engine will run, sorted
+            by ``(block_size, num_sets)``: the passes of one block size
+            run back to back and share its block-order state.
         fallback_indices: Geometry indices executed per cell, in input
             order.
         blockers: The reasons the grid runs per cell (empty when it
@@ -108,8 +110,9 @@ def plan_grid(
 
     Returns:
         A :class:`GridPlan`: the groups the runner runs, singletons
-        included.  When the route is not ``stackdist`` every index
-        lands in ``fallback_indices``.
+        included, sorted by ``(block_size, num_sets)`` and each member
+        carrying its geometry's clamped ways.  When the route is not
+        ``stackdist`` every index lands in ``fallback_indices``.
 
     Raises:
         ConfigurationError: For a ``grid_engine`` other than ``"auto"``
@@ -153,7 +156,7 @@ def plan_grid(
             geometry_indices=tuple(indices),
             members=tuple(
                 MemberSpec(
-                    ways=geometries[i].associativity,
+                    ways=geometries[i].ways,
                     sub_block_size=geometries[i].sub_block_size,
                     warmup=spec.warmup,
                     fetch=spec.fetch,
@@ -161,6 +164,6 @@ def plan_grid(
                 for i in indices
             ),
         )
-        for (block_size, num_sets), indices in grouped.items()
+        for (block_size, num_sets), indices in sorted(grouped.items())
     )
     return GridPlan(groups=groups, fallback_indices=())

@@ -13,11 +13,20 @@ records bit-identical.
 About one combo in five runs a long trace (thousands of accesses of
 loops and ping-pong between a few blocks), so distance windows run
 long and residencies straddle the warm-up boundary.
+
+A second, 80-combo series plans its groups with :func:`plan_grid`
+from geometries whose ways repeat (1 and 2 among them), some asked for
+more ways than a one-set cache has blocks (so the geometry clamps
+them), and then gives each member its own warm-up and fetch: members
+share a residency frame only when both their ways and their warm-up
+end agree, and the distance walk trusts short reuses only up to the
+smallest member's ways.
 """
 
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,7 +36,7 @@ from repro.core.fetch import FETCH_NAMES, make_fetch
 from repro.engine import ReferenceEngine
 from repro.memory.nibble import NIBBLE_MODE_BUS
 from repro.runner.runner import _ratios
-from repro.stackdist import MemberSpec, run_group_pass
+from repro.stackdist import MemberSpec, plan_grid, run_group_pass
 from repro.trace.record import Trace
 
 REFERENCE = ReferenceEngine()
@@ -188,5 +197,63 @@ def test_randomized_grid_equivalence(chunk):
             assert_same_stats(
                 want, got, word,
                 f"{geometry} member {member} over {trace!r} "
+                f"(word {word}, flush {flush})",
+            )
+
+
+def _mixed_group(rng):
+    """A planned group whose members repeat ways and mix warm-ups."""
+    block = rng.choice((4, 8, 16, 32))
+    num_sets = rng.choice((1, 1, 2, 4, 8))
+    word = rng.choice([w for w in (1, 2, 4) if w <= block])
+    subs = [s for s in (1, 2, 4, 8, 16) if word <= s <= block]
+    long_run = rng.random() < 0.3
+    n = rng.randint(1000, 3000) if long_run else rng.choice((5, 50, 400))
+    geometries = []
+    for _ in range(rng.randint(2, 5)):
+        ways = rng.choice((1, 1, 2, 2, 4, 8))
+        # A one-set cache asked for more ways than it has blocks runs
+        # at its block count: the clamp.
+        asked = ways * rng.choice((1, 2, 4)) if num_sets == 1 else ways
+        geometries.append(
+            CacheGeometry(
+                net_size=block * num_sets * ways,
+                block_size=block,
+                sub_block_size=rng.choice(subs),
+                associativity=asked,
+            )
+        )
+    (group,) = plan_grid(geometries).groups
+    members = [
+        replace(
+            member,
+            warmup=rng.choice(("fill", "fill", 0, 1, n // 3, n // 2, n)),
+            fetch=rng.choice(FETCH_NAMES),
+        )
+        for member in group.members
+    ]
+    if long_run:
+        trace = _long_trace(rng, n, rng.choice((256, 4096)), 13)
+    else:
+        trace = _readonly_trace(rng, n, rng.choice((64, 256)), 13, spanning=True)
+    return trace, geometries, block, num_sets, members, word, rng.random() < 0.3
+
+
+@pytest.mark.parametrize("chunk", range(2))
+def test_mixed_member_groups(chunk):
+    """80 planned groups with repeated ways, clamped geometries and
+    per-member warm-ups: exact counter equality per member."""
+    rng = random.Random(9100 + chunk)
+    for _ in range(40):
+        trace, geometries, block, num_sets, members, word, flush = _mixed_group(rng)
+        got_list = run_group_pass(
+            trace, block, num_sets, members, word_size=word, flush_at_end=flush,
+        )
+        for geometry, member, got in zip(geometries, members, got_list):
+            assert member.ways == geometry.ways
+            want = reference_run(geometry, trace, member, word, flush)
+            assert_same_stats(
+                want, got, word,
+                f"{geometry} member {member} of {members} over {trace!r} "
                 f"(word {word}, flush {flush})",
             )

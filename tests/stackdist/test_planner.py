@@ -59,6 +59,33 @@ def test_singleton_groups_become_one_member_passes():
     assert [g.geometry_indices for g in plan.groups] == [(0,), (1,)]
 
 
+def test_groups_run_in_block_then_set_order():
+    # The passes of one block size run back to back, so they share its
+    # block-order state.
+    grid = [
+        CacheGeometry(4096, 16, 4), CacheGeometry(512, 8, 4),
+        CacheGeometry(1024, 16, 4), CacheGeometry(2048, 8, 8),
+        CacheGeometry(256, 16, 16),
+    ]
+    plan = plan_grid(grid)
+    assert [(g.block_size, g.num_sets) for g in plan.groups] == [
+        (8, 16), (8, 64), (16, 4), (16, 16), (16, 64),
+    ]
+    assert [g.geometry_indices for g in plan.groups] == [(1,), (3,), (4,), (2,), (0,)]
+
+
+def test_members_take_the_clamped_ways():
+    # 64 bytes of 16-byte blocks hold 4 blocks: an 8-way request runs
+    # as one 4-way set, and the pass must count misses at depth > 4.
+    grid = [
+        CacheGeometry(64, 16, 4, associativity=8),
+        CacheGeometry(64, 16, 8, associativity=4),
+    ]
+    (group,) = plan_grid(grid).groups
+    assert group.num_sets == 1
+    assert [m.ways for m in group.members] == [4, 4]
+
+
 def test_percell_mode_covers_nothing():
     # The per-cell opt-out is an explicit engine: it runs every cell.
     for engine in ("reference", "vectorized", "checked"):
