@@ -113,7 +113,7 @@ def run_phase(
     """Fire one phase's queries concurrently; return its summary."""
     latencies: List[float] = []
     failures = 0
-    sources: Dict[str, int] = {}
+    by_source: Dict[str, List[float]] = {}
 
     def one(query: dict) -> None:
         nonlocal failures
@@ -124,8 +124,7 @@ def run_phase(
         if status != 200:
             failures += 1
         else:
-            source = payload.get("source", "?")
-            sources[source] = sources.get(source, 0) + 1
+            by_source.setdefault(payload.get("source", "?"), []).append(elapsed)
 
     wall_started = time.perf_counter()
     with ThreadPoolExecutor(max_workers=concurrency) as pool:
@@ -142,14 +141,22 @@ def run_phase(
         "p50_ms": percentile(ordered, 0.50) * 1e3,
         "p95_ms": percentile(ordered, 0.95) * 1e3,
         "p99_ms": percentile(ordered, 0.99) * 1e3,
-        "sources": sources,
+        "sources": {source: len(times) for source, times in by_source.items()},
+        "p50_ms_by_source": {
+            source: percentile(sorted(times), 0.50) * 1e3
+            for source, times in by_source.items()
+        },
     }
     print(
         f"{name:>5s}: {summary['throughput_rps']:8.1f} req/s  "
         f"p50 {summary['p50_ms']:7.2f} ms  p95 {summary['p95_ms']:7.2f} ms  "
         f"p99 {summary['p99_ms']:7.2f} ms  "
-        f"failures {failures}/{len(queries)}  sources {sources}"
+        f"failures {failures}/{len(queries)}  sources {summary['sources']}"
     )
+    print("       p50 by source: " + "  ".join(
+        f"{source} {ms:.2f} ms"
+        for source, ms in sorted(summary["p50_ms_by_source"].items())
+    ))
     return summary
 
 
@@ -219,7 +226,7 @@ def run_degraded(args) -> int:
         dict(base, **geometry)
         for geometry in unique_geometries(args.cold, args.seed)
     ]
-    supervised = ("--supervised", "--worker-processes", "2")
+    supervised = ("--supervised",)  # two workers: spawn_server's --workers 2
     phases = {}
     restarts = workers_alive = 0.0
     for name, env in (

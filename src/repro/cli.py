@@ -331,7 +331,8 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=8787, help="bind port (0 = ephemeral)")
     serve.add_argument(
         "--workers", type=int, default=2, metavar="N",
-        help="simulation worker threads (default 2)",
+        help="simulation workers: threads, or processes with "
+             "--supervised (default 2)",
     )
     serve.add_argument(
         "--cache-size", type=int, default=1024, metavar="N",
@@ -344,12 +345,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--supervised", action="store_true",
-        help="run cells on supervised worker processes (crash isolation, "
-             "heartbeats, automatic restarts) instead of threads",
-    )
-    serve.add_argument(
-        "--worker-processes", type=int, default=2, metavar="N",
-        help="supervised worker process count (default 2)",
+        help="run trace groups on supervised worker processes (crash "
+             "isolation, heartbeats, automatic restarts) instead of threads",
     )
     serve.add_argument(
         "--heartbeat-timeout", type=float, default=2.0, metavar="SECONDS",
@@ -361,7 +358,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--max-inflight", type=int, default=8, metavar="N",
-        help="simulation cells allowed to run concurrently (default 8)",
+        help="trace groups allowed to run concurrently (default 8)",
     )
     serve.add_argument(
         "--max-queue", type=int, default=64, metavar="N",
@@ -381,7 +378,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--allow-sampling", action="store_true",
         help="serve queries carrying a 'sample' axis (representative-"
              "interval estimates, clearly marked exact: false; refused "
-             "by default and incompatible with --supervised)",
+             "by default)",
     )
     serve.add_argument(
         "--log-level", default="info",
@@ -615,7 +612,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 engine=args.engine,
                 default_length=args.length,
                 supervised=args.supervised,
-                worker_processes=args.worker_processes,
                 heartbeat_timeout=args.heartbeat_timeout,
                 drain_timeout=args.drain_timeout,
                 allow_sampling=args.allow_sampling,

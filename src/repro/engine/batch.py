@@ -242,8 +242,8 @@ def execute_cell(
 ) -> Tuple[Any, str]:
     """Plan and run one lone cell; returns ``(stats, path)``.
 
-    The one execution entry point of the service, in-process and in
-    supervised workers alike, so both report the path that ran.
+    The per-cell path of the service's trace groups, on a thread or in
+    a supervised worker alike, so both report the path that ran.
 
     Args:
         deadline: Optional :func:`time.monotonic` instant propagated

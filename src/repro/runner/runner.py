@@ -330,6 +330,11 @@ def run_sweep(
             failure; in lenient mode only the health breaker raises.
     """
     config = config if config is not None else RunnerConfig()
+    if "engine" in axes:
+        raise ConfigurationError(
+            "run_sweep takes its engine from the runner config: pass "
+            "config=RunnerConfig(engine=...), not engine="
+        )
     if config.jobs < 1:
         raise ConfigurationError(f"jobs must be >= 1, got {config.jobs}")
     if config.jobs > 1 and config.injector is not None:

@@ -155,15 +155,6 @@ class ResultCache:
         while len(self._memory) > self.maxsize:
             self._memory.popitem(last=False)
 
-    def __contains__(self, fingerprint: object) -> bool:
-        """Whether either tier holds ``fingerprint``, without touching
-        the LRU order or promoting a disk entry (so a later
-        :meth:`get` still reports the tier that really served it)."""
-        with self._lock:
-            if fingerprint in self._memory:
-                return True
-            return self.store is not None and fingerprint in self.store
-
     def __len__(self) -> int:
         with self._lock:
             return len(self._memory)

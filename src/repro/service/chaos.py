@@ -27,6 +27,7 @@ Scenario ids are stable (CI and the docs reference them by name):
 ``serve-bit-flip``         flip one payload bit; quarantine + salvage.
 ``serve-slow-loris``       a client that never finishes its request.
 ``serve-drain``            SIGTERM path: drain, flush, byte-equal store.
+``serve-poison-query``     one query kills every worker that runs it.
 =========================  =============================================
 
 Worker faults ride the environment-variable hooks documented in
@@ -64,7 +65,12 @@ SERVE_SCENARIOS = (
     "serve-bit-flip",
     "serve-slow-loris",
     "serve-drain",
+    "serve-poison-query",
 )
+
+#: Net size of the poisoned query (``REPRO_WORKER_CRASH_ON_NET``); no
+#: healthy query of the scenarios uses it.
+POISON_NET = 2048
 
 
 class ChaosFailure(AssertionError):
@@ -144,7 +150,7 @@ async def _start_app(
     config = ServiceConfig(
         batch_window=0.0,
         supervised=supervised,
-        worker_processes=2,
+        workers=2,
         heartbeat_timeout=heartbeat_timeout,
         store_dir=str(store_dir) if store_dir is not None else None,
         worker_env=worker_env,
@@ -157,12 +163,18 @@ async def _start_app(
 
 
 async def _simulate_all(
-    port: int, queries: "List[Dict[str, Any]]"
+    port: int, queries: "List[Dict[str, Any]]", burst: bool = False
 ) -> Dict[str, Dict[str, float]]:
-    """POST every query; return ``fingerprint -> result`` or raise."""
+    """POST every query, one after another or (``burst``) all at once;
+    return ``fingerprint -> result`` or raise."""
+    if burst:
+        replies = await asyncio.gather(
+            *(_http(port, "POST", "/simulate", query) for query in queries)
+        )
+    else:
+        replies = [await _http(port, "POST", "/simulate", query) for query in queries]
     served: Dict[str, Dict[str, float]] = {}
-    for query in queries:
-        status, _, body = await _http(port, "POST", "/simulate", query)
+    for query, (status, _, body) in zip(queries, replies):
         _require(
             status == 200,
             f"query {query['net']}B answered {status}, "
@@ -188,9 +200,9 @@ def _diff(
 def _store_records(store_dir: Path) -> Dict[str, Dict[str, Any]]:
     """Open the store (recovery runs) and snapshot every live result.
 
-    Meta records (the supervised service's persisted trace-group
-    prepared lengths) are not results; the loss assertions are about
-    answers clients were given.
+    Meta records (trace-group prepared lengths, which older services
+    persisted) are not results; the loss assertions are about answers
+    clients were given.
     """
     store = WalStore(store_dir)
     try:
@@ -225,6 +237,27 @@ def _committed_matches(
         if got != want:
             problems.append(f"{fingerprint} altered")
     return problems
+
+
+def _require_intact(
+    store_dir: Path,
+    fingerprints: "set[str]",
+    baseline: Dict[str, Dict[str, float]],
+    what: str = "committed results damaged",
+) -> None:
+    """Every fingerprint is committed in the store with its baseline
+    result."""
+    problems = _committed_matches(
+        _store_records(store_dir), fingerprints, baseline
+    )
+    _require(not problems, f"{what}: {problems}")
+
+
+async def _scrape(port: int, name: str, labels: str = "") -> float:
+    """One series of the live ``/metrics`` exposition."""
+    status, _, text = await _http(port, "GET", "/metrics")
+    _require(status == 200, f"/metrics answered {status}")
+    return _metric(text.decode(), name, labels)
 
 
 def _segment_bytes(store_dir: Path) -> Dict[str, bytes]:
@@ -305,11 +338,8 @@ async def _run_scenarios(
         try:
             served = await _simulate_all(app.port, queries)
             _require(not _diff(served, baseline), "served results differ")
-            status, _, metrics = await _http(app.port, "GET", "/metrics")
-            _require(status == 200, f"/metrics answered {status}")
-            restarts = _metric(
-                metrics.decode(),
-                "repro_service_worker_restarts_total",
+            restarts = await _scrape(
+                app.port, "repro_service_worker_restarts_total",
                 '{reason="crashed"}',
             )
             _require(
@@ -318,10 +348,7 @@ async def _run_scenarios(
             )
         finally:
             await app.drain()
-        problems = _committed_matches(
-            _store_records(store_dir), set(served), baseline
-        )
-        _require(not problems, f"committed results damaged: {problems}")
+        _require_intact(store_dir, set(served), baseline)
         return (
             f"{len(served)} queries answered through {restarts:.0f} "
             "mid-request SIGKILLs; all committed results intact"
@@ -352,10 +379,8 @@ async def _run_scenarios(
             restarts = 0.0
             poll_deadline = time.monotonic() + 15.0
             while time.monotonic() < poll_deadline:
-                _, _, metrics = await _http(app.port, "GET", "/metrics")
-                restarts = _metric(
-                    metrics.decode(),
-                    "repro_service_worker_restarts_total",
+                restarts = await _scrape(
+                    app.port, "repro_service_worker_restarts_total",
                     '{reason="crashed"}',
                 )
                 if restarts >= 2:
@@ -367,10 +392,7 @@ async def _run_scenarios(
             )
         finally:
             await app.drain()
-        problems = _committed_matches(
-            _store_records(store_dir), set(served), baseline
-        )
-        _require(not problems, f"committed results damaged: {problems}")
+        _require_intact(store_dir, set(served), baseline)
         return (
             f"healthy worker answered everything while slot 0 "
             f"crash-looped ({restarts:.0f} restarts)"
@@ -394,32 +416,20 @@ async def _run_scenarios(
             # tight timeout, not the cold-start grace period (worker
             # cold start is dominated by imports, on the order of 1-2s).
             await asyncio.sleep(3.0)
-            served: Dict[str, Dict[str, float]] = {}
-            # Two concurrent queries so one is dispatched to the worker
-            # that will wedge; the rest follow sequentially.
-            pair = await asyncio.gather(
-                _http(app.port, "POST", "/simulate", queries[0]),
-                _http(app.port, "POST", "/simulate", queries[1]),
-            )
-            for status, _, body in pair:
-                _require(status == 200, f"concurrent query answered {status}")
-                payload = json.loads(body)
-                served[payload["fingerprint"]] = payload["result"]
+            # Two concurrent queries: the first request, which learns
+            # their group's prepared length, goes to the worker that
+            # will wedge; the rest follow sequentially.
+            served = await _simulate_all(app.port, queries[:2], burst=True)
             served.update(await _simulate_all(app.port, queries))
             _require(not _diff(served, baseline), "served results differ")
-            _, _, metrics = await _http(app.port, "GET", "/metrics")
-            hung = _metric(
-                metrics.decode(),
-                "repro_service_worker_restarts_total",
+            hung = await _scrape(
+                app.port, "repro_service_worker_restarts_total",
                 '{reason="hung"}',
             )
             _require(hung >= 1, "no hung-worker restart visible in /metrics")
         finally:
             await app.drain()
-        problems = _committed_matches(
-            _store_records(store_dir), set(served), baseline
-        )
-        _require(not problems, f"committed results damaged: {problems}")
+        _require_intact(store_dir, set(served), baseline)
         return (
             f"wedged worker SIGKILLed ({hung:.0f} hung restart(s)); "
             "every request still answered correctly"
@@ -448,10 +458,8 @@ async def _run_scenarios(
             )
             served = await _simulate_all(app.port, queries)
             _require(not _diff(served, baseline), "served results differ")
-            _, _, metrics = await _http(app.port, "GET", "/metrics")
-            truncated = _metric(
-                metrics.decode(),
-                "repro_service_store_recoveries_total",
+            truncated = await _scrape(
+                app.port, "repro_service_store_recoveries_total",
                 '{action="tail_truncated"}',
             )
             _require(
@@ -460,10 +468,9 @@ async def _run_scenarios(
             )
         finally:
             await app.drain()
-        problems = _committed_matches(
-            _store_records(store_dir), set(baseline), baseline
+        _require_intact(
+            store_dir, set(baseline), baseline, "store not fully repopulated"
         )
-        _require(not problems, f"store not fully repopulated: {problems}")
         return (
             f"{removed}-byte torn tail truncated "
             f"({len(baseline) - len(recovered)} record(s) recomputed); "
@@ -501,19 +508,17 @@ async def _run_scenarios(
             )
             served = await _simulate_all(app.port, queries)
             _require(not _diff(served, baseline), "served results differ")
-            _, _, metrics = await _http(app.port, "GET", "/metrics")
             _require(
-                _metric(
-                    metrics.decode(), "repro_service_store_quarantined_total"
+                await _scrape(
+                    app.port, "repro_service_store_quarantined_total"
                 ) >= 1,
                 "quarantine not visible in /metrics",
             )
         finally:
             await app.drain()
-        problems = _committed_matches(
-            _store_records(store_dir), set(baseline), baseline
+        _require_intact(
+            store_dir, set(baseline), baseline, "store not fully repopulated"
         )
-        _require(not problems, f"store not fully repopulated: {problems}")
         return (
             f"bit flipped at offset {offset}: segment quarantined intact, "
             f"{recovery.records_salvaged} record(s) salvaged, "
@@ -600,10 +605,7 @@ async def _run_scenarios(
             _segment_bytes(store_dir) == before,
             "recovery rewrote a cleanly drained store",
         )
-        problems = _committed_matches(
-            _store_records(store_dir), set(served), baseline
-        )
-        _require(not problems, f"committed results damaged: {problems}")
+        _require_intact(store_dir, set(served), baseline)
         return (
             f"drained in {elapsed:.2f}s; store reopened byte-equivalently "
             f"with all {len(recovered)} records"
@@ -615,7 +617,46 @@ async def _run_scenarios(
     await scenario("serve-torn-tail", torn_tail)
     await scenario("serve-bit-flip", bit_flip)
     await scenario("serve-slow-loris", slow_loris)
+    # -- serve-poison-query: a burst on one trace carries one query that
+    # kills every worker it reaches; it alone fails.
+    async def poison_query() -> str:
+        store_dir = root / "poison"
+        poisoned = dict(queries[0], net=POISON_NET)
+        app = await _start_app(
+            store_dir=store_dir,
+            supervised=True,
+            worker_env={"REPRO_WORKER_CRASH_ON_NET": str(POISON_NET)},
+        )
+        try:
+            served, (status, _, _) = await asyncio.gather(
+                _simulate_all(app.port, queries, burst=True),
+                _http(app.port, "POST", "/simulate", poisoned),
+            )
+            _require(status == 500, f"poisoned query answered {status}, not 500")
+            _require(
+                served.keys() == baseline.keys()
+                and not _diff(served, baseline),
+                "served results differ",
+            )
+            restarts = await _scrape(
+                app.port, "repro_service_worker_restarts_total",
+                '{reason="crashed"}',
+            )
+            _require(restarts >= 1, "no crashed-worker restart in /metrics")
+        finally:
+            await app.drain()
+        _require(
+            set(_store_records(store_dir)) == set(served),
+            "the store holds something besides the healthy answers",
+        )
+        _require_intact(store_dir, set(served), baseline)
+        return (
+            f"poisoned query failed alone (500) through {restarts:.0f} "
+            f"worker crashes; {len(served)} healthy queries answered"
+        )
+
     await scenario("serve-drain", drain)
+    await scenario("serve-poison-query", poison_query)
     return results
 
 

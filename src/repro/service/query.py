@@ -25,8 +25,8 @@ the lint rejects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
-from typing import Any, Dict, Optional, Tuple
+from dataclasses import dataclass, field, fields, replace
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.config import CacheGeometry
 from repro.engine.batch import CellSpec
@@ -45,6 +45,7 @@ from repro.workloads.architectures import get_architecture
 from repro.workloads.suites import suite_specs
 
 __all__ = [
+    "GroupResult",
     "SimQuery",
     "MAX_SWEEP_CELLS",
     "expand_sweep",
@@ -264,6 +265,30 @@ class SimQuery:
             value = getattr(self.spec, name)
             echo[name] = value.to_dict() if hasattr(value, "to_dict") else value
         return echo
+
+
+@dataclass
+class GroupResult:
+    """What one run of a trace group answers, on a thread or in a worker.
+
+    ``prepared_length`` is what every fingerprint folds in (None only if
+    no attempt got as far as preparing); ``outcomes`` holds, per query,
+    its :meth:`SimQuery.result_record` or the exception it raised; and
+    ``simulate_seconds`` one entry per stack-distance pass or cell run.
+    """
+
+    prepared_length: Optional[int]
+    outcomes: List[Any] = field(default_factory=list)
+    prepare_seconds: float = 0.0
+    simulate_seconds: List[float] = field(default_factory=list)
+
+    def extend(self, other: "GroupResult") -> None:
+        """Append ``other``'s queries (a group answered in parts)."""
+        if self.prepared_length is None:
+            self.prepared_length = other.prepared_length
+        self.outcomes.extend(other.outcomes)
+        self.prepare_seconds += other.prepare_seconds
+        self.simulate_seconds.extend(other.simulate_seconds)
 
 
 def expand_sweep(

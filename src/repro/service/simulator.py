@@ -1,4 +1,4 @@
-"""The service core: coalescing, batching, caching, worker dispatch.
+"""The service core: coalescing, batching, caching, group dispatch.
 
 One :class:`SimulationService` turns validated
 :class:`~repro.service.query.SimQuery` objects into cached
@@ -14,27 +14,28 @@ order:
    → HTTP 429/503).
 4. **Batching** — the scheduler drains the queue (at once when no
    trace group is running, after the batch window otherwise) and
-   groups queries by trace, so each trace is generated, read-filtered,
-   and predecoded exactly once per batch
-   (:mod:`repro.engine.batch`) before its cells fan out.
-5. **Dispatch** — cells run on a thread pool, bounded by
-   ``max_inflight`` slots; completions land in the result cache and
-   resolve every coalesced waiter.
+   groups queries by trace.
+5. **Dispatch** — a trace group is the unit of work (:meth:`_run_group`),
+   run by :func:`run_trace_group` on the executor: a thread pool, or the
+   supervised worker fleet (:mod:`repro.service.supervisor`).
+   Completions land in the result cache and resolve every coalesced
+   waiter.
 
 All mutable service state is touched only from the event-loop thread;
-the cache and metrics objects are internally locked because workers
-update them from pool threads.
+the cache and metrics objects are internally locked because pool
+threads read them.
 """
 
 from __future__ import annotations
 
 import asyncio
 import dataclasses
+import threading
 import time
 from collections import OrderedDict, deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.engine.base import ENGINE_NAMES
 from repro.engine.batch import execute_cell, predecode, prepare_trace
@@ -44,28 +45,29 @@ from repro.runner.health import CellOutcome, CellStatus, RunReport
 from repro.service.admission import AdmissionController, Breaker, RejectedError
 from repro.service.cache import CacheEntry, ResultCache
 from repro.service.metrics import MetricsRegistry
-from repro.service.query import SimQuery, refuse_sample_fallback
+from repro.service.query import GroupResult, SimQuery, refuse_sample_fallback
 from repro.service.supervisor import Supervisor, SupervisorConfig
 from repro.stackdist.engine import run_group_pass
 from repro.stackdist.planner import plan_grid
 from repro.staticcheck.diagnostics import Diagnostic, Severity, raise_on_errors
-from repro.trace.record import Trace
 from repro.workloads.suites import default_trace_length, suite_trace
 
-__all__ = ["ServiceConfig", "SimResult", "SimulationService"]
+__all__ = ["ServiceConfig", "SimResult", "SimulationService", "run_trace_group"]
 
 #: Bound on the query -> fingerprint memo (entries, not bytes).
 _FINGERPRINT_MEMO = 4096
-
 
 @dataclass(frozen=True)
 class ServiceConfig:
     """Tunables of one service instance.
 
     Attributes:
-        workers: Thread-pool size for simulation cells.
+        workers: Executor width: pool threads in-process, worker
+            processes when ``supervised``.
         cache_size: Memory-tier capacity of the result cache.
-        max_inflight: Cells allowed to execute concurrently.
+        max_inflight: Trace groups allowed to execute concurrently; a
+            running group holds one slot however many queries it
+            carries.
         max_queue: Queries allowed to wait for a slot before new ones
             are refused with 429 semantics.
         batch_window: Seconds a batch waits for more queries while
@@ -86,10 +88,9 @@ class ServiceConfig:
         default_length: Trace length when a query omits ``length``
             (None: :func:`~repro.workloads.suites
             .default_trace_length`).
-        supervised: Execute cells on supervised child *processes*
+        supervised: Run trace groups on supervised child *processes*
             (:mod:`repro.service.supervisor`) instead of in-process
             threads — crash isolation at the cost of pipe hops.
-        worker_processes: Child-process count in supervised mode.
         heartbeat_timeout: Worker silence treated as a hang.
         store_dir: Crash-safe WAL store directory for the disk tier
             (:class:`repro.service.store.WalStore`); None keeps the
@@ -103,8 +104,6 @@ class ServiceConfig:
             docs/sampling.md).  Off by default: estimates are clearly
             marked (``stats.sampled.exact == false``) but a fleet
             should not serve them unless its operator opted in.
-            Refused (at construction) in supervised mode — worker
-            replay assumes exact results.
     """
 
     workers: int = 2
@@ -118,7 +117,6 @@ class ServiceConfig:
     engine: Optional[str] = None
     default_length: Optional[int] = None
     supervised: bool = False
-    worker_processes: int = 2
     heartbeat_timeout: float = 2.0
     store_dir: Optional[str] = None
     drain_timeout: float = 10.0
@@ -168,6 +166,102 @@ class _Pending:
     deadline: Optional[float] = None
 
 
+#: Serializes what populates :class:`~repro.engine.traceview.TraceView`'s
+#: decode caches, which are only safe to *fill* from one thread at a
+#: time (see :mod:`repro.engine.batch`); cells then only read them.
+_PREPARE_LOCK = threading.Lock()
+
+
+def run_trace_group(
+    group: Tuple[str, str, int, bool],
+    queries: Sequence[SimQuery],
+    deadlines: Sequence[Optional[float]],
+) -> GroupResult:
+    """Answer the queries of one trace group: the service's unit of work.
+
+    Runs on a pool thread in-process and in each supervised worker
+    (:mod:`repro.service.worker`).  It prepares and predecodes the trace
+    once, runs each :func:`~repro.stackdist.planner.plan_grid` pass group
+    of two or more same-``(word_size, warmup, fetch)`` queries on one
+    :func:`~repro.stackdist.engine.run_group_pass` under the earliest
+    member deadline (a failed pass leaves its members to the per-cell
+    path, which gives identical stats), and runs the rest through
+    :func:`~repro.engine.batch.execute_cell`.  With no queries it only
+    prepares: that is how the service learns a prepared length.
+
+    Raises:
+        ReproError: When the trace cannot be prepared; a failing cell
+            is reported in its outcome instead.
+    """
+    suite, trace, length, filter_writes = group
+    started = time.monotonic()
+    with _PREPARE_LOCK:
+        prepared = prepare_trace(suite_trace(suite, trace, length=length), filter_writes)
+        predecode(prepared, [query.spec for query in queries])
+    result = GroupResult(len(prepared), [None] * len(queries), time.monotonic() - started)
+    eligible: "OrderedDict[tuple, List[int]]" = OrderedDict()
+    for index, query in enumerate(queries):
+        spec = query.spec
+        if plan(spec, prepared, grid=True).path == "stackdist":
+            # plan_grid gives every member the template's fetch and
+            # warm-up, so a pass mixes neither.
+            eligible.setdefault((spec.word_size, spec.warmup, spec.fetch), []).append(index)
+    for indices in eligible.values():
+        template = queries[indices[0]].spec
+        grid = plan_grid([queries[index].spec.geometry for index in indices], spec=template)
+        for pass_group in grid.groups:
+            if len(pass_group) < 2:
+                continue  # a lone query runs per cell (execute_cell)
+            members = [indices[i] for i in pass_group.geometry_indices]
+            deadline = min(
+                (deadlines[i] for i in members if deadlines[i] is not None), default=None
+            )
+            started = time.monotonic()
+            try:
+                stats_list = run_group_pass(
+                    prepared, pass_group.block_size, pass_group.num_sets,
+                    pass_group.members, template.word_size, False, deadline,
+                )
+            except ReproError:
+                continue  # transparent fallback to per-cell runs
+            finally:
+                result.simulate_seconds.append(time.monotonic() - started)
+            for index, stats in zip(members, stats_list):
+                result.outcomes[index] = queries[index].result_record(stats, "stackdist")
+    for index, query in enumerate(queries):
+        if result.outcomes[index] is not None:
+            continue
+        started = time.monotonic()
+        try:
+            stats, path = execute_cell(prepared, query.spec, deadlines[index])
+            result.outcomes[index] = query.result_record(stats, path)
+        except Exception as exc:  # noqa: BLE001 - surface per query
+            result.outcomes[index] = exc
+        finally:
+            result.simulate_seconds.append(time.monotonic() - started)
+    return result
+
+
+class _ThreadExecutor:
+    """The in-process executor: :func:`run_trace_group` on a thread pool."""
+
+    def __init__(self, workers: int) -> None:
+        self._pool = ThreadPoolExecutor(max_workers=workers, thread_name_prefix="repro-service")
+
+    async def run(
+        self,
+        group: Tuple[str, str, int, bool],
+        queries: Sequence[SimQuery],
+        deadlines: Sequence[Optional[float]],
+    ) -> GroupResult:
+        return await asyncio.get_event_loop().run_in_executor(
+            self._pool, run_trace_group, group, queries, deadlines
+        )
+
+    async def drain(self, timeout: float) -> None:
+        self._pool.shutdown(wait=False)
+
+
 class SimulationService:
     """Async façade over the engine layer; see the module docstring."""
 
@@ -195,11 +289,6 @@ class SimulationService:
                     )
                 ],
                 "invalid service config",
-            )
-        if self.config.allow_sampling and self.config.supervised:
-            raise ConfigurationError(
-                "allow_sampling is incompatible with supervised mode: "
-                "worker processes execute exact cell specs only"
             )
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.cache = (
@@ -230,16 +319,13 @@ class SimulationService:
         )
         self._fingerprints: "OrderedDict[SimQuery, str]" = OrderedDict()
         self._prepared_lengths: "Dict[tuple, int]" = {}
-        if self.cache.store is not None:
-            self._load_prepared_lengths()
         self._inflight_futures: "Dict[SimQuery, asyncio.Future]" = {}
         self._queue: "deque[_Pending]" = deque()
         self._wake: Optional[asyncio.Event] = None
         self._slots: Optional[asyncio.Semaphore] = None
-        self._prepare_lock: Optional[asyncio.Lock] = None
         self._scheduler: Optional[asyncio.Task] = None
         self._group_tasks: "set[asyncio.Task]" = set()
-        self._executor: Optional[ThreadPoolExecutor] = None
+        self._executor: "Optional[Union[_ThreadExecutor, Supervisor]]" = None
         self.supervisor: Optional[Supervisor] = None
         self._stopped = False
         self._draining = False
@@ -261,34 +347,6 @@ class SimulationService:
                 report.segments_quarantined
             )
 
-    def _load_prepared_lengths(self) -> None:
-        """Reload trace-group prepared lengths committed by past runs.
-
-        Supervised-mode fingerprints fold in the prepared (read
-        filtered) trace length, which only a worker response reveals —
-        so without these meta records a restarted service could not
-        address its own store until it re-simulated one cell per trace
-        group.  With them, a restart warm-starts from disk.
-        """
-        assert self.cache.store is not None
-        for record in self.cache.store.records():
-            if record.get("kind") != "prepared_length":
-                continue
-            group = record.get("group")
-            length = record.get("prepared_length")
-            if isinstance(group, list) and isinstance(length, int):
-                self._prepared_lengths[tuple(group)] = length
-
-    def _persist_prepared_length(self, group: tuple, length: int) -> None:
-        if self.cache.store is None:
-            return
-        self.cache.store.put({
-            "kind": "prepared_length",
-            "fingerprint": "plen:" + ":".join(str(part) for part in group),
-            "group": list(group),
-            "prepared_length": length,
-        })
-
     @property
     def default_length(self) -> int:
         """Trace length applied to queries that omit ``length``."""
@@ -300,26 +358,23 @@ class SimulationService:
         """Bind to the running loop and start the batch scheduler."""
         self._wake = asyncio.Event()
         self._slots = asyncio.Semaphore(self.config.max_inflight)
-        self._prepare_lock = asyncio.Lock()
-        self._executor = ThreadPoolExecutor(
-            max_workers=self.config.workers,
-            thread_name_prefix="repro-service",
-        )
         self._stopped = False
         self._draining = False
         if self.config.supervised:
             self.supervisor = Supervisor(
                 SupervisorConfig(
-                    workers=self.config.worker_processes,
+                    workers=self.config.workers,
                     heartbeat_timeout=self.config.heartbeat_timeout,
                     breaker_failures=self.config.breaker_failures,
                     breaker_reset=self.config.breaker_reset,
-                    default_length=self._default_length,
                     worker_env=self.config.worker_env,
                 ),
                 metrics=self.metrics,
             )
             await self.supervisor.start()
+            self._executor = self.supervisor
+        else:
+            self._executor = _ThreadExecutor(self.config.workers)
         self._scheduler = asyncio.ensure_future(self._schedule())
 
     async def drain(self, timeout: Optional[float] = None) -> float:
@@ -351,21 +406,15 @@ class SimulationService:
             else:
                 await asyncio.sleep(0.02)
         self.cache.flush()
-        if self.supervisor is not None:
-            await self.supervisor.drain(
-                timeout=max(0.5, deadline - loop.time())
-            )
-        await self.stop()
+        await self.stop(executor_timeout=max(0.5, deadline - loop.time()))
         elapsed = loop.time() - started
         self.metrics.drain_seconds.set(elapsed)
         return elapsed
 
-    async def stop(self) -> None:
-        """Stop scheduling, fail every unanswered query, release the pool."""
+    async def stop(self, executor_timeout: float = 2.0) -> None:
+        """Stop scheduling, fail every unanswered query, retire the
+        executor (waiting up to ``executor_timeout`` for its work)."""
         self._stopped = True
-        if self.supervisor is not None:
-            await self.supervisor.drain(timeout=2.0)
-            self.supervisor = None
         if self._scheduler is not None:
             self._scheduler.cancel()
             try:
@@ -373,6 +422,9 @@ class SimulationService:
             except asyncio.CancelledError:
                 pass
             self._scheduler = None
+        if self._executor is not None:
+            await self._executor.drain(timeout=executor_timeout)
+            self._executor = self.supervisor = None
         for task in list(self._group_tasks):
             task.cancel()
         if self._group_tasks:
@@ -386,9 +438,6 @@ class SimulationService:
                     ReproError("service stopped before the query ran")
                 )
         self._inflight_futures.clear()
-        if self._executor is not None:
-            self._executor.shutdown(wait=False)
-            self._executor = None
         self.cache.close()
 
     # -- Request path -----------------------------------------------------
@@ -507,130 +556,88 @@ class SimulationService:
                 task.add_done_callback(self._group_tasks.discard)
 
     async def _run_group(self, group: List[_Pending]) -> None:
-        """Prepare one trace, then run/resolve every cell of the group."""
-        if self.supervisor is not None:
-            # Supervised mode: workers own trace preparation (each
-            # keeps a prepared-trace LRU), so the parent dispatches
-            # cells directly and learns the prepared length from the
-            # first response.
-            await asyncio.gather(
-                *(self._run_cell_supervised(pending) for pending in group)
-            )
-            return
-        assert self._executor is not None and self._prepare_lock is not None
-        loop = asyncio.get_event_loop()
-        sample = group[0].query
-        prepare_started = loop.time()
-        try:
-            # Serialized: TraceView's decode caches are only safe to
-            # *populate* from one thread (see repro.engine.batch).
-            async with self._prepare_lock:
-                prepared = await loop.run_in_executor(
-                    self._executor,
-                    self._prepare_group,
-                    sample,
-                    [pending.query.spec for pending in group],
-                )
-        except Exception as exc:  # noqa: BLE001 - fail the whole group
-            self.metrics.stage_seconds.observe(
-                loop.time() - prepare_started, labels={"stage": "prepare"}
-            )
-            for pending in group:
-                self._complete_error(pending, exc)
-            return
-        self.metrics.stage_seconds.observe(
-            loop.time() - prepare_started, labels={"stage": "prepare"}
-        )
-        precomputed: "Dict[SimQuery, Any]" = {}
-        await self._stackdist_passes(group, prepared, precomputed)
-        await asyncio.gather(
-            *(
-                self._run_cell(
-                    pending, prepared,
-                    precomputed=precomputed.get(pending.query),
-                )
-                for pending in group
-            )
-        )
+        """Answer one trace group: serve its cached queries, run the rest.
 
-    async def _stackdist_passes(
-        self,
-        group: List[_Pending],
-        prepared: Trace,
-        out: "Dict[SimQuery, Any]",
-    ) -> None:
-        """Answer coverable cells of one batch from stack-distance passes.
-
-        Cells the route planner sends to ``stackdist`` are grouped per
-        ``(word_size, warmup, fetch)`` by
-        :func:`~repro.stackdist.planner.plan_grid`, exactly as a sweep
-        grid is, and each pass group of two or more is computed by one
-        :func:`repro.stackdist.engine.run_group_pass` over the already
-        prepared trace, under the earliest request deadline among its
-        members.  Supervised mode always runs per cell (workers
-        are the isolation unit).  Already-cached cells, lone cells and
-        everything else stay on the per-cell path — fallback is
-        transparent because both paths produce identical stats and
-        fingerprints.
+        Fingerprints fold in the prepared trace length, so a group not
+        prepared before first runs with no queries to learn it; the
+        cache check then comes before any cell runs.  The misses run as
+        one group on the executor, holding one ``max_inflight`` slot
+        however many they are.  A failure of the whole run (prepare, no
+        live worker) fails every query still waiting.
         """
-        eligible: "OrderedDict[tuple, List[_Pending]]" = OrderedDict()
-        for pending in group:
-            query = pending.query
-            if plan(query.spec, prepared, grid=True).path != "stackdist":
-                continue
-            if query.fingerprint(len(prepared)) in self.cache:
-                continue  # the cell's own cache lookup will serve it
-            # plan_grid gives every member the template's fetch and
-            # warm-up, so a batch mixes neither.
-            eligible.setdefault(
-                (query.spec.word_size, query.spec.warmup, query.spec.fetch), []
-            ).append(pending)
         assert self._slots is not None and self._executor is not None
         loop = asyncio.get_event_loop()
-        for pendings in eligible.values():
-            template = pendings[0].query.spec
-            grid = plan_grid(
-                [pending.query.spec.geometry for pending in pendings],
-                spec=template,
-            )
-            for pass_group in grid.groups:
-                if len(pass_group) < 2:
-                    continue  # a lone query runs per cell (execute_cell)
-                deadline = min(
-                    (pendings[i].deadline for i in pass_group.geometry_indices
-                     if pendings[i].deadline is not None),
-                    default=None,
+        key = group[0].query.trace_group()
+        prepare_seconds: List[float] = []
+        try:
+            if key not in self._prepared_lengths:
+                learned = await self._executor.run(key, [], [])
+                prepare_seconds.append(learned.prepare_seconds)
+                self._prepared_lengths[key] = learned.prepared_length
+            length = self._prepared_lengths[key]
+            misses = [
+                pending for pending in group
+                if not self._serve_cached(pending, pending.query.fingerprint(length))
+            ]
+            if not misses:
+                return
+            async with self._slots:
+                for pending in misses:
+                    self.metrics.stage_seconds.observe(
+                        loop.time() - pending.enqueued_at, labels={"stage": "queue"}
+                    )
+                    if pending.deadline is not None and time.monotonic() >= pending.deadline:
+                        self._complete_error(pending, DeadlineExceededError(
+                            "deadline expired while queued", stage="queue"
+                        ))
+                runnable = [pending for pending in misses if not pending.future.done()]
+                if not runnable:
+                    return
+                self.metrics.inflight.inc(len(runnable))
+                started = loop.time()
+                try:
+                    ran = await self._executor.run(
+                        key,
+                        [pending.query for pending in runnable],
+                        [pending.deadline for pending in runnable],
+                    )
+                finally:
+                    self.metrics.inflight.dec(len(runnable))
+            prepare_seconds.append(ran.prepare_seconds)
+            # Each pass or cell is charged its share of the dispatch
+            # (thread hop or pipe), so a simulate sample is wall time.
+            waited = loop.time() - started - ran.prepare_seconds
+            runs = ran.simulate_seconds
+            share = max(0.0, waited - sum(runs)) / max(1, len(runs))
+            for seconds in runs:
+                self.metrics.stage_seconds.observe(seconds + share, labels={"stage": "simulate"})
+            for pending, outcome in zip(runnable, ran.outcomes):
+                if isinstance(outcome, Exception):
+                    self._complete_error(pending, outcome)
+                    continue
+                entry = CacheEntry.from_record(
+                    dict(outcome, fingerprint=pending.query.fingerprint(length))
                 )
-                async with self._slots:
-                    simulate_started = loop.time()
-                    try:
-                        stats_list = await loop.run_in_executor(
-                            self._executor, run_group_pass,
-                            prepared, pass_group.block_size,
-                            pass_group.num_sets, pass_group.members,
-                            template.word_size, False, deadline,
-                        )
-                    except ReproError:
-                        continue  # transparent fallback to per-cell runs
-                    finally:
-                        self.metrics.stage_seconds.observe(
-                            loop.time() - simulate_started,
-                            labels={"stage": "simulate"},
-                        )
-                for index, stats in zip(pass_group.geometry_indices, stats_list):
-                    out[pendings[index].query] = stats
-
-    def _prepare_group(self, sample: SimQuery, specs: list) -> Trace:
-        """Worker-side batch prepare: generate, filter, predecode."""
-        trace = suite_trace(sample.suite, sample.trace, length=sample.length)
-        prepared = prepare_trace(trace, sample.filter_writes)
-        predecode(prepared, specs)
-        return prepared
+                self.cache.put(entry)
+                self._record_misspath(entry.stats)
+                self._complete_ok(pending, entry, "computed")
+        except Exception as exc:  # noqa: BLE001 - fail the whole group
+            for pending in group:
+                if not pending.future.done():
+                    self._complete_error(pending, exc)
+        finally:
+            if prepare_seconds:
+                self.metrics.stage_seconds.observe(
+                    sum(prepare_seconds), labels={"stage": "prepare"}
+                )
 
     def _serve_cached(self, pending: _Pending, fingerprint: str) -> bool:
         """Memoize ``fingerprint`` and answer from the cache if it can;
         records the lookup outcome either way."""
-        self._memoize(pending.query, fingerprint)
+        self._fingerprints[pending.query] = fingerprint
+        self._fingerprints.move_to_end(pending.query)
+        while len(self._fingerprints) > _FINGERPRINT_MEMO:
+            self._fingerprints.popitem(last=False)
         found = self.cache.get(fingerprint)
         if found is None:
             self.metrics.record_lookup("miss")
@@ -639,122 +646,6 @@ class SimulationService:
         self.metrics.record_lookup(tier)
         self._complete_ok(pending, entry, tier)
         return True
-
-    async def _run_cell_supervised(self, pending: _Pending) -> None:
-        """One cell through the worker fleet instead of the thread pool."""
-        assert self._slots is not None and self.supervisor is not None
-        loop = asyncio.get_event_loop()
-        query = pending.query
-
-        # The prepared length — and with it the fingerprint — is known
-        # once any cell of this trace group has come back; until then
-        # the cache check happens after execution (put is idempotent).
-        known_length = self._prepared_lengths.get(query.trace_group())
-        if known_length is None:
-            self.metrics.record_lookup("miss")
-        elif self._serve_cached(pending, query.fingerprint(known_length)):
-            return
-
-        async with self._slots:
-            self.metrics.stage_seconds.observe(
-                loop.time() - pending.enqueued_at, labels={"stage": "queue"}
-            )
-            self.metrics.inflight.inc()
-            simulate_started = loop.time()
-            try:
-                response = await self.supervisor.submit(
-                    query.to_dict(), deadline=pending.deadline
-                )
-            except Exception as exc:  # noqa: BLE001 - surface per query
-                self._complete_error(pending, exc)
-                return
-            finally:
-                self.metrics.inflight.dec()
-                self.metrics.stage_seconds.observe(
-                    loop.time() - simulate_started, labels={"stage": "simulate"}
-                )
-        prepared_length = response["prepared_length"]
-        if self._prepared_lengths.get(query.trace_group()) != prepared_length:
-            self._prepared_lengths[query.trace_group()] = prepared_length
-            self._persist_prepared_length(query.trace_group(), prepared_length)
-        fingerprint = query.fingerprint(prepared_length)
-        self._memoize(query, fingerprint)
-        self._complete_computed(
-            pending, CacheEntry.from_record(dict(response, fingerprint=fingerprint))
-        )
-
-    async def _run_cell(
-        self,
-        pending: _Pending,
-        prepared: Trace,
-        precomputed: Any = None,
-    ) -> None:
-        query = pending.query
-        fingerprint = query.fingerprint(len(prepared))
-        # Late cache check: the fingerprint may have been computed for
-        # the first time here, and an earlier batch (or a seeded disk
-        # tier) may already hold the answer.
-        if self._serve_cached(pending, fingerprint):
-            return
-
-        if precomputed is not None:
-            # A stack-distance pass already answered this cell; its
-            # slot and simulate-stage time were accounted by the pass.
-            ran = (precomputed, "stackdist")
-        else:
-            ran = await self._simulate(pending, prepared)
-            if ran is None:
-                return
-        stats, path = ran
-        record = query.result_record(stats, path)
-        self._complete_computed(
-            pending, CacheEntry.from_record(dict(record, fingerprint=fingerprint))
-        )
-
-    async def _simulate(
-        self, pending: _Pending, prepared: Trace
-    ) -> "Optional[Tuple[Any, str]]":
-        """Run one cell on the pool: ``(stats, path)``, or ``None`` once
-        the failure has been delivered to the waiters."""
-        assert self._slots is not None and self._executor is not None
-        loop = asyncio.get_event_loop()
-        async with self._slots:
-            self.metrics.stage_seconds.observe(
-                loop.time() - pending.enqueued_at, labels={"stage": "queue"}
-            )
-            if (
-                pending.deadline is not None
-                and time.monotonic() >= pending.deadline
-            ):
-                self._complete_error(
-                    pending,
-                    DeadlineExceededError(
-                        "deadline expired while queued", stage="queue"
-                    ),
-                )
-                return None
-            self.metrics.inflight.inc()
-            simulate_started = loop.time()
-            try:
-                return await loop.run_in_executor(
-                    self._executor, self._execute,
-                    prepared, pending.query, pending.deadline,
-                )
-            except Exception as exc:  # noqa: BLE001 - surface per query
-                self._complete_error(pending, exc)
-                return None
-            finally:
-                self.metrics.inflight.dec()
-                self.metrics.stage_seconds.observe(
-                    loop.time() - simulate_started, labels={"stage": "simulate"}
-                )
-
-    @staticmethod
-    def _execute(
-        prepared: Trace, query: SimQuery, deadline: Optional[float] = None
-    ) -> Tuple[Any, str]:
-        """Pool-side cell execution; returns ``(stats, path)``."""
-        return execute_cell(prepared, query.spec, deadline)
 
     def _record_misspath(self, stats_payload: Any) -> None:
         """Export a computed cell's miss-path services to ``/metrics``.
@@ -783,17 +674,6 @@ class SimulationService:
             )
 
     # -- Completion -------------------------------------------------------
-
-    def _memoize(self, query: SimQuery, fingerprint: str) -> None:
-        self._fingerprints[query] = fingerprint
-        self._fingerprints.move_to_end(query)
-        while len(self._fingerprints) > _FINGERPRINT_MEMO:
-            self._fingerprints.popitem(last=False)
-
-    def _complete_computed(self, pending: _Pending, entry: CacheEntry) -> None:
-        self.cache.put(entry)
-        self._record_misspath(entry.stats)
-        self._complete_ok(pending, entry, "computed")
 
     def _complete_ok(
         self, pending: _Pending, entry: CacheEntry, source: str

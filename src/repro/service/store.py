@@ -423,10 +423,6 @@ class WalStore:
         with self._lock:
             return len(self._index)
 
-    def __contains__(self, fingerprint: object) -> bool:
-        with self._lock:
-            return fingerprint in self._index
-
     def fingerprints(self) -> "list[str]":
         with self._lock:
             return sorted(self._index)

@@ -23,10 +23,14 @@ Health model, reusing the runner's primitives:
   dying is taken out of dispatch until its breaker half-opens, while
   the others keep serving.
 
-Dispatch routes each request to the live worker with the fewest cells
-in flight, forwards the *remaining* deadline budget, and retries a
-crash-orphaned request once on another worker when the budget allows —
-so a single worker SIGKILL is invisible to the client.
+The supervisor is the service's out-of-process executor: its one
+operation, :meth:`Supervisor.run`, sends a whole trace group to the
+live worker with the fewest requests in flight, with each query's
+*remaining* deadline budget, and the worker answers it with
+:func:`repro.service.simulator.run_trace_group`, passes included.  A
+group orphaned by a crash is re-dispatched one query at a time, so a
+single worker SIGKILL is invisible to the client and a query that
+kills workers fails alone.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ import signal
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import (
     ConfigurationError,
@@ -49,6 +53,7 @@ from repro.errors import (
 )
 from repro.service.admission import Breaker, RejectedError
 from repro.service.metrics import MetricsRegistry
+from repro.service.query import GroupResult, SimQuery
 
 __all__ = ["SupervisorConfig", "Supervisor"]
 
@@ -60,6 +65,17 @@ _ERROR_TYPES = {
     "ConfigurationError": ConfigurationError,
     "DeadlineExceededError": DeadlineExceededError,
 }
+
+
+def _error(reported: Dict[str, Any]) -> ReproError:
+    """The exception a worker's ``error``/``error_type`` fields name."""
+    error_type = reported.get("error_type", "ReproError")
+    message = reported.get("error", "worker reported an error")
+    if error_type == "DeadlineExceededError":
+        return DeadlineExceededError(
+            message, stage=reported.get("stage", "simulate")
+        )
+    return _ERROR_TYPES.get(error_type, ReproError)(message)
 
 
 @dataclass(frozen=True)
@@ -79,11 +95,9 @@ class SupervisorConfig:
         breaker_failures: Consecutive failures that open a worker's
             breaker (None disables).
         breaker_reset: Per-worker breaker cool-down in seconds.
-        crash_retries: Times one request is re-dispatched after a
-            worker crash before the caller sees the crash.
-        default_length: Forwarded to workers for queries omitting
-            ``length`` (already normalized by the service; belt and
-            braces).
+        crash_retries: Times each query of a crashed group is
+            re-dispatched, on its own, before the caller sees the
+            crash.
         worker_env: Extra environment for the children (the chaos
             harness injects its fault variables here).
     """
@@ -98,7 +112,6 @@ class SupervisorConfig:
     breaker_failures: Optional[int] = 5
     breaker_reset: float = 5.0
     crash_retries: int = 1
-    default_length: Optional[int] = None
     worker_env: Optional[Dict[str, str]] = None
 
 
@@ -156,6 +169,9 @@ class Supervisor:
             for i in range(self.config.workers)
         ]
         self._next_id = 0
+        # Re-dispatched queries run one at a time across the fleet, so
+        # a retry never shares a worker with another crash suspect.
+        self._retry_lane: Optional[asyncio.Lock] = None
         self._monitor: Optional[asyncio.Task] = None
         self._stopping = False
 
@@ -163,6 +179,7 @@ class Supervisor:
 
     async def start(self) -> None:
         self._stopping = False
+        self._retry_lane = asyncio.Lock()
         for worker in self._workers:
             await self._spawn(worker)
         self._monitor = asyncio.ensure_future(self._monitor_loop())
@@ -302,56 +319,112 @@ class Supervisor:
             return None
         return min(candidates, key=lambda w: len(w.inflight))
 
-    async def submit(
+    async def run(
         self,
-        query_payload: Dict[str, Any],
-        deadline: Optional[float] = None,
-    ) -> Dict[str, Any]:
-        """Run one query on some worker; returns the worker's response.
+        group: Tuple[str, str, int, bool],
+        queries: Sequence[SimQuery],
+        deadlines: Sequence[Optional[float]],
+    ) -> GroupResult:
+        """Run one trace group on a worker; the executor operation.
 
-        Args:
-            query_payload: ``SimQuery.to_dict()`` of a normalized query.
-            deadline: Optional :func:`time.monotonic` budget end.
+        When the worker dies with the group in flight, its queries are
+        re-dispatched one at a time, each with ``crash_retries`` more
+        attempts (the group attempt counts as every query's first), so
+        a poison query kills no more workers than it would alone and
+        fails alone, in its outcome.  A re-dispatch waits out a restart
+        rather than fail while every worker is down.
 
         Raises:
             RejectedError: No dispatchable worker exists right now
                 (all dead or breaker-open) — HTTP 503 at the edge.
-            WorkerCrashError: The worker died mid-request and the
-                retry budget (or the deadline) was exhausted.
-            DeadlineExceededError: The budget expired before or during
-                execution.
+            WorkerCrashError: A query-less run crashed through its
+                retry budget.
+            ReproError: The worker could not prepare the trace.
         """
-        attempts = self.config.crash_retries + 1
-        last_crash: Optional[WorkerCrashError] = None
-        for _ in range(attempts):
-            if deadline is not None and time.monotonic() >= deadline:
-                raise DeadlineExceededError(
-                    "deadline expired before a worker could run the query",
-                    stage="dispatch",
-                )
+        try:
+            return await self._attempt(group, queries, deadlines)
+        except WorkerCrashError as crash:
+            if not queries:
+                return await self._retry(group, [], [], crash)
+            result = GroupResult(None)
+            for query, deadline in zip(queries, deadlines):
+                try:
+                    part = await self._retry(group, [query], [deadline], crash)
+                except ReproError as exc:
+                    part = GroupResult(None, [exc])
+                result.extend(part)
+            return result
+
+    async def _retry(
+        self,
+        group: Tuple[str, str, int, bool],
+        queries: Sequence[SimQuery],
+        deadlines: Sequence[Optional[float]],
+        crash: WorkerCrashError,
+    ) -> GroupResult:
+        assert self._retry_lane is not None, "start() the supervisor first"
+        async with self._retry_lane:
+            for _ in range(self.config.crash_retries):
+                try:
+                    return await self._attempt(
+                        group, queries, deadlines, wait=True
+                    )
+                except WorkerCrashError as exc:
+                    # The breaker and backoff were already fed by the
+                    # read loop's death handling; try another worker.
+                    crash = exc
+        raise crash
+
+    async def _attempt(
+        self,
+        group: Tuple[str, str, int, bool],
+        queries: Sequence[SimQuery],
+        deadlines: Sequence[Optional[float]],
+        wait: bool = False,
+    ) -> GroupResult:
+        """One dispatch; ``wait`` lets a retry wait out a restart."""
+        now = time.monotonic()
+        if queries and all(d is not None and now >= d for d in deadlines):
+            raise DeadlineExceededError(
+                "deadline expired before a worker could run the query",
+                stage="dispatch",
+            )
+        worker = self._pick()
+        give_up = now + self.config.restart_max_delay
+        while worker is None and wait and time.monotonic() < give_up:
+            await asyncio.sleep(0.05)
             worker = self._pick()
-            if worker is None:
-                raise RejectedError(
-                    "no live simulation worker (crashed workers are "
-                    "restarting with backoff); retry shortly",
-                    reason="no_workers",
-                    retry_after=self.config.restart_base_delay * 2,
-                )
-            try:
-                return await self._send(worker, query_payload, deadline)
-            except WorkerCrashError as exc:
-                # The breaker and backoff were already fed by the read
-                # loop's death handling; just try another worker.
-                last_crash = exc
-                continue
-        assert last_crash is not None
-        raise last_crash
+        if worker is None:
+            raise RejectedError(
+                "no live simulation worker (crashed workers are "
+                "restarting with backoff); retry shortly",
+                reason="no_workers",
+                retry_after=self.config.restart_base_delay * 2,
+            )
+        # Each deadline travels as the budget left, in milliseconds.
+        response = await self._send(worker, {
+            "kind": "group",
+            "group": list(group),
+            "queries": [
+                {"query": query.to_dict(), "deadline_ms": None if deadline is None
+                 else max(0.0, (deadline - time.monotonic()) * 1000.0)}
+                for query, deadline in zip(queries, deadlines)
+            ],
+        })
+        if not response.get("ok"):
+            raise _error(response)
+        return GroupResult(
+            response["prepared_length"],
+            [
+                item["record"] if "record" in item else _error(item)
+                for item in response["results"]
+            ],
+            response["prepare_s"],
+            response["simulate_s"],
+        )
 
     async def _send(
-        self,
-        worker: _Worker,
-        query_payload: Dict[str, Any],
-        deadline: Optional[float],
+        self, worker: _Worker, request: Dict[str, Any]
     ) -> Dict[str, Any]:
         proc = worker.proc
         if proc is None or proc.stdin is None or not worker.alive:
@@ -363,20 +436,9 @@ class Supervisor:
         loop = asyncio.get_event_loop()
         future: "asyncio.Future[Dict[str, Any]]" = loop.create_future()
         worker.inflight[request_id] = future
-        request = {
-            "kind": "req",
-            "id": request_id,
-            "query": query_payload,
-            "deadline_ms": (
-                max(0.0, (deadline - time.monotonic()) * 1000.0)
-                if deadline is not None
-                else None
-            ),
-            "default_length": self.config.default_length,
-        }
         try:
             proc.stdin.write(
-                (json.dumps(request, sort_keys=True) + "\n").encode("utf-8")
+                (json.dumps(dict(request, id=request_id)) + "\n").encode("utf-8")
             )
             await proc.stdin.drain()
         except (ConnectionResetError, BrokenPipeError, OSError) as exc:
@@ -389,14 +451,7 @@ class Supervisor:
             worker.consecutive_failures = 0
             if worker.breaker is not None:
                 worker.breaker.record(f"worker-{worker.index}", "supervisor")
-            return response
-        error_type = response.get("error_type", "ReproError")
-        message = response.get("error", "worker reported an error")
-        if error_type == "DeadlineExceededError":
-            raise DeadlineExceededError(
-                message, stage=response.get("stage", "simulate")
-            )
-        raise _ERROR_TYPES.get(error_type, ReproError)(message)
+        return response
 
     # -- Drain ------------------------------------------------------------
 

@@ -2,21 +2,23 @@
 
 Run as ``python -m repro.service.worker`` by the supervisor
 (:mod:`repro.service.supervisor`).  The protocol is newline-delimited
-JSON over the standard pipes:
+JSON over the standard pipes, with one request kind:
 
-* **stdin** (supervisor -> worker): ``{"kind": "req", "id": N,
-  "query": {...}, "deadline_ms": M | null}`` — one simulation request.
-  EOF means drain-and-exit.
+* **stdin** (supervisor -> worker): ``{"kind": "group", "id": N,
+  "group": [suite, trace, length, filter_writes], "queries":
+  [{"query": {...}, "deadline_ms": M | null}, ...]}`` — one trace
+  group (a lone query is a group of one), answered by
+  :func:`repro.service.simulator.run_trace_group` as an in-process
+  thread answers it.  EOF means drain-and-exit.
 * **stdout** (worker -> supervisor): ``{"kind": "res", "id": N,
-  "ok": true, ...result fields...}`` or ``{"kind": "res", "id": N,
-  "ok": false, "error": msg, "error_type": name, "stage": s}``, plus
-  unsolicited ``{"kind": "hb", "ts": T}`` heartbeats from a daemon
-  thread.  A worker that stops heartbeating is presumed hung and gets
+  "ok": true, "prepared_length": L, "prepare_s": S, "simulate_s":
+  [...], "results": [{"record": {...}} | {"error": msg, "error_type":
+  name, "stage": s}, ...]}`` (``"ok": false`` and the error fields
+  when the trace could not be prepared), plus unsolicited
+  ``{"kind": "hb", "ts": T}`` heartbeats from a daemon thread.  A worker that stops heartbeating is presumed hung and gets
   SIGKILLed by the supervisor.
 
-The worker keeps a tiny LRU of prepared traces so the query mix's
-trace-group locality survives process isolation, and converts the
-request's *remaining* deadline milliseconds into a local monotonic
+Each query's *remaining* deadline milliseconds become a local monotonic
 instant for the engine's cooperative cancellation (wall-budget
 semantics survive the pipe hop without clock agreement).
 
@@ -30,6 +32,8 @@ configured *before* the process exists and cannot race the workload:
 * ``REPRO_WORKER_CRASH_ON_START`` — exit 1 immediately (crash loop).
 * ``REPRO_WORKER_CRASH_AFTER`` — ``os._exit(137)`` at the *start* of
   the Nth request: a SIGKILL mid-request, with the request in flight.
+* ``REPRO_WORKER_CRASH_ON_NET`` — ``os._exit(137)`` on any request
+  carrying a query whose net size is N: a poison query.
 * ``REPRO_WORKER_STALL_HEARTBEAT_AFTER`` — after N requests, stop
   heartbeating and hang (a live-but-wedged process).
 """
@@ -42,19 +46,13 @@ import signal
 import sys
 import threading
 import time
-from collections import OrderedDict
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional
 
-from repro.engine.batch import execute_cell, predecode, prepare_trace
 from repro.errors import ReproError
 from repro.service.query import SimQuery
-from repro.workloads.suites import suite_trace
+from repro.service.simulator import run_trace_group
 
 __all__ = ["WorkerLoop", "main"]
-
-#: Prepared traces kept alive per worker (they are large; the service's
-#: batch locality makes even 1 effective, 4 generous).
-_TRACE_LRU = 4
 
 
 def _chaos_targets_me(index: int) -> bool:
@@ -65,6 +63,14 @@ def _chaos_targets_me(index: int) -> bool:
         return index in {int(part) for part in raw.split(",") if part.strip()}
     except ValueError:
         return True
+
+
+def _error_fields(exc: Exception) -> Dict[str, Any]:
+    return {
+        "error": str(exc),
+        "error_type": type(exc).__name__,
+        "stage": getattr(exc, "stage", "simulate"),
+    }
 
 
 class WorkerLoop:
@@ -84,25 +90,24 @@ class WorkerLoop:
         self._stop_heartbeat = threading.Event()
         self._drain = threading.Event()
         self._requests_served = 0
-        self._traces: "OrderedDict[Tuple, Any]" = OrderedDict()
         targeted = _chaos_targets_me(self.index)
-        self._crash_after = (
-            int(os.environ["REPRO_WORKER_CRASH_AFTER"])
-            if targeted and os.environ.get("REPRO_WORKER_CRASH_AFTER")
-            else None
-        )
-        self._stall_after = (
-            int(os.environ["REPRO_WORKER_STALL_HEARTBEAT_AFTER"])
-            if targeted and os.environ.get("REPRO_WORKER_STALL_HEARTBEAT_AFTER")
-            else None
-        )
+
+        def hook(name: str) -> Optional[int]:
+            value = os.environ.get(name) if targeted else None
+            return int(value) if value else None
+
+        self._crash_after = hook("REPRO_WORKER_CRASH_AFTER")
+        self._crash_on_net = hook("REPRO_WORKER_CRASH_ON_NET")
+        self._stall_after = hook("REPRO_WORKER_STALL_HEARTBEAT_AFTER")
         if targeted and os.environ.get("REPRO_WORKER_CRASH_ON_START"):
             sys.exit(1)
 
     # -- Wire helpers -----------------------------------------------------
 
     def _send(self, message: Dict[str, Any]) -> None:
-        line = json.dumps(message, sort_keys=True)
+        # Unsorted: a record's stats keep the engine's field order, so
+        # a body served from a worker is byte-equal to an in-process one.
+        line = json.dumps(message)
         with self._write_lock:
             self.stdout.write(line + "\n")
             self.stdout.flush()
@@ -116,50 +121,46 @@ class WorkerLoop:
 
     # -- Execution --------------------------------------------------------
 
-    def _prepared(self, query: SimQuery):
-        key = query.trace_group()
-        prepared = self._traces.get(key)
-        if prepared is None:
-            trace = suite_trace(query.suite, query.trace, length=query.length)
-            prepared = prepare_trace(trace, query.filter_writes)
-            self._traces[key] = prepared
-            while len(self._traces) > _TRACE_LRU:
-                self._traces.popitem(last=False)
-        self._traces.move_to_end(key)
-        return prepared
-
     def _handle(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        request_id = request.get("id")
-        deadline_ms = request.get("deadline_ms")
-        deadline: Optional[float] = (
-            time.monotonic() + deadline_ms / 1000.0
-            if deadline_ms is not None
-            else None
-        )
+        response: Dict[str, Any] = {"kind": "res", "id": request.get("id")}
+        now = time.monotonic()
         try:
-            query = SimQuery.from_payload(
-                request["query"],
-                default_length=int(request.get("default_length") or 0),
+            group = tuple(request["group"])
+            entries = request["queries"]
+            ran = run_trace_group(
+                group,
+                [
+                    SimQuery.from_payload(entry["query"], default_length=group[2])
+                    for entry in entries
+                ],
+                [
+                    now + entry["deadline_ms"] / 1000.0
+                    if entry.get("deadline_ms") is not None
+                    else None
+                    for entry in entries
+                ],
             )
-            prepared = self._prepared(query)
-            predecode(prepared, [query.spec])
-            stats, path = execute_cell(prepared, query.spec, deadline=deadline)
         except ReproError as exc:
-            return {
-                "kind": "res",
-                "id": request_id,
-                "ok": False,
-                "error": str(exc),
-                "error_type": type(exc).__name__,
-                "stage": getattr(exc, "stage", "simulate"),
-            }
-        return {
-            "kind": "res",
-            "id": request_id,
-            "ok": True,
-            "prepared_length": len(prepared),
-            **query.result_record(stats, path),
-        }
+            return dict(response, ok=False, **_error_fields(exc))
+        return dict(
+            response,
+            ok=True,
+            prepared_length=ran.prepared_length,
+            prepare_s=ran.prepare_seconds,
+            simulate_s=ran.simulate_seconds,
+            results=[
+                _error_fields(outcome)
+                if isinstance(outcome, Exception)
+                else {"record": outcome}
+                for outcome in ran.outcomes
+            ],
+        )
+
+    def _poisoned(self, request: Dict[str, Any]) -> bool:
+        return self._crash_on_net is not None and any(
+            entry["query"]["geometry"]["net"] == self._crash_on_net
+            for entry in request.get("queries", ())
+        )
 
     # -- Lifecycle --------------------------------------------------------
 
@@ -191,10 +192,10 @@ class WorkerLoop:
                 request = json.loads(raw)
             except ValueError:
                 continue
-            if request.get("kind") != "req":
+            if request.get("kind") != "group":
                 continue
             self._requests_served += 1
-            if (
+            if self._poisoned(request) or (
                 self._crash_after is not None
                 and self._requests_served >= self._crash_after
             ):

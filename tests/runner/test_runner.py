@@ -6,7 +6,12 @@ import pytest
 
 from repro.analysis.sweep import sweep
 from repro.core.config import CacheGeometry
-from repro.errors import CellTimeoutError, ReproError, TransientError
+from repro.errors import (
+    CellTimeoutError,
+    ConfigurationError,
+    ReproError,
+    TransientError,
+)
 from repro.runner.chaos import points_digest
 from repro.runner.faults import FaultInjector, SweepAborted
 from repro.runner.retry import RetryPolicy
@@ -47,6 +52,12 @@ class TestInertConfig:
         assert points_digest(plain) == points_digest(resilient)
         assert report.total == len(traces) * len(geometries)
         assert not report.skipped
+
+    def test_engine_keyword_is_refused_with_the_config_to_use(
+        self, traces, geometries
+    ):
+        with pytest.raises(ConfigurationError, match=r"RunnerConfig\(engine="):
+            run_sweep(traces, geometries, engine="reference")
 
 
 class TestCheckpointResume:

@@ -46,6 +46,7 @@ class TestScenarioCatalogue:
             "serve-bit-flip",
             "serve-slow-loris",
             "serve-drain",
+            "serve-poison-query",
         )
 
     def test_require_raises_chaos_failure_with_the_detail(self):

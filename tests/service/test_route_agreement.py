@@ -1,6 +1,7 @@
 """Supervised workers and in-process cells report the same record.
 
-Both execute through :func:`repro.engine.batch.execute_cell`, which
+Both answer a trace group through
+:func:`repro.service.simulator.run_trace_group`, whose per-cell path
 plans the route once and labels the result with it; a chained query
 therefore says ``vectorized`` in the WAL store and exports no matter
 which execution mode served it.
@@ -49,14 +50,16 @@ def test_worker_and_in_process_agree_on_engine(case):
     query = SimQuery.from_payload(dict(QUERY, **extra), LENGTH)
     worker = WorkerLoop(stdin=io.StringIO(), stdout=io.StringIO())
     response = worker._handle(
-        {"kind": "req", "id": 1, "query": query.to_dict(),
-         "default_length": LENGTH}
+        {"kind": "group", "id": 1, "group": list(query.trace_group()),
+         "queries": [{"query": query.to_dict(), "deadline_ms": None}]}
     )
     entry = serve_in_process(query)
     assert response["ok"] is True
-    assert response["engine"] == entry.engine == expected
+    (result,) = response["results"]
+    record = result["record"]
+    assert record["engine"] == entry.engine == expected
     for field in ("key", "trace", "miss", "traffic", "scaled", "stats"):
-        assert response[field] == getattr(entry, field), field
+        assert record[field] == getattr(entry, field), field
     # Whatever path served it, the cell is the reference loop's answer.
     spec = query.spec
     reference = ReferenceEngine().run(

@@ -22,12 +22,13 @@ BASE = {"suite": "pdp11", "trace": "ED", "net": 256, "block": 16, "sub": 8}
 SAMPLE = {"interval": 500, "k": 2}
 
 
-def simulate_queries(*queries, allow_sampling=True):
+def simulate_queries(*queries, allow_sampling=True, supervised=False):
     """Run queries sequentially on one service; returns (results, service)."""
 
     async def main():
         service = SimulationService(
-            ServiceConfig(batch_window=0.0, allow_sampling=allow_sampling)
+            ServiceConfig(batch_window=0.0, allow_sampling=allow_sampling,
+                          supervised=supervised)
         )
         await service.start()
         try:
@@ -123,11 +124,15 @@ class TestOptIn:
         with pytest.raises(ConfigurationError, match="allow-sampling"):
             simulate_queries(query, allow_sampling=False)
 
-    def test_allow_sampling_is_incompatible_with_supervised(self):
-        with pytest.raises(ConfigurationError, match="supervised"):
-            SimulationService(
-                ServiceConfig(allow_sampling=True, supervised=True)
-            )
+    def test_supervised_service_serves_sampled_queries(self):
+        # Workers run the same group function, so an opted-in
+        # supervised service answers the estimate an in-process one does.
+        query = SimQuery.from_payload(dict(BASE, sample=SAMPLE), 4000)
+        (worker,), _ = simulate_queries(query, supervised=True)
+        (thread,), _ = simulate_queries(query)
+        assert worker.entry.engine == "sampled"
+        assert worker.entry.stats["sampled"]["exact"] is False
+        assert worker.entry == thread.entry
 
 
 class TestServedResults:

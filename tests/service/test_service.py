@@ -13,7 +13,7 @@ import time
 import pytest
 
 from repro.core.config import CacheGeometry
-from repro.engine.batch import CellSpec
+from repro.engine.batch import CellSpec, execute_cell
 from repro.errors import ReproError, StaticCheckError
 from repro.runner.runner import run_sweep
 from repro.service import (
@@ -21,6 +21,7 @@ from repro.service import (
     ServiceConfig,
     SimQuery,
     SimulationService,
+    simulator,
 )
 from repro.workloads.suites import suite_trace
 
@@ -49,7 +50,7 @@ async def with_service(config, body):
         await service.stop()
 
 
-def hold(service, release):
+def hold(monkeypatch, release):
     """Block ``QUERY``'s cell on the pool until ``release`` is set.
 
     Returns a future that resolves once the cell is running, i.e. once
@@ -57,15 +58,14 @@ def hold(service, release):
     """
     loop = asyncio.get_event_loop()
     entered = loop.create_future()
-    execute = service._execute
 
-    def held(prepared, cell_query, deadline=None):
-        if cell_query == QUERY:
+    def held(prepared, spec, deadline=None):
+        if spec == QUERY.spec:
             loop.call_soon_threadsafe(entered.set_result, None)
             release.wait()
-        return execute(prepared, cell_query, deadline)
+        return execute_cell(prepared, spec, deadline)
 
-    service._execute = held
+    monkeypatch.setattr(simulator, "execute_cell", held)
     return entered
 
 
@@ -188,11 +188,11 @@ class TestDispatch:
             labels={"stage": "queue"}
         ) == 1
 
-    def test_queries_arriving_while_a_group_runs_go_out_as_one_group(self):
+    def test_queries_arriving_while_a_group_runs_go_out_as_one_group(self, monkeypatch):
         release = threading.Event()
 
         async def body(service):
-            entered = hold(service, release)
+            entered = hold(monkeypatch, release)
             try:
                 first = asyncio.ensure_future(service.simulate(QUERY))
                 await entered
@@ -232,12 +232,12 @@ class TestOverloadAndFailure:
             labels={"reason": "queue_full"}
         ) == 1
 
-    def test_bounded_queue_rejects_the_overflow_query(self):
+    def test_bounded_queue_rejects_the_overflow_query(self, monkeypatch):
         slow = ServiceConfig(batch_window=5.0, max_queue=1)
         release = threading.Event()
 
         async def body(service):
-            entered = hold(service, release)
+            entered = hold(monkeypatch, release)
             try:
                 running = asyncio.ensure_future(service.simulate(QUERY))
                 await entered
@@ -255,7 +255,7 @@ class TestOverloadAndFailure:
         error = run(with_service(slow, body))
         assert error.reason == "queue_full"
 
-    def test_failures_open_the_breaker_and_cached_results_survive(self):
+    def test_failures_open_the_breaker_and_cached_results_survive(self, monkeypatch):
         config = ServiceConfig(
             batch_window=0.0, breaker_failures=1, breaker_reset=60.0
         )
@@ -265,10 +265,10 @@ class TestOverloadAndFailure:
             cached = await service.simulate(QUERY)  # populate the cache
             assert cached.source == "computed"
 
-            def explode(prepared, query, deadline=None):
+            def explode(prepared, spec, deadline=None):
                 raise ReproError("injected cell failure")
 
-            service._execute = explode
+            monkeypatch.setattr(simulator, "execute_cell", explode)
             with pytest.raises(ReproError, match="injected"):
                 await service.simulate(other)
             assert service.admission.breaker.state == "open"
@@ -284,11 +284,11 @@ class TestOverloadAndFailure:
 
         run(with_service(config, body))
 
-    def test_stop_fails_queued_queries(self):
+    def test_stop_fails_queued_queries(self, monkeypatch):
         release = threading.Event()
 
         async def body(service):
-            entered = hold(service, release)
+            entered = hold(monkeypatch, release)
             try:
                 running = asyncio.ensure_future(service.simulate(QUERY))
                 await entered
@@ -302,11 +302,11 @@ class TestOverloadAndFailure:
 
         run(with_service(ServiceConfig(batch_window=5.0), body))
 
-    def test_stop_fails_dispatched_queries(self):
+    def test_stop_fails_dispatched_queries(self, monkeypatch):
         release = threading.Event()
 
         async def body(service):
-            entered = hold(service, release)
+            entered = hold(monkeypatch, release)
             try:
                 future = asyncio.ensure_future(service.simulate(QUERY))
                 await entered  # dispatched: its group is on the pool

@@ -181,23 +181,9 @@ class TestCorruptionQuarantine:
 
 
 class TestPreparedLengthMeta:
-    """Supervised-mode fingerprints need the prepared trace length;
-    the service persists it as a meta record so a restart can address
-    its own store without re-simulating one cell per trace group."""
-
-    def test_prepared_lengths_survive_a_restart(self, tmp_path):
-        from repro.service.simulator import ServiceConfig, SimulationService
-
-        config = ServiceConfig(store_dir=str(tmp_path / "wal"))
-        first = SimulationService(config=config)
-        group = ("pdp11", "ED", 5000, True)
-        first._prepared_lengths[group] = 4242
-        first._persist_prepared_length(group, 4242)
-        first.cache.store.close()
-
-        second = SimulationService(config=config)
-        assert second._prepared_lengths[group] == 4242
-        second.cache.store.close()
+    """Older services persisted trace-group prepared lengths as meta
+    records in the same store; a cache must keep opening such a store
+    and never serve those records as results."""
 
     def test_meta_records_are_never_served_as_results(self, tmp_path):
         from repro.service.cache import ResultCache

@@ -15,18 +15,29 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
 import repro
 
 from repro.errors import WorkerCrashError
 from repro.service.admission import RejectedError
+from repro.service.query import SimQuery
 from repro.service.supervisor import Supervisor, SupervisorConfig
 
-QUERY = {
+PAYLOAD = {
     "suite": "pdp11", "trace": "ED", "length": 2000,
     "net": 512, "block": 16, "sub": 8,
 }
+QUERY = SimQuery.from_payload(PAYLOAD, 2000)
+GROUP = QUERY.trace_group()
+
+
+def query(net: int) -> SimQuery:
+    return SimQuery.from_payload(dict(PAYLOAD, net=net), 2000)
+
+
+async def run_one(sup: Supervisor, one: SimQuery = QUERY):
+    """One query as a group of one; returns its outcome."""
+    (outcome,) = (await sup.run(GROUP, [one], [None])).outcomes
+    return outcome
 
 
 def run(coro):
@@ -61,16 +72,20 @@ class TestWorkerImports:
 class TestHappyPath:
     def test_submit_answers_and_drain_retires_the_fleet(self):
         async def main():
-            sup = Supervisor(SupervisorConfig(workers=1, default_length=2000))
+            sup = Supervisor(SupervisorConfig(workers=1))
             await sup.start()
             try:
-                response = await sup.submit(dict(QUERY))
+                learned = await sup.run(GROUP, [], [])
+                ran = await sup.run(GROUP, [QUERY], [None])
             finally:
                 elapsed = await sup.drain()
-            assert response["ok"] is True
-            assert 0.0 < response["miss"] <= 1.0
-            assert response["trace"] == "ED"
-            assert response["stats"]["accesses"] > 0
+            # A query-less run only prepares: it reports the length.
+            assert learned.outcomes == []
+            assert learned.prepared_length == ran.prepared_length > 0
+            (record,) = ran.outcomes
+            assert 0.0 < record["miss"] <= 1.0
+            assert record["trace"] == "ED"
+            assert record["stats"]["accesses"] > 0
             # Drain retired every worker and exported its latency.
             assert sup.describe()["alive"] == 0
             assert sup.metrics.drain_seconds.value() == elapsed
@@ -85,7 +100,6 @@ class TestCrashContainment:
             sup = Supervisor(
                 SupervisorConfig(
                     workers=2,
-                    default_length=2000,
                     worker_env={
                         "REPRO_WORKER_CRASH_AFTER": "1",
                         "REPRO_WORKER_CHAOS_INDEX": "0",
@@ -97,8 +111,8 @@ class TestCrashContainment:
                 # Worker 0 (fewest in flight, picked first) SIGKILLs
                 # itself with the request in flight; the supervisor
                 # must re-dispatch to worker 1 invisibly.
-                response = await sup.submit(dict(QUERY))
-                assert response["ok"] is True
+                record = await run_one(sup)
+                assert record["trace"] == "ED"
                 crashed = await wait_for(
                     lambda: sup.metrics.worker_restarts_total.value(
                         labels={"reason": "crashed"}
@@ -127,18 +141,17 @@ class TestCrashContainment:
                 rejected = None
                 for _ in range(50):
                     try:
-                        await sup.submit(dict(QUERY))
+                        outcome = await run_one(sup)
                     except RejectedError as exc:
                         rejected = exc
                         break
-                    except WorkerCrashError:
-                        # The death raced the dispatch; the breaker
-                        # and backoff are being fed, try again.
-                        await asyncio.sleep(0.1)
-                    else:
+                    if not isinstance(outcome, WorkerCrashError):
                         raise AssertionError(
                             "a crash-on-start worker answered a request"
                         )
+                    # The death raced the dispatch; the breaker and
+                    # backoff are being fed, try again.
+                    await asyncio.sleep(0.1)
                 assert rejected is not None
                 assert rejected.reason == "no_workers"
                 restarted = await wait_for(
@@ -160,7 +173,6 @@ class TestCrashContainment:
                     workers=1,
                     heartbeat_timeout=1.0,
                     crash_retries=0,
-                    default_length=2000,
                     worker_env={"REPRO_WORKER_STALL_HEARTBEAT_AFTER": "1"},
                 )
             )
@@ -173,11 +185,49 @@ class TestCrashContainment:
                     lambda: sup._workers[0].heard_once, timeout=10.0
                 )
                 assert heard, "worker never sent its first heartbeat"
-                with pytest.raises(WorkerCrashError, match="hung"):
-                    await sup.submit(dict(QUERY))
+                outcome = await run_one(sup)
+                assert isinstance(outcome, WorkerCrashError)
+                assert "hung" in str(outcome)
                 assert sup.metrics.worker_restarts_total.value(
                     labels={"reason": "hung"}
                 ) >= 1
+            finally:
+                await sup.drain()
+
+        run(main())
+
+    def test_a_poison_query_fails_alone(self):
+        async def main():
+            sup = Supervisor(
+                SupervisorConfig(
+                    workers=2,
+                    worker_env={"REPRO_WORKER_CRASH_ON_NET": "1024"},
+                )
+            )
+            await sup.start()
+            try:
+                # The group kills its worker; each query is then re-run
+                # on its own, where the poison kills one more worker
+                # (its retry budget) and its neighbours are answered.
+                ran = await sup.run(
+                    GROUP, [query(512), query(1024), query(256)],
+                    [None, None, None],
+                )
+                first, poisoned, last = ran.outcomes
+                assert first["key"] == "512:16,8@4/ED"
+                assert isinstance(poisoned, WorkerCrashError)
+                assert last["key"] == "256:16,8@4/ED"
+                assert ran.prepared_length > 0
+                crashed = await wait_for(
+                    lambda: sup.metrics.worker_restarts_total.value(
+                        labels={"reason": "crashed"}
+                    ) >= 2,
+                    timeout=5.0,
+                )
+                assert crashed
+                assert sup.metrics.worker_restarts_total.value(
+                    labels={"reason": "crashed"}
+                ) == 2
             finally:
                 await sup.drain()
 

@@ -52,6 +52,16 @@ class TestServeCommand:
         with pytest.raises(SystemExit):
             _build_parser().parse_args(["serve", "--disk-cache", "c.jsonl"])
 
+    def test_serve_has_one_executor_width_flag(self):
+        # --workers sizes the thread pool or, with --supervised, the
+        # worker fleet; there is no second width.
+        from repro.cli import _build_parser
+
+        with pytest.raises(SystemExit):
+            _build_parser().parse_args(
+                ["serve", "--supervised", "--worker-processes", "2"]
+            )
+
 
 class TestTableCommands:
     def test_table7(self, capsys):
