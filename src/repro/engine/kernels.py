@@ -25,13 +25,17 @@ import numpy as np
 
 from repro.core.accounting import plan_costs
 from repro.core.fetch import FetchPolicy
+from repro.trace.record import AccessType
 
 __all__ = [
     "effective_sizes",
     "needed_masks",
     "run_starts",
+    "mru_hits",
     "FetchPlanCache",
 ]
+
+_WRITE = int(AccessType.WRITE)
 
 
 def effective_sizes(sizes: np.ndarray, word_size: int) -> np.ndarray:
@@ -95,6 +99,69 @@ def run_starts(
     )
     breaks = np.flatnonzero(~same) + 1
     return np.concatenate((np.zeros(1, dtype=np.int64), breaks))
+
+
+def mru_hits(
+    starts: np.ndarray,
+    sets: np.ndarray,
+    tags: np.ndarray,
+    kinds: np.ndarray,
+    needed: np.ndarray,
+    span: np.ndarray,
+) -> np.ndarray:
+    """Which run heads are set-local MRU read hits (a boolean per head).
+
+    Such a head is a non-spanning read whose set's previous head
+    touched the same block, with no spanning access since, and whose
+    needed sub-blocks were all needed by earlier reads of that
+    same-set, same-block stretch.  The block is then resident, most
+    recently used and holds the sub-blocks, so under a policy with
+    idempotent hits the access changes nothing but the access counters.
+
+    One stable sort groups the heads by set (trace order within a set);
+    a stretch breaks at a new set or block, at a spanning head and
+    after one, and across any spanning head elsewhere (whose spill may
+    evict in another set).  Coverage is a segmented OR-scan of the read
+    masks, taken one sub-block bit at a time.
+    """
+    h = len(starts)
+    if h == 0:
+        return np.zeros(0, dtype=bool)
+    head_set = sets[starts]
+    head_span = span[starts]
+    # A stable sort of 16-bit keys is a radix sort: ~10x a 64-bit one.
+    key = head_set.astype(np.uint16) if head_set.max() <= 0xFFFF else head_set
+    order = np.argsort(key, kind="stable")
+    at = starts[order]
+    s_set = head_set[order]
+    s_tag = tags[at]
+    s_need = needed[at]
+    s_read = kinds[at] != _WRITE
+    new = np.ones(h, dtype=bool)
+    new[1:] = (s_set[1:] != s_set[:-1]) | (s_tag[1:] != s_tag[:-1])
+    if head_span.any():
+        # The epoch steps at every spanning head, so no stretch runs
+        # across one; the head after it in its set starts anew, which
+        # leaves the spanning head a stretch of its own.
+        s_epoch = np.cumsum(head_span)[order]
+        new[1:] |= (s_epoch[1:] != s_epoch[:-1]) | head_span[order][:-1]
+    hit = s_read & ~new
+    if not hit.any():
+        return np.zeros(h, dtype=bool)
+    stretch = np.maximum.accumulate(np.where(new, np.arange(h), 0))
+    read_need = np.where(s_read, s_need, 0)
+    bits = int(np.bitwise_or.reduce(s_need[hit]))
+    for b in range(64):
+        if not (bits >> b) & 1:
+            continue
+        # The reads needing this sub-block, in stretch order: one has
+        # it covered iff the previous such read lies in its stretch.
+        reads = np.flatnonzero(read_need & (np.int64(1) << np.int64(b)))
+        hit[reads[0]] = False
+        hit[reads[1:][reads[:-1] < stretch[reads[1:]]]] = False
+    skip = np.empty(h, dtype=bool)
+    skip[order] = hit
+    return skip
 
 
 class FetchPlanCache:

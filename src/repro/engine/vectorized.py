@@ -11,13 +11,17 @@ throughput.  Three ideas carry the speedup:
    walks plain Python ints — no ``Access`` tuples, no ``AccessType``
    enum construction, no per-access address arithmetic.
 
-2. **Run compression.**  Adjacent identical accesses (same block, kind,
-   mask, size — the common case in instruction streams) leave the cache
-   in a fixed point after the first: every repeat is a pure counter
-   update whose effect is known in advance.  Runs are delimited
-   vectorized (:func:`~repro.engine.kernels.run_starts`); the engine
-   simulates the first access of each run and bulk-accounts the rest.
-   Requires a replacement policy with idempotent hit handling
+2. **Walk only what can change cache state.**  Adjacent identical
+   accesses (same block, kind, mask, size — the common case in
+   instruction streams) form runs (:func:`~repro.engine.kernels.run_starts`):
+   after the first access the cache is at a fixed point, so the loop
+   simulates each run's head and bulk-accounts a write run's repeats.
+   A head that is a set-local MRU read hit
+   (:func:`~repro.engine.kernels.mru_hits`) is not walked at all: its
+   block is resident, most recently used and holds the sub-blocks it
+   needs, so it changes only the access counters, which are summed
+   after the loop from the last counter reset.  Both need a
+   replacement policy with idempotent hit handling
    (``idempotent_hits``); otherwise every access runs scalar.
 
 3. **Flat state + compiled fetch policies.**  Per-set tag/valid/
@@ -30,7 +34,8 @@ throughput.  Three ideas carry the speedup:
 A miss-path chain (:mod:`repro.core.misspath`) rides along: it only
 observes L1, so the engine offers it each evicted block and services
 each block or sub-block fetch from the events the loop already walks
-one at a time.  Bulk-accounted repeats fetch nothing and never reach it.
+one at a time.  Bulk-accounted repeats and skipped MRU hits fetch
+nothing and never reach it.
 
 The engine is pinned to the reference engine by the differential
 equivalence suite (``tests/engine/test_equivalence.py``): identical
@@ -40,9 +45,10 @@ randomized geometries, programs, warmups, and policies.
 
 from __future__ import annotations
 
-import bisect
 import time as _time
 from typing import Any, Dict, Optional, Union
+
+import numpy as np
 
 from repro.core.accounting import account_eviction
 from repro.core.block import mask_of_range, popcount
@@ -53,7 +59,7 @@ from repro.core.replacement import LRUReplacement, ReplacementPolicy
 from repro.core.stats import CacheStats
 from repro.core.write import WritePolicy
 from repro.engine.base import Engine
-from repro.engine.kernels import FetchPlanCache
+from repro.engine.kernels import FetchPlanCache, mru_hits
 from repro.engine.traceview import TraceView
 from repro.errors import ConfigurationError, DeadlineExceededError, EngineError
 from repro.trace.record import AccessType, Trace
@@ -143,26 +149,37 @@ class VectorizedEngine(Engine):
 
         # -- Decode (cached on the view, shared across geometries) --------
         set_arr, tag_arr = view.set_and_tag(geometry)
-        needed_arr, span_arr, starts_arr = view.demand(geometry, word_size)
-        set_l = set_arr.tolist()
-        tag_l = tag_arr.tolist()
-        needed_l = needed_arr.tolist()
-        span_l = span_arr.tolist()
-        kind_l = t.kinds.tolist()
-        size_l = view.sizes_for(word_size).tolist()
-        addr_l = t.addrs.tolist() if span_arr.any() else None
+        needed_arr, span_arr, starts = view.demand(geometry, word_size)
+        size_arr = view.sizes_for(word_size)
 
-        compress = getattr(replacement, "idempotent_hits", False)
-        if compress:
-            starts = starts_arr.tolist()
+        # -- The heads the loop walks --------------------------------------
+        if getattr(replacement, "idempotent_hits", False):
+            skip = mru_hits(
+                starts, set_arr, tag_arr, t.kinds, needed_arr, span_arr
+            )
             if reset_at is not None and 0 < reset_at < n:
-                # The warm-up boundary must not fall inside a bulk run.
-                pos = bisect.bisect_left(starts, reset_at)
+                pos = int(np.searchsorted(starts, reset_at))
                 if pos == len(starts) or starts[pos] != reset_at:
-                    starts.insert(pos, reset_at)
+                    # Split the run at the warm-up boundary: a write
+                    # run's bulk terms straddle it, a read run's repeats
+                    # add only the counters summed after the loop.
+                    starts = np.insert(starts, pos, reset_at)
+                    skip = np.insert(skip, pos, t.kinds[reset_at] != _WRITE)
+            walk = ~skip
+            heads = starts[walk]
+            ends = np.append(starts, n)[1:][walk]
         else:
-            starts = list(range(n))
-        starts.append(n)
+            heads = np.arange(n)
+            ends = heads + 1
+        head_l = heads.tolist()
+        end_l = ends.tolist()
+        set_l = set_arr[heads].tolist()
+        tag_l = tag_arr[heads].tolist()
+        needed_l = needed_arr[heads].tolist()
+        span_l = span_arr[heads].tolist()
+        kind_l = t.kinds[heads].tolist()
+        size_l = size_arr[heads].tolist()
+        addrs = t.addrs
 
         # -- Flat cache state ---------------------------------------------
         block_size = geometry.block_size
@@ -192,10 +209,13 @@ class VectorizedEngine(Engine):
         pending_fill = fill_mode  # a fresh cache is never full
 
         # -- Counters (reset at the warm-up boundary) ----------------------
-        accesses = misses = block_misses = sub_misses = 0
-        acc_kind = [0, 0, 0]
+        # Accesses, their kinds and bytes are summed after the loop from
+        # ``counted_from``, the index of the first access after the last
+        # reset; the loop keeps only what a walked head can change.
+        counted_from = 0
+        misses = block_misses = sub_misses = 0
         miss_kind = [0, 0, 0]
-        bytes_accessed = bytes_fetched = redundant = bytes_wt = 0
+        bytes_fetched = redundant = bytes_wt = 0
         evictions = ev_ref = ev_tot = writebacks = bytes_wb = 0
         txn: dict = {}
 
@@ -280,40 +300,34 @@ class VectorizedEngine(Engine):
                 bytes_wt += nbytes
             return True
 
-        # -- Main loop over runs -------------------------------------------
+        # -- Main loop over the walked heads -------------------------------
         monotonic = _time.monotonic
-        for ri in range(len(starts) - 1):
+        walked = zip(head_l, end_l, set_l, tag_l, needed_l, span_l, kind_l, size_l)
+        for ri, (i, run_end, s, tg, nd, spans, k, sz) in enumerate(walked):
             if deadline is not None and (ri & 8191) == 0:
-                # Cooperative cancellation: one clock read per 8k runs
+                # Cooperative cancellation: one clock read per 8k heads
                 # keeps the check out of the hot-loop profile while an
                 # expired budget still surfaces within milliseconds.
                 if monotonic() >= deadline:
                     raise DeadlineExceededError(
                         "request deadline expired mid-simulation"
                     )
-            i = starts[ri]
-            run_end = starts[ri + 1]
             if reset_at is not None and i >= reset_at:
-                accesses = misses = block_misses = sub_misses = 0
-                acc_kind = [0, 0, 0]
+                counted_from = reset_at
+                misses = block_misses = sub_misses = 0
                 miss_kind = [0, 0, 0]
-                bytes_accessed = bytes_fetched = redundant = bytes_wt = 0
+                bytes_fetched = redundant = bytes_wt = 0
                 evictions = ev_ref = ev_tot = writebacks = bytes_wb = 0
                 txn = {}
                 reset_at = None
                 if chain is not None:
                     chain.stats.reset()
 
-            k = kind_l[i]
-            sz = size_l[i]
-            accesses += 1
-            acc_kind[k] += 1
-            bytes_accessed += sz
             is_write = k == _WRITE
 
-            if span_l[i]:
+            if spans:
                 # Rare multi-block access: per-block scalar walk.
-                addr = addr_l[i]
+                addr = int(addrs[i])
                 missed = False
                 first_block = addr // block_size
                 last_block = (addr + sz - 1) // block_size
@@ -330,10 +344,10 @@ class VectorizedEngine(Engine):
                     misses += 1
                     miss_kind[k] += 1
                 if pending_fill and filled >= num_blocks:
-                    accesses = misses = block_misses = sub_misses = 0
-                    acc_kind = [0, 0, 0]
+                    counted_from = i + 1
+                    misses = block_misses = sub_misses = 0
                     miss_kind = [0, 0, 0]
-                    bytes_accessed = bytes_fetched = redundant = bytes_wt = 0
+                    bytes_fetched = redundant = bytes_wt = 0
                     evictions = ev_ref = ev_tot = writebacks = bytes_wb = 0
                     txn = {}
                     pending_fill = False
@@ -341,9 +355,6 @@ class VectorizedEngine(Engine):
                         chain.stats.reset()
                 continue
 
-            s = set_l[i]
-            tg = tag_l[i]
-            nd = needed_l[i]
             stags = tags[s]
             rep_miss = False
             try:
@@ -425,43 +436,41 @@ class VectorizedEngine(Engine):
                 miss_kind[k] += 1
 
             if pending_fill and filled >= num_blocks:
-                accesses = misses = block_misses = sub_misses = 0
-                acc_kind = [0, 0, 0]
+                counted_from = i + 1
+                misses = block_misses = sub_misses = 0
                 miss_kind = [0, 0, 0]
-                bytes_accessed = bytes_fetched = redundant = bytes_wt = 0
+                bytes_fetched = redundant = bytes_wt = 0
                 evictions = ev_ref = ev_tot = writebacks = bytes_wb = 0
                 txn = {}
                 pending_fill = False
                 if chain is not None:
                     chain.stats.reset()
 
-            # Bulk-account the repeats: after the first access the cache
-            # is at a fixed point for this run, so each repeat adds the
-            # same counters the reference loop would.
-            m = run_end - i - 1
-            if m:
-                accesses += m
-                acc_kind[k] += m
-                bytes_accessed += sz * m
+            # Bulk-account a write run's repeats: after its first access
+            # the cache is at a fixed point, so each repeat adds the same
+            # miss or write-through bytes the reference loop would.
+            if is_write:
+                m = run_end - i - 1
                 if rep_miss:
                     misses += m
                     miss_kind[k] += m
-                if is_write and writes_through:
+                if writes_through:
                     bytes_wt += sz * m
 
         if reset_at is not None and reset_at <= n:
-            accesses = misses = block_misses = sub_misses = 0
-            acc_kind = [0, 0, 0]
+            counted_from = reset_at
+            misses = block_misses = sub_misses = 0
             miss_kind = [0, 0, 0]
-            bytes_accessed = bytes_fetched = redundant = bytes_wt = 0
+            bytes_fetched = redundant = bytes_wt = 0
             evictions = ev_ref = ev_tot = writebacks = bytes_wb = 0
             txn = {}
             if chain is not None:
                 chain.stats.reset()
+        acc_kind = np.bincount(t.kinds[counted_from:], minlength=3).tolist()
 
         # -- Fold locals into a CacheStats ---------------------------------
         stats = CacheStats()
-        stats.accesses = accesses
+        stats.accesses = n - counted_from
         stats.misses = misses
         stats.block_misses = block_misses
         stats.sub_block_misses = sub_misses
@@ -471,7 +480,7 @@ class VectorizedEngine(Engine):
         stats.misses_by_kind = {
             kind: miss_kind[int(kind)] for kind in _KINDS
         }
-        stats.bytes_accessed = bytes_accessed
+        stats.bytes_accessed = int(size_arr[counted_from:].sum())
         stats.bytes_fetched = bytes_fetched
         stats.redundant_bytes_fetched = redundant
         stats.transaction_words = txn

@@ -177,6 +177,12 @@ class Histogram:
         with self._lock:
             return self._totals.get(key, 0)
 
+    def sum(self, labels: "Optional[Dict[str, str]]" = None) -> float:
+        """Sum of the observations for one label combination."""
+        key = self._key(labels)
+        with self._lock:
+            return self._sums.get(key, 0.0)
+
     def render(self) -> List[str]:
         lines = [
             f"# HELP {self.name} {self.help_text}",

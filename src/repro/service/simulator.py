@@ -569,9 +569,14 @@ class SimulationService:
         loop = asyncio.get_event_loop()
         key = group[0].query.trace_group()
         prepare_seconds: List[float] = []
+        # The query-less run's wall time is booked to "prepare", not to
+        # the queue wait of the queries it held back.
+        learning = 0.0
         try:
             if key not in self._prepared_lengths:
+                learn_started = loop.time()
                 learned = await self._executor.run(key, [], [])
+                learning = loop.time() - learn_started
                 prepare_seconds.append(learned.prepare_seconds)
                 self._prepared_lengths[key] = learned.prepared_length
             length = self._prepared_lengths[key]
@@ -584,7 +589,8 @@ class SimulationService:
             async with self._slots:
                 for pending in misses:
                     self.metrics.stage_seconds.observe(
-                        loop.time() - pending.enqueued_at, labels={"stage": "queue"}
+                        loop.time() - pending.enqueued_at - learning,
+                        labels={"stage": "queue"},
                     )
                     if pending.deadline is not None and time.monotonic() >= pending.deadline:
                         self._complete_error(pending, DeadlineExceededError(

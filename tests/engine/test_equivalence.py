@@ -32,8 +32,9 @@ from repro.core.replacement import (
 )
 from repro.core.write import WritePolicy
 from repro.engine import CheckedEngine, ReferenceEngine, TraceView, VectorizedEngine
+from repro.engine.kernels import mru_hits
 from repro.trace.filters import reads_only
-from repro.trace.record import Trace
+from repro.trace.record import AccessType, Trace
 from repro.workloads.suites import suite_trace
 
 REFERENCE = ReferenceEngine()
@@ -268,3 +269,161 @@ def test_load_forward_redundant_bytes(z8000_grep_trace):
         geometry, z8000_grep_trace, fetch=LoadForwardFetch()
     )
     assert stats.bytes_fetched > 0
+
+
+# -- Skipped set-local MRU hits ------------------------------------------
+#
+# The vectorized engine walks only the run heads that can change cache
+# state: a read whose set's previous head touched the same block and
+# whose sub-blocks earlier reads of that stretch already needed is left
+# to the access counters.  Each case below is a shape where skipping
+# one head too many changes a counter.
+
+R, W, I = int(AccessType.READ), int(AccessType.WRITE), int(AccessType.IFETCH)
+
+
+def _trace(*accesses, name="mru"):
+    addrs, kinds, sizes = zip(*accesses)
+    return Trace(list(addrs), list(kinds), list(sizes), name=name)
+
+
+def _skipped(geometry, trace, word_size=2):
+    """The run heads the vectorized engine leaves unwalked, by index."""
+    view = TraceView.of(trace)
+    sets, tags = view.set_and_tag(geometry)
+    needed, span, starts = view.demand(geometry, word_size)
+    skip = mru_hits(starts, sets, tags, trace.kinds, needed, span)
+    return starts[skip].tolist()
+
+
+def test_a_spill_into_the_set_restarts_its_stretch():
+    # Direct-mapped, 4 sets of 16 B.  The read at 56 spans blocks 3 and
+    # 4; block 4 maps to set 0 and evicts block 0 mid-stretch, so the
+    # reads of block 0 after it miss again.
+    geometry = CacheGeometry(64, 16, 8, associativity=1)
+    trace = _trace((0, R, 2), (8, R, 2), (0, R, 2), (56, R, 16),
+                   (0, R, 2), (8, R, 2), (0, R, 2))
+    assert _skipped(geometry, trace) == [2, 6]
+    stats = assert_identical(geometry, trace, warmup=0)
+    assert stats.misses == 5
+
+
+def test_a_spanning_read_is_walked_even_when_its_first_block_is_mru():
+    # The read at 14 needs sub-block 1 of block 0, which the read at 8
+    # brought in; its spill into block 1 still has to run.
+    geometry = CacheGeometry(64, 16, 8, associativity=1)
+    trace = _trace((0, R, 2), (8, R, 2), (14, R, 4), (16, R, 2), (8, R, 2))
+    assert _skipped(geometry, trace) == []
+    stats = assert_identical(geometry, trace, warmup=0)
+    assert stats.misses == 3
+
+
+def test_a_one_set_span_spills_into_its_own_set():
+    # One set of two ways: the span needs sub-block 1 of block 0, then
+    # fills block 1, so block 0 is no longer MRU and the read at 8 that
+    # follows must be walked to make it MRU again before block 2's fill.
+    geometry = CacheGeometry(32, 16, 8, associativity=2)
+    assert geometry.num_sets == 1
+    trace = _trace((0, R, 2), (8, R, 2), (14, R, 4), (8, R, 2),
+                   (32, R, 2), (16, R, 2), (0, R, 2))
+    assert _skipped(geometry, trace) == []
+    for replacement in (LRUReplacement, FIFOReplacement):
+        assert_identical(geometry, trace, warmup=0, replacement=replacement())
+    direct = CacheGeometry(16, 16, 8, associativity=1)
+    assert_identical(direct, trace, warmup=0)
+
+
+#: Reads that hit their set's MRU block (indices 2, 3, 6 and 7 are
+#: skipped heads), a repeated read run and a repeated write run.
+_WARMUP_TRACE = _trace(
+    (0, R, 2), (8, R, 2), (0, R, 2), (8, R, 2), (16, I, 2), (16, I, 2),
+    (0, R, 2), (8, R, 2), (8, W, 2), (8, W, 2), (8, W, 2), (0, R, 2),
+    (32, R, 2), (0, R, 2),
+)
+
+
+def test_an_integer_warmup_on_a_skipped_head():
+    geometry = CacheGeometry(64, 16, 8, associativity=1)
+    skipped = _skipped(geometry, _WARMUP_TRACE)
+    assert {2, 3, 6, 7} <= set(skipped)
+    for write_policy in WritePolicy:
+        for warmup in range(len(_WARMUP_TRACE) + 2):
+            assert_identical(
+                geometry, _WARMUP_TRACE, warmup=warmup,
+                write_policy=write_policy,
+            )
+
+
+def test_a_fill_warmup_followed_by_skipped_hits():
+    # Two 1-way sets: the read at 16 fills the cache, so counting starts
+    # with its repeat; of the hits after it, only the first reads of
+    # sub-block 1 (at 24 and at 8) are walked.
+    geometry = CacheGeometry(32, 16, 8, associativity=1)
+    trace = _trace((0, R, 2), (16, R, 2), (16, R, 2), (24, R, 2),
+                   (16, R, 2), (24, R, 2), (0, R, 2), (8, R, 2), (0, R, 2))
+    assert _skipped(geometry, trace) == [4, 5, 6, 8]
+    stats = assert_identical(geometry, trace, warmup="fill")
+    assert (stats.accesses, stats.misses) == (7, 2)
+
+
+def test_no_allocate_write_misses_then_reads_of_the_block():
+    # Without allocation the write run misses; the first read of the
+    # block after it must be walked (no earlier read needed it) and
+    # fetch.  The write to block 4 ends the stretch (an allocating
+    # policy evicts block 0 there), so the last read is walked too.
+    geometry = CacheGeometry(64, 16, 8, associativity=1)
+    trace = _trace((0, W, 2), (0, W, 2), (0, W, 2), (0, R, 2), (0, R, 4),
+                   (2, W, 2), (0, R, 2), (8, R, 2), (64, W, 2), (0, R, 2))
+    assert _skipped(geometry, trace) == [4, 6]
+    for write_policy in WritePolicy:
+        assert_identical(geometry, trace, warmup=0, write_policy=write_policy)
+
+
+class _LeastFrequentlyUsed(LRUReplacement):
+    """Evicts the way with the fewest hits since its fill: a repeated
+    hit changes state, so it must declare ``idempotent_hits`` False."""
+
+    name = "lfu"
+    idempotent_hits = False
+
+    def __init__(self):
+        self.hits = 0
+
+    def new_set(self, ways):
+        return [0] * ways
+
+    def on_fill(self, state, way):
+        state[way] = 1
+
+    def on_hit(self, state, way):
+        self.hits += 1
+        state[way] += 1
+
+    def victim(self, state):
+        return state.index(min(state))
+
+
+def test_a_non_idempotent_policy_walks_every_access():
+    # Two sets of four ways.  Each round rereads block 0 (index 2 is a
+    # head LRU would skip, a hit LFU must count) and cycles four more
+    # blocks of set 0 through it, so the counts pick the victims.
+    geometry = CacheGeometry(128, 16, 8, associativity=4)
+    trace = _trace(*[(0, R, 2), (8, R, 2), (0, R, 2), (32, R, 2),
+                     (64, R, 2), (96, R, 2), (128, R, 2)] * 20)
+    assert _skipped(geometry, trace)
+    assert_identical(geometry, trace, warmup=0, replacement=_LeastFrequentlyUsed())
+    hits = {}
+    for engine in (REFERENCE, VECTORIZED):
+        policy = _LeastFrequentlyUsed()
+        engine.run(geometry, trace, warmup=0, replacement=policy)
+        hits[engine.name] = policy.hits
+    assert hits["vectorized"] == hits["reference"] > 0
+
+
+def test_most_run_heads_of_pdp11_ed_are_skipped():
+    # The engines' headline input: every read that stays in its set's
+    # MRU block is left to the counters.
+    geometry = CacheGeometry(1024, 16, 8)
+    trace = reads_only(suite_trace("pdp11", "ED", length=8_000))
+    heads = len(TraceView.of(trace).demand(geometry, 2)[2])
+    assert len(_skipped(geometry, trace)) >= heads / 2

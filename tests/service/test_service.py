@@ -188,6 +188,34 @@ class TestDispatch:
             labels={"stage": "queue"}
         ) == 1
 
+    def test_the_first_query_of_a_group_is_not_queued_for_its_prepare(self, monkeypatch):
+        # A fresh service learns the group's prepared length with a
+        # query-less run first; that run's trace generation (slowed here
+        # to 0.2 s) is a prepare sample, not queue time of the query.
+        generate = simulator.suite_trace
+        slowed = []
+
+        def slow_first_generation(*args, **kwargs):
+            if not slowed:
+                slowed.append(True)
+                time.sleep(0.2)
+            return generate(*args, **kwargs)
+
+        monkeypatch.setattr(simulator, "suite_trace", slow_first_generation)
+
+        async def body(service):
+            result = await service.simulate(QUERY)
+            return result, service
+
+        result, service = run(with_service(ServiceConfig(), body))
+        assert result.source == "computed"
+        stages = service.metrics.stage_seconds
+        queue = {"stage": "queue"}
+        prepare = {"stage": "prepare"}
+        assert stages.count(labels=queue) == stages.count(labels=prepare) == 1
+        assert stages.sum(labels=prepare) >= 0.2
+        assert stages.sum(labels=queue) < 0.1
+
     def test_queries_arriving_while_a_group_runs_go_out_as_one_group(self, monkeypatch):
         release = threading.Event()
 
