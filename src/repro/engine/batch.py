@@ -6,13 +6,15 @@ profitable unit of work is not one cell but one *trace group*: prepare
 the trace a single time (read filtering, decode products), then run
 every cell of the group against the shared view.
 
-This module is that entry point.  It also carries the thread-safety
-contract the service's worker pool relies on: :class:`TraceView`'s
-decode caches are plain LRU dicts with no locking, so concurrent cells
-may only *read* them.  :func:`predecode` populates every decode product
-a batch will need from a single thread *before* the cells fan out;
-after it returns, the per-cell :func:`run_cell` calls are safe to run
-concurrently because they only hit warm cache entries.
+This module is that entry point.  The service's one caller,
+:func:`repro.service.simulator.run_trace_group`, runs a group's cells
+one after another, but two groups of one trace may run at once on the
+service's pool threads, and they share the trace's interned
+:class:`TraceView`.  Its decode caches are plain LRU dicts with no
+locking, so the groups may only *read* them concurrently:
+:func:`predecode`, called under the service's prepare lock, fills
+every decode product a group will need before its cells run, and the
+cells then only hit warm cache entries.
 """
 
 from __future__ import annotations
@@ -171,9 +173,10 @@ def prepare_trace(trace: Trace, filter_writes: bool = True) -> Trace:
 def predecode(prepared: Trace, specs: Iterable[CellSpec]) -> None:
     """Populate the shared decode caches for every shape in ``specs``.
 
-    Call from one thread before dispatching the cells of a batch to a
-    worker pool: the view's LRU caches are not synchronized, and
-    pre-warming them here turns the workers' accesses into pure reads.
+    Call from one thread at a time before a trace group's cells run:
+    another group of the same trace may be running its cells on another
+    thread, the view's LRU caches are not synchronized, and pre-warming
+    them here turns every group's cell accesses into pure reads.
     Non-batchable traces (proxies, iterables) are skipped — they run on
     the reference engine, which performs no decode.
     """

@@ -59,7 +59,9 @@ def needed_masks(
         the needed-sub-block mask *within that first block*, and a
         boolean mask of accesses that spill into a following block
         (those take the engine's scalar multi-block path, where the
-        mask is recomputed per block).
+        mask is recomputed per block).  The masks are int64 below 63
+        sub-blocks per block and Python integers (an object array) from
+        63 on, where an int64 mask would wrap.
     """
     block0 = addrs // block_size
     end = addrs + esz - 1
@@ -68,7 +70,11 @@ def needed_masks(
     first_sub = offset // sub_block_size
     last_in_block = np.minimum(end - block0 * block_size, block_size - 1)
     last_sub = last_in_block // sub_block_size
-    needed = ((np.int64(1) << (last_sub - first_sub + 1)) - 1) << first_sub
+    width = last_sub - first_sub + 1
+    if block_size // sub_block_size < 63:
+        needed = ((np.int64(1) << width) - 1) << first_sub
+    else:
+        needed = ((1 << width.astype(object)) - 1) << first_sub.astype(object)
     return block0, needed, span
 
 
@@ -151,12 +157,12 @@ def mru_hits(
     stretch = np.maximum.accumulate(np.where(new, np.arange(h), 0))
     read_need = np.where(s_read, s_need, 0)
     bits = int(np.bitwise_or.reduce(s_need[hit]))
-    for b in range(64):
+    for b in range(bits.bit_length()):
         if not (bits >> b) & 1:
             continue
         # The reads needing this sub-block, in stretch order: one has
         # it covered iff the previous such read lies in its stretch.
-        reads = np.flatnonzero(read_need & (np.int64(1) << np.int64(b)))
+        reads = np.flatnonzero(read_need & (1 << b))
         hit[reads[0]] = False
         hit[reads[1:][reads[:-1] < stretch[reads[1:]]]] = False
     skip = np.empty(h, dtype=bool)

@@ -15,17 +15,17 @@ from repro.runner.checkpoint import (
     sweep_fingerprint,
 )
 from repro.runner.faults import FaultInjector, FaultyTrace, SweepAborted, corrupt_din
-from repro.runner.health import CellOutcome, CellStatus, HealthMonitor, RunReport
+from repro.runner.health import Breaker, CellOutcome, CellStatus, RunReport
 from repro.runner.retry import RetryPolicy, call_with_retry
 from repro.runner.runner import RunnerConfig, cell_key, run_sweep
 
 __all__ = [
+    "Breaker",
     "CellOutcome",
     "CellStatus",
     "CheckpointWriter",
     "FaultInjector",
     "FaultyTrace",
-    "HealthMonitor",
     "RetryPolicy",
     "RunReport",
     "RunnerConfig",

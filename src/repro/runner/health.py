@@ -4,21 +4,23 @@ The runner records one :class:`CellOutcome` per (geometry, trace) cell
 and folds them into a :class:`RunReport`, which names every skipped
 cell and why — the paper's unweighted suite averages are only credible
 when the reader can see exactly which traces are missing from them.
-:class:`HealthMonitor` is the circuit breaker: in lenient mode a sweep
-keeps going past individual failures, but a long unbroken failure
-streak means the experiment itself is broken and the run should stop
-rather than burn hours producing an empty table.
+:class:`Breaker` counts failure streaks: in lenient mode a sweep keeps
+going past individual failures, but a long unbroken failure streak
+means the experiment itself is broken and the run should stop rather
+than burn hours producing an empty table.  The service's admission
+control and its supervised workers use the same breaker.
 """
 
 from __future__ import annotations
 
 import enum
+import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
-from repro.errors import ReproError
+from repro.errors import ConfigurationError
 
-__all__ = ["CellStatus", "CellOutcome", "RunReport", "HealthMonitor"]
+__all__ = ["CellStatus", "CellOutcome", "RunReport", "Breaker"]
 
 
 class CellStatus(enum.Enum):
@@ -146,40 +148,88 @@ class RunReport:
         return "\n".join(lines)
 
 
-class HealthMonitor:
-    """Aborts a run drowning in failures instead of limping to the end.
+class Breaker:
+    """The failure-streak circuit breaker of the runner and the service.
+
+    It counts the current streak of failed outcomes; a success ends the
+    streak.  Every failure that brings the streak to
+    ``max_consecutive_failures`` or past it trips the breaker: it opens
+    for ``reset_after`` seconds, during which :meth:`allow` refuses.
+    After the cool-down it half-opens: traffic is admitted again, the
+    first success closes it, and a failure re-trips it at once.  The
+    streak keeps counting past a trip, so the supervisor's restart
+    backoff, which grows with it, keeps growing.
+
+    A sweep aborts on the first trip (a long failure streak means the
+    experiment itself is broken); the service's admission control and
+    each supervised worker wait out the cool-down instead.
 
     Args:
-        max_consecutive_failures: Longest tolerated failure streak
-            (``None`` disables the breaker).
+        max_consecutive_failures: Streak that trips the breaker (None
+            never trips; the streak is still counted).
+        reset_after: Open-state cool-down in seconds.
+        clock: Injectable monotonic clock for tests.
     """
 
-    def __init__(self, max_consecutive_failures: Optional[int] = None) -> None:
+    def __init__(
+        self,
+        max_consecutive_failures: Optional[int] = 5,
+        reset_after: float = 5.0,
+        clock: Callable[[], float] = time.monotonic,
+    ) -> None:
         if max_consecutive_failures is not None and max_consecutive_failures < 1:
-            from repro.errors import ConfigurationError
-
             raise ConfigurationError(
                 "max_consecutive_failures must be >= 1, got "
                 f"{max_consecutive_failures}"
             )
-        self.max_consecutive_failures = max_consecutive_failures
-        self._streak = 0
-
-    def record(self, outcome: CellOutcome) -> None:
-        """Track one outcome; raise once the failure streak is too long.
-
-        Raises:
-            ReproError: When ``max_consecutive_failures`` consecutive
-                cells have been skipped.
-        """
-        if outcome.status is CellStatus.SKIPPED:
-            self._streak += 1
-        else:
-            self._streak = 0
-        limit = self.max_consecutive_failures
-        if limit is not None and self._streak >= limit:
-            raise ReproError(
-                f"aborting sweep: {self._streak} consecutive cell failures "
-                f"(health limit {limit}); last failure at {outcome.key}: "
-                f"{outcome.reason}"
+        if reset_after <= 0:
+            raise ConfigurationError(
+                f"reset_after must be positive, got {reset_after}"
             )
+        self.max_consecutive_failures = max_consecutive_failures
+        self.reset_after = reset_after
+        self._clock = clock
+        self._opened_at: Optional[float] = None
+        self.streak = 0
+        self.trips = 0
+
+    @property
+    def state(self) -> str:
+        """``closed``, ``open``, or ``half-open``."""
+        if self._opened_at is None:
+            return "closed"
+        if self._clock() - self._opened_at >= self.reset_after:
+            return "half-open"
+        return "open"
+
+    def allow(self) -> bool:
+        """Whether a new request may be admitted right now."""
+        return self.state != "open"
+
+    def retry_after(self) -> float:
+        """Seconds until the breaker half-opens (0 when not open)."""
+        if self._opened_at is None:
+            return 0.0
+        return max(0.0, self.reset_after - (self._clock() - self._opened_at))
+
+    def record(self, key: str, trace: str, error: Optional[str] = None) -> bool:
+        """Count the outcome of cell ``key`` on ``trace``.
+
+        Args:
+            error: Why the cell failed; None for a success.
+
+        Returns:
+            True when this outcome trips the breaker.
+        """
+        if error is None:
+            self.streak = 0
+            if self.state == "half-open":
+                self._opened_at = None
+            return False
+        self.streak += 1
+        limit = self.max_consecutive_failures
+        if limit is None or self.streak < limit:
+            return False
+        self._opened_at = self._clock()
+        self.trips += 1
+        return True

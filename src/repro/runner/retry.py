@@ -83,12 +83,13 @@ class RetryPolicy:
             return True
         return False
 
-    def delay(self, attempt: int, rng: random.Random) -> float:
+    def delay(self, attempt: int, rng: Optional[random.Random] = None) -> float:
         """Backoff before retry number ``attempt`` (1-based).
 
         Exponential in ``attempt``, capped at ``max_delay``, with the
         jittered fraction drawn from ``rng`` so schedules are
-        reproducible under a seeded generator.
+        reproducible under a seeded generator (no ``rng`` is needed
+        when ``jitter`` is 0).
         """
         raw = min(
             self.base_delay * self.multiplier ** (attempt - 1), self.max_delay

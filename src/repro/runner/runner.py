@@ -67,7 +67,7 @@ from repro.runner.checkpoint import (
     sweep_fingerprint,
 )
 from repro.runner.faults import FaultInjector
-from repro.runner.health import CellOutcome, CellStatus, HealthMonitor, RunReport
+from repro.runner.health import Breaker, CellOutcome, CellStatus, RunReport
 from repro.runner.retry import RetryPolicy, call_with_retry
 from repro.stackdist.engine import run_group_pass
 from repro.stackdist.planner import plan_grid
@@ -389,7 +389,7 @@ def run_sweep(
         )
 
     rng = random.Random(config.seed)
-    monitor = HealthMonitor(config.max_consecutive_failures)
+    breaker = Breaker(config.max_consecutive_failures)
     report = RunReport(preflight=preflight_findings)
     results: Dict[str, CellOutcome] = {}
     ratios: Dict[str, "tuple[float, float, float]"] = {}
@@ -511,7 +511,13 @@ def run_sweep(
                         ratios[key] = ran[1].ratios
                 results[key] = outcome
                 report.add(outcome)
-                monitor.record(outcome)
+                failed = outcome.status is CellStatus.SKIPPED
+                if breaker.record(key, trace.name, outcome.reason if failed else None):
+                    raise ReproError(
+                        f"aborting sweep: {breaker.streak} consecutive cell "
+                        f"failures (health limit {breaker.max_consecutive_failures}); "
+                        f"last failure at {key}: {outcome.reason}"
+                    )
                 if config.injector is not None:
                     config.injector.cell_completed(key)
     finally:

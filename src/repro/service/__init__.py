@@ -11,12 +11,13 @@ repeat-heavy query mixes cache studies produce.  Pieces:
   checkpoint-interoperable.
 * :mod:`~repro.service.simulator` — coalescing, per-trace batching,
   admission, worker dispatch.
-* :mod:`~repro.service.admission` — bounded queue and the
-  HealthMonitor-backed circuit breaker.
+* :mod:`~repro.service.admission` — bounded queue and circuit breaker
+  (the runner's :class:`~repro.runner.health.Breaker`).
 * :mod:`~repro.service.store` — the crash-safe WAL result store
   (fsync'd commits, torn-tail recovery, quarantine).
 * :mod:`~repro.service.supervisor` / :mod:`~repro.service.worker` —
-  supervised child-process execution with heartbeats and restarts.
+  supervised child-process execution with heartbeats and restarts,
+  configured by the same :class:`~repro.service.simulator.ServiceConfig`.
 * :mod:`~repro.service.chaos` — the ``repro chaos --serve`` scenarios.
 * :mod:`~repro.service.metrics` — Prometheus text-format metrics.
 * :mod:`~repro.service.app` — the asyncio HTTP edge
@@ -26,17 +27,16 @@ See ``docs/service.md`` for endpoints, cache semantics, overload
 behavior, and the failure model.
 """
 
-from repro.service.admission import AdmissionController, Breaker, RejectedError
+from repro.service.admission import AdmissionController, RejectedError
 from repro.service.cache import CacheEntry, ResultCache
 from repro.service.metrics import MetricsRegistry
 from repro.service.query import SimQuery, expand_sweep
 from repro.service.simulator import ServiceConfig, SimResult, SimulationService
 from repro.service.store import RecoveryReport, WalStore
-from repro.service.supervisor import Supervisor, SupervisorConfig
+from repro.service.supervisor import Supervisor
 
 __all__ = [
     "AdmissionController",
-    "Breaker",
     "CacheEntry",
     "MetricsRegistry",
     "RecoveryReport",
@@ -47,7 +47,6 @@ __all__ = [
     "SimResult",
     "SimulationService",
     "Supervisor",
-    "SupervisorConfig",
     "WalStore",
     "expand_sweep",
 ]

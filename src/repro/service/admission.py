@@ -5,21 +5,20 @@ the queue is full or the breaker is open, a request is rejected
 immediately with a machine-readable reason and a ``Retry-After`` hint
 (HTTP 429/503 at the edge), instead of being buffered without bound.
 
-The breaker reuses the runner's :class:`~repro.runner.health
-.HealthMonitor` — the same consecutive-failure streak accounting that
-aborts a drowning sweep — wrapped with open/half-open timing so a
-long-running server can recover once the underlying fault clears.
+The breaker is the runner's :class:`~repro.runner.health.Breaker`,
+the same failure-streak count that aborts a drowning sweep; the
+service waits out its open/half-open cool-down instead, so a
+long-running server recovers once the underlying fault clears.
 """
 
 from __future__ import annotations
 
-import time
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.errors import ConfigurationError, ReproError
-from repro.runner.health import CellOutcome, CellStatus, HealthMonitor
+from repro.runner.health import Breaker
 
-__all__ = ["RejectedError", "Breaker", "AdmissionController"]
+__all__ = ["RejectedError", "AdmissionController"]
 
 
 class RejectedError(ReproError):
@@ -34,95 +33,6 @@ class RejectedError(ReproError):
         super().__init__(message)
         self.reason = reason
         self.retry_after = retry_after
-
-
-class Breaker:
-    """Open/half-open wrapper around the runner's failure-streak monitor.
-
-    Closed: requests flow; every cell outcome feeds the monitor.  When
-    the monitor trips (``max_consecutive_failures`` straight failures),
-    the breaker opens for ``reset_after`` seconds, during which all
-    requests are refused.  After the cool-down it half-opens: traffic
-    is admitted again, and the first success closes it fully (a failure
-    re-trips immediately, since the streak is preserved at one below
-    the limit).
-
-    Args:
-        max_consecutive_failures: Streak that opens the breaker
-            (None disables — ``allow`` always passes).
-        reset_after: Open-state cool-down in seconds.
-        clock: Injectable monotonic clock for tests.
-    """
-
-    def __init__(
-        self,
-        max_consecutive_failures: Optional[int] = 5,
-        reset_after: float = 5.0,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
-        if reset_after <= 0:
-            raise ConfigurationError(
-                f"reset_after must be positive, got {reset_after}"
-            )
-        self.max_consecutive_failures = max_consecutive_failures
-        self.reset_after = reset_after
-        self._clock = clock
-        self._monitor = HealthMonitor(max_consecutive_failures)
-        self._opened_at: Optional[float] = None
-        self.trips = 0
-
-    @property
-    def state(self) -> str:
-        """``closed``, ``open``, or ``half-open``."""
-        if self._opened_at is None:
-            return "closed"
-        if self._clock() - self._opened_at >= self.reset_after:
-            return "half-open"
-        return "open"
-
-    def allow(self) -> bool:
-        """Whether a new request may be admitted right now."""
-        return self.state != "open"
-
-    def retry_after(self) -> float:
-        """Seconds until the breaker half-opens (0 when not open)."""
-        if self._opened_at is None:
-            return 0.0
-        remaining = self.reset_after - (self._clock() - self._opened_at)
-        return max(0.0, remaining)
-
-    def record(self, key: str, trace: str, error: Optional[str] = None) -> None:
-        """Feed one cell outcome into the streak accounting.
-
-        A success in the half-open state closes the breaker; the trip
-        itself is signalled by the monitor's raise, which is absorbed
-        here and turned into the open state (the service must keep
-        serving errors, not crash like a batch sweep).
-        """
-        if error is None:
-            outcome = CellOutcome(key, trace, CellStatus.OK)
-            if self._opened_at is not None and self.state == "half-open":
-                self._opened_at = None
-        else:
-            outcome = CellOutcome(
-                key, trace, CellStatus.SKIPPED, reason=error
-            )
-        try:
-            self._monitor.record(outcome)
-        except ReproError:
-            self._opened_at = self._clock()
-            self.trips += 1
-            # Rebuild one below the limit: a half-open failure re-trips
-            # on the very next record instead of needing a full streak.
-            self._monitor = HealthMonitor(self.max_consecutive_failures)
-            if (
-                self.max_consecutive_failures is not None
-                and self.max_consecutive_failures > 1
-            ):
-                for _ in range(self.max_consecutive_failures - 1):
-                    self._monitor.record(
-                        CellOutcome(key, trace, CellStatus.SKIPPED, reason="")
-                    )
 
 
 class AdmissionController:

@@ -41,12 +41,12 @@ from repro.engine.base import ENGINE_NAMES
 from repro.engine.batch import execute_cell, predecode, prepare_trace
 from repro.engine.route import plan
 from repro.errors import ConfigurationError, DeadlineExceededError, ReproError
-from repro.runner.health import CellOutcome, CellStatus, RunReport
-from repro.service.admission import AdmissionController, Breaker, RejectedError
+from repro.runner.health import Breaker, CellOutcome, CellStatus, RunReport
+from repro.service.admission import AdmissionController, RejectedError
 from repro.service.cache import CacheEntry, ResultCache
 from repro.service.metrics import MetricsRegistry
 from repro.service.query import GroupResult, SimQuery, refuse_sample_fallback
-from repro.service.supervisor import Supervisor, SupervisorConfig
+from repro.service.supervisor import Supervisor
 from repro.stackdist.engine import run_group_pass
 from repro.stackdist.planner import plan_grid
 from repro.staticcheck.diagnostics import Diagnostic, Severity, raise_on_errors
@@ -74,8 +74,9 @@ class ServiceConfig:
             any trace group is running.  When none is running the
             scheduler dispatches at once, so a lone query on an idle
             service never waits for it.
-        breaker_failures: Consecutive cell failures that open the
-            breaker (None disables it).
+        breaker_failures: Consecutive failures that open a breaker:
+            cell failures for admission, deaths for each supervised
+            worker (None disables both).
         breaker_reset: Breaker cool-down in seconds.
         retry_after: Back-off hint for queue-full rejections.
         engine: Default engine for queries that don't specify one is
@@ -168,7 +169,8 @@ class _Pending:
 
 #: Serializes what populates :class:`~repro.engine.traceview.TraceView`'s
 #: decode caches, which are only safe to *fill* from one thread at a
-#: time (see :mod:`repro.engine.batch`); cells then only read them.
+#: time (see :mod:`repro.engine.batch`): two trace groups of one trace
+#: may run at once on the pool, and their cells then only read them.
 _PREPARE_LOCK = threading.Lock()
 
 
@@ -361,16 +363,7 @@ class SimulationService:
         self._stopped = False
         self._draining = False
         if self.config.supervised:
-            self.supervisor = Supervisor(
-                SupervisorConfig(
-                    workers=self.config.workers,
-                    heartbeat_timeout=self.config.heartbeat_timeout,
-                    breaker_failures=self.config.breaker_failures,
-                    breaker_reset=self.config.breaker_reset,
-                    worker_env=self.config.worker_env,
-                ),
-                metrics=self.metrics,
-            )
+            self.supervisor = Supervisor(self.config, metrics=self.metrics)
             await self.supervisor.start()
             self._executor = self.supervisor
         else:

@@ -7,21 +7,24 @@ that worker held in flight — never the service, never a committed
 result (those are already fsync'd in the WAL store by the time a
 client sees them).
 
-Health model, reusing the runner's primitives:
+Health model, on the runner's primitives and the service's
+:class:`~repro.service.simulator.ServiceConfig` (``workers``,
+``heartbeat_timeout``, ``breaker_failures``, ``breaker_reset``,
+``worker_env``):
 
-* **Liveness** — every worker heartbeats on its stdout; a worker
-  silent for ``heartbeat_timeout`` seconds is presumed hung, killed,
-  and counted as a ``hung`` restart (distinct from ``crashed``, where
-  the process died on its own).
-* **Restart policy** — exponential backoff per worker
-  (``restart_base_delay`` doubling to ``restart_max_delay``), reset
-  after a stretch of good behaviour, so a crash-looping worker cannot
-  monopolize the CPU a healthy sibling needs.
+* **Liveness** — every worker heartbeats on its stdout every
+  :data:`HEARTBEAT_INTERVAL` seconds; a worker silent for
+  ``heartbeat_timeout`` seconds is presumed hung, killed, and counted
+  as a ``hung`` restart (distinct from ``crashed``, where the process
+  died on its own).
 * **Circuit breaker** — each worker feeds a
-  :class:`~repro.service.admission.Breaker` (the runner's
-  ``HealthMonitor`` streak accounting underneath): a worker that keeps
-  dying is taken out of dispatch until its breaker half-opens, while
-  the others keep serving.
+  :class:`~repro.runner.health.Breaker`, the one that aborts a
+  drowning sweep: a worker that keeps dying is taken out of dispatch
+  until its breaker half-opens, while the others keep serving.
+* **Restart policy** — :data:`RESTART_BACKOFF` over the breaker's
+  failure streak (0.1 s doubling to 5 s), reset by a good response,
+  so a crash-looping worker cannot monopolize the CPU a healthy
+  sibling needs.
 
 The supervisor is the service's out-of-process executor: its one
 operation, :meth:`Supervisor.run`, sends a whole trace group to the
@@ -43,7 +46,7 @@ import signal
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import (
     ConfigurationError,
@@ -51,13 +54,31 @@ from repro.errors import (
     ReproError,
     WorkerCrashError,
 )
-from repro.service.admission import Breaker, RejectedError
+from repro.runner.health import Breaker
+from repro.runner.retry import RetryPolicy
+from repro.service.admission import RejectedError
 from repro.service.metrics import MetricsRegistry
 from repro.service.query import GroupResult, SimQuery
 
-__all__ = ["SupervisorConfig", "Supervisor"]
+if TYPE_CHECKING:
+    from repro.service.simulator import ServiceConfig
+
+__all__ = ["Supervisor"]
 
 logger = logging.getLogger("repro.service.supervisor")
+
+#: Seconds between a worker's heartbeats; the supervisor polls its
+#: fleet's liveness at the same period, or at a quarter of the
+#: heartbeat timeout when that is shorter.
+HEARTBEAT_INTERVAL = 0.25
+#: Silence tolerated before a worker's *first* heartbeat: interpreter
+#: and NumPy imports take ~1 s, which must not read as a hang.
+STARTUP_GRACE = 15.0
+#: Backoff before restarting a worker, by its breaker's failure streak.
+RESTART_BACKOFF = RetryPolicy(base_delay=0.1, max_delay=5.0, jitter=0.0)
+#: Times each query of a crashed group is re-dispatched, on its own,
+#: before the caller sees the crash.
+CRASH_RETRIES = 1
 
 #: ``error_type`` names a worker may report, mapped back to the
 #: exception the caller would have seen in-process.
@@ -78,56 +99,18 @@ def _error(reported: Dict[str, Any]) -> ReproError:
     return _ERROR_TYPES.get(error_type, ReproError)(message)
 
 
-@dataclass(frozen=True)
-class SupervisorConfig:
-    """Tunables of the worker supervisor.
-
-    Attributes:
-        workers: Child processes to keep alive.
-        heartbeat_interval: Seconds between worker heartbeats.
-        heartbeat_timeout: Silence after which a worker is presumed
-            hung and killed.
-        startup_grace: Silence tolerated before a worker's *first*
-            heartbeat — interpreter and NumPy imports take ~1s, which
-            must not read as a hang.
-        restart_base_delay / restart_multiplier / restart_max_delay:
-            Exponential backoff between restarts of one worker.
-        breaker_failures: Consecutive failures that open a worker's
-            breaker (None disables).
-        breaker_reset: Per-worker breaker cool-down in seconds.
-        crash_retries: Times each query of a crashed group is
-            re-dispatched, on its own, before the caller sees the
-            crash.
-        worker_env: Extra environment for the children (the chaos
-            harness injects its fault variables here).
-    """
-
-    workers: int = 2
-    heartbeat_interval: float = 0.25
-    heartbeat_timeout: float = 2.0
-    startup_grace: float = 15.0
-    restart_base_delay: float = 0.1
-    restart_multiplier: float = 2.0
-    restart_max_delay: float = 5.0
-    breaker_failures: Optional[int] = 5
-    breaker_reset: float = 5.0
-    crash_retries: int = 1
-    worker_env: Optional[Dict[str, str]] = None
-
-
 @dataclass
 class _Worker:
     """One supervised child and its in-flight bookkeeping."""
 
     index: int
+    breaker: Breaker
     proc: Optional[asyncio.subprocess.Process] = None
     reader: Optional[asyncio.Task] = None
     inflight: Dict[int, asyncio.Future] = field(default_factory=dict)
     last_heartbeat: float = 0.0
     restarts: int = 0
-    consecutive_failures: int = 0
     next_start_at: float = 0.0
-    breaker: Optional[Breaker] = None
     draining: bool = False
     hung: bool = False
     heard_once: bool = False
@@ -137,11 +120,7 @@ class _Worker:
         return self.proc is not None and self.proc.returncode is None
 
     def dispatchable(self) -> bool:
-        return (
-            self.alive
-            and not self.draining
-            and (self.breaker is None or self.breaker.allow())
-        )
+        return self.alive and not self.draining and self.breaker.allow()
 
 
 class Supervisor:
@@ -149,10 +128,10 @@ class Supervisor:
 
     def __init__(
         self,
-        config: Optional[SupervisorConfig] = None,
+        config: "ServiceConfig",
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
-        self.config = config if config is not None else SupervisorConfig()
+        self.config = config
         if self.config.workers < 1:
             raise ConfigurationError(
                 f"supervisor needs >= 1 worker, got {self.config.workers}"
@@ -250,24 +229,14 @@ class Supervisor:
             if not future.done():
                 future.set_exception(crash)
         worker.inflight.clear()
-        if worker.breaker is not None:
-            worker.breaker.record(
-                f"worker-{worker.index}", "supervisor", error=reason
-            )
-        worker.consecutive_failures += 1
-        delay = min(
-            self.config.restart_base_delay
-            * self.config.restart_multiplier
-            ** (worker.consecutive_failures - 1),
-            self.config.restart_max_delay,
+        worker.breaker.record(f"worker-{worker.index}", "supervisor", error=reason)
+        worker.next_start_at = time.monotonic() + RESTART_BACKOFF.delay(
+            worker.breaker.streak
         )
-        worker.next_start_at = time.monotonic() + delay
         self.metrics.worker_restarts_total.inc(labels={"reason": reason})
 
     async def _monitor_loop(self) -> None:
-        interval = min(
-            self.config.heartbeat_interval, self.config.heartbeat_timeout / 4
-        )
+        interval = min(HEARTBEAT_INTERVAL, self.config.heartbeat_timeout / 4)
         while True:
             await asyncio.sleep(max(0.05, interval))
             if self._stopping:
@@ -279,10 +248,7 @@ class Supervisor:
                     threshold = (
                         self.config.heartbeat_timeout
                         if worker.heard_once
-                        else max(
-                            self.config.heartbeat_timeout,
-                            self.config.startup_grace,
-                        )
+                        else max(self.config.heartbeat_timeout, STARTUP_GRACE)
                     )
                     if silent > threshold:
                         # Hung: alive but not talking.  SIGKILL — a
@@ -308,7 +274,7 @@ class Supervisor:
                             "worker %d respawn failed: %s", worker.index, exc
                         )
                         worker.next_start_at = (
-                            time.monotonic() + self.config.restart_max_delay
+                            time.monotonic() + RESTART_BACKOFF.max_delay
                         )
 
     # -- Dispatch ---------------------------------------------------------
@@ -328,7 +294,7 @@ class Supervisor:
         """Run one trace group on a worker; the executor operation.
 
         When the worker dies with the group in flight, its queries are
-        re-dispatched one at a time, each with ``crash_retries`` more
+        re-dispatched one at a time, each with :data:`CRASH_RETRIES` more
         attempts (the group attempt counts as every query's first), so
         a poison query kills no more workers than it would alone and
         fails alone, in its outcome.  A re-dispatch waits out a restart
@@ -364,7 +330,7 @@ class Supervisor:
     ) -> GroupResult:
         assert self._retry_lane is not None, "start() the supervisor first"
         async with self._retry_lane:
-            for _ in range(self.config.crash_retries):
+            for _ in range(CRASH_RETRIES):
                 try:
                     return await self._attempt(
                         group, queries, deadlines, wait=True
@@ -390,7 +356,7 @@ class Supervisor:
                 stage="dispatch",
             )
         worker = self._pick()
-        give_up = now + self.config.restart_max_delay
+        give_up = now + RESTART_BACKOFF.max_delay
         while worker is None and wait and time.monotonic() < give_up:
             await asyncio.sleep(0.05)
             worker = self._pick()
@@ -399,7 +365,7 @@ class Supervisor:
                 "no live simulation worker (crashed workers are "
                 "restarting with backoff); retry shortly",
                 reason="no_workers",
-                retry_after=self.config.restart_base_delay * 2,
+                retry_after=RESTART_BACKOFF.base_delay * 2,
             )
         # Each deadline travels as the budget left, in milliseconds.
         response = await self._send(worker, {
@@ -448,9 +414,7 @@ class Supervisor:
             ) from exc
         response = await future
         if response.get("ok"):
-            worker.consecutive_failures = 0
-            if worker.breaker is not None:
-                worker.breaker.record(f"worker-{worker.index}", "supervisor")
+            worker.breaker.record(f"worker-{worker.index}", "supervisor")
         return response
 
     # -- Drain ------------------------------------------------------------
@@ -530,9 +494,7 @@ class Supervisor:
                     "pid": worker.proc.pid if worker.proc else None,
                     "inflight": len(worker.inflight),
                     "restarts": worker.restarts,
-                    "breaker": (
-                        worker.breaker.state if worker.breaker else "disabled"
-                    ),
+                    "breaker": worker.breaker.state,
                 }
                 for worker in self._workers
             ],

@@ -15,8 +15,10 @@ JSON over the standard pipes, with one request kind:
   [...], "results": [{"record": {...}} | {"error": msg, "error_type":
   name, "stage": s}, ...]}`` (``"ok": false`` and the error fields
   when the trace could not be prepared), plus unsolicited
-  ``{"kind": "hb", "ts": T}`` heartbeats from a daemon thread.  A worker that stops heartbeating is presumed hung and gets
-  SIGKILLed by the supervisor.
+  ``{"kind": "hb", "ts": T}`` heartbeats from a daemon thread, every
+  :data:`~repro.service.supervisor.HEARTBEAT_INTERVAL` seconds.  A
+  worker that stops heartbeating is presumed hung and gets SIGKILLed
+  by the supervisor.
 
 Each query's *remaining* deadline milliseconds become a local monotonic
 instant for the engine's cooperative cancellation (wall-budget
@@ -51,6 +53,7 @@ from typing import Any, Dict, Optional
 from repro.errors import ReproError
 from repro.service.query import SimQuery
 from repro.service.simulator import run_trace_group
+from repro.service.supervisor import HEARTBEAT_INTERVAL
 
 __all__ = ["WorkerLoop", "main"]
 
@@ -76,15 +79,9 @@ def _error_fields(exc: Exception) -> Dict[str, Any]:
 class WorkerLoop:
     """The request loop of one worker process."""
 
-    def __init__(
-        self,
-        stdin=None,
-        stdout=None,
-        heartbeat_interval: float = 0.25,
-    ) -> None:
+    def __init__(self, stdin=None, stdout=None) -> None:
         self.stdin = stdin if stdin is not None else sys.stdin
         self.stdout = stdout if stdout is not None else sys.stdout
-        self.heartbeat_interval = heartbeat_interval
         self.index = int(os.environ.get("REPRO_WORKER_INDEX", "0"))
         self._write_lock = threading.Lock()
         self._stop_heartbeat = threading.Event()
@@ -113,7 +110,7 @@ class WorkerLoop:
             self.stdout.flush()
 
     def _heartbeat_loop(self) -> None:
-        while not self._stop_heartbeat.wait(self.heartbeat_interval):
+        while not self._stop_heartbeat.wait(HEARTBEAT_INTERVAL):
             try:
                 self._send({"kind": "hb", "ts": time.time()})
             except (BrokenPipeError, ValueError, OSError):

@@ -27,11 +27,10 @@ classification per site (:class:`ChainSiteClass`): ``L1-hit``,
 
 Soundness is pinned end to end by :func:`verify_classification`: the
 program runs on the machine, the trace replays cold through a concrete
-chained :class:`~repro.core.cache.SubBlockCache` (or the sanitizing
-:class:`~repro.engine.checked.CheckedCache` when asked to sanitize),
-every access is attributed to its site, and both of the site's proofs
-are checked: the L1 one against the observed hit or miss, the chain
-one against the observed servicing structure.  See
+chained :class:`~repro.core.cache.SubBlockCache`, every access is
+attributed to its site, and both of the site's proofs are checked: the
+L1 one against the observed hit or miss, the chain one against the
+observed servicing structure.  See
 ``docs/staticcheck.md``.
 """
 
@@ -250,7 +249,6 @@ class ChainVerificationResult:
             proof.
         unclassified_accesses: Accesses on sites with neither proof.
         violations: ``(site, occurrence, expected, observed)`` tuples.
-        sanitized: True when the replay used the checked engine.
     """
 
     ok: bool
@@ -258,7 +256,6 @@ class ChainVerificationResult:
     checked: int
     unclassified_accesses: int
     violations: Tuple[Tuple[str, int, str, str], ...] = ()
-    sanitized: bool = False
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -267,7 +264,6 @@ class ChainVerificationResult:
             "checked": self.checked,
             "unclassified_accesses": self.unclassified_accesses,
             "violations": [list(item) for item in self.violations],
-            "sanitized": self.sanitized,
         }
 
 
@@ -1104,7 +1100,6 @@ def verify_classification(
     *,
     max_steps: int = 5_000_000,
     max_refs: Optional[int] = 200_000,
-    sanitize: bool = False,
 ) -> ChainVerificationResult:
     """Differentially check a report's L1 and chain proofs by replay.
 
@@ -1119,22 +1114,13 @@ def verify_classification(
       serviced by anything other than ``S`` (checked against the
       chain's ``last_serviced``);
     * a ``memory-bound`` access is serviced before memory.
-
-    When ``sanitize`` is true, the replay uses the checked engine,
-    cross-asserting the cache/chain invariants after every access.
     """
     config = report.miss_path
     chained = config.enabled
-    if sanitize:
-        from repro.engine.checked import CheckedCache
-
-        cache_cls = CheckedCache
-    else:
-        cache_cls = SubBlockCache
     machine = Machine(program, stack_words=report.stack_words)
     result = machine.run(max_steps=max_steps, max_refs=max_refs)
     trace = result.trace
-    cache = cache_cls(
+    cache = SubBlockCache(
         report.geometry(),
         fetch=make_fetch(report.fetch),
         word_size=report.word_size,
@@ -1231,6 +1217,5 @@ def verify_classification(
         checked=checked,
         unclassified_accesses=unclassified,
         violations=tuple(violations),
-        sanitized=sanitize,
     )
 

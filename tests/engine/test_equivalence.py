@@ -17,7 +17,11 @@ the chained engines to the chained reference loop on
 
 from __future__ import annotations
 
+import dataclasses
 import random
+import signal
+import time
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -32,6 +36,7 @@ from repro.core.replacement import (
 )
 from repro.core.write import WritePolicy
 from repro.engine import CheckedEngine, ReferenceEngine, TraceView, VectorizedEngine
+from repro.engine.batch import CellSpec, execute_cell, prepare_trace
 from repro.engine.kernels import mru_hits
 from repro.trace.filters import reads_only
 from repro.trace.record import AccessType, Trace
@@ -427,3 +432,56 @@ def test_most_run_heads_of_pdp11_ed_are_skipped():
     trace = reads_only(suite_trace("pdp11", "ED", length=8_000))
     heads = len(TraceView.of(trace).demand(geometry, 2)[2])
     assert len(_skipped(geometry, trace)) >= heads / 2
+
+
+# -- Wide blocks --------------------------------------------------------
+#
+# From 63 sub-blocks per block a needed mask no longer fits an int64.
+# Each case runs under a wall-clock limit: a wrapped mask once sent the
+# vectorized engine's fetch planning into an endless loop that no
+# deadline check could reach.
+
+
+@contextmanager
+def _time_limit(seconds):
+    """Raise in the body, instead of hanging, once ``seconds`` pass."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("block, sub, word_size", [
+    (128, 2, 2), (64, 1, 1),  # 64 sub-blocks per block
+    (256, 2, 2), (128, 1, 1),  # 128 sub-blocks per block
+])
+@pytest.mark.parametrize("filter_writes", [True, False])
+@pytest.mark.parametrize("fetch, replacement", [
+    ("demand", "lru"), ("load-forward", "fifo"),
+])
+def test_wide_blocks_match_reference_through_execute_cell(
+    block, sub, word_size, filter_writes, fetch, replacement
+):
+    prepared = prepare_trace(
+        suite_trace("pdp11", "ED", length=3000), filter_writes
+    )
+    for net in (512, 1024):
+        spec = CellSpec(
+            CacheGeometry(net, block, sub), fetch=fetch,
+            replacement=replacement, word_size=word_size,
+        )
+        with _time_limit(10):
+            expected, _ = execute_cell(
+                prepared, dataclasses.replace(spec, engine="reference")
+            )
+            actual, path = execute_cell(prepared, spec, time.monotonic() + 10)
+        assert path == "vectorized"
+        _assert_counters(expected, actual, f"{spec.geometry}, {spec}")
+        assert actual.to_dict() == expected.to_dict()

@@ -255,3 +255,24 @@ class TestHealthBreaker:
                     sleep=lambda s: None,
                 ),
             )
+
+    def test_abort_message_names_the_streak_limit_and_last_failure(
+        self, traces, geometries
+    ):
+        with pytest.raises(ReproError) as excinfo:
+            run_sweep(
+                traces, geometries, word_size=2, warmup=0,
+                config=RunnerConfig(
+                    lenient=True,
+                    max_consecutive_failures=3,
+                    injector=FaultInjector(
+                        error_cells=("*",), fail_attempts=None
+                    ),
+                    sleep=lambda s: None,
+                ),
+            )
+        assert str(excinfo.value) == (
+            "aborting sweep: 3 consecutive cell failures (health limit 3); "
+            "last failure at 64:16,8@4/hot: TransientError: injected fault "
+            "at access 0 of trace 'hot'"
+        )

@@ -10,17 +10,22 @@ service chaos harness (``python -m repro chaos --serve``).
 from __future__ import annotations
 
 import asyncio
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
+
+import pytest
 
 import repro
-
 from repro.errors import WorkerCrashError
+from repro.service import supervisor
 from repro.service.admission import RejectedError
 from repro.service.query import SimQuery
-from repro.service.supervisor import Supervisor, SupervisorConfig
+from repro.service.simulator import ServiceConfig
+from repro.service.supervisor import Supervisor
 
 PAYLOAD = {
     "suite": "pdp11", "trace": "ED", "length": 2000,
@@ -72,7 +77,7 @@ class TestWorkerImports:
 class TestHappyPath:
     def test_submit_answers_and_drain_retires_the_fleet(self):
         async def main():
-            sup = Supervisor(SupervisorConfig(workers=1))
+            sup = Supervisor(ServiceConfig(workers=1))
             await sup.start()
             try:
                 learned = await sup.run(GROUP, [], [])
@@ -98,7 +103,7 @@ class TestCrashContainment:
     def test_sigkill_mid_request_is_retried_on_a_sibling(self):
         async def main():
             sup = Supervisor(
-                SupervisorConfig(
+                ServiceConfig(
                     workers=2,
                     worker_env={
                         "REPRO_WORKER_CRASH_AFTER": "1",
@@ -128,7 +133,7 @@ class TestCrashContainment:
     def test_crash_loop_keeps_restarting_with_backoff(self):
         async def main():
             sup = Supervisor(
-                SupervisorConfig(
+                ServiceConfig(
                     workers=1,
                     worker_env={"REPRO_WORKER_CRASH_ON_START": "1"},
                 )
@@ -166,13 +171,14 @@ class TestCrashContainment:
 
         run(main())
 
-    def test_hung_worker_is_killed_and_counted_as_hung(self):
+    def test_hung_worker_is_killed_and_counted_as_hung(self, monkeypatch):
+        monkeypatch.setattr(supervisor, "CRASH_RETRIES", 0)
+
         async def main():
             sup = Supervisor(
-                SupervisorConfig(
+                ServiceConfig(
                     workers=1,
                     heartbeat_timeout=1.0,
-                    crash_retries=0,
                     worker_env={"REPRO_WORKER_STALL_HEARTBEAT_AFTER": "1"},
                 )
             )
@@ -199,7 +205,7 @@ class TestCrashContainment:
     def test_a_poison_query_fails_alone(self):
         async def main():
             sup = Supervisor(
-                SupervisorConfig(
+                ServiceConfig(
                     workers=2,
                     worker_env={"REPRO_WORKER_CRASH_ON_NET": "1024"},
                 )
@@ -232,3 +238,76 @@ class TestCrashContainment:
                 await sup.drain()
 
         run(main())
+
+
+class FakeClock:
+    def __init__(self) -> None:
+        self.now = 100.0
+
+    def __call__(self) -> float:
+        return self.now
+
+
+class _AnsweringPipe:
+    """A worker's stdin that answers every request at once."""
+
+    def __init__(self, worker, ok: bool) -> None:
+        self.worker = worker
+        self.ok = ok
+
+    def write(self, data: bytes) -> None:
+        request_id = json.loads(data)["id"]
+        self.worker.inflight.pop(request_id).set_result(
+            {"kind": "res", "id": request_id, "ok": self.ok}
+        )
+
+    async def drain(self) -> None:
+        pass
+
+
+class TestRestartSchedule:
+    """One worker's restart backoff, on a fake clock, with no process."""
+
+    def fleet(self, monkeypatch, **config):
+        clock = FakeClock()
+        monkeypatch.setattr(supervisor, "time", SimpleNamespace(monotonic=clock))
+        sup = Supervisor(ServiceConfig(workers=1, **config))
+        return sup, sup._workers[0], clock
+
+    @staticmethod
+    def die(sup, worker, clock) -> float:
+        sup._on_death(worker, reason="crashed")
+        return worker.next_start_at - clock()
+
+    @staticmethod
+    def respond(sup, worker, ok: bool) -> None:
+        worker.proc = SimpleNamespace(
+            returncode=None, stdin=_AnsweringPipe(worker, ok)
+        )
+        run(sup._send(worker, {"kind": "group"}))
+        worker.proc = None
+
+    def test_delays_double_from_a_tenth_to_a_five_second_cap(self, monkeypatch):
+        sup, worker, clock = self.fleet(monkeypatch)
+        delays = [self.die(sup, worker, clock) for _ in range(8)]
+        assert delays == pytest.approx([0.1, 0.2, 0.4, 0.8, 1.6, 3.2, 5.0, 5.0])
+
+    def test_the_streak_outlives_a_breaker_trip(self, monkeypatch):
+        sup, worker, clock = self.fleet(monkeypatch, breaker_failures=2)
+        delays = [self.die(sup, worker, clock) for _ in range(4)]
+        assert sup.describe()["workers"][0]["breaker"] == "open"
+        assert delays == pytest.approx([0.1, 0.2, 0.4, 0.8])
+
+    def test_a_good_response_restarts_the_schedule(self, monkeypatch):
+        sup, worker, clock = self.fleet(monkeypatch)
+        for _ in range(3):
+            self.die(sup, worker, clock)
+        self.respond(sup, worker, ok=True)
+        assert self.die(sup, worker, clock) == pytest.approx(0.1)
+
+    def test_a_failed_response_keeps_the_schedule(self, monkeypatch):
+        sup, worker, clock = self.fleet(monkeypatch)
+        for _ in range(3):
+            self.die(sup, worker, clock)
+        self.respond(sup, worker, ok=False)
+        assert self.die(sup, worker, clock) == pytest.approx(0.8)

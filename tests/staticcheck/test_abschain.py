@@ -354,22 +354,3 @@ class TestReportSchema:
         assert [row["structure"] for row in rows] == ["victim", "stream", "l2"]
         for row in rows:
             assert set(row) == {"structure", "proven_hits"}
-
-
-class TestVerifierSanitize:
-    def test_checked_engine_replay(self):
-        """sanitize=True replays through the checked engine, which
-        cross-asserts the chain conservation laws on every access."""
-        program = assemble_program("sieve", 2)
-        report = classify_chain_program(
-            program,
-            CacheGeometry(**GEOMETRY),
-            miss_path=CHAINS["vc4+sb2x4+l2"],
-            name="sieve",
-        )
-        result = verify_classification(
-            program, report, max_refs=40_000, sanitize=True
-        )
-        assert result.ok
-        assert result.sanitized
-
